@@ -583,6 +583,16 @@ def _parse_flat_config(path: str) -> dict:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--config", help="flat key = value config file")
@@ -667,7 +677,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--threshold", type=int, default=3)
     p.add_argument("--order", help="manifest.csv fixing the document order")
     p.add_argument("--bootstrap", action="store_true")
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--iterations", type=_positive_int, default=2000)
     p.add_argument("--positions", action="store_true", help="also write positions.csv")
     p.add_argument("--positions-window", type=int, default=5)
     p.set_defaults(func=cmd_saturate)

@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import StaleFrequencyError, UnknownCoderSourceError
 
 
@@ -85,6 +87,45 @@ class Codebook:
         if not self.theme_map:
             return None
         return self.theme_map.get(code_id)
+
+
+@dataclass(frozen=True, eq=False)
+class CodeMatrix:
+    """One coder source's code instances over a document sequence, interned.
+
+    ``labels`` holds the sorted distinct code labels; a code's id is its
+    index there. Document ``i``'s code ids, in file order and with repeats,
+    are ``codes[offsets[i]:offsets[i + 1]]`` (compressed sparse rows);
+    ``lengths[i]`` is its character length. All arrays are int64.
+    """
+
+    labels: tuple[str, ...]
+    offsets: np.ndarray
+    codes: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def build(cls, docs: Sequence[Document], coder_source: str) -> "CodeMatrix":
+        """Intern ``docs`` in one walk; a missing source raises like ``instances``."""
+        raw: list[str] = []
+        offsets = [0]
+        lengths = []
+        for doc in docs:
+            raw.extend(inst.code_id for inst in doc.instances(coder_source))
+            offsets.append(len(raw))
+            lengths.append(doc.text_length)
+        labels = tuple(sorted(set(raw)))
+        index = {label: i for i, label in enumerate(labels)}
+        return cls(
+            labels=labels,
+            offsets=np.array(offsets, dtype=np.int64),
+            codes=np.fromiter((index[c] for c in raw), dtype=np.int64, count=len(raw)),
+            lengths=np.array(lengths, dtype=np.int64),
+        )
+
+    def doc_index(self) -> np.ndarray:
+        """The document index of every instance, aligned with ``codes``."""
+        return np.repeat(np.arange(len(self.lengths), dtype=np.int64), np.diff(self.offsets))
 
 
 @dataclass(frozen=True)

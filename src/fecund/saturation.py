@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Codebook, Document
+from .corpus import Codebook, CodeMatrix, Document
 
 
 @dataclass(frozen=True)
@@ -91,55 +90,86 @@ class StoppingRuleResult:
     all_satisfaction_points: tuple[int, ...]
 
 
-def _hf_codes(docs: Sequence[Document], coder_source: str, threshold: int) -> set[str]:
-    counts: Counter[str] = Counter()
-    for doc in docs:
-        for inst in doc.instances(coder_source):
-            counts[inst.code_id] += 1
-    return {code for code, c in counts.items() if c >= threshold}
+# Elements per array in one block of bootstrap iterations. Larger blocks
+# save little time but raise peak memory measurably.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _cumulative_counts(
-    order: Sequence[Document],
-    regime: CountingRegime,
-    coder_source: str,
-    hf_set: set[str] | None = None,
-    theme_map: dict[str, str] | None = None,
-) -> list[int]:
-    kind = regime.kind
-    counts: list[int] = []
-    if kind == "unique":
-        seen: set[str] = set()
-        for doc in order:
-            seen.update(inst.code_id for inst in doc.instances(coder_source))
-            counts.append(len(seen))
-    elif kind == "hf_retrospective":
-        assert hf_set is not None
-        seen_hf: set[str] = set()
-        for doc in order:
-            for inst in doc.instances(coder_source):
-                if inst.code_id in hf_set:
-                    seen_hf.add(inst.code_id)
-            counts.append(len(seen_hf))
-    elif kind == "hf_iterative":
-        cum: Counter[str] = Counter()
-        reached: set[str] = set()
-        for doc in order:
-            for inst in doc.instances(coder_source):
-                cum[inst.code_id] += 1
-                if cum[inst.code_id] >= regime.hf_threshold:
-                    reached.add(inst.code_id)
-            counts.append(len(reached))
-    else:  # themes
-        assert theme_map is not None
-        seen_themes: set[str] = set()
-        for doc in order:
-            for inst in doc.instances(coder_source):
-                theme = theme_map.get(inst.code_id)
-                if theme is not None:
-                    seen_themes.add(theme)
-            counts.append(len(seen_themes))
-    return counts
+@dataclass(frozen=True, eq=False)
+class _Groups:
+    """What a regime counts, fixed for a collection whatever the order.
+
+    A group (a code, or a theme) is counted at the position of its
+    ``rank``-th counted instance. Counted instances are sorted by group;
+    ``starts`` holds the first slot of each group with at least ``rank``
+    instances, the only groups that can ever be counted.
+    """
+
+    docs: np.ndarray  # document index of each counted instance
+    group: np.ndarray  # group id of each counted instance, ascending
+    starts: np.ndarray
+    rank: int
+
+
+def _theme_map(regime: CountingRegime, codebook: Codebook | None) -> dict[str, str] | None:
+    if regime.kind != "themes":
+        return None
+    if codebook is None or not codebook.theme_map:
+        raise ValueError("themes regime requires a codebook with a theme map")
+    return codebook.theme_map
+
+
+def _groups(
+    matrix: CodeMatrix, regime: CountingRegime, theme_map: dict[str, str] | None
+) -> _Groups:
+    group = matrix.codes
+    keep = np.ones(len(group), dtype=bool)
+    if regime.kind == "hf_retrospective":
+        # High-frequency status depends only on the full collection, not the order.
+        totals = np.bincount(group, minlength=len(matrix.labels))
+        keep = totals[group] >= regime.hf_threshold
+    elif regime.kind == "themes":
+        theme_id = {t: i for i, t in enumerate(sorted(set(theme_map.values())))}
+        code_theme = np.array(
+            [theme_id.get(theme_map.get(c), -1) for c in matrix.labels], dtype=np.int64
+        )
+        group = code_theme[group]
+        keep = group >= 0
+    rank = regime.hf_threshold if regime.kind == "hf_iterative" else 1
+    group = group[keep]
+    by_group = np.argsort(group, kind="stable")
+    group = group[by_group]
+    docs = matrix.doc_index()[keep][by_group]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    sizes = np.diff(starts, append=len(group))
+    return _Groups(docs=docs, group=group, starts=starts[sizes >= rank], rank=rank)
+
+
+def _count_orders(groups: _Groups, positions: np.ndarray, out: np.ndarray) -> None:
+    """Cumulative counts into ``out`` for a block of orders.
+
+    ``positions[b, i]`` is the 0-based place of document ``i`` in order
+    ``b``. Each group is counted where its ``rank``-th smallest instance
+    position falls; instances in one document share that document's
+    position, so repeats within a document count with multiplicity.
+    """
+    n_orders, n_docs = positions.shape
+    counted = np.zeros((n_orders, n_docs), dtype=np.int64)
+    if len(groups.starts):
+        pos = positions[:, groups.docs]
+        if groups.rank == 1:
+            reached = np.minimum.reduceat(pos, groups.starts, axis=1)
+        else:
+            # Groups occupy fixed slices, so sorting by (group, position) sorts
+            # each group's positions in place.
+            offset = groups.group * n_docs
+            slot = groups.starts + groups.rank - 1
+            reached = np.sort(offset + pos, axis=1)[:, slot] - offset[slot]
+        rows = np.arange(n_orders, dtype=np.int64)[:, None] * n_docs
+        counted = np.bincount(
+            (reached + rows).ravel(), minlength=n_orders * n_docs
+        ).reshape(n_orders, n_docs)
+    np.cumsum(counted, axis=1, out=out)
 
 
 def cumulative_curve(
@@ -156,22 +186,18 @@ def cumulative_curve(
     first reaches the threshold.
     """
     order = list(order)
-    theme_map = None
-    if regime.kind == "themes":
-        if codebook is None or not codebook.theme_map:
-            raise ValueError("themes regime requires a codebook with a theme map")
-        theme_map = codebook.theme_map
-    hf_set = None
-    if regime.kind == "hf_retrospective":
-        hf_set = _hf_codes(order, coder_source, regime.hf_threshold)
-    counts = _cumulative_counts(order, regime, coder_source, hf_set, theme_map)
-    steps = []
-    chars = 0
-    for k, (doc, count) in enumerate(zip(order, counts), start=1):
-        chars += doc.text_length
-        steps.append(CurveStep(doc_index=k, cumulative_chars=chars, cumulative_count=count))
+    theme_map = _theme_map(regime, codebook)
+    matrix = CodeMatrix.build(order, coder_source)
+    groups = _groups(matrix, regime, theme_map)
+    counts = np.empty((1, len(order)), dtype=np.int64)
+    _count_orders(groups, np.arange(len(order), dtype=np.int64)[None, :], counts)
+    chars = np.cumsum(matrix.lengths).tolist()
+    steps = tuple(
+        CurveStep(doc_index=k, cumulative_chars=c, cumulative_count=n)
+        for k, (c, n) in enumerate(zip(chars, counts[0].tolist()), start=1)
+    )
     return SaturationCurve(
-        steps=tuple(steps),
+        steps=steps,
         regime=regime,
         document_order=tuple(d.id for d in order),
     )
@@ -227,32 +253,33 @@ def bootstrap_band(
     Per-iteration seeds derive from (seed, iteration), so iterations can
     be evaluated in any order or in parallel with identical results.
     """
+    if n_iterations < 1:
+        raise ValueError("bootstrap_band requires n_iterations >= 1")
     docs = list(docs)
     N = len(docs)
     if N < 2:
         raise ValueError("bootstrap_band requires at least 2 documents")
-    theme_map = None
-    if regime.kind == "themes":
-        if codebook is None or not codebook.theme_map:
-            raise ValueError("themes regime requires a codebook with a theme map")
-        theme_map = codebook.theme_map
-    hf_set = None
-    if regime.kind == "hf_retrospective":
-        # High-frequency status depends only on the full corpus, not the order.
-        hf_set = _hf_codes(docs, coder_source, regime.hf_threshold)
+    theme_map = _theme_map(regime, codebook)
+    matrix = CodeMatrix.build(docs, coder_source)
+    groups = _groups(matrix, regime, theme_map)
 
-    lengths = np.array([d.text_length for d in docs], dtype=np.int64)
     count_matrix = np.empty((n_iterations, N), dtype=np.int64)
-    chars_matrix = np.empty((n_iterations, N), dtype=np.int64)
-    for it in range(n_iterations):
-        rng = np.random.default_rng([seed, it])
-        perm = rng.permutation(N)
-        ordered = [docs[i] for i in perm]
-        count_matrix[it] = _cumulative_counts(ordered, regime, coder_source, hf_set, theme_map)
-        chars_matrix[it] = np.cumsum(lengths[perm])
+    # Integer partial sums stay below 2**53, so dividing the total gives the
+    # same float64 means as averaging an iterations x N matrix of cumsums.
+    chars_total = np.zeros(N, dtype=np.int64)
+    block = max(1, _BLOCK_ELEMENTS // max(N, len(groups.docs)))
+    for first in range(0, n_iterations, block):
+        stop = min(first + block, n_iterations)
+        perms = np.stack(
+            [np.random.default_rng([seed, it]).permutation(N) for it in range(first, stop)]
+        )
+        chars_total += np.cumsum(matrix.lengths[perms], axis=1).sum(axis=0)
+        positions = np.empty_like(perms)
+        np.put_along_axis(positions, perms, np.arange(N, dtype=np.int64), axis=1)
+        _count_orders(groups, positions, count_matrix[first:stop])
 
     mean_counts = count_matrix.mean(axis=0)
-    mean_chars = chars_matrix.mean(axis=0)
+    mean_chars = chars_total / n_iterations
     lo_raw = np.percentile(count_matrix, 2.5, axis=0)
     hi_raw = np.percentile(count_matrix, 97.5, axis=0)
 

@@ -155,7 +155,6 @@ def select_greedy(
     tie_break: str = "shortest-then-id",
     *,
     cost_benefit: bool = True,
-    lazy: bool = True,
     singleton_fallback: bool = True,
 ) -> CorpusSelection:
     """Greedy selection under the strict character budget.
@@ -163,10 +162,10 @@ def select_greedy(
     Each step adds the feasible document with the highest marginal
     objective gain per character (or raw gain when ``cost_benefit`` is
     off), stopping when nothing fits or the best gain is ~zero. Ties go to
-    the shorter document, then the lexicographically smaller id. The lazy
-    variant keeps stale gains in a priority queue and re-evaluates on pop,
-    which is sound because gains only shrink as the selection grows; it
-    selects exactly what the naive variant selects.
+    the shorter document, then the lexicographically smaller id. Stale
+    gains wait in a priority queue and are re-evaluated on pop, which is
+    sound because gains only shrink as the selection grows; it selects
+    exactly what re-evaluating every candidate at every step selects.
 
     Density-ranked greedy can stall on one cheap low-value document while
     a single expensive high-value document fits the budget on its own, so
@@ -178,12 +177,7 @@ def select_greedy(
     pool = [(doc, _doc_items(doc, coder_source)) for doc in candidates]
     g = value_function.g
 
-    if lazy:
-        picked, gains = _greedy_lazy(pool, budget, g, tie_break, cost_benefit)
-    else:
-        picked, gains = _greedy_naive(pool, budget, g, tie_break, cost_benefit)
-
-    selected_docs = picked
+    selected_docs, gains = _greedy_lazy(pool, budget, g, tie_break, cost_benefit)
     obj = objective(selected_docs, value_function, coder_source)
     if singleton_fallback:
         single = _best_singleton(pool, budget, g, tie_break)
@@ -204,33 +198,6 @@ def select_greedy(
 
 def _score(gain: float, length: int, cost_benefit: bool) -> float:
     return gain / length if cost_benefit else gain
-
-
-def _greedy_naive(pool, budget, g, tie_break, cost_benefit):
-    counts: dict[str, int] = {}
-    total = 0
-    picked: list[Document] = []
-    gains: list[float] = []
-    remaining = list(pool)
-    while True:
-        best = None
-        for doc, items in remaining:
-            if total + doc.text_length >= budget.max_chars:
-                continue
-            gain = _marginal_gain(items, counts, g)
-            key = (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break))
-            if best is None or key < best[0]:
-                best = (key, doc, items, gain)
-        if best is None or best[3] <= GAIN_FLOOR:
-            break
-        _, doc, items, gain = best
-        picked.append(doc)
-        gains.append(gain)
-        total += doc.text_length
-        for code, c in items:
-            counts[code] = counts.get(code, 0) + c
-        remaining = [(d, it) for d, it in remaining if d.id != doc.id]
-    return picked, gains
 
 
 def _greedy_lazy(pool, budget, g, tie_break, cost_benefit):

@@ -27,6 +27,7 @@ from fecund.synthetic import experiment_corpus, synth_corpus
 
 from conftest import make_doc
 from prompt_fragments import FINAL_FEWSHOT_FRAGMENTS, ROUND1_FRAGMENTS
+from reference import select_greedy_naive
 
 
 def report(criterion, detail):
@@ -70,8 +71,8 @@ def test_02_greedy_vs_exact_oracle():
     ratios = []
     for _ in range(200):
         docs, budget = _random_instance(rng)
-        lazy = select_greedy(docs, budget, SQRT, "src", lazy=True)
-        naive = select_greedy(docs, budget, SQRT, "src", lazy=False)
+        lazy = select_greedy(docs, budget, SQRT, "src")
+        naive = select_greedy_naive(docs, budget, SQRT, "src")
         assert lazy.selected_ids == naive.selected_ids
         exact = select_exact(docs, budget, SQRT, "src")
         if exact.objective_value == 0.0:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
+from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from fecund.corpus import compute_frequencies
 from fecund.ingest import load_collection
 from fecund.saturation import CountingRegime, cumulative_curve
@@ -135,6 +135,20 @@ def test_saturate_bootstrap_columns(corpus_dir, tmp_path):
     rows = _read_csv(out / "curve_unique.csv")
     assert set(rows[0]) == {"step", "mean_chars", "mean_count", "lo95", "hi95"}
     assert len(rows) == 27  # floor(0.9 * 30)
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_saturate_rejects_bad_iterations(corpus_dir, tmp_path, capsys, iterations):
+    with pytest.raises(SystemExit) as exc:
+        run(
+            "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
+            corpus_dir / "codes.csv", "--bootstrap", "--iterations", iterations,
+            "--seed", 1, "--out", tmp_path / "sat",
+        )
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--iterations: must be >= 1, got {iterations}" in err
+    assert "Traceback" not in err
 
 
 def test_saturate_themes_without_map_errors(corpus_dir, tmp_path):

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from fecund import saturation
 from fecund.corpus import Codebook
 from fecund.saturation import (
     CountingRegime,
@@ -13,6 +16,7 @@ from fecund.saturation import (
 )
 
 from conftest import make_doc
+from reference import reference_counts, reference_raw_steps
 
 WORKED_ORDER = lambda: [
     make_doc("D1", ["a"]),
@@ -118,6 +122,51 @@ def test_retrospective_pathology():
                 order, CountingRegime("hf_retrospective", thr), "src"
             ).counts
             assert counts[-1] == counts[-(thr - 1) - 1]
+
+
+REGIMES = ("unique", "hf_retrospective", "hf_iterative", "themes")
+POOL = [f"c{i}" for i in range(8)]
+
+
+@st.composite
+def coded_collections(draw, min_docs=1):
+    """Documents in random order, with empty documents, repeated codes
+    within a document, and codes that have no theme."""
+    n = draw(st.integers(min_docs, 12))
+    docs = [
+        make_doc(
+            f"d{i}",
+            draw(st.lists(st.sampled_from(POOL), max_size=6)),
+            length=draw(st.integers(1, 50)),
+        )
+        for i in range(n)
+    ]
+    themed = draw(st.lists(st.sampled_from(POOL), min_size=1, unique=True))
+    theme_map = {c: draw(st.sampled_from(["t0", "t1", "t2"])) for c in themed}
+    codebook = Codebook(
+        entries={c: c for c in POOL},
+        theme_map=theme_map,
+        themes={t: t for t in set(theme_map.values())},
+    )
+    return draw(st.permutations(docs)), codebook
+
+
+# No code reaches the threshold and no instance has a theme: zero groups.
+ZERO_GROUPS = (
+    [make_doc("d0", ["c0", "c0"]), make_doc("d1", []), make_doc("d2", ["c1", "c0"])],
+    Codebook(entries={c: c for c in POOL}, theme_map={"c7": "t0"}, themes={"t0": "t0"}),
+)
+
+
+@given(coded_collections(), st.sampled_from(REGIMES), st.integers(2, 4))
+@example(ZERO_GROUPS, "hf_retrospective", 4)
+@example(ZERO_GROUPS, "hf_iterative", 4)
+@example(ZERO_GROUPS, "themes", 2)
+def test_curve_matches_reference_loop(collection, kind, threshold):
+    order, codebook = collection
+    regime = CountingRegime(kind, threshold)
+    curve = cumulative_curve(order, regime, "src", codebook=codebook)
+    assert curve.counts == reference_counts(order, regime, "src", codebook)
 
 
 # --- detect_stopping --------------------------------------------------------
@@ -245,6 +294,74 @@ def test_band_seed_deterministic():
 def test_band_requires_two_docs():
     with pytest.raises(ValueError):
         bootstrap_band([make_doc("d", ["a"])], CountingRegime("unique"), "src", seed=0)
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_band_requires_an_iteration(iterations):
+    docs = [make_doc("a", ["x"]), make_doc("b", ["y"])]
+    with pytest.raises(ValueError, match="n_iterations"):
+        bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=iterations)
+
+
+@given(
+    coded_collections(min_docs=2),
+    st.sampled_from(REGIMES),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 40, 1 << 16]),
+)
+@example(ZERO_GROUPS, "hf_iterative", 4, 0, 1 << 16)
+def test_band_matches_reference_loop(collection, kind, threshold, seed, block_elements):
+    """Same RNG stream, same raw band, bit for bit, however iterations are blocked."""
+    docs, codebook = collection
+    regime = CountingRegime(kind, threshold)
+    with mock.patch.object(saturation, "_BLOCK_ELEMENTS", block_elements):
+        band = bootstrap_band(docs, regime, "src", n_iterations=23, seed=seed, codebook=codebook)
+    assert band.raw_steps == reference_raw_steps(docs, regime, "src", 23, seed, codebook)
+
+
+def _rarefaction(docs, coder_source):
+    """Exact mean and variance of the distinct-code count after k random
+    documents, k = 1..N (Hurlbert 1971; Heck, van Belle & Simberloff 1975).
+
+    r(u, k) = C(N-u, k) / C(N, k) is the chance that k random documents
+    include none of u given ones. With n_c documents holding code c and
+    n_cd holding both c and d: E[S_k] = sum_c 1 - r(n_c, k) and
+    Var[S_k] = sum_{c,d} r(n_c + n_d - n_cd, k) - (sum_c r(n_c, k))^2.
+    """
+    labels = sorted({c for d in docs for c in d.code_ids(coder_source)})
+    column = {c: j for j, c in enumerate(labels)}
+    N = len(docs)
+    incidence = np.zeros((N, len(labels)), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        incidence[i, [column[c] for c in doc.code_ids(coder_source)]] = 1
+    both = incidence.T @ incidence
+    n = np.diag(both)
+    union_sizes = np.bincount((n[:, None] + n[None, :] - both).ravel(), minlength=N + 1)
+    u = np.arange(N + 1)
+    r = np.ones(N + 1)
+    mean, var = [], []
+    for k in range(1, N + 1):
+        r = r * np.clip(N - u - (k - 1), 0, None) / (N - (k - 1))
+        missed = r[n].sum()
+        mean.append(len(labels) - missed)
+        var.append(union_sizes @ r - missed**2)
+    return np.array(mean), np.array(var)
+
+
+def test_band_mean_matches_rarefaction():
+    from fecund.synthetic import synth_corpus
+
+    iterations = 2000
+    docs, _ = synth_corpus(300, seed=3, n_codes=300)
+    band = bootstrap_band(docs, CountingRegime("unique"), "human", n_iterations=iterations, seed=3)
+    expected, var = _rarefaction(docs, "human")
+    assert expected[-1] > 200
+    # Iterations are independent orders, so the mean's standard error is
+    # sd / sqrt(iterations); five of them bound 300 correlated steps.
+    tolerance = 5 * np.sqrt(np.maximum(var, 0.0) / iterations) + 1e-9
+    got = np.array([s.mean_count for s in band.raw_steps])
+    assert np.all(np.abs(got - expected) <= tolerance)
 
 
 # --- positions ----------------------------------------------------------------

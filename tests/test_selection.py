@@ -19,6 +19,7 @@ from fecund.selection import (
 )
 
 from conftest import make_doc
+from reference import select_greedy_naive
 
 
 def _brute_force(docs, budget, vf, source):
@@ -152,8 +153,8 @@ def test_lazy_equals_naive_on_random_instances():
     for _ in range(120):
         docs, budget = _random_instance(rng)
         for vf in (SQRT, LOG1P, UNIQUE):
-            lazy = select_greedy(docs, budget, vf, "src", lazy=True)
-            naive = select_greedy(docs, budget, vf, "src", lazy=False)
+            lazy = select_greedy(docs, budget, vf, "src")
+            naive = select_greedy_naive(docs, budget, vf, "src")
             assert lazy.selected_ids == naive.selected_ids
             assert lazy.total_chars < budget.max_chars
 
