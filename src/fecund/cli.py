@@ -314,11 +314,14 @@ def _manifest_order(docs, manifest_path: str):
     by_id = {d.id: d for d in docs}
     ordered = []
     with open(manifest_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            doc_id = row["doc_id"]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            doc_id = row.get("doc_id")
             if doc_id not in by_id:
                 raise CollectionFormatError(
-                    f"manifest references unknown document {doc_id!r}", manifest_path
+                    f"manifest references unknown document {doc_id!r}",
+                    manifest_path,
+                    reader.line_num,
                 )
             ordered.append(by_id[doc_id])
     return ordered
@@ -402,14 +405,12 @@ def _read_rows(path: str) -> list[dict]:
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
-    by_id = {d.id: d for d in docs}
-    manifest = _read_rows(args.manifest)
+    ordered = _manifest_order(docs, args.manifest)
     arms = {row["doc_id"]: row["arm"] for row in _read_rows(args.unblinding)}
     extra = {}
     if args.experiment:
         extra = {row["doc_id"]: row for row in _read_rows(args.experiment)}
 
-    ordered = [by_id[row["doc_id"]] for row in manifest]
     freq = compute_frequencies(ordered, args.outcome_source)
     density_freq = None
     if args.density_source and all(args.density_source in d.codes for d in ordered):
@@ -716,12 +717,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     if "--config" in argv:
-        config_path = argv[argv.index("--config") + 1]
+        at = argv.index("--config") + 1
+        if at == len(argv):
+            print("error: --config needs a path", file=sys.stderr)
+            return EXIT_USAGE
         try:
-            values = _parse_flat_config(config_path)
+            values = _parse_flat_config(argv[at])
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for sub in commands.values():
             known = {a.dest for a in sub._actions}
             sub.set_defaults(**{k: v for k, v in values.items() if k in known})

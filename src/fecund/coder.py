@@ -18,8 +18,6 @@ import ast
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from string import Template
@@ -406,6 +404,11 @@ class RemoteConfig:
 
 
 def _urllib_transport(url: str, headers: dict, body: bytes, timeout: float):
+    # deferred: urllib.request pulls in http.client and email, which only a
+    # remote run needs
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:

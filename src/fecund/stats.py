@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as spstats
 
 from .corpus import Document
 from .errors import MissingVariableError, RankDeficiencyError, SampleSizeError
@@ -175,10 +174,11 @@ def ols(
 def _p_two_sided(t: float, df: int) -> float:
     if not math.isfinite(t):
         return 0.0
-    # t quantiles are indistinguishable from normal ones at large df
-    if df > 200:
-        return float(2.0 * spstats.norm.sf(abs(t)))
-    return float(2.0 * spstats.t.sf(abs(t), df))
+    # imported here so that only commands that fit a regression load scipy;
+    # stdtr(df, -|t|) is the t survival function, exact at any df
+    from scipy import special
+
+    return float(2.0 * special.stdtr(df, -abs(t)))
 
 
 TREATMENT_SPECS: dict[int, dict] = {
@@ -311,7 +311,9 @@ def _f_stars(fit: RegressionFit) -> str:
     k, df = fit.f_df
     if k < 1 or not math.isfinite(fit.f_statistic):
         return ""
-    p = float(spstats.f.sf(fit.f_statistic, k, df))
+    from scipy import special  # deferred: see _p_two_sided
+
+    p = float(special.fdtrc(k, df, fit.f_statistic))
     return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
 
 

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +191,109 @@ def test_config_file_supplies_defaults(corpus_dir, tmp_path):
         "--budget-docs", 6, "--control-docs", 6, "--out", direct,
     )
     assert (out / "manifest.csv").read_bytes() == (direct / "manifest.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line", ["seed 9", "budget_docs: 6"], ids=["no-equals", "colon"]
+)
+def test_config_line_without_equals_exits_usage(corpus_dir, tmp_path, capsys, line):
+    config = tmp_path / "run.toml"
+    config.write_text(f"# comment\n\n{line}\n", encoding="utf-8")
+    code = run(
+        "select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--config", config, "--out", tmp_path / "cfg",
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {config}:3: expected key = value" in err
+    assert "Traceback" not in err
+
+
+def test_trailing_config_without_path_exits_usage(corpus_dir, tmp_path, capsys):
+    code = run(
+        "select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--seed", 1, "--out", tmp_path / "cfg", "--config",
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: --config needs a path" in err
+    assert "Traceback" not in err
+
+
+def _select_human(corpus_dir, out):
+    assert (
+        run("select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+            corpus_dir / "codes.csv", "--coder-source", "human", "--seed", 5,
+            "--budget-docs", 6, "--control-docs", 6, "--out", out)
+        == EXIT_OK
+    )
+
+
+def _analyze_argv(corpus_dir, sel, out, manifest=None):
+    return [
+        "analyze", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--manifest", manifest or sel / "manifest.csv",
+        "--unblinding", sel / "unblinding.csv", "--outcome-source", "human",
+        "--out", out,
+    ]
+
+
+def test_analyze_writes_treatment_table(corpus_dir, tmp_path):
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    ana = tmp_path / "ana"
+    assert run(*_analyze_argv(corpus_dir, sel, ana)) == EXIT_OK
+    rows = _read_csv(ana / "treatment_table.csv")
+    fitted = [r for r in rows if r["param"]]
+    assert {r["spec"] for r in fitted} == {"1", "2", "3", "6"}
+    assert all(0.0 <= float(r["p"]) <= 1.0 for r in fitted)
+
+
+def test_analyze_unknown_manifest_id_exits_data(corpus_dir, tmp_path, capsys):
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    rows = _read_csv(sel / "manifest.csv")
+    manifest = tmp_path / "manifest.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["reading_index", "doc_id"])
+        writer.writerow([1, rows[0]["doc_id"]])
+        writer.writerow([2, "no-such-doc"])
+    capsys.readouterr()
+    assert run(*_analyze_argv(corpus_dir, sel, tmp_path / "ana", manifest)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{manifest}:3: manifest references unknown document 'no-such-doc'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy_or_http(corpus_dir, tmp_path):
+    """Start-up cost guard: importing the CLI must not load scipy or the
+    HTTP stack; analyze then loads scipy.special, never scipy.stats."""
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    script = textwrap.dedent(
+        """\
+        import sys
+        import fecund.cli
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                     or m in ("urllib.request", "http.client")))
+        code = fecund.cli.main(sys.argv[1:])
+        print(code, "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+        """
+    )
+    argv = _analyze_argv(corpus_dir, sel, tmp_path / "ana")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 True False"
+    assert (tmp_path / "ana" / "treatment_table.csv").exists()
 
 
 def test_full_pipeline_and_analyze(corpus_dir, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +9,8 @@ from fecund.errors import MissingVariableError, RankDeficiencyError, SampleSizeE
 from fecund.stats import (
     IDENTITY_MAP,
     RegressionSpec,
+    _f_stars,
+    _p_two_sided,
     corpus_code_density,
     fit_quadratic,
     format_treatment_table,
@@ -127,6 +131,63 @@ def test_robust_flag_changes_only_inference():
 def test_spec_rejects_outcome_as_regressor():
     with pytest.raises(ValueError):
         RegressionSpec("y", ("y",))
+
+
+# --- p-values against scipy.stats ------------------------------------------
+
+
+def _stars_oracle(p):
+    return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
+
+
+@pytest.mark.parametrize("n", [6, 40, 203, 204, 600])
+def test_ols_p_values_match_scipy_stats_t(n):
+    # n = 203 leaves exactly 200 residual degrees of freedom; larger n used
+    # to take a normal approximation, and must now use the t distribution too
+    from scipy import stats as spstats
+
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    z = rng.normal(size=n)
+    data = {"y": 0.2 * x + rng.normal(size=n), "x": x, "z": z}
+    fit = ols(data, RegressionSpec("y", ("x", "z")))
+    assert fit.df_resid == n - 3
+    for name in fit.param_names:
+        t = fit.t_stats[name]
+        assert fit.p_values[name] == float(2.0 * spstats.t.sf(abs(t), fit.df_resid))
+
+
+@pytest.mark.parametrize("df", [1, 7, 200, 201, 5000])
+@pytest.mark.parametrize("t", [0.0, 1e-300, 0.3, 1.96, -2.5, 8.0, 40.0, 1e300])
+def test_p_two_sided_matches_scipy_stats_t(t, df):
+    from scipy import stats as spstats
+
+    assert _p_two_sided(t, df) == float(2.0 * spstats.t.sf(abs(t), df))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_p_two_sided_non_finite_t_is_zero(t):
+    assert _p_two_sided(t, 12) == 0.0
+
+
+@pytest.mark.parametrize("df", [4, 38, 200, 450])
+@pytest.mark.parametrize("k", [1, 3])
+def test_f_stars_match_scipy_stats_f(k, df):
+    from scipy import stats as spstats
+
+    rng = np.random.default_rng(k * 1000 + df)
+    n = df + k + 1
+    columns = {f"x{j}": rng.normal(size=n) for j in range(k)}
+    fit = ols({"y": rng.normal(size=n), **columns}, RegressionSpec("y", tuple(columns)))
+    assert fit.f_df == (k, df)
+    # F statistics just either side of each star threshold, plus extremes
+    for p in (0.9, 0.1001, 0.0999, 0.0501, 0.0499, 0.0101, 0.0099, 1e-9):
+        f_stat = float(spstats.f.isf(p, k, df))
+        probe = dataclasses.replace(fit, f_statistic=f_stat)
+        assert _f_stars(probe) == _stars_oracle(float(spstats.f.sf(f_stat, k, df)))
+        assert _f_stars(probe) == _stars_oracle(p)
+    assert _f_stars(dataclasses.replace(fit, f_statistic=math.inf)) == ""
+    assert _f_stars(fit) == _stars_oracle(float(spstats.f.sf(fit.f_statistic, k, df)))
 
 
 # --- treatment_table ------------------------------------------------------
