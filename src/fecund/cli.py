@@ -32,7 +32,7 @@ from .errors import (
     RankDeficiencyError,
     TransportError,
 )
-from .ingest import load_articles, load_collection, split_passages, write_collection
+from .ingest import _read_csv, load_articles, load_collection, split_passages, write_collection
 from .saturation import (
     CountingRegime,
     bootstrap_band,
@@ -105,6 +105,11 @@ def _load(args, need_codes: bool = True):
     return load_collection(args.docs, codes or None, getattr(args, "themes", None))
 
 
+def _read_rows(path: str, required: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV side file; a missing column or blank value exits 4 with file:line."""
+    return [row for _, row in _read_csv(path, required)]
+
+
 # --- synth -----------------------------------------------------------------
 
 
@@ -169,25 +174,19 @@ def cmd_ingest(args) -> int:
 def _load_summaries(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    summaries = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            summaries[row["doc_id"]] = row["summary"]
-    return summaries
+    return {row["doc_id"]: row["summary"] for row in _read_rows(path, ("doc_id", "summary"))}
 
 
 def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict[str, str]:
     if not clusters_path or not exemplars_path:
         return {}
     exemplars: dict[str, list[str]] = {}
-    with open(exemplars_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            exemplars.setdefault(row["cluster_id"], []).append(row["code_label"])
+    for row in _read_rows(exemplars_path, ("cluster_id", "code_label")):
+        exemplars.setdefault(row["cluster_id"], []).append(row["code_label"])
     context = {}
-    with open(clusters_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels = exemplars.get(row["cluster_id"], [])
-            context[row["passage_id"]] = json.dumps(labels, ensure_ascii=False)
+    for row in _read_rows(clusters_path, ("passage_id", "cluster_id")):
+        labels = exemplars.get(row["cluster_id"], [])
+        context[row["passage_id"]] = json.dumps(labels, ensure_ascii=False)
     return context
 
 
@@ -397,19 +396,14 @@ def cmd_saturate(args) -> int:
 # --- analyze -----------------------------------------------------------------
 
 
-def _read_rows(path: str) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
-    arms = {row["doc_id"]: row["arm"] for row in _read_rows(args.unblinding)}
+    arms = {row["doc_id"]: row["arm"] for row in _read_rows(args.unblinding, ("doc_id", "arm"))}
     extra = {}
     if args.experiment:
-        extra = {row["doc_id"]: row for row in _read_rows(args.experiment)}
+        extra = {row["doc_id"]: row for row in _read_rows(args.experiment, ("doc_id",))}
 
     freq = compute_frequencies(ordered, args.outcome_source)
     density_freq = None
@@ -512,7 +506,7 @@ def cmd_sweep(args) -> int:
     elif args.pairs:
         pairs = [
             (float(row["ai_density"]), float(row["human_density"]))
-            for row in _read_rows(args.pairs)
+            for row in _read_rows(args.pairs, ("ai_density", "human_density"))
         ]
         qmap = fit_quadratic(pairs)
     else:
@@ -713,16 +707,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The path given as ``--config PATH`` or ``--config=PATH``; "" when it is missing."""
+    for i, token in enumerate(argv):
+        if token == "--config":
+            return argv[i + 1] if i + 1 < len(argv) else ""
+        if token.startswith("--config="):
+            return token[len("--config="):]
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
-    if "--config" in argv:
-        at = argv.index("--config") + 1
-        if at == len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return EXIT_USAGE
+    config = _config_path(argv)
+    if config == "":
+        print("error: --config needs a path", file=sys.stderr)
+        return EXIT_USAGE
+    if config is not None:
         try:
-            values = _parse_flat_config(argv[at])
+            values = _parse_flat_config(config)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO

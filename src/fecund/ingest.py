@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,8 +103,7 @@ def load_articles(documents_path: str | Path) -> list[RawArticle]:
                 source_label=obj.get("source"),
             )
         )
-    ids = [a.id for a in articles]
-    dupes = {i for i in ids if ids.count(i) > 1}
+    dupes = [i for i, n in Counter(a.id for a in articles).items() if n > 1]
     if dupes:
         raise DuplicateDocumentIdError(
             f"duplicate article id(s): {sorted(dupes)}", str(documents_path)
@@ -173,6 +173,7 @@ def load_collection(
         raw_docs[doc_id] = {"length": length, "source": obj.get("source")}
 
     entries: dict[str, str] = {}
+    canonical: dict[str, str] = {}  # raw label -> canonical id, filled on first sight
     per_doc: dict[str, dict[str, list[CodeInstance]]] = {d: {} for d in raw_docs}
     sources: list[str] = []
     if codes_path is None:
@@ -190,11 +191,15 @@ def load_collection(
                     str(path),
                     lineno,
                 )
-            try:
-                cid = canonicalize_code(row["code_label"])
-            except BlankCodeError as exc:
-                raise CollectionFormatError(str(exc), str(path), lineno)
-            entries.setdefault(cid, row["code_label"].strip())
+            label = row["code_label"]
+            cid = canonical.get(label)
+            if cid is None:
+                try:
+                    cid = canonicalize_code(label)
+                except BlankCodeError as exc:
+                    raise CollectionFormatError(str(exc), str(path), lineno)
+                canonical[label] = cid
+                entries.setdefault(cid, label.strip())
             position = None
             if row.get("position"):
                 try:

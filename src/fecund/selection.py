@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import CodeMatrix, Document
 from .errors import SampleSizeError, TooManyCandidatesError
 
 GAIN_FLOOR = 1e-12
@@ -45,7 +44,7 @@ class ValueFunction:
             return math.sqrt(m)
         if self.kind == "log1p":
             return math.log1p(m)
-        return min(m, 1.0)
+        return float(min(m, 1.0))
 
     def __call__(self, m: float) -> float:
         return self.g(m)
@@ -91,11 +90,6 @@ class CorpusSelection:
             raise ValueError("selection violates the strict character budget")
 
 
-def _doc_items(doc: Document, coder_source: str) -> list[tuple[str, int]]:
-    counter = Counter(inst.code_id for inst in doc.instances(coder_source))
-    return sorted(counter.items())
-
-
 def objective(
     selected: Iterable[Document], value_function: ValueFunction, coder_source: str
 ) -> float:
@@ -104,21 +98,51 @@ def objective(
     Summation runs in sorted code order so structurally identical
     selections produce bitwise identical values.
     """
-    counts: Counter[str] = Counter()
-    for doc in selected:
-        for inst in doc.instances(coder_source):
-            counts[inst.code_id] += 1
+    matrix = CodeMatrix.build(list(selected), coder_source)
     g = value_function.g
-    return sum(g(counts[code]) for code in sorted(counts))
+    return sum(g(c) for c in np.bincount(matrix.codes).tolist())
+
+
+def _code_copies(matrix: CodeMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each document's distinct codes with their copy counts, as CSR rows.
+
+    Document ``i``'s items are ``codes[starts[i]:starts[i + 1]]`` with
+    ``copies`` alongside, in ascending code id (that is, sorted label) order.
+    """
+    n_codes = max(len(matrix.labels), 1)
+    keys, copies = np.unique(matrix.doc_index() * n_codes + matrix.codes, return_counts=True)
+    starts = np.searchsorted(keys, np.arange(len(matrix.lengths) + 1) * n_codes)
+    return starts, keys % n_codes, copies
+
+
+def _first_gains(starts: np.ndarray, copies: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every document's gain against an empty selection: its g(copies) summed.
+
+    Each document's terms are added left to right, one item position at a
+    time, so the float additions match the scalar loop's exactly.
+    """
+    sizes = np.diff(starts)
+    by_size = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[by_size]
+    item_values = values[copies]
+    gains = np.zeros(len(sizes))
+    for j in range(int(sorted_sizes[-1]) if len(sizes) else 0):
+        active = by_size[np.searchsorted(sorted_sizes, j, side="right"):]
+        gains[active] += item_values[starts[active] + j]
+    return gains
 
 
 def _marginal_gain(
-    items: list[tuple[str, int]], counts: dict[str, int], g: Callable[[float], float]
+    i: int,
+    items: tuple[list[int], list[int], list[int]],
+    counts: dict[int, int],
+    values: list[float],
 ) -> float:
+    starts, codes, copies = items
     gain = 0.0
-    for code, c in items:
-        m = counts.get(code, 0)
-        gain += g(m + c) - g(m)
+    for k in range(starts[i], starts[i + 1]):
+        m = counts.get(codes[k], 0)
+        gain += values[m + copies[k]] - values[m]
     return gain
 
 
@@ -126,25 +150,6 @@ def _sort_key(doc: Document, tie_break: str) -> tuple:
     if tie_break == "shortest-then-id":
         return (doc.text_length, doc.id)
     return (doc.id,)
-
-
-def _best_singleton(
-    pool: list[tuple[Document, list[tuple[str, int]]]],
-    budget: SelectionBudget,
-    g: Callable[[float], float],
-    tie_break: str,
-) -> tuple[Document, float] | None:
-    best = None
-    for doc, items in pool:
-        if doc.text_length >= budget.max_chars:
-            continue
-        value = sum(g(c) for _, c in items)
-        key = (-value, *_sort_key(doc, tie_break))
-        if best is None or key < best[0]:
-            best = (key, doc, value)
-    if best is None:
-        return None
-    return best[1], best[2]
 
 
 def select_greedy(
@@ -174,16 +179,27 @@ def select_greedy(
     """
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
-    pool = [(doc, _doc_items(doc, coder_source)) for doc in candidates]
-    g = value_function.g
+    matrix = CodeMatrix.build(candidates, coder_source)
+    starts, codes, copies = _code_copies(matrix)
+    # g at every copy count a code can reach; g(0) = 0, so the first gain
+    # of a document is also its value as a singleton.
+    max_copies = int(np.bincount(matrix.codes).max()) if len(matrix.codes) else 0
+    values = [value_function.g(m) for m in range(max_copies + 1)]
+    first = _first_gains(starts, copies, np.array(values, dtype=np.float64))
+    items = (starts.tolist(), codes.tolist(), copies.tolist())
 
-    selected_docs, gains = _greedy_lazy(pool, budget, g, tie_break, cost_benefit)
+    selected_docs, gains = _greedy_lazy(
+        candidates, items, first.tolist(), budget, values, tie_break, cost_benefit
+    )
     obj = objective(selected_docs, value_function, coder_source)
-    if singleton_fallback:
-        single = _best_singleton(pool, budget, g, tie_break)
-        if single is not None and single[1] > obj:
-            selected_docs = [single[0]]
-            gains = [single[1]]
+    feasible = matrix.lengths < budget.max_chars
+    if singleton_fallback and feasible.any():
+        top = first[feasible].max()
+        if top > obj:
+            tied = np.flatnonzero(feasible & (first == top)).tolist()
+            best = min(tied, key=lambda i: _sort_key(candidates[i], tie_break))
+            selected_docs = [candidates[best]]
+            gains = [float(top)]
             obj = objective(selected_docs, value_function, coder_source)
 
     return CorpusSelection(
@@ -200,31 +216,31 @@ def _score(gain: float, length: int, cost_benefit: bool) -> float:
     return gain / length if cost_benefit else gain
 
 
-def _greedy_lazy(pool, budget, g, tie_break, cost_benefit):
-    counts: dict[str, int] = {}
+def _greedy_lazy(candidates, items, first_gains, budget, values, tie_break, cost_benefit):
+    counts: dict[int, int] = {}
     total = 0
     picked: list[Document] = []
     gains: list[float] = []
     step = 0
     heap = []
-    for doc, items in pool:
+    for i, (doc, gain) in enumerate(zip(candidates, first_gains)):
         if doc.text_length >= budget.max_chars:
             continue
-        gain = _marginal_gain(items, counts, g)
-        heap.append(
-            (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items)
-        )
+        heap.append((-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, i))
     heapq.heapify(heap)
-    while heap:
+    starts, codes, copies = items
+    shortest = min((doc.text_length for doc in candidates), default=0)
+    while heap and total + shortest < budget.max_chars:  # else nothing left fits
         entry = heapq.heappop(heap)
-        evaluated_at, gain, doc, items = entry[-4], entry[-3], entry[-2], entry[-1]
+        evaluated_at, gain, i = entry[-3], entry[-2], entry[-1]
+        doc = candidates[i]
         if total + doc.text_length >= budget.max_chars:
             continue  # budget only shrinks, safe to drop
         if evaluated_at != step:
-            gain = _marginal_gain(items, counts, g)
+            gain = _marginal_gain(i, items, counts, values)
             heapq.heappush(
                 heap,
-                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items),
+                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, i),
             )
             continue
         if gain <= GAIN_FLOOR:
@@ -232,8 +248,8 @@ def _greedy_lazy(pool, budget, g, tie_break, cost_benefit):
         picked.append(doc)
         gains.append(gain)
         total += doc.text_length
-        for code, c in items:
-            counts[code] = counts.get(code, 0) + c
+        for k in range(starts[i], starts[i + 1]):
+            counts[codes[k]] = counts.get(codes[k], 0) + copies[k]
         step += 1
     return picked, gains
 
@@ -254,13 +270,14 @@ def select_exact(
             f"exact selection enumerates subsets; {len(candidates)} candidates > 20"
         )
     docs = sorted(candidates, key=lambda d: d.id)
-    items = [_doc_items(d, coder_source) for d in docs]
+    starts, codes, copies = (a.tolist() for a in _code_copies(CodeMatrix.build(docs, coder_source)))
+    items = [list(zip(codes[s:e], copies[s:e])) for s, e in zip(starts, starts[1:])]
     g = value_function.g
     best_obj = 0.0
     best_ids: tuple[str, ...] = ()
     best_chars = 0
 
-    counts: dict[str, int] = {}
+    counts: dict[int, int] = {}
     chosen: list[int] = []
 
     def evaluate():

@@ -2,19 +2,36 @@
 
 ``cumulative_counts`` walks code instances in Python, one document at a
 time, exactly as the counting regimes are defined; the interned-array
-kernel in ``fecund.saturation`` must reproduce it. ``greedy_naive``
-re-evaluates every candidate at every step; the lazy heap in
-``fecund.selection`` must select exactly what it selects.
+kernel in ``fecund.saturation`` must reproduce it. ``select_greedy_loop``
+is greedy selection with a ``Counter`` of codes per candidate and every
+gain summed one float at a time; ``fecund.selection.select_greedy`` must
+return bit-identical selections. ``greedy_naive`` re-evaluates every
+candidate at every step; the lazy heap in ``fecund.selection`` must select
+exactly what it selects.
 """
 
+from __future__ import annotations
+
+import heapq
 from collections import Counter
+from typing import Callable, Iterable, Sequence
 from unittest import mock
 
 import numpy as np
 
 from fecund import selection
+from fecund.corpus import Document
 from fecund.saturation import BandStep, CountingRegime
-from fecund.selection import GAIN_FLOOR, _marginal_gain, _score, _sort_key
+from fecund.selection import (
+    _TIE_BREAKS,
+    GAIN_FLOOR,
+    CorpusSelection,
+    SelectionBudget,
+    ValueFunction,
+    _marginal_gain,
+    _score,
+    _sort_key,
+)
 
 
 def hf_codes(docs, coder_source, threshold):
@@ -92,30 +109,150 @@ def reference_raw_steps(docs, regime, coder_source, n_iterations, seed, codebook
     )
 
 
-def greedy_naive(pool, budget, g, tie_break, cost_benefit):
+def objective_loop(
+    selected: Iterable[Document], value_function: ValueFunction, coder_source: str
+) -> float:
+    counts: Counter[str] = Counter()
+    for doc in selected:
+        for inst in doc.instances(coder_source):
+            counts[inst.code_id] += 1
+    g = value_function.g
+    return sum(g(counts[code]) for code in sorted(counts))
+
+
+def doc_items(doc: Document, coder_source: str) -> list[tuple[str, int]]:
+    counter = Counter(inst.code_id for inst in doc.instances(coder_source))
+    return sorted(counter.items())
+
+
+def marginal_gain_loop(
+    items: list[tuple[str, int]], counts: dict[str, int], g: Callable[[float], float]
+) -> float:
+    gain = 0.0
+    for code, c in items:
+        m = counts.get(code, 0)
+        gain += g(m + c) - g(m)
+    return gain
+
+
+def best_singleton(
+    pool: list[tuple[Document, list[tuple[str, int]]]],
+    budget: SelectionBudget,
+    g: Callable[[float], float],
+    tie_break: str,
+) -> tuple[Document, float] | None:
+    best = None
+    for doc, items in pool:
+        if doc.text_length >= budget.max_chars:
+            continue
+        value = sum(g(c) for _, c in items)
+        key = (-value, *_sort_key(doc, tie_break))
+        if best is None or key < best[0]:
+            best = (key, doc, value)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit):
     counts: dict[str, int] = {}
     total = 0
-    picked = []
+    picked: list[Document] = []
     gains: list[float] = []
-    remaining = list(pool)
-    while True:
-        best = None
-        for doc, items in remaining:
-            if total + doc.text_length >= budget.max_chars:
-                continue
-            gain = _marginal_gain(items, counts, g)
-            key = (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break))
-            if best is None or key < best[0]:
-                best = (key, doc, items, gain)
-        if best is None or best[3] <= GAIN_FLOOR:
+    step = 0
+    heap = []
+    for doc, items in pool:
+        if doc.text_length >= budget.max_chars:
+            continue
+        gain = marginal_gain_loop(items, counts, g)
+        heap.append(
+            (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items)
+        )
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        evaluated_at, gain, doc, items = entry[-4], entry[-3], entry[-2], entry[-1]
+        if total + doc.text_length >= budget.max_chars:
+            continue  # budget only shrinks, safe to drop
+        if evaluated_at != step:
+            gain = marginal_gain_loop(items, counts, g)
+            heapq.heappush(
+                heap,
+                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items),
+            )
+            continue
+        if gain <= GAIN_FLOOR:
             break
-        _, doc, items, gain = best
         picked.append(doc)
         gains.append(gain)
         total += doc.text_length
         for code, c in items:
             counts[code] = counts.get(code, 0) + c
-        remaining = [(d, it) for d, it in remaining if d.id != doc.id]
+        step += 1
+    return picked, gains
+
+
+def select_greedy_loop(
+    candidates: Sequence[Document],
+    budget: SelectionBudget,
+    value_function: ValueFunction,
+    coder_source: str,
+    tie_break: str = "shortest-then-id",
+    *,
+    cost_benefit: bool = True,
+    singleton_fallback: bool = True,
+) -> CorpusSelection:
+    if tie_break not in _TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
+    pool = [(doc, doc_items(doc, coder_source)) for doc in candidates]
+    g = value_function.g
+
+    selected_docs, gains = greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit)
+    obj = objective_loop(selected_docs, value_function, coder_source)
+    if singleton_fallback:
+        single = best_singleton(pool, budget, g, tie_break)
+        if single is not None and single[1] > obj:
+            selected_docs = [single[0]]
+            gains = [single[1]]
+            obj = objective_loop(selected_docs, value_function, coder_source)
+
+    return CorpusSelection(
+        selected_ids=tuple(d.id for d in selected_docs),
+        objective_value=obj,
+        total_chars=sum(d.text_length for d in selected_docs),
+        value_function=value_function,
+        budget=budget,
+        gains=tuple(gains),
+    )
+
+
+def greedy_naive(candidates, items, first_gains, budget, values, tie_break, cost_benefit):
+    starts, codes, copies = items
+    counts = {}
+    total = 0
+    picked = []
+    gains = []
+    remaining = list(range(len(candidates)))
+    while True:
+        best = None
+        for i in remaining:
+            doc = candidates[i]
+            if total + doc.text_length >= budget.max_chars:
+                continue
+            gain = _marginal_gain(i, items, counts, values)
+            key = (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break))
+            if best is None or key < best[0]:
+                best = (key, i, gain)
+        if best is None or best[2] <= GAIN_FLOOR:
+            break
+        _, i, gain = best
+        doc = candidates[i]
+        picked.append(doc)
+        gains.append(gain)
+        total += doc.text_length
+        for k in range(starts[i], starts[i + 1]):
+            counts[codes[k]] = counts.get(codes[k], 0) + copies[k]
+        remaining.remove(i)
     return picked, gains
 
 

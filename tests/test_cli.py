@@ -220,6 +220,21 @@ def test_trailing_config_without_path_exits_usage(corpus_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_equals_form_is_read(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text("seed = 9\n", encoding="utf-8")
+    select = [
+        "select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--coder-source", "human", "--out", tmp_path / "cfg",
+    ]
+    assert run(*select, f"--config={config}") == EXIT_OK
+    meta = json.loads((tmp_path / "cfg" / "run_meta.json").read_text())
+    assert meta["args"]["seed"] == 9
+    capsys.readouterr()
+    assert run(*select, "--config=") == EXIT_USAGE
+    assert "error: --config needs a path" in capsys.readouterr().err
+
+
 def _select_human(corpus_dir, out):
     assert (
         run("select", "--docs", corpus_dir / "documents.jsonl", "--codes",
@@ -263,6 +278,49 @@ def test_analyze_unknown_manifest_id_exits_data(corpus_dir, tmp_path, capsys):
     assert run(*_analyze_argv(corpus_dir, sel, tmp_path / "ana", manifest)) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{manifest}:3: manifest references unknown document 'no-such-doc'" in err
+    assert "Traceback" not in err
+
+
+# header of a side file that lacks a column its command reads
+_BAD_SIDE_FILES = {
+    "unblinding": "doc_id,group\nd0001,treatment\n",
+    "experiment": "id,round\nd0001,1\n",
+    "pairs": "ai,human_density\n1.0,2.0\n",
+    "summaries": "id,summary\nd0001,text\n",
+    "clusters": "passage_id,cluster\nd0001:0000,1\n",
+    "exemplars": "cluster,code_label\n1,x\n",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_BAD_SIDE_FILES))
+def test_side_file_missing_column_exits_data(corpus_dir, tmp_path, capsys, flag):
+    bad = tmp_path / f"{flag}.csv"
+    bad.write_text(_BAD_SIDE_FILES[flag], encoding="utf-8")
+    clusters = tmp_path / "clusters_ok.csv"
+    clusters.write_text("passage_id,cluster_id\nd0001:0000,1\n", encoding="utf-8")
+    exemplars = tmp_path / "exemplars_ok.csv"
+    exemplars.write_text("cluster_id,code_label\n1,x\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = ["code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5, "--out", out]
+    if flag in ("unblinding", "experiment"):
+        _select_human(corpus_dir, tmp_path / "sel")
+        argv = _analyze_argv(corpus_dir, tmp_path / "sel", out) + [f"--{flag}", bad]
+    elif flag == "pairs":
+        argv = [
+            "sweep", "--docs", corpus_dir / "documents.jsonl", "--codes",
+            corpus_dir / "codes.csv", "--coder-source", "human", "--seed", 1,
+            "--pairs", bad, "--out", out,
+        ]
+    elif flag == "summaries":
+        argv = code + ["--summaries", bad]
+    elif flag == "clusters":
+        argv = code + ["--clusters", bad, "--exemplars", exemplars]
+    else:
+        argv = code + ["--clusters", clusters, "--exemplars", bad]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{bad}:1: missing column(s)" in err
     assert "Traceback" not in err
 
 

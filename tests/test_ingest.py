@@ -152,6 +152,27 @@ def test_load_duplicate_id_names_it(tmp_path):
         load_collection(docs)
 
 
+def test_load_whitespace_label_carries_line_after_memo(tmp_path):
+    docs, codes, _ = _write_fixture(
+        tmp_path,
+        ['{"id": "d1", "text_length": 10}'],
+        codes_rows=[("d1", "human", "x", ""), ("d1", "human", "x", ""), ("d1", "human", "  ", "")],
+    )
+    with pytest.raises(CollectionFormatError, match="canonicalizes to the empty string") as err:
+        load_collection(docs, codes)
+    assert err.value.line == 4
+
+
+def test_load_articles_duplicate_ids_listed(tmp_path):
+    docs, _, _ = _write_fixture(
+        tmp_path,
+        [f'{{"id": "{i}", "text": "t"}}' for i in ("b", "a", "c", "b", "a", "b")],
+    )
+    with pytest.raises(DuplicateDocumentIdError) as err:
+        load_articles(docs)
+    assert str(err.value) == f"{docs}: duplicate article id(s): ['a', 'b']"
+
+
 def test_load_dangling_theme_reference(tmp_path):
     docs, codes, themes = _write_fixture(
         tmp_path,

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from fecund.errors import SampleSizeError, TooManyCandidatesError
+from fecund.corpus import Document
+from fecund.errors import SampleSizeError, TooManyCandidatesError, UnknownCoderSourceError
 from fecund.selection import (
     LOG1P,
     SQRT,
@@ -19,7 +21,7 @@ from fecund.selection import (
 )
 
 from conftest import make_doc
-from reference import select_greedy_naive
+from reference import select_greedy_loop, select_greedy_naive
 
 
 def _brute_force(docs, budget, vf, source):
@@ -69,6 +71,7 @@ def test_value_function_kinds():
     assert SQRT(4) == 2.0
     assert LOG1P(0) == 0.0
     assert UNIQUE(5) == 1.0
+    assert all(type(UNIQUE(m)) is float for m in (0, 1, 2))
     with pytest.raises(ValueError):
         ValueFunction("cubic")
 
@@ -157,6 +160,66 @@ def test_lazy_equals_naive_on_random_instances():
             naive = select_greedy_naive(docs, budget, vf, "src")
             assert lazy.selected_ids == naive.selected_ids
             assert lazy.total_chars < budget.max_chars
+
+
+@st.composite
+def _greedy_instances(draw):
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), max_size=14, unique=True))
+    docs = [
+        make_doc(
+            doc_id,
+            draw(st.lists(st.sampled_from([f"c{i}" for i in range(8)]), max_size=8)),
+            length=draw(st.integers(1, 60)),
+        )
+        for doc_id in ids
+    ]
+    if docs and draw(st.booleans()):
+        at = draw(st.integers(0, len(docs) - 1))
+        docs[at] = Document(docs[at].id, docs[at].text_length, codes={"other": ()})
+    return docs, SelectionBudget(draw(st.integers(1, 200)))
+
+
+def _greedy_outcome(select, docs, budget, vf, tie_break, cost_benefit, fallback):
+    try:
+        sel = select(
+            docs, budget, vf, "src", tie_break,
+            cost_benefit=cost_benefit, singleton_fallback=fallback,
+        )
+    except UnknownCoderSourceError as exc:
+        return "error", str(exc)
+    return sel.selected_ids, repr(sel.objective_value), repr(sel.gains), sel.total_chars
+
+
+_DENSITY_TRAP = (
+    [make_doc("big", [f"v{i}" for i in range(10)], length=100), make_doc("tiny", ["x"], length=1)],
+    SelectionBudget(101),
+)
+# the fallback must break the tie between two equally valuable singletons
+_TIED_TRAP = (
+    [
+        make_doc("big2", [f"v{i}" for i in range(10)], length=100),
+        make_doc("tiny", ["x"], length=1),
+        make_doc("big1", [f"w{i}" for i in range(10)], length=100),
+    ],
+    SelectionBudget(101),
+)
+
+
+@given(
+    instance=_greedy_instances(),
+    vf=st.sampled_from([SQRT, LOG1P, UNIQUE]),
+    tie_break=st.sampled_from(["shortest-then-id", "id"]),
+    cost_benefit=st.booleans(),
+    fallback=st.booleans(),
+)
+@example(instance=_DENSITY_TRAP, vf=SQRT, tie_break="shortest-then-id", cost_benefit=True, fallback=True)
+@example(instance=_DENSITY_TRAP, vf=UNIQUE, tie_break="id", cost_benefit=True, fallback=True)
+@example(instance=_TIED_TRAP, vf=LOG1P, tie_break="shortest-then-id", cost_benefit=True, fallback=True)
+@example(instance=([], SelectionBudget(5)), vf=SQRT, tie_break="id", cost_benefit=True, fallback=True)
+def test_greedy_bit_identical_to_loop_oracle(instance, vf, tie_break, cost_benefit, fallback):
+    docs, budget = instance
+    args = (docs, budget, vf, tie_break, cost_benefit, fallback)
+    assert _greedy_outcome(select_greedy, *args) == _greedy_outcome(select_greedy_loop, *args)
 
 
 def test_greedy_deterministic_tie_break():
