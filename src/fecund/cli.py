@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from .coder import (
     RemoteCoder,
     RemoteConfig,
     code_passages,
+    passage_key,
 )
 from .corpus import compute_frequencies, fecundity, summary_stats
 from .errors import (
@@ -229,7 +231,7 @@ def cmd_code(args) -> int:
         summaries=summaries,
         fewshot_context=_load_fewshot(args.clusters, args.exemplars),
     )
-    by_key = {f"{p.article_id}:{p.index:04d}": p for p in passages}
+    by_key = {passage_key(p): p for p in passages}
     article_len = {a.id: len(a.full_text) for a in articles}
     rows = []
     for key, response in run:
@@ -501,26 +503,24 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
     if args.quadratic:
-        a, b, c = (float(v) for v in args.quadratic.split(","))
-        qmap = QuadraticMap(a, b, c)
+        qmap = QuadraticMap(*args.quadratic)
     elif args.pairs:
-        pairs = [
-            (float(row["ai_density"]), float(row["human_density"]))
-            for row in _read_rows(args.pairs, ("ai_density", "human_density"))
-        ]
+        pairs = []
+        for lineno, row in _read_csv(args.pairs, ("ai_density", "human_density")):
+            try:
+                pairs.append((float(row["ai_density"]), float(row["human_density"])))
+            except ValueError as exc:
+                raise CollectionFormatError(str(exc), args.pairs, lineno) from None
         qmap = fit_quadratic(pairs)
     else:
         print("error: sweep requires --quadratic a,b,c or --pairs FILE", file=sys.stderr)
         return EXIT_USAGE
-    sizes = None
-    if args.sizes:
-        sizes = [int(s) for s in args.sizes.split(",")]
     points = superset_sweep(
         docs,
         args.coder_source,
         qmap,
         seed=args.seed,
-        sizes=sizes,
+        sizes=args.sizes,
         replicates=args.replicates,
         n_budget_docs=args.budget_docs,
         value_function=ValueFunction(args.value_function),
@@ -588,6 +588,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(part) for part in text.split(",")]
+
+
+def _quadratic(text: str) -> tuple[float, float, float]:
+    try:
+        a, b, c = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three numbers a,b,c, got {text!r}") from None
+    return a, b, c
+
+
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--config", help="flat key = value config file")
@@ -600,9 +612,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(
         prog="fecund",
         description="Corpus selection by code diversity and saturation analytics",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no flag prefixes: main() finds --config in argv by its exact spelling
+    exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("synth", help="generate a synthetic coded corpus")
@@ -695,11 +710,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--docs", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--coder-source", default="ai")
-    p.add_argument("--sizes", help="comma-separated subset sizes")
-    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--sizes", type=_positive_ints, help="comma-separated subset sizes")
+    p.add_argument("--replicates", type=_positive_int, default=10)
     p.add_argument("--budget-docs", type=int, default=20)
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
-    p.add_argument("--quadratic", help="a,b,c mapping AI density to human density")
+    p.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")
     p.add_argument("--pairs", help="csv: ai_density,human_density to fit the quadratic")
     p.set_defaults(func=cmd_sweep)
     commands["sweep"] = p

@@ -19,7 +19,8 @@ import os
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from string import Template
 from typing import Callable, Iterator, Sequence
 
@@ -184,11 +185,9 @@ class PromptTemplate:
     name: str
     text: str
 
-    @property
+    @cached_property
     def placeholders(self) -> tuple[str, ...]:
-        return tuple(
-            sorted({m.group(1) for m in re.finditer(r"\$(\w+)", self.text)})
-        )
+        return tuple(sorted(set(re.findall(r"\$(\w+)", self.text))))
 
     def render(self, **bindings: str) -> str:
         """Substitute placeholders verbatim (no escaping)."""
@@ -262,6 +261,41 @@ def _normalize_valence(value) -> str | None:
     return None if text.lower() in ("", "none") else text.rstrip(".")
 
 
+def _extract_dict(raw: str) -> dict:
+    """The first dictionary-shaped region of a reply, in Python or JSON literal syntax.
+
+    Every reply of every chain step is read here, so a reply that parses
+    at one step parses at all of them.
+    """
+    match = _DICT_REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in reply", raw)
+    for parser in (ast.literal_eval, json.loads):
+        try:
+            obj = parser(match.group(0))
+            break
+        except Exception:
+            obj = None
+    if not isinstance(obj, dict):
+        raise ResponseParseError("dictionary-shaped region failed to parse", raw)
+    return obj
+
+
+def _pick(reply: dict, needle: str, default=None):
+    """The value of the first key whose lowercased text contains ``needle``."""
+    for key, value in reply.items():
+        if needle in str(key).lower():
+            return value
+    return default
+
+
+def _clean(value) -> str | None:
+    if value is None:
+        return None
+    text = str(value).strip()
+    return None if text.lower() in ("", "none", "null") else text
+
+
 def parse_response(raw: str) -> CodeResponse:
     """Pull the first dictionary-shaped region out of a reply and normalize it.
 
@@ -269,38 +303,12 @@ def parse_response(raw: str) -> CodeResponse:
     trailing periods on valence labels. A null/None theme marks the
     passage irrelevant.
     """
-    match = _DICT_REGION.search(raw)
-    if not match:
-        raise ResponseParseError("no dictionary-shaped region in reply", raw)
-    region = match.group(0)
-    obj = None
-    for parser in (ast.literal_eval, json.loads):
-        try:
-            obj = parser(region)
-            break
-        except Exception:
-            continue
-    if not isinstance(obj, dict):
-        raise ResponseParseError("dictionary-shaped region failed to parse", raw)
-
-    def pick(*needles: str):
-        for key, value in obj.items():
-            lowered = str(key).lower()
-            if any(n in lowered for n in needles):
-                return value
-        return None
-
-    def clean(value) -> str | None:
-        if value is None:
-            return None
-        text = str(value).strip()
-        return None if text.lower() in ("", "none", "null") else text
-
+    reply = _extract_dict(raw)
     return CodeResponse(
-        theme=clean(pick("theme")),
-        whose_attitude=clean(pick("attitude")),
-        target=clean(pick("target")),
-        valence=_normalize_valence(clean(pick("valence"))),
+        theme=_clean(_pick(reply, "theme")),
+        whose_attitude=_clean(_pick(reply, "attitude")),
+        target=_clean(_pick(reply, "target")),
+        valence=_normalize_valence(_clean(_pick(reply, "valence"))),
     )
 
 
@@ -490,115 +498,92 @@ class CodingRun:
         return iter(self.results)
 
 
-def _passage_key(passage: Passage) -> str:
+def passage_key(passage: Passage) -> str:
+    """A passage's id in coder outputs: ``article:index``, the index zero-padded to 4."""
     return f"{passage.article_id}:{passage.index:04d}"
 
 
+@dataclass
+class _ChainState:
+    """What one code slot carries from step to step; prompts bind its fields."""
+
+    excerpt: str
+    summary: str
+    relevant: str
+    precode: str = "None"
+    note: str = ""
+    flags: list[str] = field(default_factory=list)
+    level: str = "Yes"
+    reason: str = ""
+    response: CodeResponse = CodeResponse()
+
+
+def _verdict(value) -> str:
+    return str(value).strip().rstrip(".")
+
+
+def _read_caption(state: _ChainState, raw: str) -> None:
+    reply = _extract_dict(raw)
+    if _pick(reply, "disclaimer"):
+        state.flags.append(CRITERIA_DISCLAIMER)
+    if _pick(reply, "caption"):
+        state.flags.append(CRITERIA_CAPTION)
+
+
+def _read_topic(state: _ChainState, raw: str) -> None:
+    reply = _extract_dict(raw)
+    if _verdict(_pick(reply, "refugee")) == "No":
+        state.flags.append(CRITERIA_NOT_REFUGEES)
+    if _verdict(_pick(reply, "malaysia")) == "No":
+        state.flags.append(CRITERIA_NOT_MALAYSIA)
+
+
+def _read_confidence(state: _ChainState, raw: str) -> None:
+    reply = _extract_dict(raw)
+    state.level = _verdict(_pick(reply, "relevant", "Yes"))
+    why = _pick(reply, "why")
+    state.reason = "" if why is None else str(why)
+
+
+def _read_precode(state: _ChainState, raw: str) -> None:
+    state.response = parse_response(raw)
+    theme = state.response.theme
+    state.precode = "None" if theme is None else theme
+
+
+def _read_code(state: _ChainState, raw: str) -> None:
+    state.response = parse_response(raw)
+
+
+def _read_round1(state: _ChainState, raw: str) -> None:
+    state.response = parse_round1_response(raw)
+
+
+# step -> (builder of the note the step's prompt binds, or None; reply handler)
+_STEPS: dict[str, tuple[Callable | None, Callable[[_ChainState, str], None]]] = {
+    "round1": (None, _read_round1),
+    "triage_caption": (None, _read_caption),
+    "triage_relevance": (lambda s: flag_note(s.flags), _read_topic),
+    "relevance_confidence": (lambda s: flag_note(s.flags), _read_confidence),
+    "socratic_code": (lambda s: relevance_note(s.level, s.reason), _read_precode),
+    "summary_reassess": (lambda s: reassess_note(s.level, s.reason), _read_code),
+    "final_fewshot": (None, _read_code),
+}
+
+
 def _run_chain(
-    passage: Passage,
-    backend,
-    chain: Sequence[str],
-    summary: str,
-    fewshot: str,
-    slot: int,
+    passage: Passage, backend, chain: Sequence[str], summary: str, fewshot: str, slot: int
 ) -> CodeResponse:
-    flags: list[str] = []
-    level, reason, precode = "Yes", "", None
-    response = CodeResponse()
+    state = _ChainState(excerpt=passage.text, summary=summary, relevant=fewshot)
     for step in chain:
-        bindings = {"excerpt": passage.text}
-        if step == "round1":
-            bindings["summary"] = summary
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            response = parse_round1_response(raw)
-            continue
-        if step == "triage_caption":
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            parsed = _parse_bool_dict(raw)
-            if parsed.get("disclaimer"):
-                flags.append(CRITERIA_DISCLAIMER)
-            if parsed.get("caption"):
-                flags.append(CRITERIA_CAPTION)
-            continue
-        if step == "triage_relevance":
-            bindings["note"] = flag_note(flags)
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            parsed = _parse_yes_no_dict(raw)
-            if parsed.get("refugees") == "No":
-                flags.append(CRITERIA_NOT_REFUGEES)
-            if parsed.get("malaysia") == "No":
-                flags.append(CRITERIA_NOT_MALAYSIA)
-            continue
-        if step == "relevance_confidence":
-            bindings["note"] = flag_note(flags)
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            level, reason = _parse_relevance(raw)
-            continue
-        if step == "socratic_code":
-            bindings["note"] = relevance_note(level, reason)
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            response = parse_response(raw)
-            precode = response.theme
-            continue
-        if step == "summary_reassess":
-            bindings["summary"] = summary
-            bindings["precode"] = precode if precode is not None else "None"
-            bindings["note"] = reassess_note(level, reason)
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            response = parse_response(raw)
-            continue
-        if step == "final_fewshot":
-            bindings["summary"] = summary
-            bindings["relevant"] = fewshot
-            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
-            response = parse_response(raw)
-            continue
-        raise ValueError(f"unknown chain step {step!r}")
-    return response
-
-
-def _parse_bool_dict(raw: str) -> dict[str, bool]:
-    match = _DICT_REGION.search(raw)
-    if not match:
-        raise ResponseParseError("no dictionary-shaped region in triage reply", raw)
-    obj = ast.literal_eval(match.group(0))
-    out = {}
-    for key, value in obj.items():
-        lowered = str(key).lower()
-        if "disclaimer" in lowered:
-            out["disclaimer"] = bool(value)
-        elif "caption" in lowered:
-            out["caption"] = bool(value)
-    return out
-
-
-def _parse_yes_no_dict(raw: str) -> dict[str, str]:
-    match = _DICT_REGION.search(raw)
-    if not match:
-        raise ResponseParseError("no dictionary-shaped region in relevance reply", raw)
-    obj = ast.literal_eval(match.group(0))
-    out = {}
-    for key, value in obj.items():
-        lowered = str(key).lower()
-        name = "refugees" if "refugee" in lowered else "malaysia" if "malaysia" in lowered else None
-        if name:
-            out[name] = str(value).strip().rstrip(".")
-    return out
-
-
-def _parse_relevance(raw: str) -> tuple[str, str]:
-    match = _DICT_REGION.search(raw)
-    if not match:
-        raise ResponseParseError("no dictionary-shaped region in confidence reply", raw)
-    obj = ast.literal_eval(match.group(0))
-    level, reason = "Yes", ""
-    for key, value in obj.items():
-        lowered = str(key).lower()
-        if "relevant" in lowered:
-            level = str(value).strip().rstrip(".")
-        elif "why" in lowered and value is not None:
-            reason = str(value)
-    return level, reason
+        if step not in _STEPS:
+            raise ValueError(f"unknown chain step {step!r}")
+        note, read = _STEPS[step]
+        if note is not None:
+            state.note = note(state)
+        bindings = {name: getattr(state, name) for name in TEMPLATES[step].placeholders}
+        read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
+    return state.response
 
 
 def code_passages(
@@ -613,26 +598,28 @@ def code_passages(
     ``summaries`` maps article ids to their summaries (required whenever a
     chain step binds one); ``fewshot_context`` maps passage keys
     ("article:index") to the exemplar-coding overview bound as the
-    few-shot reference. Remote failures are recorded per passage and the
-    batch continues; the mock backend never fails. Results are ordered by
-    passage key. Remote batches honour the configured in-flight cap.
+    few-shot reference. A transport failure or an unreadable reply costs
+    only its passage, which is recorded in ``errors``; the mock backend never
+    fails. Results are ordered by passage key; remote batches honour the
+    configured in-flight cap.
     """
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
-    ordered = sorted(passages, key=_passage_key)
+    ordered = sorted(passages, key=passage_key)
 
     def work(passage: Passage) -> tuple[str, list[CodeResponse], str | None]:
-        key = _passage_key(passage)
+        key = passage_key(passage)
         summary = summaries.get(passage.article_id, "")
         fewshot = fewshot_context.get(key, "[]")
-        responses = []
         try:
-            for slot in range(backend.n_slots(passage)):
-                responses.append(
-                    _run_chain(passage, backend, template_chain, summary, fewshot, slot)
-                )
+            responses = [
+                _run_chain(passage, backend, template_chain, summary, fewshot, slot)
+                for slot in range(backend.n_slots(passage))
+            ]
         except TransportError as exc:
             return key, [], f"{type(exc).__name__}: {exc}"
+        except ResponseParseError as exc:
+            return key, [], f"{type(exc).__name__}: {exc}: {exc.raw[:200]}"
         return key, responses, None
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)
@@ -642,11 +629,7 @@ def code_passages(
     else:
         outcomes = [work(p) for p in ordered]
 
-    results = []
-    errors = []
-    for key, responses, error in outcomes:
-        if error is not None:
-            errors.append((key, error))
-        for response in responses:
-            results.append((key, response))
-    return CodingRun(results=tuple(results), errors=tuple(errors))
+    return CodingRun(
+        results=tuple((key, r) for key, responses, _ in outcomes for r in responses),
+        errors=tuple((key, error) for key, _, error in outcomes if error is not None),
+    )

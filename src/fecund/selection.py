@@ -100,7 +100,7 @@ def objective(
     """
     matrix = CodeMatrix.build(list(selected), coder_source)
     g = value_function.g
-    return sum(g(c) for c in np.bincount(matrix.codes).tolist())
+    return sum((g(c) for c in np.bincount(matrix.codes).tolist()), 0.0)
 
 
 def _code_copies(matrix: CodeMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,12 +7,18 @@ is greedy selection with a ``Counter`` of codes per candidate and every
 gain summed one float at a time; ``fecund.selection.select_greedy`` must
 return bit-identical selections. ``greedy_naive`` re-evaluates every
 candidate at every step; the lazy heap in ``fecund.selection`` must select
-exactly what it selects.
+exactly what it selects. ``run_chain_branches`` is the coder's chain with
+one branch per step and its own dictionary parser per reply kind
+(``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
+``parse_relevance``); ``fecund.coder._run_chain`` must render the same
+prompts and return the same responses for every reply these accept.
 """
 
 from __future__ import annotations
 
+import ast
 import heapq
+import json
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 from unittest import mock
@@ -20,7 +26,23 @@ from unittest import mock
 import numpy as np
 
 from fecund import selection
+from fecund.coder import (
+    _DICT_REGION,
+    CRITERIA_CAPTION,
+    CRITERIA_DISCLAIMER,
+    CRITERIA_NOT_MALAYSIA,
+    CRITERIA_NOT_REFUGEES,
+    CodeResponse,
+    _normalize_valence,
+    flag_note,
+    parse_round1_response,
+    reassess_note,
+    relevance_note,
+    render_prompt,
+)
 from fecund.corpus import Document
+from fecund.errors import ResponseParseError
+from fecund.ingest import Passage
 from fecund.saturation import BandStep, CountingRegime
 from fecund.selection import (
     _TIE_BREAKS,
@@ -117,7 +139,7 @@ def objective_loop(
         for inst in doc.instances(coder_source):
             counts[inst.code_id] += 1
     g = value_function.g
-    return sum(g(counts[code]) for code in sorted(counts))
+    return sum((g(counts[code]) for code in sorted(counts)), 0.0)
 
 
 def doc_items(doc: Document, coder_source: str) -> list[tuple[str, int]]:
@@ -260,3 +282,146 @@ def select_greedy_naive(*args, **kwargs):
     """``select_greedy`` with the lazy heap swapped for ``greedy_naive``."""
     with mock.patch.object(selection, "_greedy_lazy", greedy_naive):
         return selection.select_greedy(*args, **kwargs)
+
+
+def parse_response_branches(raw: str) -> CodeResponse:
+    match = _DICT_REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in reply", raw)
+    region = match.group(0)
+    obj = None
+    for parser in (ast.literal_eval, json.loads):
+        try:
+            obj = parser(region)
+            break
+        except Exception:
+            continue
+    if not isinstance(obj, dict):
+        raise ResponseParseError("dictionary-shaped region failed to parse", raw)
+
+    def pick(*needles: str):
+        for key, value in obj.items():
+            lowered = str(key).lower()
+            if any(n in lowered for n in needles):
+                return value
+        return None
+
+    def clean(value) -> str | None:
+        if value is None:
+            return None
+        text = str(value).strip()
+        return None if text.lower() in ("", "none", "null") else text
+
+    return CodeResponse(
+        theme=clean(pick("theme")),
+        whose_attitude=clean(pick("attitude")),
+        target=clean(pick("target")),
+        valence=_normalize_valence(clean(pick("valence"))),
+    )
+
+
+def run_chain_branches(
+    passage: Passage,
+    backend,
+    chain: Sequence[str],
+    summary: str,
+    fewshot: str,
+    slot: int,
+) -> CodeResponse:
+    flags: list[str] = []
+    level, reason, precode = "Yes", "", None
+    response = CodeResponse()
+    for step in chain:
+        bindings = {"excerpt": passage.text}
+        if step == "round1":
+            bindings["summary"] = summary
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            response = parse_round1_response(raw)
+            continue
+        if step == "triage_caption":
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            parsed = parse_bool_dict(raw)
+            if parsed.get("disclaimer"):
+                flags.append(CRITERIA_DISCLAIMER)
+            if parsed.get("caption"):
+                flags.append(CRITERIA_CAPTION)
+            continue
+        if step == "triage_relevance":
+            bindings["note"] = flag_note(flags)
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            parsed = parse_yes_no_dict(raw)
+            if parsed.get("refugees") == "No":
+                flags.append(CRITERIA_NOT_REFUGEES)
+            if parsed.get("malaysia") == "No":
+                flags.append(CRITERIA_NOT_MALAYSIA)
+            continue
+        if step == "relevance_confidence":
+            bindings["note"] = flag_note(flags)
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            level, reason = parse_relevance(raw)
+            continue
+        if step == "socratic_code":
+            bindings["note"] = relevance_note(level, reason)
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            response = parse_response_branches(raw)
+            precode = response.theme
+            continue
+        if step == "summary_reassess":
+            bindings["summary"] = summary
+            bindings["precode"] = precode if precode is not None else "None"
+            bindings["note"] = reassess_note(level, reason)
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            response = parse_response_branches(raw)
+            continue
+        if step == "final_fewshot":
+            bindings["summary"] = summary
+            bindings["relevant"] = fewshot
+            raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
+            response = parse_response_branches(raw)
+            continue
+        raise ValueError(f"unknown chain step {step!r}")
+    return response
+
+
+def parse_bool_dict(raw: str) -> dict[str, bool]:
+    match = _DICT_REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in triage reply", raw)
+    obj = ast.literal_eval(match.group(0))
+    out = {}
+    for key, value in obj.items():
+        lowered = str(key).lower()
+        if "disclaimer" in lowered:
+            out["disclaimer"] = bool(value)
+        elif "caption" in lowered:
+            out["caption"] = bool(value)
+    return out
+
+
+def parse_yes_no_dict(raw: str) -> dict[str, str]:
+    match = _DICT_REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in relevance reply", raw)
+    obj = ast.literal_eval(match.group(0))
+    out = {}
+    for key, value in obj.items():
+        lowered = str(key).lower()
+        name = "refugees" if "refugee" in lowered else "malaysia" if "malaysia" in lowered else None
+        if name:
+            out[name] = str(value).strip().rstrip(".")
+    return out
+
+
+def parse_relevance(raw: str) -> tuple[str, str]:
+    match = _DICT_REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in confidence reply", raw)
+    obj = ast.literal_eval(match.group(0))
+    level, reason = "Yes", ""
+    for key, value in obj.items():
+        lowered = str(key).lower()
+        if "relevant" in lowered:
+            level = str(value).strip().rstrip(".")
+        elif "why" in lowered and value is not None:
+            reason = str(value)
+    return level, reason

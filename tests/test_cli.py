@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from fecund import cli, coder
+from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import compute_frequencies
 from fecund.ingest import load_collection
 from fecund.saturation import CountingRegime, cumulative_curve
@@ -322,6 +323,90 @@ def test_side_file_missing_column_exits_data(corpus_dir, tmp_path, capsys, flag)
     err = capsys.readouterr().err
     assert f"{bad}:1: missing column(s)" in err
     assert "Traceback" not in err
+
+
+# bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
+# {tmp} is the test's directory, which holds cfg.toml and pairs.csv
+_BAD_INPUTS = {
+    "config-prefix": (
+        ["select", "--coder-source", "human", "--seed", "1", "--conf", "{tmp}/cfg.toml"],
+        EXIT_USAGE,
+        "unrecognized arguments: --conf",
+    ),
+    "flag-prefix": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--iter", "5"],
+        EXIT_USAGE,
+        "unrecognized arguments: --iter",
+    ),
+    "pairs-non-numeric": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs.csv"],
+        EXIT_DATA,
+        "{tmp}/pairs.csv:3: could not convert string to float: 'x'",
+    ),
+    "replicates-zero": (
+        ["sweep", "--seed", "1", "--quadratic", "0,1,0", "--replicates", "0"],
+        EXIT_USAGE,
+        "argument --replicates: must be >= 1, got 0",
+    ),
+    "quadratic-two-values": (
+        ["sweep", "--seed", "1", "--quadratic", "0,1"],
+        EXIT_USAGE,
+        "argument --quadratic: expected three numbers a,b,c, got '0,1'",
+    ),
+    "sizes-not-int": (
+        ["sweep", "--seed", "1", "--quadratic", "0,1,0", "--sizes", "10,x"],
+        EXIT_USAGE,
+        "argument --sizes: invalid int value: 'x'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case):
+    (tmp_path / "cfg.toml").write_text("seed = 9\n", encoding="utf-8")
+    (tmp_path / "pairs.csv").write_text(
+        "ai_density,human_density\n1.0,2.0\nx,3\n", encoding="utf-8"
+    )
+    argv, expected, message = _BAD_INPUTS[case]
+    command, *rest = [a.format(tmp=tmp_path) for a in argv]
+    capsys.readouterr()
+    try:
+        code = run(
+            command, "--docs", corpus_dir / "documents.jsonl", "--codes",
+            corpus_dir / "codes.csv", "--out", tmp_path / "out", *rest,
+        )
+    except SystemExit as exc:  # argparse rejects bad arguments by exiting
+        code = exc.code
+    assert code == expected
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeypatch, capsys):
+    replies = iter(["not a dictionary"])
+
+    def transport(url, headers, body, timeout):
+        content = next(replies, '{"1. Theme": "Aid access", "4. Valence": "N/A"}')
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(
+        cli, "RemoteCoder", lambda config: coder.RemoteCoder(config, transport=transport)
+    )
+    out = tmp_path / "coded"
+    code = run(
+        "code", "--docs", corpus_dir / "documents.jsonl", "--backend", "remote",
+        "--url", "http://example.invalid/v1/chat", "--model", "m", "--max-in-flight", 1,
+        "--seed", 5, "--out", out,
+    )
+    assert code == EXIT_REMOTE
+    lines = (out / "coding_errors.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "passage_id,error"
+    assert lines[1:] == [
+        "doc-00:0000,ResponseParseError: no dictionary-shaped region in reply: not a dictionary"
+    ]
+    assert len(_read_csv(out / "ai_codes.csv")) > 1  # every other passage was coded
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy_or_http(corpus_dir, tmp_path):

@@ -1,5 +1,8 @@
+import ast
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fecund.coder import (
     CRITERIA_CAPTION,
@@ -18,9 +21,11 @@ from fecund.coder import (
     reassess_note,
     relevance_note,
     render_prompt,
+    _run_chain,
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
+from reference import run_chain_branches
 
 
 def passage(text, article="a1", index=0):
@@ -279,6 +284,215 @@ def test_results_ordered_by_passage_key():
     run = code_passages(passages, MockCoder(seed=1))
     keys = [k for k, _ in run]
     assert keys == sorted(keys)
+
+
+# --- chain loop against the branch-per-step oracle ------------------------------
+
+
+class ScriptedBackend:
+    """Answers every chain step with a fixed reply and records each prompt."""
+
+    kind = "scripted"
+
+    def __init__(self, replies):
+        self.replies = replies
+        self.prompts = []
+
+    def n_slots(self, passage):
+        return 1
+
+    def respond(self, step, prompt, passage, slot=0):
+        self.prompts.append((step, prompt))
+        return self.replies[step]
+
+
+STEPS = sorted(SOCRATIC_CHAIN + FEWSHOT_CHAIN + ROUND1_CHAIN)
+prose = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="{}"),
+    max_size=12,
+)
+words = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+def reply_dicts(keys, values, renders):
+    """Replies the branch oracle accepts: a subset of the step's keys in any
+    order, rendered as a Python or JSON literal, with prose around it."""
+    return st.builds(
+        lambda d, render, before, after: before + render(d) + after,
+        st.dictionaries(st.sampled_from(keys), values),
+        st.sampled_from(renders),
+        prose,
+        prose,
+    )
+
+
+verdicts = st.one_of(st.sampled_from(["Yes.", "No.", "No", " No. ", "Maybe.", "Yes", None]), words)
+code_values = st.one_of(
+    st.none(), st.sampled_from(["Sympathetic.", "Hostile.", "N/A", "None", "null", ""]), words
+)
+# the oracle's triage parsers read Python literals only, so only the
+# coding steps get JSON replies here
+scripted_replies = st.fixed_dictionaries(
+    {
+        "triage_caption": reply_dicts(
+            ["1. disclaimer?", "2. caption?", "Body?"],
+            st.sampled_from([True, False, None, 0, 1, "", "x"]),
+            [repr],
+        ),
+        "triage_relevance": reply_dicts(["1. Refugees?", "2. Malaysia?"], verdicts, [repr]),
+        "relevance_confidence": reply_dicts(["1. Relevant?", "2. Why Not?"], verdicts, [repr]),
+        **{
+            step: reply_dicts(
+                ["1. Theme", "2. Whose Attitude?", "3. Target", "4. Valence"],
+                code_values,
+                [repr, json.dumps],
+            )
+            for step in ("socratic_code", "summary_reassess", "final_fewshot")
+        },
+        "round1": st.one_of(st.sampled_from(["Irrelevant", '"Irrelevant."', ""]), words),
+    }
+)
+FLAGGED = "Photo caption: the views expressed are not those of the paper"
+
+
+@given(
+    chain=st.one_of(
+        st.sampled_from([SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN]),
+        st.lists(st.sampled_from(STEPS), max_size=7).map(tuple),
+    ),
+    text=st.one_of(st.sampled_from([FLAGGED, "A ministry statement on aid"]), words.filter(bool)),
+    summary=words,
+    fewshot=words,
+    replies=scripted_replies,
+)
+@example(
+    chain=SOCRATIC_CHAIN,
+    text=FLAGGED,
+    summary="S",
+    fewshot="[]",
+    replies={
+        "triage_caption": "{'1. disclaimer?': True, '2. caption?': True, 'Body?': False}",
+        "triage_relevance": "{'1. Refugees?': 'No.', '2. Malaysia?': 'No.'}",
+        "relevance_confidence": "{'1. Relevant?': 'No.', '2. Why Not?': 'a caption'}",
+        "socratic_code": '{"1. Theme": null, "4. Valence": "N/A"}',
+        "summary_reassess": "{'1. Theme': 'Aid access', '4. Valence': 'Hostile.'}",
+        "final_fewshot": "{}",
+        "round1": "Irrelevant",
+    },
+)
+@example(
+    chain=("final_fewshot", "summary_reassess", "round1", "summary_reassess"),
+    text="t",
+    summary="",
+    fewshot="",
+    replies={
+        "triage_caption": "{}",
+        "triage_relevance": "{}",
+        "relevance_confidence": "{'2. Why Not?': None}",
+        "socratic_code": "{}",
+        "summary_reassess": "{'1. Theme': 'Reassessed'}",
+        "final_fewshot": 'Reply: {"1. Theme": "From exemplars", "3. Target": null}',
+        "round1": "A round-one theme",
+    },
+)
+@example(
+    chain=("triage_caption", "triage_relevance", "relevance_confidence"),
+    text="t",
+    summary="",
+    fewshot="",
+    replies={
+        "triage_caption": "{'2. caption?': 'x', '1. disclaimer?': 1}",
+        "triage_relevance": "{'2. Malaysia?': ' No. ', '1. Refugees?': None}",
+        "relevance_confidence": "{}",
+        "socratic_code": "{}",
+        "summary_reassess": "{}",
+        "final_fewshot": "{}",
+        "round1": "",
+    },
+)
+@settings(max_examples=300)
+def test_chain_loop_matches_branch_oracle(chain, text, summary, fewshot, replies):
+    p = passage(text)
+    new, old = ScriptedBackend(replies), ScriptedBackend(replies)
+    response = _run_chain(p, new, chain, summary, fewshot, 0)
+    assert response == run_chain_branches(p, old, chain, summary, fewshot, 0)
+    assert new.prompts == old.prompts
+
+
+@pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
+@pytest.mark.parametrize("text", [FLAGGED, "A ministry statement on aid " * 12])
+def test_chain_loop_matches_branch_oracle_on_mock(chain, text):
+    p = passage(text)
+    for slot in range(4):
+        new, old = RecordingBackend(MockCoder(seed=3)), RecordingBackend(MockCoder(seed=3))
+        response = _run_chain(p, new, chain, "S", '["x"]', slot)
+        assert response == run_chain_branches(p, old, chain, "S", '["x"]', slot)
+        assert new.prompts == old.prompts
+
+
+def test_unknown_chain_step_raises():
+    with pytest.raises(ValueError, match="unknown chain step 'nope'"):
+        _run_chain(passage("t"), ScriptedBackend({}), ("nope",), "", "[]", 0)
+
+
+# every dictionary step's reply; each holds a value JSON spells differently
+# from Python (null, true, false), so the JSON form needs json.loads
+LITERAL_REPLIES = {
+    "triage_caption": {"1. disclaimer?": True, "2. caption?": False, "Body?": None},
+    "triage_relevance": {"1. Refugees?": "No.", "2. Malaysia?": None},
+    "relevance_confidence": {"1. Relevant?": "Maybe.", "2. Why Not?": None},
+    "socratic_code": {"1. Theme": "Camp access", "2. Whose Attitude?": None, "4. Valence": "N/A"},
+    "summary_reassess": {"1. Theme": "Aid cuts", "3. Target": None, "4. Valence": "Hostile."},
+    "final_fewshot": {"1. Theme": None, "2. Whose Attitude?": "NGOs", "4. Valence": None},
+}
+
+
+@pytest.mark.parametrize("step", sorted(LITERAL_REPLIES))
+def test_every_step_reads_python_and_json_replies(step):
+    chain = FEWSHOT_CHAIN if step in FEWSHOT_CHAIN else SOCRATIC_CHAIN
+    runs = []
+    for render in (repr, json.dumps):
+        replies = {s: repr(reply) for s, reply in LITERAL_REPLIES.items()}
+        replies[step] = render(LITERAL_REPLIES[step])
+        backend = ScriptedBackend(replies)
+        runs.append((_run_chain(passage("t"), backend, chain, "S", "[]", 0), backend.prompts))
+    assert runs[0] == runs[1]
+    with pytest.raises(ValueError):  # so the JSON form was read by json.loads
+        ast.literal_eval(json.dumps(LITERAL_REPLIES[step]))
+
+
+# --- unreadable replies --------------------------------------------------------
+
+
+class OneBadPassage(ScriptedBackend):
+    """Answers passage ``bad`` with ``bad_reply`` at one step, all else well."""
+
+    def __init__(self, step, bad_reply):
+        super().__init__({s: GOOD_REPLY for s in STEPS})
+        self.step = step
+        self.bad_reply = bad_reply
+
+    def respond(self, step, prompt, passage, slot=0):
+        if passage.article_id == "bad" and step == self.step:
+            return self.bad_reply
+        return super().respond(step, prompt, passage, slot)
+
+
+@pytest.mark.parametrize(
+    "step, bad_reply, message",
+    [
+        ("triage_caption", "Body text, not a caption.", "no dictionary-shaped region in reply"),
+        ("triage_caption", "{'1. disclaimer?': Tru e}", "dictionary-shaped region failed to parse"),
+        ("triage_relevance", "{'1. Refugees?', 'No.'}", "dictionary-shaped region failed to parse"),
+        ("relevance_confidence", "x" * 300, "no dictionary-shaped region in reply"),
+        ("socratic_code", "{" + "y" * 300 + "}", "dictionary-shaped region failed to parse"),
+    ],
+)
+def test_unreadable_reply_costs_one_passage(step, bad_reply, message):
+    passages = [passage("x" * 200, article=a) for a in ("a", "bad", "c")]
+    run = code_passages(passages, OneBadPassage(step, bad_reply))
+    assert [key for key, _ in run] == ["a:0000", "c:0000"]
+    assert run.errors == (("bad:0000", f"ResponseParseError: {message}: {bad_reply[:200]}"),)
 
 
 # --- remote backend ---------------------------------------------------------------
