@@ -42,7 +42,6 @@ from .selection import (
     ValueFunction,
     interleave_blinded,
     objective,
-    select_exact,
     select_greedy,
     select_random,
 )

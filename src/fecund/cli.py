@@ -102,14 +102,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load(args, need_codes: bool = True):
-    codes = [p for p in (args.codes or "").split(",") if p] if need_codes else []
+def _load(args):
+    codes = [p for p in (args.codes or "").split(",") if p]
     return load_collection(args.docs, codes or None, getattr(args, "themes", None))
-
-
-def _read_rows(path: str, required: tuple[str, ...]) -> list[dict]:
-    """The rows of a CSV side file; a missing column or blank value exits 4 with file:line."""
-    return [row for _, row in _read_csv(path, required)]
 
 
 # --- synth -----------------------------------------------------------------
@@ -176,19 +171,19 @@ def cmd_ingest(args) -> int:
 def _load_summaries(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    return {row["doc_id"]: row["summary"] for row in _read_rows(path, ("doc_id", "summary"))}
+    return {doc_id: summary for _, (doc_id, summary) in _read_csv(path, ("doc_id", "summary"))}
 
 
 def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict[str, str]:
     if not clusters_path or not exemplars_path:
         return {}
     exemplars: dict[str, list[str]] = {}
-    for row in _read_rows(exemplars_path, ("cluster_id", "code_label")):
-        exemplars.setdefault(row["cluster_id"], []).append(row["code_label"])
+    for _, (cluster_id, code_label) in _read_csv(exemplars_path, ("cluster_id", "code_label")):
+        exemplars.setdefault(cluster_id, []).append(code_label)
     context = {}
-    for row in _read_rows(clusters_path, ("passage_id", "cluster_id")):
-        labels = exemplars.get(row["cluster_id"], [])
-        context[row["passage_id"]] = json.dumps(labels, ensure_ascii=False)
+    for _, (passage_id, cluster_id) in _read_csv(clusters_path, ("passage_id", "cluster_id")):
+        labels = exemplars.get(cluster_id, [])
+        context[passage_id] = json.dumps(labels, ensure_ascii=False)
     return context
 
 
@@ -313,19 +308,18 @@ def cmd_select(args) -> int:
 
 def _manifest_order(docs, manifest_path: str):
     by_id = {d.id: d for d in docs}
-    ordered = []
-    with open(manifest_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            doc_id = row.get("doc_id")
-            if doc_id not in by_id:
-                raise CollectionFormatError(
-                    f"manifest references unknown document {doc_id!r}",
-                    manifest_path,
-                    reader.line_num,
-                )
-            ordered.append(by_id[doc_id])
-    return ordered
+    ordered = {}
+    for lineno, (doc_id,) in _read_csv(manifest_path, ("doc_id",)):
+        if doc_id not in by_id:
+            raise CollectionFormatError(
+                f"manifest references unknown document {doc_id!r}", manifest_path, lineno
+            )
+        if doc_id in ordered:
+            raise CollectionFormatError(
+                f"manifest repeats document {doc_id!r}", manifest_path, lineno
+            )
+        ordered[doc_id] = by_id[doc_id]
+    return list(ordered.values())
 
 
 def cmd_saturate(args) -> int:
@@ -402,10 +396,11 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
-    arms = {row["doc_id"]: row["arm"] for row in _read_rows(args.unblinding, ("doc_id", "arm"))}
-    extra = {}
+    arms = {doc_id: arm for _, (doc_id, arm) in _read_csv(args.unblinding, ("doc_id", "arm"))}
+    extra = {}  # doc_id -> (round, old_random), each None when not given
     if args.experiment:
-        extra = {row["doc_id"]: row for row in _read_rows(args.experiment, ("doc_id",))}
+        rows = _read_csv(args.experiment, ("doc_id",), ("round", "old_random"))
+        extra = {doc_id: meta for _, (doc_id, *meta) in rows}
 
     freq = compute_frequencies(ordered, args.outcome_source)
     density_freq = None
@@ -424,14 +419,14 @@ def cmd_analyze(args) -> int:
     }
     for i, doc in enumerate(ordered, start=1):
         arm = arms.get(doc.id, "control")
-        meta = extra.get(doc.id, {})
+        round_, old_random = extra.get(doc.id, (None, None))
         data["fecundity"].append(fecundity(doc, freq, args.outcome_source).fecundity)
         data["ai_selected"].append(1.0 if arm in ("treatment", "overlap") else 0.0)
         data["index"].append(float(i))
         data["length"].append(float(doc.text_length))
         data["overlap"].append(arm == "overlap")
-        data["old_random"].append(str(meta.get("old_random", "")).lower() == "true")
-        data["round"].append(float(meta.get("round", 0)))
+        data["old_random"].append(str(old_random).lower() == "true")
+        data["round"].append(float(0 if round_ is None else round_))
         if density_freq is not None:
             data["ai_density"].append(
                 fecundity(doc, density_freq, args.density_source).fecundity
@@ -506,9 +501,9 @@ def cmd_sweep(args) -> int:
         qmap = QuadraticMap(*args.quadratic)
     elif args.pairs:
         pairs = []
-        for lineno, row in _read_csv(args.pairs, ("ai_density", "human_density")):
+        for lineno, (ai, human) in _read_csv(args.pairs, ("ai_density", "human_density")):
             try:
-                pairs.append((float(row["ai_density"]), float(row["human_density"])))
+                pairs.append((float(ai), float(human)))
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.pairs, lineno) from None
         qmap = fit_quadratic(pairs)
@@ -552,8 +547,9 @@ def cmd_sweep(args) -> int:
 # --- wiring ------------------------------------------------------------------
 
 
-def _parse_flat_config(path: str) -> dict:
-    values: dict[str, object] = {}
+def _parse_flat_config(path: str) -> dict[str, str]:
+    """Each key's value, unquoted; argparse checks it as the flag's value."""
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -561,20 +557,10 @@ def _parse_flat_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
         value = value.strip()
         if value.startswith(("'", '"')) and value.endswith(value[0]) and len(value) >= 2:
-            values[key] = value[1:-1]
-        elif value.lower() in ("true", "false"):
-            values[key] = value.lower() == "true"
-        else:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                try:
-                    values[key] = float(value)
-                except ValueError:
-                    values[key] = value
+            value = value[1:-1]
+        values[key.strip().replace("-", "_")] = value
     return values
 
 
@@ -732,6 +718,24 @@ def _config_path(argv: list[str]) -> str | None:
     return None
 
 
+def _config_argv(values: dict[str, str], parser: argparse.ArgumentParser) -> list[str]:
+    """The config entries ``parser`` knows, as flags (a valueless flag when "true").
+
+    Placed before the user's arguments, they are checked like typed flags,
+    and a flag the user gives, parsed later, wins.
+    """
+    tokens = []
+    for action in parser._actions:
+        if action.dest not in values:
+            continue
+        flag, value = action.option_strings[-1], values[action.dest]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+    return tokens
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -748,12 +752,9 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for sub in commands.values():
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in values.items() if k in known})
-            for action in sub._actions:
-                if action.dest in values:
-                    action.required = False
+        at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
+        if at is not None:
+            argv[at:at] = _config_argv(values, commands[argv[at - 1]])
     args = parser.parse_args(argv)
     try:
         return args.func(args)

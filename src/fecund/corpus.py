@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -43,17 +44,22 @@ class Document:
 
     ``codes`` maps a coder-source identifier (e.g. "human", "ai") to the
     instances that source produced for this document. Treat instances as
-    immutable after construction; they are stored as tuples.
+    immutable after construction; they are stored as tuples. A document
+    returned by ``load_collection`` holds its row of the collection's
+    interned matrices instead, and builds each tuple on first access.
     """
 
     id: str
     text_length: int
     source_label: str | None = None
-    codes: dict[str, tuple[CodeInstance, ...]] = field(default_factory=dict)
+    codes: Mapping[str, tuple[CodeInstance, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.text_length < 1:
             raise ValueError(f"document {self.id!r}: text_length must be >= 1")
+        stored = self.codes
+        if isinstance(stored, _StoredCodes) and stored.lengths[stored.row] == self.text_length:
+            return
         object.__setattr__(
             self, "codes", {src: tuple(insts) for src, insts in self.codes.items()}
         )
@@ -64,9 +70,6 @@ class Document:
                 f"document {self.id!r} has no codes from source {coder_source!r}"
             )
         return self.codes[coder_source]
-
-    def code_ids(self, coder_source: str) -> list[str]:
-        return [inst.code_id for inst in self.instances(coder_source)]
 
 
 @dataclass(frozen=True)
@@ -83,49 +86,111 @@ class Codebook:
             if unknown:
                 raise ValueError(f"theme_map references unknown codes: {unknown}")
 
-    def theme_of(self, code_id: str) -> str | None:
-        if not self.theme_map:
-            return None
-        return self.theme_map.get(code_id)
-
 
 @dataclass(frozen=True, eq=False)
 class CodeMatrix:
     """One coder source's code instances over a document sequence, interned.
 
-    ``labels`` holds the sorted distinct code labels; a code's id is its
-    index there. Document ``i``'s code ids, in file order and with repeats,
-    are ``codes[offsets[i]:offsets[i + 1]]`` (compressed sparse rows);
-    ``lengths[i]`` is its character length. All arrays are int64.
+    ``labels`` holds sorted distinct code labels; a code's id is its index
+    there. Document ``i``'s code ids, in file order and with repeats, are
+    ``codes[offsets[i]:offsets[i + 1]]`` (compressed sparse rows), with
+    each instance's position alongside in ``positions`` (NaN where it has
+    none); ``lengths[i]`` is its character length. ``labels`` may hold
+    codes no row uses (see ``take``), but ids always follow label order.
     """
 
     labels: tuple[str, ...]
     offsets: np.ndarray
     codes: np.ndarray
+    positions: np.ndarray
     lengths: np.ndarray
 
     @classmethod
     def build(cls, docs: Sequence[Document], coder_source: str) -> "CodeMatrix":
-        """Intern ``docs`` in one walk; a missing source raises like ``instances``."""
-        raw: list[str] = []
-        offsets = [0]
-        lengths = []
-        for doc in docs:
-            raw.extend(inst.code_id for inst in doc.instances(coder_source))
-            offsets.append(len(raw))
-            lengths.append(doc.text_length)
+        """The matrix of ``docs``; a missing source raises like ``instances``.
+
+        Rows of one loaded collection are gathered from its matrix; other
+        documents are interned in one walk over their instances.
+        """
+        codes = [doc.codes for doc in docs]
+        if codes and all(isinstance(c, _StoredCodes) and c.store is codes[0].store for c in codes):
+            if coder_source not in codes[0].store:
+                docs[0].instances(coder_source)  # raises UnknownCoderSourceError
+            return codes[0].store[coder_source].take([c.row for c in codes])
+        instances = [
+            (i, inst.code_id, inst.position)
+            for i, doc in enumerate(docs)
+            for inst in doc.instances(coder_source)
+        ]
+        return cls.intern(instances, [doc.text_length for doc in docs])
+
+    @classmethod
+    def intern(cls, instances: list[tuple], lengths: list[int]) -> "CodeMatrix":
+        """The matrix of (document row, label, position) instances given in
+        any row order; each row's instances keep their order."""
+        rows, raw, positions = zip(*instances) if instances else ((), (), ())
         labels = tuple(sorted(set(raw)))
         index = {label: i for i, label in enumerate(labels)}
+        rows = np.array(rows, dtype=np.int64)
+        by_row = np.argsort(rows, kind="stable")
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(lengths)), out=offsets[1:])
         return cls(
             labels=labels,
-            offsets=np.array(offsets, dtype=np.int64),
-            codes=np.fromiter((index[c] for c in raw), dtype=np.int64, count=len(raw)),
+            offsets=offsets,
+            codes=np.fromiter((index[c] for c in raw), dtype=np.int64, count=len(raw))[by_row],
+            positions=np.array(positions, dtype=np.float64)[by_row],  # None reads NaN
             lengths=np.array(lengths, dtype=np.int64),
+        )
+
+    def take(self, rows: Sequence[int]) -> "CodeMatrix":
+        """The given rows, in that order, gathered without re-interning:
+        the result keeps these labels, so ids still follow label order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        index = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return CodeMatrix(
+            labels=self.labels,
+            offsets=offsets,
+            codes=self.codes[index],
+            positions=self.positions[index],
+            lengths=self.lengths[rows],
         )
 
     def doc_index(self) -> np.ndarray:
         """The document index of every instance, aligned with ``codes``."""
         return np.repeat(np.arange(len(self.lengths), dtype=np.int64), np.diff(self.offsets))
+
+
+class _StoredCodes(Mapping):
+    """A loaded document's ``codes``: its row of the collection's matrices,
+    one per coder source, built into ``CodeInstance`` tuples on first access."""
+
+    def __init__(self, store: dict[str, CodeMatrix], lengths: list[int], row: int):
+        self.store, self.lengths, self.row = store, lengths, row
+        self._built: dict[str, tuple[CodeInstance, ...]] = {}
+
+    def __getitem__(self, source: str) -> tuple[CodeInstance, ...]:
+        if source not in self._built:
+            m = self.store[source]
+            start, end = m.offsets[self.row], m.offsets[self.row + 1]
+            self._built[source] = tuple(
+                CodeInstance(m.labels[c], None if p != p else p)  # NaN: no position
+                for c, p in zip(m.codes[start:end].tolist(), m.positions[start:end].tolist())
+            )
+        return self._built[source]
+
+    def __iter__(self):
+        return iter(self.store)
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -134,9 +199,6 @@ class FrequencyTable:
 
     scope: frozenset[str]
     counts: dict[str, int]
-
-    def total_instances(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)

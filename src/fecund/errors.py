@@ -37,10 +37,6 @@ class DanglingReferenceError(CollectionFormatError):
     """A row references a document or code that does not exist."""
 
 
-class TooManyCandidatesError(FecundError, ValueError):
-    """Exhaustive selection was asked to enumerate too large a candidate set."""
-
-
 class SampleSizeError(FecundError, ValueError):
     """A random sample was requested that exceeds the available population."""
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .corpus import Codebook, CodeInstance, Document
+from .corpus import Codebook, CodeMatrix, Document, _StoredCodes
 from .errors import (
     BlankCodeError,
     CollectionFormatError,
@@ -139,12 +140,14 @@ def load_collection(
     document carries an entry (possibly empty) for every coder source
     present in the code files.
     """
-    raw_docs: dict[str, dict] = {}
+    row_of: dict[str, int] = {}  # document id -> row, in file order
+    lengths: list[int] = []
+    source_labels: list[str | None] = []
     for lineno, obj in _read_jsonl(documents_path):
         if "id" not in obj or not str(obj["id"]):
             raise CollectionFormatError("missing document id", str(documents_path), lineno)
         doc_id = str(obj["id"])
-        if doc_id in raw_docs:
+        if doc_id in row_of:
             raise DuplicateDocumentIdError(
                 f"duplicate document id {doc_id!r}", str(documents_path), lineno
             )
@@ -170,99 +173,98 @@ def load_collection(
                 str(documents_path),
                 lineno,
             )
-        raw_docs[doc_id] = {"length": length, "source": obj.get("source")}
+        row_of[doc_id] = len(lengths)
+        lengths.append(length)
+        source_labels.append(obj.get("source"))
 
     entries: dict[str, str] = {}
     canonical: dict[str, str] = {}  # raw label -> canonical id, filled on first sight
-    per_doc: dict[str, dict[str, list[CodeInstance]]] = {d: {} for d in raw_docs}
-    sources: list[str] = []
-    if codes_path is None:
-        codes_paths: list[str | Path] = []
-    elif isinstance(codes_path, (str, Path)):
-        codes_paths = [codes_path]
-    else:
-        codes_paths = list(codes_path)
-    for path in codes_paths:
-        for lineno, row in _read_csv(path, ("doc_id", "coder_source", "code_label")):
-            doc_id = row["doc_id"]
-            if doc_id not in raw_docs:
+    # coder source -> (document row, canonical id, position) of each code row
+    found: dict[str, list[tuple[int, str, float | None]]] = {}
+    codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
+    for path in map(str, codes_paths):
+        records = _read_csv(path, ("doc_id", "coder_source", "code_label"), ("position",))
+        for lineno, (doc_id, source, label, raw_position) in records:
+            row = row_of.get(doc_id)
+            if row is None:
                 raise DanglingReferenceError(
-                    f"code row references unknown document {doc_id!r}",
-                    str(path),
-                    lineno,
+                    f"code row references unknown document {doc_id!r}", path, lineno
                 )
-            label = row["code_label"]
             cid = canonical.get(label)
             if cid is None:
                 try:
                     cid = canonicalize_code(label)
                 except BlankCodeError as exc:
-                    raise CollectionFormatError(str(exc), str(path), lineno)
+                    raise CollectionFormatError(str(exc), path, lineno)
                 canonical[label] = cid
                 entries.setdefault(cid, label.strip())
             position = None
-            if row.get("position"):
+            if raw_position:
                 try:
-                    position = float(row["position"])
+                    position = float(raw_position)
                 except ValueError:
-                    raise CollectionFormatError(
-                        f"bad position {row['position']!r}", str(path), lineno
-                    )
+                    raise CollectionFormatError(f"bad position {raw_position!r}", path, lineno)
                 if not 0.0 <= position <= 1.0:
-                    raise CollectionFormatError(
-                        f"position {position} outside [0, 1]", str(path), lineno
-                    )
-            source = row["coder_source"]
-            if source not in sources:
-                sources.append(source)
-            per_doc[doc_id].setdefault(source, []).append(CodeInstance(cid, position))
+                    raise CollectionFormatError(f"position {position} outside [0, 1]", path, lineno)
+            found.setdefault(source, []).append((row, cid, position))
 
     theme_map: dict[str, str] | None = None
     themes: dict[str, str] | None = None
     if themes_path is not None:
         theme_map, themes = {}, {}
-        for lineno, row in _read_csv(themes_path, ("code_label", "theme_label")):
+        rows = _read_csv(themes_path, ("code_label", "theme_label"))
+        for lineno, (code_label, theme_label) in rows:
             try:
-                cid = canonicalize_code(row["code_label"])
-                tid = canonicalize_code(row["theme_label"])
+                cid = canonicalize_code(code_label)
+                tid = canonicalize_code(theme_label)
             except BlankCodeError as exc:
                 raise CollectionFormatError(str(exc), str(themes_path), lineno)
             if cid not in entries:
                 raise DanglingReferenceError(
-                    f"theme map references unknown code {row['code_label']!r}",
-                    str(themes_path),
-                    lineno,
+                    f"theme map references unknown code {code_label!r}", str(themes_path), lineno
                 )
             theme_map[cid] = tid
-            themes.setdefault(tid, row["theme_label"].strip())
+            themes.setdefault(tid, theme_label.strip())
 
+    store = {source: CodeMatrix.intern(rows, lengths) for source, rows in found.items()}
     documents = [
-        Document(
-            id=doc_id,
-            text_length=meta["length"],
-            source_label=meta["source"],
-            codes={src: tuple(per_doc[doc_id].get(src, ())) for src in sources},
-        )
-        for doc_id, meta in raw_docs.items()
+        Document(doc_id, lengths[row], source_labels[row], _StoredCodes(store, lengths, row))
+        for doc_id, row in row_of.items()
     ]
     return documents, Codebook(entries=entries, theme_map=theme_map, themes=themes)
 
 
-def _read_csv(path: str | Path, required: tuple[str, ...]) -> Iterable[tuple[int, dict]]:
+def _read_csv(
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> Iterator[tuple[int, list[str | None]]]:
+    """Each non-blank row's line number and its values of the ``required``
+    then the ``optional`` columns (None for a column the header or a short
+    row lacks). A missing required column or value raises with file:line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CollectionFormatError("empty file", str(path))
-        missing = [c for c in required if c not in reader.fieldnames]
+        # a name repeated in the header means its last column, as with csv.DictReader
+        column = {name: i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in column]
         if missing:
             raise CollectionFormatError(f"missing column(s) {missing}", str(path), 1)
-        for row in reader:
-            lineno = reader.line_num
-            if any(row.get(c) is None or row[c] == "" for c in required):
+        wanted = [column.get(c, sys.maxsize) for c in required + optional]
+        width = max(wanted)
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) > width:
+                values = [fields[i] for i in wanted]
+            else:
+                values = [fields[i] if i < len(fields) else None for i in wanted]
+            if not all(values[: len(required)]):
                 raise CollectionFormatError(
-                    f"blank value in required column(s) {required}", str(path), lineno
+                    f"blank value in required column(s) {required}", str(path), reader.line_num
                 )
-            yield lineno, row
+            yield reader.line_num, values
 
 
 def write_collection(

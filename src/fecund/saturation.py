@@ -309,12 +309,15 @@ def bootstrap_band(
 
 def median_code_position(doc: Document, coder_source: str) -> float | None:
     """Median fractional position of the document's positioned code instances."""
-    positions = [
-        inst.position for inst in doc.instances(coder_source) if inst.position is not None
-    ]
-    if not positions:
-        return None
-    return float(statistics.median(positions))
+    return _median_positions(CodeMatrix.build([doc], coder_source))[0]
+
+
+def _median_positions(matrix: CodeMatrix) -> list[float | None]:
+    """Each row's median over its positioned instances; None where it has none."""
+    positions, offsets = matrix.positions.tolist(), matrix.offsets.tolist()
+    # NaN marks an instance without a position
+    known = [[p for p in positions[s:e] if p == p] for s, e in zip(offsets, offsets[1:])]
+    return [float(statistics.median(k)) if k else None for k in known]
 
 
 @dataclass(frozen=True)
@@ -335,11 +338,9 @@ def position_trend(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    rows = []
-    for doc in sorted(docs, key=lambda d: (d.text_length, d.id)):
-        med = median_code_position(doc, coder_source)
-        if med is not None:
-            rows.append((doc.text_length, med))
+    order = sorted(docs, key=lambda d: (d.text_length, d.id))
+    medians = _median_positions(CodeMatrix.build(order, coder_source))
+    rows = [(doc.text_length, med) for doc, med in zip(order, medians) if med is not None]
     points = []
     n = len(rows)
     for i in range(n):

@@ -5,7 +5,7 @@ repeats: for each code the total copy count in the selected set is passed
 through a concave value function (square root by default), and the
 per-code values are summed. That makes the objective monotone submodular,
 so greedy selection with lazy re-evaluation is both fast and near-optimal;
-an exhaustive oracle is provided for small instances to certify it.
+the tests certify it against an exhaustive oracle on small instances.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import CodeMatrix, Document
-from .errors import SampleSizeError, TooManyCandidatesError
+from .errors import SampleSizeError
 
 GAIN_FLOOR = 1e-12
 
@@ -252,68 +252,6 @@ def _greedy_lazy(candidates, items, first_gains, budget, values, tie_break, cost
             counts[codes[k]] = counts.get(codes[k], 0) + copies[k]
         step += 1
     return picked, gains
-
-
-def select_exact(
-    candidates: Sequence[Document],
-    budget: SelectionBudget,
-    value_function: ValueFunction,
-    coder_source: str,
-) -> CorpusSelection:
-    """Globally optimal selection by exhaustive enumeration (<= 20 candidates).
-
-    Ties on the objective break toward the lexicographically smallest
-    sorted id tuple, so the empty set beats any zero-gain selection.
-    """
-    if len(candidates) > 20:
-        raise TooManyCandidatesError(
-            f"exact selection enumerates subsets; {len(candidates)} candidates > 20"
-        )
-    docs = sorted(candidates, key=lambda d: d.id)
-    starts, codes, copies = (a.tolist() for a in _code_copies(CodeMatrix.build(docs, coder_source)))
-    items = [list(zip(codes[s:e], copies[s:e])) for s, e in zip(starts, starts[1:])]
-    g = value_function.g
-    best_obj = 0.0
-    best_ids: tuple[str, ...] = ()
-    best_chars = 0
-
-    counts: dict[int, int] = {}
-    chosen: list[int] = []
-
-    def evaluate():
-        nonlocal best_obj, best_ids, best_chars
-        obj = sum(g(counts[code]) for code in sorted(counts))
-        ids = tuple(docs[i].id for i in chosen)
-        if obj > best_obj or (obj == best_obj and ids < best_ids):
-            best_obj = obj
-            best_ids = ids
-            best_chars = sum(docs[i].text_length for i in chosen)
-
-    def recurse(i: int, total: int):
-        if i == len(docs):
-            evaluate()
-            return
-        doc, doc_items = docs[i], items[i]
-        if total + doc.text_length < budget.max_chars:
-            chosen.append(i)
-            for code, c in doc_items:
-                counts[code] = counts.get(code, 0) + c
-            recurse(i + 1, total + doc.text_length)
-            for code, c in doc_items:
-                counts[code] -= c
-                if counts[code] == 0:
-                    del counts[code]
-            chosen.pop()
-        recurse(i + 1, total)
-
-    recurse(0, 0)
-    return CorpusSelection(
-        selected_ids=best_ids,
-        objective_value=best_obj,
-        total_chars=best_chars,
-        value_function=value_function,
-        budget=budget,
-    )
 
 
 def select_random(

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import CodeMatrix, Document
 from .errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from .selection import SQRT, SelectionBudget, ValueFunction, select_greedy
 
@@ -469,9 +469,9 @@ def corpus_code_density(docs: Sequence[Document], coder_source: str) -> float:
     """
     if not docs:
         return 0.0
-    distinct = len({inst.code_id for d in docs for inst in d.instances(coder_source)})
-    total_chars = sum(d.text_length for d in docs)
-    return distinct / total_chars * 1000.0
+    matrix = CodeMatrix.build(docs, coder_source)
+    distinct = len(np.unique(matrix.codes))
+    return distinct / int(matrix.lengths.sum()) * 1000.0
 
 
 def _selected_density(

@@ -7,7 +7,9 @@ is greedy selection with a ``Counter`` of codes per candidate and every
 gain summed one float at a time; ``fecund.selection.select_greedy`` must
 return bit-identical selections. ``greedy_naive`` re-evaluates every
 candidate at every step; the lazy heap in ``fecund.selection`` must select
-exactly what it selects. ``run_chain_branches`` is the coder's chain with
+exactly what it selects. ``select_exact`` enumerates every feasible
+subset, the globally optimal selection the greedy is certified against on
+small instances. ``run_chain_branches`` is the coder's chain with
 one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
 ``parse_relevance``); ``fecund.coder._run_chain`` must render the same
@@ -40,8 +42,8 @@ from fecund.coder import (
     relevance_note,
     render_prompt,
 )
-from fecund.corpus import Document
-from fecund.errors import ResponseParseError
+from fecund.corpus import CodeMatrix, Document
+from fecund.errors import FecundError, ResponseParseError
 from fecund.ingest import Passage
 from fecund.saturation import BandStep, CountingRegime
 from fecund.selection import (
@@ -50,6 +52,7 @@ from fecund.selection import (
     CorpusSelection,
     SelectionBudget,
     ValueFunction,
+    _code_copies,
     _marginal_gain,
     _score,
     _sort_key,
@@ -282,6 +285,72 @@ def select_greedy_naive(*args, **kwargs):
     """``select_greedy`` with the lazy heap swapped for ``greedy_naive``."""
     with mock.patch.object(selection, "_greedy_lazy", greedy_naive):
         return selection.select_greedy(*args, **kwargs)
+
+
+class TooManyCandidatesError(FecundError, ValueError):
+    """Exhaustive selection was asked to enumerate too large a candidate set."""
+
+
+def select_exact(
+    candidates: Sequence[Document],
+    budget: SelectionBudget,
+    value_function: ValueFunction,
+    coder_source: str,
+) -> CorpusSelection:
+    """Globally optimal selection by exhaustive enumeration (<= 20 candidates).
+
+    Ties on the objective break toward the lexicographically smallest
+    sorted id tuple, so the empty set beats any zero-gain selection.
+    """
+    if len(candidates) > 20:
+        raise TooManyCandidatesError(
+            f"exact selection enumerates subsets; {len(candidates)} candidates > 20"
+        )
+    docs = sorted(candidates, key=lambda d: d.id)
+    starts, codes, copies = (a.tolist() for a in _code_copies(CodeMatrix.build(docs, coder_source)))
+    items = [list(zip(codes[s:e], copies[s:e])) for s, e in zip(starts, starts[1:])]
+    g = value_function.g
+    best_obj = 0.0
+    best_ids: tuple[str, ...] = ()
+    best_chars = 0
+
+    counts: dict[int, int] = {}
+    chosen: list[int] = []
+
+    def evaluate():
+        nonlocal best_obj, best_ids, best_chars
+        obj = sum(g(counts[code]) for code in sorted(counts))
+        ids = tuple(docs[i].id for i in chosen)
+        if obj > best_obj or (obj == best_obj and ids < best_ids):
+            best_obj = obj
+            best_ids = ids
+            best_chars = sum(docs[i].text_length for i in chosen)
+
+    def recurse(i: int, total: int):
+        if i == len(docs):
+            evaluate()
+            return
+        doc, doc_items = docs[i], items[i]
+        if total + doc.text_length < budget.max_chars:
+            chosen.append(i)
+            for code, c in doc_items:
+                counts[code] = counts.get(code, 0) + c
+            recurse(i + 1, total + doc.text_length)
+            for code, c in doc_items:
+                counts[code] -= c
+                if counts[code] == 0:
+                    del counts[code]
+            chosen.pop()
+        recurse(i + 1, total)
+
+    recurse(0, 0)
+    return CorpusSelection(
+        selected_ids=best_ids,
+        objective_value=best_obj,
+        total_chars=best_chars,
+        value_function=value_function,
+        budget=budget,
+    )
 
 
 def parse_response_branches(raw: str) -> CodeResponse:

@@ -19,7 +19,6 @@ from fecund.selection import (
     SQRT,
     SelectionBudget,
     objective,
-    select_exact,
     select_greedy,
 )
 from fecund.stats import IDENTITY_MAP, RegressionSpec, ols, superset_sweep, treatment_table
@@ -27,7 +26,7 @@ from fecund.synthetic import experiment_corpus, synth_corpus
 
 from conftest import make_doc
 from prompt_fragments import FINAL_FEWSHOT_FRAGMENTS, ROUND1_FRAGMENTS
-from reference import select_greedy_naive
+from reference import select_exact, select_greedy_naive
 
 
 def report(criterion, detail):

@@ -10,7 +10,7 @@ import pytest
 
 from fecund import cli, coder
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
-from fecund.corpus import compute_frequencies
+from fecund.corpus import CodeInstance, compute_frequencies
 from fecund.ingest import load_collection
 from fecund.saturation import CountingRegime, cumulative_curve
 
@@ -236,6 +236,19 @@ def test_config_equals_form_is_read(corpus_dir, tmp_path, capsys):
     assert "error: --config needs a path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_config_sets_a_valueless_flag_only_when_true(corpus_dir, tmp_path, value):
+    config = tmp_path / "run.toml"
+    config.write_text(f"plot = {value}\n", encoding="utf-8")
+    out = tmp_path / "sw"
+    assert run(
+        "sweep", "--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+        "--coder-source", "human", "--seed", 1, "--quadratic", "0,1,0", "--config", config,
+        "--out", out,
+    ) == EXIT_OK
+    assert (out / "sweep.svg").exists() == (value == "true")
+
+
 def _select_human(corpus_dir, out):
     assert (
         run("select", "--docs", corpus_dir / "documents.jsonl", "--codes",
@@ -325,8 +338,20 @@ def test_side_file_missing_column_exits_data(corpus_dir, tmp_path, capsys, flag)
     assert "Traceback" not in err
 
 
+# files the bad-input cases read, written into the test's directory
+_CASE_FILES = {
+    "cfg.toml": "seed = 9\n",
+    "replicates0.toml": "replicates = 0\n",
+    "sizes20.toml": "sizes = 20\n",
+    "sizes500.toml": "sizes = 500\n",
+    "pairs.csv": "ai_density,human_density\n1.0,2.0\nx,3\n",
+    "manifest-no-doc-id.csv": "reading_index,id\n1,doc-00\n",
+    "manifest-repeat.csv": "reading_index,doc_id\n1,doc-00\n2,doc-00\n",
+    "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
+}
+
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
-# {tmp} is the test's directory, which holds cfg.toml and pairs.csv
+# {tmp} is the test's directory, which holds _CASE_FILES
 _BAD_INPUTS = {
     "config-prefix": (
         ["select", "--coder-source", "human", "--seed", "1", "--conf", "{tmp}/cfg.toml"],
@@ -358,15 +383,54 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "argument --sizes: invalid int value: 'x'",
     ),
+    "config-replicates-zero": (
+        ["sweep", "--seed", "1", "--quadratic", "0,1,0", "--config", "{tmp}/replicates0.toml"],
+        EXIT_USAGE,
+        "argument --replicates: must be >= 1, got 0",
+    ),
+    "config-sizes-one-int": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
+         "--config", "{tmp}/sizes20.toml"],
+        EXIT_OK,
+        "",
+    ),
+    "config-size-too-large": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
+         "--config", "{tmp}/sizes500.toml"],
+        EXIT_DATA,
+        "subset size(s) [500] exceed the full set (30)",
+    ),
+    "config-flag-wins": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
+         "--config", "{tmp}/sizes500.toml", "--sizes", "20"],
+        EXIT_OK,
+        "",
+    ),
+    "manifest-missing-column": (
+        ["saturate", "--coder-source", "human", "--seed", "1",
+         "--order", "{tmp}/manifest-no-doc-id.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-no-doc-id.csv:1: missing column(s) ['doc_id']",
+    ),
+    "manifest-repeated-id": (
+        ["saturate", "--coder-source", "human", "--seed", "1",
+         "--order", "{tmp}/manifest-repeat.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-repeat.csv:3: manifest repeats document 'doc-00'",
+    ),
+    "manifest-repeated-id-analyze": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest-repeat.csv",
+         "--unblinding", "{tmp}/unblinding.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-repeat.csv:3: manifest repeats document 'doc-00'",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case):
-    (tmp_path / "cfg.toml").write_text("seed = 9\n", encoding="utf-8")
-    (tmp_path / "pairs.csv").write_text(
-        "ai_density,human_density\n1.0,2.0\nx,3\n", encoding="utf-8"
-    )
+    for name, text in _CASE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     argv, expected, message = _BAD_INPUTS[case]
     command, *rest = [a.format(tmp=tmp_path) for a in argv]
     capsys.readouterr()
@@ -482,3 +546,20 @@ def test_code_merges_into_collection(corpus_dir, tmp_path):
     freq = compute_frequencies(docs, "ai")
     assert freq.counts
     assert all(set(d.codes) == {"human", "ai"} for d in docs)
+
+
+def test_loaded_commands_build_no_code_instances(corpus_dir, tmp_path, monkeypatch):
+    """select, saturate and sweep work on the interned matrices of the loaded
+    collection; none of them turns a code row into a CodeInstance."""
+    built = []
+    monkeypatch.setattr(CodeInstance, "__post_init__", lambda self: built.append(self))
+    data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+            "--coder-source", "human", "--seed", 3]
+    _select_human(corpus_dir, tmp_path / "sel")
+    assert run("saturate", *data, "--themes", corpus_dir / "themes.csv",
+               "--order", tmp_path / "sel" / "manifest.csv", "--regimes",
+               "unique,hf_retrospective,hf_iterative,themes", "--bootstrap",
+               "--iterations", 20, "--positions", "--out", tmp_path / "sat") == EXIT_OK
+    assert run("sweep", *data, "--sizes", "10,30", "--replicates", 2,
+               "--budget-docs", 5, "--quadratic", "0,1,0", "--out", tmp_path / "sw") == EXIT_OK
+    assert built == []

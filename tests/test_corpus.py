@@ -121,7 +121,7 @@ def test_unique_weight_bounds(docs):
         return
     max_f = max(freq.counts.values())
     for d in docs:
-        distinct = len(set(d.code_ids("src")))
+        distinct = len({inst.code_id for inst in d.instances("src")})
         uw = unique_weight(d, freq, "src")
         assert uw <= distinct + 1e-9
         assert uw >= distinct / max_f - 1e-9

@@ -1,12 +1,16 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fecund.corpus import CodeInstance, Document, Codebook
+from fecund.corpus import CodeInstance, CodeMatrix, Document, Codebook
 from fecund.errors import (
     BlankCodeError,
     CollectionFormatError,
     DanglingReferenceError,
     DuplicateDocumentIdError,
+    UnknownCoderSourceError,
 )
 from fecund.ingest import (
     RawArticle,
@@ -244,3 +248,156 @@ def test_round_trip(tmp_path):
     assert d2.read_bytes() == d.read_bytes()
     assert c2.read_bytes() == c.read_bytes()
     assert t2.read_bytes() == t.read_bytes()
+
+
+# --- ingest parity: each case pins what the DictReader loader returned ----
+
+_PARITY_DOCS = '{"id": "d1", "text_length": 10}\n{"id": "d2", "text_length": 20}\n'
+_CODES_HEADER = "doc_id,coder_source,code_label,position\n"
+_BLANK = "blank value in required column(s) ('doc_id', 'coder_source', 'code_label')"
+
+# codes.csv text -> (documents as (id, {source: [(code id, position)]}), codebook
+# entries) when it loads, or (error message, line) when it is rejected
+_PARITY_CASES = {
+    "blank-line-skipped": (
+        _CODES_HEADER + "d1,human,A,0.5\n\nd2,human,b,\n",
+        ([("d1", {"human": [("a", 0.5)]}), ("d2", {"human": [("b", None)]})],
+         {"a": "A", "b": "b"}),
+    ),
+    "short-row-blank-value": (_CODES_HEADER + "d1,human\n", (_BLANK, 2)),
+    "short-row-without-position": (
+        _CODES_HEADER + "d1,human,A\n",
+        ([("d1", {"human": [("a", None)]}), ("d2", {"human": []})], {"a": "A"}),
+    ),
+    "extra-trailing-field": (
+        _CODES_HEADER + "d1,human,A,0.25,extra\n",
+        ([("d1", {"human": [("a", 0.25)]}), ("d2", {"human": []})], {"a": "A"}),
+    ),
+    "quoted-line-break": (_CODES_HEADER + 'd1,human,"two\nlines",0.5\nd2,human,,\n', (_BLANK, 4)),
+    "no-position-column": (
+        "doc_id,coder_source,code_label\nd1,human,A\nd2,human,b\n",
+        ([("d1", {"human": [("a", None)]}), ("d2", {"human": [("b", None)]})],
+         {"a": "A", "b": "b"}),
+    ),
+    "reordered-columns": (
+        "position,code_label,doc_id,coder_source\n0.75,B,d2,ai\n,a,d1,ai\n",
+        ([("d1", {"ai": [("a", None)]}), ("d2", {"ai": [("b", 0.75)]})], {"b": "B", "a": "a"}),
+    ),
+    "repeated-column-last-wins": (
+        "doc_id,coder_source,code_label,code_label,position\nd1,human,A,B,0.5\n",
+        ([("d1", {"human": [("b", 0.5)]}), ("d2", {"human": []})], {"b": "B"}),
+    ),
+    "position-not-a-number": (_CODES_HEADER + "d1,human,A,x\n", ("bad position 'x'", 2)),
+    "position-above-one": (_CODES_HEADER + "d1,human,A,1.5\n", ("position 1.5 outside [0, 1]", 2)),
+    "position-nan": (_CODES_HEADER + "d1,human,A,nan\n", ("position nan outside [0, 1]", 2)),
+    "source-missing-from-a-document": (
+        _CODES_HEADER + "d1,human,A,0.5\nd1,ai,B,\nd2,human,a,0.125\n",
+        ([("d1", {"human": [("a", 0.5)], "ai": [("b", None)]}),
+          ("d2", {"human": [("a", 0.125)], "ai": []})],
+         {"a": "A", "b": "B"}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+def test_load_codes_parity(tmp_path, case):
+    text, expected = _PARITY_CASES[case]
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    codes = tmp_path / "codes.csv"
+    codes.write_text(text, encoding="utf-8")
+    if isinstance(expected[0], str):
+        message, line = expected
+        with pytest.raises(CollectionFormatError) as err:
+            load_collection(docs, codes)
+        assert str(err.value) == f"{codes}:{line}: {message}"
+        assert err.value.line == line
+        return
+    documents, codebook = load_collection(docs, codes)
+    assert [
+        (d.id, {s: [(i.code_id, i.position) for i in insts] for s, insts in d.codes.items()})
+        for d in documents
+    ] == expected[0]
+    assert codebook.entries == expected[1]
+
+
+# --- CodeMatrix.take against the walk ---------------------------------------
+
+_LABELS = st.sampled_from(["a", "B", "c", " b ", "d e", "F"])
+_POSITIONS = st.one_of(st.none(), st.sampled_from([0.0, 0.125, 0.5, 1.0]))
+
+
+@st.composite
+def _collections(draw):
+    """A collection of 1-6 documents coded by one or two sources, spread
+    over one or two code files, with row order shuffled."""
+    n_docs = draw(st.integers(1, 6))
+    sources = draw(st.lists(st.sampled_from(["human", "ai"]), min_size=1, max_size=2, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_docs - 1), st.sampled_from(sources), _LABELS, _POSITIONS),
+            max_size=25,
+        )
+    )
+    split = draw(st.integers(0, len(rows)))
+    lengths = draw(st.lists(st.integers(1, 500), min_size=n_docs, max_size=n_docs))
+    return lengths, [rows[:split], rows[split:]]
+
+
+@given(_collections(), st.data())
+def test_take_matches_walk(tmp_path_factory, collection, data):
+    lengths, files = collection
+    root = tmp_path_factory.mktemp("take")
+    docs_path = root / "documents.jsonl"
+    docs_path.write_text(
+        "".join(f'{{"id": "d{i}", "text_length": {n}}}\n' for i, n in enumerate(lengths)),
+        encoding="utf-8",
+    )
+    codes_paths = []
+    for k, rows in enumerate(files):
+        path = root / f"codes{k}.csv"
+        path.write_text(
+            _CODES_HEADER
+            + "".join(
+                f"d{d},{src},{label},{'' if pos is None else pos}\n" for d, src, label, pos in rows
+            ),
+            encoding="utf-8",
+        )
+        codes_paths.append(path)
+    documents, _ = load_collection(docs_path, codes_paths)
+    picks = data.draw(st.lists(st.integers(0, len(documents) - 1), max_size=10))
+    subset = [documents[i] for i in picks]
+    # plain copies: their codes are dictionaries, so build walks them
+    copies = [Document(d.id, d.text_length, d.source_label, dict(d.codes)) for d in subset]
+    for source in documents[0].codes:
+        walked = CodeMatrix.build(copies, source)
+        full = CodeMatrix.build(documents, source)
+        for taken in (full.take(picks), CodeMatrix.build(subset, source)):
+            assert [taken.labels[c] for c in taken.codes] == [walked.labels[c] for c in walked.codes]
+            assert taken.offsets.tolist() == walked.offsets.tolist()
+            assert taken.lengths.tolist() == walked.lengths.tolist()
+            np.testing.assert_array_equal(taken.positions, walked.positions)
+        assert list(full.labels) == sorted(full.labels)
+
+
+def test_take_missing_source_raises_like_the_walk(tmp_path):
+    docs, codes, _ = _write_fixture(
+        tmp_path,
+        ['{"id": "d1", "text_length": 10}', '{"id": "d2", "text_length": 20}'],
+        codes_rows=[("d2", "human", "x", "")],
+    )
+    documents, _ = load_collection(docs, codes)
+    with pytest.raises(UnknownCoderSourceError) as err:
+        CodeMatrix.build(documents[::-1], "ai")
+    assert str(err.value) == "document 'd2' has no codes from source 'ai'"
+
+
+def test_replaced_length_leaves_the_shared_row(tmp_path):
+    docs, codes, _ = _write_fixture(
+        tmp_path, ['{"id": "d1", "text_length": 10}'], codes_rows=[("d1", "human", "x", "0.5")]
+    )
+    (loaded,), _ = load_collection(docs, codes)
+    longer = dataclasses.replace(loaded, text_length=40)
+    assert longer.codes == {"human": (CodeInstance("x", 0.5),)}
+    assert CodeMatrix.build([longer], "human").lengths.tolist() == [40]
+    assert CodeMatrix.build([loaded], "human").lengths.tolist() == [10]

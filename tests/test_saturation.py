@@ -329,12 +329,12 @@ def _rarefaction(docs, coder_source):
     n_cd holding both c and d: E[S_k] = sum_c 1 - r(n_c, k) and
     Var[S_k] = sum_{c,d} r(n_c + n_d - n_cd, k) - (sum_c r(n_c, k))^2.
     """
-    labels = sorted({c for d in docs for c in d.code_ids(coder_source)})
+    labels = sorted({inst.code_id for d in docs for inst in d.instances(coder_source)})
     column = {c: j for j, c in enumerate(labels)}
     N = len(docs)
     incidence = np.zeros((N, len(labels)), dtype=np.int64)
     for i, doc in enumerate(docs):
-        incidence[i, [column[c] for c in doc.code_ids(coder_source)]] = 1
+        incidence[i, [column[inst.code_id] for inst in doc.instances(coder_source)]] = 1
     both = incidence.T @ incidence
     n = np.diag(both)
     union_sizes = np.bincount((n[:, None] + n[None, :] - both).ravel(), minlength=N + 1)

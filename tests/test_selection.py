@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fecund.corpus import Document
-from fecund.errors import SampleSizeError, TooManyCandidatesError, UnknownCoderSourceError
+from fecund.errors import SampleSizeError, UnknownCoderSourceError
 from fecund.selection import (
     LOG1P,
     SQRT,
@@ -15,13 +15,17 @@ from fecund.selection import (
     ValueFunction,
     interleave_blinded,
     objective,
-    select_exact,
     select_greedy,
     select_random,
 )
 
 from conftest import make_doc
-from reference import select_greedy_loop, select_greedy_naive
+from reference import (
+    TooManyCandidatesError,
+    select_exact,
+    select_greedy_loop,
+    select_greedy_naive,
+)
 
 
 def _brute_force(docs, budget, vf, source):
