@@ -397,10 +397,14 @@ def cmd_analyze(args) -> int:
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
     arms = {doc_id: arm for _, (doc_id, arm) in _read_csv(args.unblinding, ("doc_id", "arm"))}
-    extra = {}  # doc_id -> (round, old_random), each None when not given
+    extra = {}  # doc_id -> (round, old_random); round 0.0 and old_random None when not given
     if args.experiment:
         rows = _read_csv(args.experiment, ("doc_id",), ("round", "old_random"))
-        extra = {doc_id: meta for _, (doc_id, *meta) in rows}
+        for lineno, (doc_id, round_, old_random) in rows:
+            try:
+                extra[doc_id] = (float(0 if round_ is None else round_), old_random)
+            except ValueError as exc:
+                raise CollectionFormatError(str(exc), args.experiment, lineno) from None
 
     freq = compute_frequencies(ordered, args.outcome_source)
     density_freq = None
@@ -419,14 +423,14 @@ def cmd_analyze(args) -> int:
     }
     for i, doc in enumerate(ordered, start=1):
         arm = arms.get(doc.id, "control")
-        round_, old_random = extra.get(doc.id, (None, None))
+        round_, old_random = extra.get(doc.id, (0.0, None))
         data["fecundity"].append(fecundity(doc, freq, args.outcome_source).fecundity)
         data["ai_selected"].append(1.0 if arm in ("treatment", "overlap") else 0.0)
         data["index"].append(float(i))
         data["length"].append(float(doc.text_length))
         data["overlap"].append(arm == "overlap")
         data["old_random"].append(str(old_random).lower() == "true")
-        data["round"].append(float(0 if round_ is None else round_))
+        data["round"].append(round_)
         if density_freq is not None:
             data["ai_density"].append(
                 fecundity(doc, density_freq, args.density_source).fecundity

@@ -13,11 +13,12 @@ and reproducibly.
 
 from __future__ import annotations
 
-import json
 import ast
+import json
 import os
 import re
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +26,7 @@ from string import Template
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from .ingest import Passage
@@ -261,16 +263,19 @@ def _normalize_valence(value) -> str | None:
     return None if text.lower() in ("", "none") else text.rstrip(".")
 
 
-def _extract_dict(raw: str) -> dict:
-    """The first dictionary-shaped region of a reply, in Python or JSON literal syntax.
+def _extract_dict(raw: str) -> list[tuple[str, object]]:
+    """The first dictionary-shaped region of a reply, in JSON or Python literal
+    syntax, as (lowercased key, value) pairs.
 
-    Every reply of every chain step is read here, so a reply that parses
-    at one step parses at all of them.
+    JSON is tried first: most replies are JSON, and it reads escapes as
+    meant where Python would not (``\\/`` is ``/``, an escaped surrogate
+    pair is one character). Every reply of every chain step is read here,
+    so a reply that parses at one step parses at all of them.
     """
     match = _DICT_REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
-    for parser in (ast.literal_eval, json.loads):
+    for parser in (json.loads, ast.literal_eval):
         try:
             obj = parser(match.group(0))
             break
@@ -278,13 +283,13 @@ def _extract_dict(raw: str) -> dict:
             obj = None
     if not isinstance(obj, dict):
         raise ResponseParseError("dictionary-shaped region failed to parse", raw)
-    return obj
+    return [(str(key).lower(), value) for key, value in obj.items()]
 
 
-def _pick(reply: dict, needle: str, default=None):
-    """The value of the first key whose lowercased text contains ``needle``."""
-    for key, value in reply.items():
-        if needle in str(key).lower():
+def _pick(reply: list[tuple[str, object]], needle: str, default=None):
+    """The value of the first key that contains ``needle``."""
+    for key, value in reply:
+        if needle in key:
             return value
     return default
 
@@ -296,6 +301,18 @@ def _clean(value) -> str | None:
     return None if text.lower() in ("", "none", "null") else text
 
 
+def _encodable(response: CodeResponse, raw: str) -> CodeResponse:
+    """``response``, unless a field holds a lone surrogate, which no UTF-8
+    output can store."""
+    for value in (response.theme, response.whose_attitude, response.target, response.valence):
+        if value is not None and not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ResponseParseError("reply holds a lone surrogate", raw) from None
+    return response
+
+
 def parse_response(raw: str) -> CodeResponse:
     """Pull the first dictionary-shaped region out of a reply and normalize it.
 
@@ -304,11 +321,14 @@ def parse_response(raw: str) -> CodeResponse:
     passage irrelevant.
     """
     reply = _extract_dict(raw)
-    return CodeResponse(
-        theme=_clean(_pick(reply, "theme")),
-        whose_attitude=_clean(_pick(reply, "attitude")),
-        target=_clean(_pick(reply, "target")),
-        valence=_normalize_valence(_clean(_pick(reply, "valence"))),
+    return _encodable(
+        CodeResponse(
+            theme=_clean(_pick(reply, "theme")),
+            whose_attitude=_clean(_pick(reply, "attitude")),
+            target=_clean(_pick(reply, "target")),
+            valence=_normalize_valence(_clean(_pick(reply, "valence"))),
+        ),
+        raw,
     )
 
 
@@ -317,7 +337,7 @@ def parse_round1_response(raw: str) -> CodeResponse:
     text = raw.strip().strip('"').strip()
     if not text or text.lower().rstrip(".") == "irrelevant":
         return CodeResponse()
-    return CodeResponse(theme=text)
+    return _encodable(CodeResponse(theme=text), raw)
 
 
 # --- backends ---------------------------------------------------------------
@@ -344,11 +364,18 @@ class MockCoder:
         ranks = np.arange(1, vocab_size + 1, dtype=float)
         weights = ranks**-zipf_exponent
         self.probabilities = weights / weights.sum()
+        # Generator.choice(p=...) draws one uniform and bisects this same CDF
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
+        # the passage asked about last, its triage flags and its drawn codes by slot;
+        # the chain asks about one passage many times in a row
+        self._last: tuple[Passage | None, list[str], dict[int, str]] = (None, [], {})
 
     def _rng(self, passage_id: str, slot: int) -> np.random.Generator:
         digest = int.from_bytes(passage_id.encode("utf-8")[-8:].rjust(8, b"\0"), "big")
-        return np.random.default_rng([self.seed, digest % (2**32), slot])
+        return default_rng([self.seed, digest % (2**32), slot])
 
     def n_slots(self, passage: Passage) -> int:
         rng = self._rng(passage.article_id + ":" + str(passage.index), 0)
@@ -364,12 +391,22 @@ class MockCoder:
             flags.append(CRITERIA_CAPTION)
         return flags
 
+    def _memo(self, passage: Passage) -> tuple[Passage | None, list[str], dict[int, str]]:
+        memo = self._last
+        if memo[0] is not passage:
+            memo = self._last = (passage, self._flags(passage), {})
+        return memo
+
     def _draw_code(self, passage: Passage, slot: int) -> str:
-        rng = self._rng(passage.article_id + ":" + str(passage.index), slot + 1)
-        return self.vocab[int(rng.choice(len(self.vocab), p=self.probabilities))]
+        """One seeded draw per (passage, slot), shared by every step that asks."""
+        codes = self._memo(passage)[2]
+        if slot not in codes:
+            rng = self._rng(passage.article_id + ":" + str(passage.index), slot + 1)
+            codes[slot] = self.vocab[bisect_right(self._cdf, rng.random())]
+        return codes[slot]
 
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
-        flags = self._flags(passage)
+        flags = self._memo(passage)[1]
         if step == "triage_caption":
             return (
                 '{"1. disclaimer?": %s, "2. caption?": %s, "Body?": %s }'
@@ -619,7 +656,9 @@ def code_passages(
         except TransportError as exc:
             return key, [], f"{type(exc).__name__}: {exc}"
         except ResponseParseError as exc:
-            return key, [], f"{type(exc).__name__}: {exc}: {exc.raw[:200]}"
+            # escaped, so a reply holding a lone surrogate can still be recorded
+            raw = exc.raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
+            return key, [], f"{type(exc).__name__}: {exc}: {raw}"
         return key, responses, None
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)

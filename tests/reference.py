@@ -14,6 +14,8 @@ one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
 ``parse_relevance``); ``fecund.coder._run_chain`` must render the same
 prompts and return the same responses for every reply these accept.
+``mock_draw_choice`` is the mock coder's code draw as ``Generator.choice``
+makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from fecund.coder import (
     CRITERIA_NOT_MALAYSIA,
     CRITERIA_NOT_REFUGEES,
     CodeResponse,
+    MockCoder,
     _normalize_valence,
     flag_note,
     parse_round1_response,
@@ -359,7 +362,9 @@ def parse_response_branches(raw: str) -> CodeResponse:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
     region = match.group(0)
     obj = None
-    for parser in (ast.literal_eval, json.loads):
+    # JSON first: where both read a region, JSON reads "\/" as "/" and an
+    # escaped surrogate pair as one character
+    for parser in (json.loads, ast.literal_eval):
         try:
             obj = parser(region)
             break
@@ -387,6 +392,13 @@ def parse_response_branches(raw: str) -> CodeResponse:
         target=clean(pick("target")),
         valence=_normalize_valence(clean(pick("valence"))),
     )
+
+
+def mock_draw_choice(coder: MockCoder, passage: Passage, slot: int) -> str:
+    """The code of one mock slot, drawn with ``Generator.choice`` from a fresh
+    generator on the slot's seed."""
+    rng = coder._rng(f"{passage.article_id}:{passage.index}", slot + 1)
+    return coder.vocab[int(rng.choice(len(coder.vocab), p=coder.probabilities))]
 
 
 def run_chain_branches(

@@ -348,6 +348,8 @@ _CASE_FILES = {
     "manifest-no-doc-id.csv": "reading_index,id\n1,doc-00\n",
     "manifest-repeat.csv": "reading_index,doc_id\n1,doc-00\n2,doc-00\n",
     "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
+    "manifest.csv": "reading_index,doc_id\n1,doc-00\n2,doc-01\n",
+    "experiment.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-01,x,false\n",
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -424,6 +426,12 @@ _BAD_INPUTS = {
         EXIT_DATA,
         "{tmp}/manifest-repeat.csv:3: manifest repeats document 'doc-00'",
     ),
+    "experiment-round-non-numeric": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding.csv", "--experiment", "{tmp}/experiment.csv"],
+        EXIT_DATA,
+        "{tmp}/experiment.csv:3: could not convert string to float: 'x'",
+    ),
 }
 
 
@@ -471,6 +479,46 @@ def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeyp
     ]
     assert len(_read_csv(out / "ai_codes.csv")) > 1  # every other passage was coded
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad, recorded",
+    [
+        ("{'1. Theme': 'bad \\ud83d'}", "{'1. Theme': 'bad \\ud83d'}"),  # a Python escape
+        ('{"1. Theme": "bad \ud83d"}', '{"1. Theme": "bad \\ud83d"}'),  # the character itself
+    ],
+    ids=["escaped", "character"],
+)
+def test_code_records_lone_surrogate_per_passage(
+    corpus_dir, tmp_path, monkeypatch, capsys, bad, recorded
+):
+    good = '{"1. Theme": "Aid access", "4. Valence": "N/A"}'
+    replies = iter([good] * 4 + [bad])  # the first passage's last chain step
+
+    def transport(url, headers, body, timeout):
+        content = next(replies, good)
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(
+        cli, "RemoteCoder", lambda config: coder.RemoteCoder(config, transport=transport)
+    )
+    out = tmp_path / "coded"
+    code = run(
+        "code", "--docs", corpus_dir / "documents.jsonl", "--backend", "remote",
+        "--url", "http://example.invalid/v1/chat", "--model", "m", "--max-in-flight", 1,
+        "--seed", 5, "--out", out,
+    )
+    assert code == EXIT_REMOTE
+    assert _read_csv(out / "coding_errors.csv") == [
+        {"passage_id": "doc-00:0000",
+         "error": f"ResponseParseError: reply holds a lone surrogate: {recorded}"}
+    ]
+    stdout = capsys.readouterr().out
+    n_passages = int(stdout.split("coded ")[1].split(" passages")[0])
+    codes = _read_csv(out / "ai_codes.csv")
+    assert len(codes) == n_passages - 1  # every other passage was coded
+    assert {row["code_label"] for row in codes} == {"Aid access"}
+    assert (out / "run_meta.json").exists()
 
 
 def test_cli_import_loads_no_scipy_or_http(corpus_dir, tmp_path):

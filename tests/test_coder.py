@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fecund import coder as coder_module
 from fecund.coder import (
     CRITERIA_CAPTION,
     FEWSHOT_CHAIN,
@@ -25,7 +26,7 @@ from fecund.coder import (
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
-from reference import run_chain_branches
+from reference import mock_draw_choice, run_chain_branches
 
 
 def passage(text, article="a1", index=0):
@@ -181,6 +182,49 @@ def test_parse_format_round_trip(theme, who, target, valence):
     assert parse_response(original.format()) == original
 
 
+words = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
+
+
+@given(
+    st.dictionaries(
+        st.one_of(
+            st.sampled_from(["1. Theme", "2. Whose Attitude?", "3. Target", "4. Valence"]), words
+        ),
+        st.one_of(st.none(), words),
+        max_size=5,
+    )
+)
+@example({"1. Theme": "\U0001f600 grin", "3. Target": "a/b"})
+def test_parse_reads_python_and_json_alike(reply):
+    readings = [
+        parse_response(repr(reply)),
+        parse_response(json.dumps(reply)),  # escapes a non-BMP character as a surrogate pair
+        parse_response(json.dumps(reply, ensure_ascii=False)),
+    ]
+    assert readings[0] == readings[1] == readings[2]
+
+
+def test_parse_reads_json_escapes_as_json():
+    assert parse_response('{"1. Theme": "a\\/b"}').theme == "a/b"
+    assert parse_response('{"1. Theme": "\\ud83d\\ude00"}').theme == "\U0001f600"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "{'1. Theme': 'bad \\ud83d'}",  # a Python escape
+        '{"1. Theme": "bad \\udc00"}',  # a JSON escape
+        '{"3. Target": "\ud83d", "1. Theme": "ok"}',  # the character itself
+    ],
+)
+def test_lone_surrogate_is_unreadable(raw):
+    with pytest.raises(ResponseParseError, match="reply holds a lone surrogate") as err:
+        parse_response(raw)
+    assert err.value.raw == raw
+    with pytest.raises(ResponseParseError, match="reply holds a lone surrogate"):
+        parse_round1_response("theme \ud83d")
+
+
 # --- mock backend --------------------------------------------------------------
 
 
@@ -210,6 +254,36 @@ def test_mock_zipf_vocabulary_skews():
     top = counts.most_common(1)[0][1]
     assert top >= 3  # head codes repeat
     assert len(counts) >= 10  # but the tail is long
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    article=st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+    index=st.integers(0, 9999),
+    slot=st.integers(0, 5),
+    vocab_size=st.integers(1, 400),
+    zipf_exponent=st.floats(0.0, 8.0),
+)
+def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zipf_exponent):
+    backend = MockCoder(seed=seed, vocab_size=vocab_size, zipf_exponent=zipf_exponent)
+    p = passage("x", article=article, index=index)
+    assert backend._draw_code(p, slot) == mock_draw_choice(backend, p, slot)
+
+
+@pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
+def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
+    passages = [passage("x" * (150 + 120 * i), article=f"a{i}") for i in range(12)]
+    built = []
+    real = coder_module.default_rng
+
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(coder_module, "default_rng", counting)
+    run = code_passages(passages, MockCoder(seed=4), chain)
+    assert len(run.results) > len(passages)  # some passages have several slots
+    assert len(built) == len(passages) + len(run.results)
 
 
 class RecordingBackend:
@@ -311,7 +385,6 @@ prose = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="{}"),
     max_size=12,
 )
-words = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20)
 
 
 def reply_dicts(keys, values, renders):
@@ -410,6 +483,21 @@ FLAGGED = "Photo caption: the views expressed are not those of the paper"
         "round1": "",
     },
 )
+@example(
+    chain=SOCRATIC_CHAIN,
+    text="t",
+    summary="",
+    fewshot="",
+    replies={
+        "triage_caption": "{}",
+        "triage_relevance": "{}",
+        "relevance_confidence": "{}",
+        "socratic_code": '{"1. Theme": "\\ud800\\udc00"}',
+        "summary_reassess": '{"1. Theme": "a\\/b"}',
+        "final_fewshot": "{}",
+        "round1": "",
+    },
+)
 @settings(max_examples=300)
 def test_chain_loop_matches_branch_oracle(chain, text, summary, fewshot, replies):
     p = passage(text)
@@ -486,6 +574,7 @@ class OneBadPassage(ScriptedBackend):
         ("triage_relevance", "{'1. Refugees?', 'No.'}", "dictionary-shaped region failed to parse"),
         ("relevance_confidence", "x" * 300, "no dictionary-shaped region in reply"),
         ("socratic_code", "{" + "y" * 300 + "}", "dictionary-shaped region failed to parse"),
+        ("summary_reassess", "{'1. Theme': 'bad \\ud83d'}", "reply holds a lone surrogate"),
     ],
 )
 def test_unreadable_reply_costs_one_passage(step, bad_reply, message):
@@ -493,6 +582,16 @@ def test_unreadable_reply_costs_one_passage(step, bad_reply, message):
     run = code_passages(passages, OneBadPassage(step, bad_reply))
     assert [key for key, _ in run] == ["a:0000", "c:0000"]
     assert run.errors == (("bad:0000", f"ResponseParseError: {message}: {bad_reply[:200]}"),)
+
+
+def test_unreadable_reply_is_recorded_as_utf8():
+    bad_reply = '{"1. Theme": "bad \ud83d"}'
+    passages = [passage("x" * 200, article=a) for a in ("a", "bad")]
+    run = code_passages(passages, OneBadPassage("final_fewshot", bad_reply), FEWSHOT_CHAIN)
+    assert [key for key, _ in run] == ["a:0000"]
+    assert run.errors == (
+        ("bad:0000", 'ResponseParseError: reply holds a lone surrogate: {"1. Theme": "bad \\ud83d"}'),
+    )
 
 
 # --- remote backend ---------------------------------------------------------------
