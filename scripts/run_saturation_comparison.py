@@ -13,7 +13,13 @@ import argparse
 import csv
 from pathlib import Path
 
-from fecund.saturation import CountingRegime, bootstrap_band, cumulative_curve, detect_stopping
+from fecund.saturation import (
+    REGIME_KINDS,
+    CountingRegime,
+    bootstrap_bands,
+    cumulative_curve,
+    detect_stopping,
+)
 from fecund.selection import SQRT, SelectionBudget, select_greedy, select_random
 from fecund.svgplot import line_chart
 from fecund.synthetic import synth_corpus
@@ -44,34 +50,38 @@ def main():
         f"control: {len(control_docs)} docs / {control.total_chars} chars"
     )
 
-    regimes = ["unique", "hf_retrospective", "hf_iterative", "themes"]
+    regimes = [CountingRegime(kind) for kind in REGIME_KINDS]
     with open(out / "stopping_rule.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["arm", "regime", "satisfied_at", "count_at_satisfaction", "all_points"])
         for arm, arm_docs in (("treatment", treatment_docs), ("control", control_docs)):
-            for kind in regimes:
-                regime = CountingRegime(kind)
+            bands = bootstrap_bands(
+                arm_docs, regimes, "ai", n_iterations=args.iterations,
+                seed=args.seed, codebook=codebook,
+            )
+            for regime, band in zip(regimes, bands):
+                kind = regime.kind
                 curve = cumulative_curve(arm_docs, regime, "ai", codebook=codebook)
                 stop = detect_stopping(curve)
                 writer.writerow(
                     [arm, kind, stop.satisfied_at, stop.codes_at_satisfaction,
                      " ".join(map(str, stop.all_satisfaction_points))]
                 )
-                band = bootstrap_band(
-                    arm_docs, regime, "ai", n_iterations=args.iterations,
-                    seed=args.seed, codebook=codebook,
-                )
+                retained = len(band.lo95)
+                chars = band.mean_chars[:retained].tolist()
+                means = band.mean_count[:retained].tolist()
+                lo, hi = band.lo95.tolist(), band.hi95.tolist()
                 with open(out / f"band_{arm}_{kind}.csv", "w", encoding="utf-8", newline="") as bf:
                     bw = csv.writer(bf, lineterminator="\n")
                     bw.writerow(["step", "mean_chars", "mean_count", "lo95", "hi95"])
-                    for s in band.steps:
-                        bw.writerow([s.doc_index, repr(s.mean_chars), repr(s.mean_count),
-                                     repr(s.lo95), repr(s.hi95)])
+                    bw.writerows(
+                        zip(range(1, retained + 1), *(map(repr, c) for c in (chars, means, lo, hi)))
+                    )
                 line_chart(
                     out / f"band_{arm}_{kind}.svg",
-                    [s.mean_chars for s in band.steps],
-                    [s.mean_count for s in band.steps],
-                    band=([s.lo95 for s in band.steps], [s.hi95 for s in band.steps]),
+                    chars,
+                    means,
+                    band=(lo, hi),
                     title=f"{arm}: cumulative {kind}",
                     x_label="cumulative characters",
                     y_label="cumulative count",

@@ -26,7 +26,7 @@ from .saturation import (
     CountingRegime,
     SaturationCurve,
     StoppingRuleResult,
-    bootstrap_band,
+    bootstrap_bands,
     cumulative_curve,
     detect_stopping,
     median_code_position,

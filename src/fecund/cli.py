@@ -37,7 +37,8 @@ from .errors import (
 from .ingest import _read_csv, load_articles, load_collection, split_passages, write_collection
 from .saturation import (
     CountingRegime,
-    bootstrap_band,
+    REGIME_KINDS,
+    bootstrap_bands,
     cumulative_curve,
     position_trend,
 )
@@ -326,57 +327,44 @@ def cmd_saturate(args) -> int:
     out = _out_dir(args)
     docs, codebook = _load(args)
     order = _manifest_order(docs, args.order) if args.order else docs
-    regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
-    for kind in regimes:
-        regime = CountingRegime(kind, hf_threshold=args.threshold)
+    regimes = [CountingRegime(kind, hf_threshold=args.threshold) for kind in args.regimes]
+    if args.bootstrap:
+        bands = bootstrap_bands(
+            order,
+            regimes,
+            args.coder_source,
+            n_iterations=args.iterations,
+            seed=args.seed,
+            codebook=codebook,
+        )
+    for i, regime in enumerate(regimes):
+        kind = regime.kind
         if args.bootstrap:
-            band = bootstrap_band(
-                order,
-                regime,
-                args.coder_source,
-                n_iterations=args.iterations,
-                seed=args.seed,
-                codebook=codebook,
-            )
-            rows = [
-                [s.doc_index, _fmt(s.mean_chars), _fmt(s.mean_count), _fmt(s.lo95), _fmt(s.hi95)]
-                for s in band.steps
-            ]
-            _write_csv(
-                out / f"curve_{kind}.csv",
-                ["step", "mean_chars", "mean_count", "lo95", "hi95"],
-                rows,
-            )
-            if args.plot:
-                line_chart(
-                    out / f"curve_{kind}.svg",
-                    [s.mean_chars for s in band.steps],
-                    [s.mean_count for s in band.steps],
-                    band=([s.lo95 for s in band.steps], [s.hi95 for s in band.steps]),
-                    title=f"Cumulative {kind} (bootstrap mean, 95% band)",
-                    x_label="cumulative characters",
-                    y_label="cumulative count",
-                )
+            band = bands[i]
+            retained = len(band.lo95)
+            columns = (band.mean_chars, band.mean_count, band.lo95, band.hi95)
+            x, y, lo, hi = (c[:retained].tolist() for c in columns)
+            header = ["step", "mean_chars", "mean_count", "lo95", "hi95"]
+            rows = list(zip(range(1, retained + 1), *(map(repr, c) for c in (x, y, lo, hi))))
+            shaded, title = (lo, hi), f"Cumulative {kind} (bootstrap mean, 95% band)"
         else:
             curve = cumulative_curve(order, regime, args.coder_source, codebook=codebook)
-            rows = [
-                [s.doc_index, doc_id, s.cumulative_chars, s.cumulative_count]
-                for s, doc_id in zip(curve.steps, curve.document_order)
-            ]
-            _write_csv(
-                out / f"curve_{kind}.csv",
-                ["step", "doc_id", "cumulative_chars", "cumulative_count"],
-                rows,
+            x = [s.cumulative_chars for s in curve.steps]
+            y = [s.cumulative_count for s in curve.steps]
+            header = ["step", "doc_id", "cumulative_chars", "cumulative_count"]
+            rows = list(zip(range(1, len(order) + 1), curve.document_order, x, y))
+            shaded, title = None, f"Cumulative {kind}"
+        _write_csv(out / f"curve_{kind}.csv", header, rows)
+        if args.plot:
+            line_chart(
+                out / f"curve_{kind}.svg",
+                x,
+                y,
+                band=shaded,
+                title=title,
+                x_label="cumulative characters",
+                y_label="cumulative count",
             )
-            if args.plot:
-                line_chart(
-                    out / f"curve_{kind}.svg",
-                    [s.cumulative_chars for s in curve.steps],
-                    [s.cumulative_count for s in curve.steps],
-                    title=f"Cumulative {kind}",
-                    x_label="cumulative characters",
-                    y_label="cumulative count",
-                )
     if args.positions:
         trend = position_trend(order, args.coder_source, window=args.positions_window)
         _write_csv(
@@ -385,7 +373,7 @@ def cmd_saturate(args) -> int:
             [[t.text_length, _fmt(t.median_position), _fmt(t.moving_average)] for t in trend],
         )
     _write_meta(out, args)
-    print(f"wrote saturation curve(s) for {', '.join(regimes)} to {out}")
+    print(f"wrote saturation curve(s) for {', '.join(args.regimes)} to {out}")
     return EXIT_OK
 
 
@@ -397,12 +385,15 @@ def cmd_analyze(args) -> int:
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
     arms = {doc_id: arm for _, (doc_id, arm) in _read_csv(args.unblinding, ("doc_id", "arm"))}
-    extra = {}  # doc_id -> (round, old_random); round 0.0 and old_random None when not given
+    extra = {}  # doc_id -> (round, old_random); 0.0 and False when not given
     if args.experiment:
         rows = _read_csv(args.experiment, ("doc_id",), ("round", "old_random"))
         for lineno, (doc_id, round_, old_random) in rows:
+            flag = (old_random or "false").lower()
             try:
-                extra[doc_id] = (float(0 if round_ is None else round_), old_random)
+                if flag not in ("true", "false"):
+                    raise ValueError(f"old_random must be true or false, got {old_random!r}")
+                extra[doc_id] = (float(0 if round_ is None else round_), flag == "true")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.experiment, lineno) from None
 
@@ -423,13 +414,13 @@ def cmd_analyze(args) -> int:
     }
     for i, doc in enumerate(ordered, start=1):
         arm = arms.get(doc.id, "control")
-        round_, old_random = extra.get(doc.id, (0.0, None))
+        round_, old_random = extra.get(doc.id, (0.0, False))
         data["fecundity"].append(fecundity(doc, freq, args.outcome_source).fecundity)
         data["ai_selected"].append(1.0 if arm in ("treatment", "overlap") else 0.0)
         data["index"].append(float(i))
         data["length"].append(float(doc.text_length))
         data["overlap"].append(arm == "overlap")
-        data["old_random"].append(str(old_random).lower() == "true")
+        data["old_random"].append(old_random)
         data["round"].append(round_)
         if density_freq is not None:
             data["ai_density"].append(
@@ -568,18 +559,27 @@ def _parse_flat_config(path: str) -> dict[str, str]:
     return values
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
 def _positive_ints(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",")]
+    return [_int_at_least(part) for part in text.split(",")]
+
+
+def _regimes(text: str) -> list[str]:
+    kinds = [part.strip() for part in text.split(",") if part.strip()]
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(REGIME_KINDS):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct names from {', '.join(REGIME_KINDS)}, got {text!r}"
+        )
+    return kinds
 
 
 def _quadratic(text: str) -> tuple[float, float, float]:
@@ -673,13 +673,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--codes", required=True)
     p.add_argument("--themes")
     p.add_argument("--coder-source", default="human")
-    p.add_argument("--regimes", default="unique")
-    p.add_argument("--threshold", type=int, default=3)
+    p.add_argument("--regimes", type=_regimes, default="unique")
+    p.add_argument("--threshold", type=functools.partial(_int_at_least, minimum=2), default=3)
     p.add_argument("--order", help="manifest.csv fixing the document order")
     p.add_argument("--bootstrap", action="store_true")
-    p.add_argument("--iterations", type=_positive_int, default=2000)
+    p.add_argument("--iterations", type=_int_at_least, default=2000)
     p.add_argument("--positions", action="store_true", help="also write positions.csv")
-    p.add_argument("--positions-window", type=int, default=5)
+    p.add_argument("--positions-window", type=_int_at_least, default=5)
     p.set_defaults(func=cmd_saturate)
     commands["saturate"] = p
 
@@ -701,7 +701,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--codes", required=True)
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--sizes", type=_positive_ints, help="comma-separated subset sizes")
-    p.add_argument("--replicates", type=_positive_int, default=10)
+    p.add_argument("--replicates", type=_int_at_least, default=10)
     p.add_argument("--budget-docs", type=int, default=20)
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
     p.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")

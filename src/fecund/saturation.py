@@ -26,13 +26,16 @@ import numpy as np
 from .corpus import Codebook, CodeMatrix, Document
 
 
+REGIME_KINDS = ("unique", "hf_retrospective", "hf_iterative", "themes")
+
+
 @dataclass(frozen=True)
 class CountingRegime:
-    kind: str  # unique | hf_retrospective | hf_iterative | themes
+    kind: str  # one of REGIME_KINDS
     hf_threshold: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("unique", "hf_retrospective", "hf_iterative", "themes"):
+        if self.kind not in REGIME_KINDS:
             raise ValueError(f"unknown counting regime {self.kind!r}")
         if self.hf_threshold < 2:
             raise ValueError("hf_threshold must be >= 2")
@@ -56,30 +59,27 @@ class SaturationCurve:
         return [s.cumulative_count for s in self.steps]
 
 
-@dataclass(frozen=True)
-class BandStep:
-    doc_index: int
-    mean_chars: float
-    mean_count: float
-    lo95: float
-    hi95: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapBand:
     """Bootstrap mean curve with a percentile band over random orderings.
 
-    ``steps`` holds the retained, correction-adjusted band (the final 10%
-    of cumulative documents are dropped); ``raw_steps`` keeps the
-    unadjusted percentiles for every step, where the final step always has
-    zero width because the complete corpus is order-invariant.
+    Columns are float64 arrays indexed by step (step ``k`` at index
+    ``k - 1``). ``mean_chars``, ``mean_count``, ``raw_lo95`` and
+    ``raw_hi95`` cover every step; the raw band always has zero width at
+    the final step because the complete corpus is order-invariant.
+    ``lo95`` and ``hi95`` hold the correction-adjusted band over the
+    retained steps only (the final ``truncation`` fraction is dropped).
     """
 
     n_iterations: int
     truncation: float
     regime: CountingRegime
-    steps: tuple[BandStep, ...]
-    raw_steps: tuple[BandStep, ...]
+    mean_chars: np.ndarray
+    mean_count: np.ndarray
+    lo95: np.ndarray
+    hi95: np.ndarray
+    raw_lo95: np.ndarray
+    raw_hi95: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,16 +228,17 @@ def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleR
     )
 
 
-def bootstrap_band(
+def bootstrap_bands(
     docs: Sequence[Document],
-    regime: CountingRegime,
+    regimes: Sequence[CountingRegime],
     coder_source: str,
     n_iterations: int = 2000,
     seed: int = 0,
     truncation: float = 0.10,
     codebook: Codebook | None = None,
-) -> BootstrapBand:
-    """Mean accumulation curve with a 95% band over random document orders.
+) -> list[BootstrapBand]:
+    """Mean accumulation curves with 95% bands over random document orders,
+    one band per regime, all over the same orders.
 
     Orders are sampled without replacement (each iteration is a full
     permutation), because with-replacement resampling biases unique-count
@@ -251,60 +252,57 @@ def bootstrap_band(
     each step index across iterations.
 
     Per-iteration seeds derive from (seed, iteration), so iterations can
-    be evaluated in any order or in parallel with identical results.
+    be evaluated in any order or in parallel with identical results. The
+    orders are drawn once into an int32 position matrix; the regimes are
+    counted in turn into one int32 count matrix, which each regime's
+    percentiles partition in place and the next regime overwrites.
     """
     if n_iterations < 1:
-        raise ValueError("bootstrap_band requires n_iterations >= 1")
+        raise ValueError("bootstrap_bands requires n_iterations >= 1")
+    if not 0.0 < truncation < 1.0:
+        raise ValueError("bootstrap_bands requires 0 < truncation < 1")
     docs = list(docs)
     N = len(docs)
     if N < 2:
-        raise ValueError("bootstrap_band requires at least 2 documents")
-    theme_map = _theme_map(regime, codebook)
+        raise ValueError("bootstrap_bands requires at least 2 documents")
+    theme_maps = [_theme_map(regime, codebook) for regime in regimes]
     matrix = CodeMatrix.build(docs, coder_source)
-    groups = _groups(matrix, regime, theme_map)
 
-    count_matrix = np.empty((n_iterations, N), dtype=np.int64)
+    positions = np.empty((n_iterations, N), dtype=np.int32)
     # Integer partial sums stay below 2**53, so dividing the total gives the
     # same float64 means as averaging an iterations x N matrix of cumsums.
     chars_total = np.zeros(N, dtype=np.int64)
-    block = max(1, _BLOCK_ELEMENTS // max(N, len(groups.docs)))
+    places = np.arange(N, dtype=np.int32)
+    block = max(1, _BLOCK_ELEMENTS // N)
     for first in range(0, n_iterations, block):
         stop = min(first + block, n_iterations)
         perms = np.stack(
             [np.random.default_rng([seed, it]).permutation(N) for it in range(first, stop)]
         )
         chars_total += np.cumsum(matrix.lengths[perms], axis=1).sum(axis=0)
-        positions = np.empty_like(perms)
-        np.put_along_axis(positions, perms, np.arange(N, dtype=np.int64), axis=1)
-        _count_orders(groups, positions, count_matrix[first:stop])
-
-    mean_counts = count_matrix.mean(axis=0)
+        np.put_along_axis(positions[first:stop], perms, places, axis=1)
     mean_chars = chars_total / n_iterations
-    lo_raw = np.percentile(count_matrix, 2.5, axis=0)
-    hi_raw = np.percentile(count_matrix, 97.5, axis=0)
-
-    raw_steps = tuple(
-        BandStep(k + 1, float(mean_chars[k]), float(mean_counts[k]), float(lo_raw[k]), float(hi_raw[k]))
-        for k in range(N)
-    )
+    mean_chars.setflags(write=False)  # every band holds this one array
 
     retained = N - math.ceil(truncation * N)
-    steps = []
-    for k in range(1, retained + 1):
-        fpc = math.sqrt((N - k) / (N - 1))
-        mean_k = float(mean_counts[k - 1])
-        lo_half = max(0.0, mean_k - float(lo_raw[k - 1])) / fpc
-        hi_half = max(0.0, float(hi_raw[k - 1]) - mean_k) / fpc
-        steps.append(
-            BandStep(k, float(mean_chars[k - 1]), mean_k, mean_k - lo_half, mean_k + hi_half)
-        )
-    return BootstrapBand(
-        n_iterations=n_iterations,
-        truncation=truncation,
-        regime=regime,
-        steps=tuple(steps),
-        raw_steps=raw_steps,
-    )
+    fpc = np.sqrt((N - np.arange(1, retained + 1)) / (N - 1))
+    # Counts never exceed the number of groups, so int32 is exact; mean and
+    # percentile compute in float64 as they would from int64.
+    counts = np.empty((n_iterations, N), dtype=np.int32)
+    bands = []
+    for regime, theme_map in zip(regimes, theme_maps):
+        groups = _groups(matrix, regime, theme_map)
+        block = max(1, _BLOCK_ELEMENTS // max(N, len(groups.docs)))
+        for first in range(0, n_iterations, block):
+            _count_orders(groups, positions[first : first + block], counts[first : first + block])
+        mean_count = counts.mean(axis=0)
+        raw_lo, raw_hi = np.percentile(counts, [2.5, 97.5], axis=0, overwrite_input=True)
+        mean = mean_count[:retained]
+        lo95 = mean - np.maximum(0.0, mean - raw_lo[:retained]) / fpc
+        hi95 = mean + np.maximum(0.0, raw_hi[:retained] - mean) / fpc
+        columns = (mean_chars, mean_count, lo95, hi95, raw_lo, raw_hi)
+        bands.append(BootstrapBand(n_iterations, truncation, regime, *columns))
+    return bands
 
 
 def median_code_position(doc: Document, coder_source: str) -> float | None:

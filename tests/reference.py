@@ -16,6 +16,9 @@ one branch per step and its own dictionary parser per reply kind
 prompts and return the same responses for every reply these accept.
 ``mock_draw_choice`` is the mock coder's code draw as ``Generator.choice``
 makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
+``reference_band`` is the bootstrap band with one loop-counted order per
+iteration and the finite population correction applied step by step;
+``fecund.saturation.bootstrap_bands`` must return equal columns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import ast
 import heapq
 import json
+import math
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 from unittest import mock
@@ -48,7 +52,7 @@ from fecund.coder import (
 from fecund.corpus import CodeMatrix, Document
 from fecund.errors import FecundError, ResponseParseError
 from fecund.ingest import Passage
-from fecund.saturation import BandStep, CountingRegime
+from fecund.saturation import CountingRegime
 from fecund.selection import (
     _TIE_BREAKS,
     GAIN_FLOOR,
@@ -116,8 +120,13 @@ def reference_counts(order, regime: CountingRegime, coder_source, codebook=None)
     return cumulative_counts(order, regime, coder_source, hf_set, theme_map)
 
 
-def reference_raw_steps(docs, regime, coder_source, n_iterations, seed, codebook=None):
-    """Unadjusted bootstrap band from the loop, over the library's RNG stream."""
+def reference_band(docs, regime, coder_source, n_iterations, seed, truncation=0.10, codebook=None):
+    """Bootstrap band columns from the loop, over the library's RNG stream.
+
+    The raw columns cover every step; the adjusted band divides each
+    half-width by the finite population correction one step at a time,
+    with ``math.sqrt`` and ``max``, over the retained steps.
+    """
     N = len(docs)
     lengths = np.array([d.text_length for d in docs], dtype=np.int64)
     count_matrix = np.empty((n_iterations, N), dtype=np.int64)
@@ -128,13 +137,22 @@ def reference_raw_steps(docs, regime, coder_source, n_iterations, seed, codebook
         count_matrix[it] = reference_counts(ordered, regime, coder_source, codebook)
         chars_matrix[it] = np.cumsum(lengths[perm])
     mean_counts = count_matrix.mean(axis=0)
-    mean_chars = chars_matrix.mean(axis=0)
     lo_raw = np.percentile(count_matrix, 2.5, axis=0)
     hi_raw = np.percentile(count_matrix, 97.5, axis=0)
-    return tuple(
-        BandStep(k + 1, float(mean_chars[k]), float(mean_counts[k]), float(lo_raw[k]), float(hi_raw[k]))
-        for k in range(N)
-    )
+    lo95, hi95 = [], []
+    for k in range(1, N - math.ceil(truncation * N) + 1):
+        fpc = math.sqrt((N - k) / (N - 1))
+        mean_k = float(mean_counts[k - 1])
+        lo95.append(mean_k - max(0.0, mean_k - float(lo_raw[k - 1])) / fpc)
+        hi95.append(mean_k + max(0.0, float(hi_raw[k - 1]) - mean_k) / fpc)
+    return {
+        "mean_chars": chars_matrix.mean(axis=0),
+        "mean_count": mean_counts,
+        "lo95": np.array(lo95),
+        "hi95": np.array(hi95),
+        "raw_lo95": lo_raw,
+        "raw_hi95": hi_raw,
+    }
 
 
 def objective_loop(

@@ -13,7 +13,7 @@ import numpy as np
 
 from fecund.cli import EXIT_OK, main
 from fecund.corpus import compute_frequencies, fecundity, unique_weight
-from fecund.saturation import CountingRegime, bootstrap_band, cumulative_curve, detect_stopping
+from fecund.saturation import CountingRegime, bootstrap_bands, cumulative_curve, detect_stopping
 from fecund.selection import (
     LOG1P,
     SQRT,
@@ -187,16 +187,17 @@ def test_06_bootstrap_degeneracy_and_speed():
         )
         for i in range(18)
     ]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=300, seed=6)
-    last = band.raw_steps[-1]
-    assert last.hi95 - last.lo95 == 0.0
-    assert len(band.steps) == math.floor(0.9 * 18)
-    assert len(band.raw_steps) == 18
+    unique = [CountingRegime("unique")]
+    [band] = bootstrap_bands(docs, unique, "src", n_iterations=300, seed=6)
+    assert band.raw_hi95[-1] - band.raw_lo95[-1] == 0.0
+    assert len(band.lo95) == math.floor(0.9 * 18)
+    assert len(band.raw_lo95) == 18
 
     same = [make_doc(f"s{i}", ["one"], length=10) for i in range(12)]
-    same_band = bootstrap_band(same, CountingRegime("unique"), "src", n_iterations=300, seed=6)
-    for step in same_band.steps:
-        assert step.lo95 == step.mean_count == step.hi95
+    [same_band] = bootstrap_bands(same, unique, "src", n_iterations=300, seed=6)
+    retained = len(same_band.lo95)
+    assert np.array_equal(same_band.lo95, same_band.mean_count[:retained])
+    assert np.array_equal(same_band.hi95, same_band.lo95)
 
     timed = [
         make_doc(
@@ -206,10 +207,10 @@ def test_06_bootstrap_degeneracy_and_speed():
         for i in range(30)
     ]
     start = time.perf_counter()
-    big = bootstrap_band(timed, CountingRegime("unique"), "src", n_iterations=2000, seed=60)
+    [big] = bootstrap_bands(timed, unique, "src", n_iterations=2000, seed=60)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    assert len(big.steps) == 27
+    assert len(big.lo95) == 27
     report(
         6,
         f"raw final-step width 0, identical-docs band zero everywhere, "

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fecund import cli, coder
@@ -157,6 +158,29 @@ def test_saturate_rejects_bad_iterations(corpus_dir, tmp_path, capsys, iteration
     assert "Traceback" not in err
 
 
+def test_saturate_bootstrap_draws_each_order_once(corpus_dir, tmp_path, monkeypatch):
+    """Every regime counts the same orders: one generator per iteration."""
+    built = []
+    real = np.random.default_rng
+
+    def counting(seed):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert run(
+        "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--themes", corpus_dir / "themes.csv",
+        "--coder-source", "human", "--seed", 1, "--bootstrap", "--iterations", 37,
+        "--regimes", "unique,hf_retrospective,hf_iterative,themes", "--out", tmp_path / "sb",
+    ) == EXIT_OK
+    assert len(built) == 37
+    assert sorted(p.name for p in (tmp_path / "sb").glob("curve_*.csv")) == [
+        "curve_hf_iterative.csv", "curve_hf_retrospective.csv",
+        "curve_themes.csv", "curve_unique.csv",
+    ]
+
+
 def test_saturate_themes_without_map_errors(corpus_dir, tmp_path):
     code = run(
         "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
@@ -278,6 +302,26 @@ def test_analyze_writes_treatment_table(corpus_dir, tmp_path):
     assert all(0.0 <= float(r["p"]) <= 1.0 for r in fitted)
 
 
+def test_analyze_reads_old_random_in_any_case(corpus_dir, tmp_path):
+    """``true``/``false`` in any case, and a blank cell as false."""
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    ids = [r["doc_id"] for r in _read_csv(sel / "manifest.csv")]
+    tables = []
+    for name, true, false in (("lower", "true", "false"), ("upper", "TRUE", "False"),
+                              ("blank", "True", "")):
+        experiment = tmp_path / f"experiment-{name}.csv"
+        rows = [f"{d},0,{true if i % 3 == 0 else false}" for i, d in enumerate(ids)]
+        experiment.write_text("doc_id,round,old_random\n" + "\n".join(rows) + "\n")
+        out = tmp_path / name
+        argv = _analyze_argv(corpus_dir, sel, out) + ["--experiment", experiment]
+        assert run(*argv) == EXIT_OK
+        tables.append((out / "treatment_table.csv").read_bytes())
+    assert run(*_analyze_argv(corpus_dir, sel, tmp_path / "none")) == EXIT_OK
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0] != (tmp_path / "none" / "treatment_table.csv").read_bytes()
+
+
 def test_analyze_unknown_manifest_id_exits_data(corpus_dir, tmp_path, capsys):
     sel = tmp_path / "sel"
     _select_human(corpus_dir, sel)
@@ -350,6 +394,7 @@ _CASE_FILES = {
     "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
     "manifest.csv": "reading_index,doc_id\n1,doc-00\n2,doc-01\n",
     "experiment.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-01,x,false\n",
+    "experiment-old-random.csv": "doc_id,round,old_random\ndoc-00,1,TRUE\ndoc-01,1,\ndoc-02,1,1\n",
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -432,6 +477,43 @@ _BAD_INPUTS = {
         EXIT_DATA,
         "{tmp}/experiment.csv:3: could not convert string to float: 'x'",
     ),
+    "experiment-old-random-not-boolean": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding.csv", "--experiment",
+         "{tmp}/experiment-old-random.csv"],
+        EXIT_DATA,
+        "{tmp}/experiment-old-random.csv:4: old_random must be true or false, got '1'",
+    ),
+    "regimes-unknown": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--regimes", "unique,bogus"],
+        EXIT_USAGE,
+        "argument --regimes: expected distinct names from unique, hf_retrospective, "
+        "hf_iterative, themes, got 'unique,bogus'",
+    ),
+    "regimes-empty": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--regimes", ",,"],
+        EXIT_USAGE,
+        "argument --regimes: expected distinct names from unique, hf_retrospective, "
+        "hf_iterative, themes, got ',,'",
+    ),
+    "regimes-repeated": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--bootstrap",
+         "--regimes", "unique,unique"],
+        EXIT_USAGE,
+        "argument --regimes: expected distinct names from unique, hf_retrospective, "
+        "hf_iterative, themes, got 'unique,unique'",
+    ),
+    "threshold-below-two": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--threshold", "1"],
+        EXIT_USAGE,
+        "argument --threshold: must be >= 2, got 1",
+    ),
+    "positions-window-zero": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--positions",
+         "--positions-window", "0"],
+        EXIT_USAGE,
+        "argument --positions-window: must be >= 1, got 0",
+    ),
 }
 
 
@@ -453,6 +535,8 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     err = capsys.readouterr().err
     assert message.format(tmp=tmp_path) in err
     assert "Traceback" not in err
+    if expected == EXIT_USAGE:  # rejected while parsing, before any output
+        assert not (tmp_path / "out").exists()
 
 
 def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from fecund import saturation
 from fecund.corpus import Codebook
 from fecund.saturation import (
     CountingRegime,
-    bootstrap_band,
+    bootstrap_bands,
     cumulative_curve,
     detect_stopping,
     median_code_position,
@@ -16,7 +16,7 @@ from fecund.saturation import (
 )
 
 from conftest import make_doc
-from reference import reference_counts, reference_raw_steps
+from reference import reference_band, reference_counts
 
 WORKED_ORDER = lambda: [
     make_doc("D1", ["a"]),
@@ -217,16 +217,22 @@ def _fixture_curve(counts):
     return curve
 
 
-# --- bootstrap_band ------------------------------------------------------------
+# --- bootstrap_bands -----------------------------------------------------------
+
+BAND_COLUMNS = ("mean_chars", "mean_count", "lo95", "hi95", "raw_lo95", "raw_hi95")
+
+
+def _unique_band(docs, coder_source="src", **kwargs):
+    [band] = bootstrap_bands(docs, [CountingRegime("unique")], coder_source, **kwargs)
+    return band
 
 
 def test_band_identical_documents_zero_width():
     docs = [make_doc(f"d{i}", ["only"], length=10) for i in range(10)]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=50, seed=1)
-    for step in band.steps:
-        assert step.lo95 == step.mean_count == step.hi95
-    for step in band.raw_steps:
-        assert step.hi95 - step.lo95 == 0.0
+    band = _unique_band(docs, n_iterations=50, seed=1)
+    assert np.array_equal(band.lo95, band.mean_count[: len(band.lo95)])
+    assert np.array_equal(band.hi95, band.lo95)
+    assert np.array_equal(band.raw_hi95, band.raw_lo95)
 
 
 def test_band_two_disjoint_docs():
@@ -234,10 +240,10 @@ def test_band_two_disjoint_docs():
         make_doc("d1", ["a"], length=10),
         make_doc("d2", ["b"], length=20),
     ]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=100, seed=2)
-    assert len(band.steps) == 1  # ceil(0.1*2) = 1 step dropped
-    assert band.steps[0].mean_count == 1.0
-    assert len(band.raw_steps) == 2
+    band = _unique_band(docs, n_iterations=100, seed=2)
+    assert len(band.lo95) == len(band.hi95) == 1  # ceil(0.1*2) = 1 step dropped
+    assert band.mean_count[0] == 1.0
+    assert len(band.mean_chars) == len(band.raw_lo95) == len(band.raw_hi95) == 2
 
 
 def test_band_raw_final_step_always_degenerate():
@@ -246,15 +252,21 @@ def test_band_raw_final_step_always_degenerate():
         make_doc(f"d{i}", [f"c{int(c)}" for c in rng.integers(0, 10, rng.integers(0, 6))])
         for i in range(9)
     ]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=200, seed=4)
-    last = band.raw_steps[-1]
-    assert last.hi95 - last.lo95 == 0.0
+    band = _unique_band(docs, n_iterations=200, seed=4)
+    assert band.raw_hi95[-1] - band.raw_lo95[-1] == 0.0
 
 
 def test_band_truncation_count():
     docs = [make_doc(f"d{i}", ["x"], length=5) for i in range(30)]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=20, seed=0)
-    assert len(band.steps) == 27  # floor(0.9 * 30)
+    band = _unique_band(docs, n_iterations=20, seed=0)
+    assert len(band.lo95) == len(band.hi95) == 27  # floor(0.9 * 30)
+
+
+@pytest.mark.parametrize("truncation", [0.0, 1.0, -0.1, 1.5])
+def test_band_requires_truncation_inside_unit_interval(truncation):
+    docs = [make_doc("a", ["x"]), make_doc("b", ["y"])]
+    with pytest.raises(ValueError, match="truncation"):
+        _unique_band(docs, n_iterations=5, truncation=truncation)
 
 
 def test_band_mean_within_bounds_and_nondecreasing():
@@ -263,61 +275,67 @@ def test_band_mean_within_bounds_and_nondecreasing():
         make_doc(f"d{i}", [f"c{int(c)}" for c in rng.integers(0, 40, rng.integers(0, 8))])
         for i in range(20)
     ]
-    band = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=400, seed=8)
-    means = [s.mean_count for s in band.steps]
-    assert all(a <= b for a, b in zip(means, means[1:]))
-    for s in band.steps:
-        assert s.lo95 <= s.mean_count <= s.hi95
-    chars = [s.mean_chars for s in band.steps]
-    assert all(a < b for a, b in zip(chars, chars[1:]))
+    band = _unique_band(docs, n_iterations=400, seed=8)
+    means = band.mean_count[: len(band.lo95)]
+    assert np.all(np.diff(means) >= 0)
+    assert np.all((band.lo95 <= means) & (means <= band.hi95))
+    assert np.all(np.diff(band.mean_chars) > 0)
 
 
 def test_band_mean_concave_trending_on_iid_corpus():
     from fecund.synthetic import synth_corpus
 
     docs, _ = synth_corpus(25, seed=9, n_codes=50)
-    band = bootstrap_band(
-        docs, CountingRegime("unique"), "human", n_iterations=2000, seed=3
-    )
-    diffs = np.diff([s.mean_count for s in band.steps])
+    band = _unique_band(docs, "human", n_iterations=2000, seed=3)
+    diffs = np.diff(band.mean_count[: len(band.lo95)])
     # marginal additions shrink, up to bootstrap sampling noise
     assert (np.diff(diffs) <= 1e-6).all()
 
 
 def test_band_seed_deterministic():
     docs = [make_doc(f"d{i}", [f"c{i % 4}"]) for i in range(8)]
-    a = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=50, seed=9)
-    b = bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=50, seed=9)
-    assert a == b
+    a = _unique_band(docs, n_iterations=50, seed=9)
+    b = _unique_band(docs, n_iterations=50, seed=9)
+    for column in BAND_COLUMNS:
+        assert np.array_equal(getattr(a, column), getattr(b, column))
 
 
 def test_band_requires_two_docs():
     with pytest.raises(ValueError):
-        bootstrap_band([make_doc("d", ["a"])], CountingRegime("unique"), "src", seed=0)
+        _unique_band([make_doc("d", ["a"])], seed=0)
 
 
 @pytest.mark.parametrize("iterations", [0, -3])
 def test_band_requires_an_iteration(iterations):
     docs = [make_doc("a", ["x"]), make_doc("b", ["y"])]
     with pytest.raises(ValueError, match="n_iterations"):
-        bootstrap_band(docs, CountingRegime("unique"), "src", n_iterations=iterations)
+        _unique_band(docs, n_iterations=iterations)
 
 
 @given(
     coded_collections(min_docs=2),
-    st.sampled_from(REGIMES),
+    st.lists(st.sampled_from(REGIMES), min_size=1, unique=True),
     st.integers(2, 4),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 40, 1 << 16]),
 )
-@example(ZERO_GROUPS, "hf_iterative", 4, 0, 1 << 16)
-def test_band_matches_reference_loop(collection, kind, threshold, seed, block_elements):
-    """Same RNG stream, same raw band, bit for bit, however iterations are blocked."""
+@example(ZERO_GROUPS, list(REGIMES), 4, 0)
+def test_band_matches_reference_loop(collection, kinds, threshold, seed):
+    """One call over several regimes gives each the loop's band, every raw
+    and adjusted column equal, however iterations are blocked."""
     docs, codebook = collection
-    regime = CountingRegime(kind, threshold)
-    with mock.patch.object(saturation, "_BLOCK_ELEMENTS", block_elements):
-        band = bootstrap_band(docs, regime, "src", n_iterations=23, seed=seed, codebook=codebook)
-    assert band.raw_steps == reference_raw_steps(docs, regime, "src", 23, seed, codebook)
+    regimes = [CountingRegime(kind, threshold) for kind in kinds]
+    expected = [reference_band(docs, r, "src", 23, seed, codebook=codebook) for r in regimes]
+    for block_elements in (1, 40, 1 << 16):
+        with mock.patch.object(saturation, "_BLOCK_ELEMENTS", block_elements):
+            bands = bootstrap_bands(
+                docs, regimes, "src", n_iterations=23, seed=seed, codebook=codebook
+            )
+        assert [band.regime for band in bands] == regimes
+        for band, want in zip(bands, expected):
+            for column in BAND_COLUMNS:
+                got = getattr(band, column)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, want[column]), (block_elements, band.regime, column)
 
 
 def _rarefaction(docs, coder_source):
@@ -354,14 +372,13 @@ def test_band_mean_matches_rarefaction():
 
     iterations = 2000
     docs, _ = synth_corpus(300, seed=3, n_codes=300)
-    band = bootstrap_band(docs, CountingRegime("unique"), "human", n_iterations=iterations, seed=3)
+    band = _unique_band(docs, "human", n_iterations=iterations, seed=3)
     expected, var = _rarefaction(docs, "human")
     assert expected[-1] > 200
     # Iterations are independent orders, so the mean's standard error is
     # sd / sqrt(iterations); five of them bound 300 correlated steps.
     tolerance = 5 * np.sqrt(np.maximum(var, 0.0) / iterations) + 1e-9
-    got = np.array([s.mean_count for s in band.raw_steps])
-    assert np.all(np.abs(got - expected) <= tolerance)
+    assert np.all(np.abs(band.mean_count - expected) <= tolerance)
 
 
 # --- positions ----------------------------------------------------------------
