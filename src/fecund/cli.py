@@ -393,7 +393,7 @@ def cmd_analyze(args) -> int:
             try:
                 if flag not in ("true", "false"):
                     raise ValueError(f"old_random must be true or false, got {old_random!r}")
-                extra[doc_id] = (float(0 if round_ is None else round_), flag == "true")
+                extra[doc_id] = (float(round_ or 0), flag == "true")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.experiment, lineno) from None
 
@@ -668,7 +668,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands["select"] = p
 
     p = sub.add_parser("saturate", help="cumulative code/theme curves, optional bootstrap")
-    _add_common(p)
+    _add_common(p, seed=False)
+    p.add_argument("--seed", type=int, help="RNG seed (mandatory with --bootstrap)")
     p.add_argument("--docs", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--themes")
@@ -760,6 +761,8 @@ def main(argv: list[str] | None = None) -> int:
         if at is not None:
             argv[at:at] = _config_argv(values, commands[argv[at - 1]])
     args = parser.parse_args(argv)
+    if getattr(args, "bootstrap", False) and args.seed is None:
+        commands[args.command].error("--bootstrap requires --seed")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

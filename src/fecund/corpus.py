@@ -117,29 +117,42 @@ class CodeMatrix:
             if coder_source not in codes[0].store:
                 docs[0].instances(coder_source)  # raises UnknownCoderSourceError
             return codes[0].store[coder_source].take([c.row for c in codes])
+        ids: dict[str, int] = {}  # label -> id, in first-seen order
         instances = [
-            (i, inst.code_id, inst.position)
+            (i, ids.setdefault(inst.code_id, len(ids)), inst.position)
             for i, doc in enumerate(docs)
             for inst in doc.instances(coder_source)
         ]
-        return cls.intern(instances, [doc.text_length for doc in docs])
+        rows, label_ids, positions = zip(*instances) if instances else ((), (), ())
+        return cls.intern(rows, label_ids, positions, list(ids), [d.text_length for d in docs])
 
     @classmethod
-    def intern(cls, instances: list[tuple], lengths: list[int]) -> "CodeMatrix":
-        """The matrix of (document row, label, position) instances given in
-        any row order; each row's instances keep their order."""
-        rows, raw, positions = zip(*instances) if instances else ((), (), ())
-        labels = tuple(sorted(set(raw)))
-        index = {label: i for i, label in enumerate(labels)}
-        rows = np.array(rows, dtype=np.int64)
+    def intern(
+        cls,
+        rows: Sequence[int],
+        label_ids: Sequence[int],
+        positions: Sequence[float | None],
+        names: Sequence[str],
+        lengths: Sequence[int],
+    ) -> "CodeMatrix":
+        """The matrix of code instances given as columns, in any row order:
+        each instance's document row, the index of its label in ``names`` and
+        its position (None or NaN for none). Each row's instances keep their
+        order; the labels are the used names, sorted."""
+        rows = np.asarray(rows, dtype=np.int64)
+        label_ids = np.asarray(label_ids, dtype=np.int64)
+        used = np.flatnonzero(np.bincount(label_ids, minlength=len(names))).tolist()
+        used.sort(key=names.__getitem__)
+        rank = np.zeros(len(names), dtype=np.int64)
+        rank[used] = np.arange(len(used))
         by_row = np.argsort(rows, kind="stable")
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(lengths)), out=offsets[1:])
         return cls(
-            labels=labels,
+            labels=tuple(names[i] for i in used),
             offsets=offsets,
-            codes=np.fromiter((index[c] for c in raw), dtype=np.int64, count=len(raw))[by_row],
-            positions=np.array(positions, dtype=np.float64)[by_row],  # None reads NaN
+            codes=rank[label_ids[by_row]],
+            positions=np.asarray(positions, dtype=np.float64)[by_row],  # None reads NaN
             lengths=np.array(lengths, dtype=np.int64),
         )
 

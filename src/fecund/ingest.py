@@ -9,13 +9,16 @@ On-disk formats (all strict UTF-8):
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import Codebook, CodeMatrix, Document, _StoredCodes
 from .errors import (
@@ -27,6 +30,7 @@ from .errors import (
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _WS_RUN = re.compile(r"\s+")
+_CODE_COLUMNS = ("doc_id", "coder_source", "code_label")
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,8 @@ def load_collection(
     Returns documents in file order plus the codebook of every code seen.
     ``codes_path`` may be a list of files to merge (e.g. human plus AI
     codes). Duplicate document ids, dangling references, and malformed
-    rows raise with the offending file and line number. Every returned
+    rows raise with the offending file and line number: in each file, in
+    the order given, the earliest failing record. Every returned
     document carries an entry (possibly empty) for every coder source
     present in the code files.
     """
@@ -178,35 +183,61 @@ def load_collection(
         source_labels.append(obj.get("source"))
 
     entries: dict[str, str] = {}
-    canonical: dict[str, str] = {}  # raw label -> canonical id, filled on first sight
-    # coder source -> (document row, canonical id, position) of each code row
-    found: dict[str, list[tuple[int, str, float | None]]] = {}
+    names: dict[str, int] = {}  # canonical id -> label id, in first-seen order
+    label_of: dict[str, int] = {}  # raw label -> label id, filled on first sight
+    source_of: dict[str, int] = {}  # coder source -> index, in first-seen order
+    parts = []  # per file: source index, document row, label id and position columns
     codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
     for path in map(str, codes_paths):
-        records = _read_csv(path, ("doc_id", "coder_source", "code_label"), ("position",))
-        for lineno, (doc_id, source, label, raw_position) in records:
-            row = row_of.get(doc_id)
-            if row is None:
+        (doc_ids, sources, labels, raw_positions), line_of = _read_columns(
+            path, _CODE_COLUMNS, ("position",)
+        )
+        n = len(doc_ids)
+        rows = list(map(row_of.get, doc_ids))
+        blank_label, blank_error = n, None
+        for raw in dict.fromkeys(labels):  # first-seen order
+            if not raw or raw in label_of:  # a blank value fails its own check
+                continue
+            try:
+                cid = canonicalize_code(raw)
+            except BlankCodeError as exc:
+                if blank_error is None:
+                    blank_label, blank_error = labels.index(raw), exc
+                continue
+            label_of[raw] = names.setdefault(cid, len(names))
+            entries.setdefault(cid, raw.strip())
+        positions, bad, outside = _parse_positions(raw_positions)
+        # the earliest failing record raises; on one record, checks go in this order
+        k, check = min(
+            (_first_blank((doc_ids, sources, labels)), 0),
+            (rows.index(None) if None in rows else n, 1),
+            (blank_label, 2),
+            (bad, 3),
+            (outside, 4),
+        )
+        if k < n:
+            line = line_of(k)
+            if check == 0:
+                raise CollectionFormatError(_blank_message(_CODE_COLUMNS), path, line)
+            if check == 1:
                 raise DanglingReferenceError(
-                    f"code row references unknown document {doc_id!r}", path, lineno
+                    f"code row references unknown document {doc_ids[k]!r}", path, line
                 )
-            cid = canonical.get(label)
-            if cid is None:
-                try:
-                    cid = canonicalize_code(label)
-                except BlankCodeError as exc:
-                    raise CollectionFormatError(str(exc), path, lineno)
-                canonical[label] = cid
-                entries.setdefault(cid, label.strip())
-            position = None
-            if raw_position:
-                try:
-                    position = float(raw_position)
-                except ValueError:
-                    raise CollectionFormatError(f"bad position {raw_position!r}", path, lineno)
-                if not 0.0 <= position <= 1.0:
-                    raise CollectionFormatError(f"position {position} outside [0, 1]", path, lineno)
-            found.setdefault(source, []).append((row, cid, position))
+            if check == 2:
+                raise CollectionFormatError(str(blank_error), path, line)
+            if check == 3:
+                raise CollectionFormatError(f"bad position {raw_positions[k]!r}", path, line)
+            raise CollectionFormatError(
+                f"position {float(positions[k])} outside [0, 1]", path, line
+            )
+        for source in dict.fromkeys(sources):
+            source_of.setdefault(source, len(source_of))
+        parts.append((
+            np.fromiter(map(source_of.__getitem__, sources), np.int64, n),
+            np.array(rows, dtype=np.int64),
+            np.fromiter(map(label_of.__getitem__, labels), np.int64, n),
+            positions,
+        ))
 
     theme_map: dict[str, str] | None = None
     themes: dict[str, str] | None = None
@@ -226,7 +257,14 @@ def load_collection(
             theme_map[cid] = tid
             themes.setdefault(tid, theme_label.strip())
 
-    store = {source: CodeMatrix.intern(rows, lengths) for source, rows in found.items()}
+    store = {}
+    if parts:
+        source_ids, doc_rows, label_ids, positions = map(np.concatenate, zip(*parts))
+        for source, i in source_of.items():
+            mine = source_ids == i
+            store[source] = CodeMatrix.intern(
+                doc_rows[mine], label_ids[mine], positions[mine], list(names), lengths
+            )
     documents = [
         Document(doc_id, lengths[row], source_labels[row], _StoredCodes(store, lengths, row))
         for doc_id, row in row_of.items()
@@ -234,37 +272,133 @@ def load_collection(
     return documents, Codebook(entries=entries, theme_map=theme_map, themes=themes)
 
 
+def _first_blank(columns: Sequence[Sequence[str | None]]) -> int:
+    """The first record with an empty or missing value in any of ``columns``
+    (the record count when there is none)."""
+    first = len(columns[0])
+    for column in columns:
+        if not all(column):
+            first = min(first, next(k for k, value in enumerate(column) if not value))
+    return first
+
+
+def _blank_message(required: tuple[str, ...]) -> str:
+    return f"blank value in required column(s) {required}"
+
+
+def _parse_positions(column: Sequence[str | None]) -> tuple[np.ndarray, int, int]:
+    """The ``position`` column as floats (NaN where blank), the first record
+    whose position is not a number and the first whose number lies outside
+    [0, 1] (each the record count when there is none)."""
+    n = len(column)
+    try:  # every record gives a position, as synth and code write them
+        values = np.fromiter(map(float, column), np.float64, n)
+        given = True
+        bad = n
+    except (TypeError, ValueError):
+        parsed, flags, bad = [], [], n
+        for k, raw in enumerate(column):
+            try:
+                parsed.append(float(raw) if raw else math.nan)
+            except ValueError:
+                bad = k
+                break
+            flags.append(bool(raw))
+        values, given = np.array(parsed, dtype=np.float64), np.array(flags, dtype=bool)
+    outside = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)) & given)
+    return values, bad, int(outside[0]) if len(outside) else n
+
+
+def _read_columns(
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> tuple[list[list[str | None]], Callable[[int], int]]:
+    """The values of the ``required`` then the ``optional`` columns of a CSV
+    file, one list per column over its non-blank records, and ``line_of(k)``,
+    the line on which record ``k`` ends.
+
+    A value is None where a record is short or the header lacks an optional
+    column; a name repeated in the header means its last column, as with
+    ``csv.DictReader``. A file ``_uniform_records`` accepts is cut by one
+    ``str.split``, each column a stride of the fields, and record ``k`` ends
+    on line ``k + 2``; any other file goes through ``csv.reader``, which
+    alone can read quoted fields. A missing required column, text that is
+    not UTF-8 or a record ``csv.reader`` rejects raises
+    ``CollectionFormatError`` with file:line.
+    """
+    path = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data[: exc.start].decode("utf-8"))) + 1
+        raise CollectionFormatError(f"not UTF-8 text: {exc}", path, line) from None
+    fields = None
+    n = _uniform_records(data)
+    if n is not None:
+        first, _, body = text.partition("\n")
+        header = first.split(",")
+        fields = body.rstrip("\n").replace("\n", ",").split(",") if n else []
+    else:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        records: list[list[str]] = []
+        lines: list[int] = []
+        try:
+            header = next(reader, None)
+            for record in reader:
+                if record:
+                    records.append(record)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise CollectionFormatError(f"unreadable CSV: {exc}", path, reader.line_num) from None
+        n = len(records)
+    if header is None:
+        raise CollectionFormatError("empty file", path)
+    column = {name: i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in column]
+    if missing:
+        raise CollectionFormatError(f"missing column(s) {missing}", path, 1)
+    wanted = [column.get(c) for c in required + optional]
+    if fields is not None:
+        columns = [[None] * n if i is None else fields[i :: len(header)] for i in wanted]
+        return columns, lambda k: k + 2
+    columns = [
+        [None] * n if i is None else [r[i] if i < len(r) else None for r in records]
+        for i in wanted
+    ]
+    return columns, lines.__getitem__
+
+
+def _uniform_records(data: bytes) -> int | None:
+    """The number of records after the header when ``data`` splits on commas
+    and line feeds exactly as ``csv.reader`` reads it: no quote, no carriage
+    return, no blank line, every line as many commas as the header and none
+    longer than ``csv.field_size_limit()``. None for any other file."""
+    if not data or b'"' in data or b"\r" in data:
+        return None
+    octets = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(octets == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    commas = np.diff(np.searchsorted(np.flatnonzero(octets == ord(",")), ends), prepend=0)
+    sizes = np.diff(ends, prepend=-1) - 1  # in bytes, never fewer than characters
+    if (commas != commas[0]).any() or sizes.min() == 0 or sizes.max() > csv.field_size_limit():
+        return None
+    return len(ends) - 1
+
+
 def _read_csv(
     path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> Iterator[tuple[int, list[str | None]]]:
-    """Each non-blank row's line number and its values of the ``required``
-    then the ``optional`` columns (None for a column the header or a short
-    row lacks). A missing required column or value raises with file:line.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CollectionFormatError("empty file", str(path))
-        # a name repeated in the header means its last column, as with csv.DictReader
-        column = {name: i for i, name in enumerate(header)}
-        missing = [c for c in required if c not in column]
-        if missing:
-            raise CollectionFormatError(f"missing column(s) {missing}", str(path), 1)
-        wanted = [column.get(c, sys.maxsize) for c in required + optional]
-        width = max(wanted)
-        for fields in reader:
-            if not fields:
-                continue
-            if len(fields) > width:
-                values = [fields[i] for i in wanted]
-            else:
-                values = [fields[i] if i < len(fields) else None for i in wanted]
-            if not all(values[: len(required)]):
-                raise CollectionFormatError(
-                    f"blank value in required column(s) {required}", str(path), reader.line_num
-                )
-            yield reader.line_num, values
+) -> Iterator[tuple[int, tuple[str | None, ...]]]:
+    """Each non-blank record's line number and its values of the ``required``
+    then the ``optional`` columns, read by ``_read_columns``. A blank
+    required value raises with file:line when its record is reached."""
+    columns, line_of = _read_columns(path, required, optional)
+    blank = _first_blank(columns[: len(required)])
+    for k, values in enumerate(zip(*columns)):
+        if k == blank:
+            raise CollectionFormatError(_blank_message(required), str(path), line_of(k))
+        yield line_of(k), values
 
 
 def write_collection(

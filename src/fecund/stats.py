@@ -470,7 +470,7 @@ def corpus_code_density(docs: Sequence[Document], coder_source: str) -> float:
     if not docs:
         return 0.0
     matrix = CodeMatrix.build(docs, coder_source)
-    distinct = len(np.unique(matrix.codes))
+    distinct = int(np.count_nonzero(np.bincount(matrix.codes)))
     return distinct / int(matrix.lengths.sum()) * 1000.0
 
 

@@ -322,6 +322,33 @@ def test_analyze_reads_old_random_in_any_case(corpus_dir, tmp_path):
     assert tables[0] != (tmp_path / "none" / "treatment_table.csv").read_bytes()
 
 
+def test_analyze_reads_blank_round_as_zero(corpus_dir, tmp_path):
+    """A blank ``round`` cell reads 0, like a row that ends before the column."""
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    ids = [r["doc_id"] for r in _read_csv(sel / "manifest.csv")]
+    tables = []
+    for name, zero in (("zero", "0"), ("blank", "")):
+        experiment = tmp_path / f"experiment-{name}.csv"
+        rows = [f"{d},{zero if i % 2 else 2},false" for i, d in enumerate(ids)]
+        experiment.write_text("doc_id,round,old_random\n" + "\n".join(rows) + "\n")
+        out = tmp_path / name
+        assert run(*_analyze_argv(corpus_dir, sel, out), "--experiment", experiment) == EXIT_OK
+        tables.append((out / "treatment_table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_saturate_plain_curve_needs_no_seed(corpus_dir, tmp_path):
+    """Plain curves make no random draw, so ``--seed`` is optional and changes nothing."""
+    data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+            "--coder-source", "human", "--regimes", "unique,hf_retrospective"]
+    assert run("saturate", *data, "--out", tmp_path / "plain") == EXIT_OK
+    assert run("saturate", *data, "--seed", 4, "--out", tmp_path / "seeded") == EXIT_OK
+    for kind in ("unique", "hf_retrospective"):
+        name = f"curve_{kind}.csv"
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "seeded" / name).read_bytes()
+
+
 def test_analyze_unknown_manifest_id_exits_data(corpus_dir, tmp_path, capsys):
     sel = tmp_path / "sel"
     _select_human(corpus_dir, sel)
@@ -395,6 +422,9 @@ _CASE_FILES = {
     "manifest.csv": "reading_index,doc_id\n1,doc-00\n2,doc-01\n",
     "experiment.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-01,x,false\n",
     "experiment-old-random.csv": "doc_id,round,old_random\ndoc-00,1,TRUE\ndoc-01,1,\ndoc-02,1,1\n",
+    "codes-long-label.csv": "doc_id,coder_source,code_label\ndoc-00,human," + "x" * 200_000 + "\n",
+    "codes-latin1.csv": "doc_id,coder_source,code_label\ndoc-00,human,café\n".encode("latin-1"),
+    "manifest-latin1.csv": "reading_index,doc_id\n1,doc-00\n2,café\n".encode("latin-1"),
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -508,6 +538,26 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "argument --threshold: must be >= 2, got 1",
     ),
+    "codes-field-over-limit": (
+        ["saturate", "--coder-source", "human", "--codes", "{tmp}/codes-long-label.csv"],
+        EXIT_DATA,
+        "{tmp}/codes-long-label.csv:2: unreadable CSV: field larger than field limit (131072)",
+    ),
+    "codes-not-utf8": (
+        ["saturate", "--coder-source", "human", "--codes", "{tmp}/codes-latin1.csv"],
+        EXIT_DATA,
+        "{tmp}/codes-latin1.csv:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "manifest-not-utf8": (
+        ["saturate", "--coder-source", "human", "--order", "{tmp}/manifest-latin1.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-latin1.csv:3: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "bootstrap-without-seed": (
+        ["saturate", "--coder-source", "human", "--bootstrap", "--iterations", "5"],
+        EXIT_USAGE,
+        "--bootstrap requires --seed",
+    ),
     "positions-window-zero": (
         ["saturate", "--coder-source", "human", "--seed", "1", "--positions",
          "--positions-window", "0"],
@@ -520,7 +570,7 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case):
     for name, text in _CASE_FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     argv, expected, message = _BAD_INPUTS[case]
     command, *rest = [a.format(tmp=tmp_path) for a in argv]
     capsys.readouterr()
@@ -633,6 +683,37 @@ def test_cli_import_loads_no_scipy_or_http(corpus_dir, tmp_path):
     assert lines[0] == "[]"
     assert lines[-1] == "0 True False"
     assert (tmp_path / "ana" / "treatment_table.csv").exists()
+
+
+def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
+    """Start-up cost guard: ``np.unique`` without ``return_counts`` imports
+    ``numpy.ma``; neither ``select`` nor ``sweep`` may pay for it."""
+    data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+            "--coder-source", "human", "--seed", 3]
+    script = textwrap.dedent(
+        """\
+        import json, sys
+        import fecund.cli
+        for argv in json.loads(sys.argv[1]):
+            code = fecund.cli.main(argv)
+            print("loaded:", argv[0], code, "numpy.ma" in sys.modules)
+        """
+    )
+    commands = [
+        ["select", *data, "--budget-docs", 5, "--control-docs", 5, "--out", tmp_path / "sel"],
+        ["sweep", *data, "--sizes", "10,30", "--replicates", 2, "--budget-docs", 5,
+         "--quadratic", "0,1,0", "--out", tmp_path / "sw"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False"]
 
 
 def test_full_pipeline_and_analyze(corpus_dir, tmp_path):

@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import io
+import itertools
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from fecund.errors import (
 )
 from fecund.ingest import (
     RawArticle,
+    _read_columns,
+    _uniform_records,
     canonicalize_code,
     load_articles,
     load_collection,
     split_passages,
     write_collection,
 )
+from fecund.synthetic import synth_corpus
 
 
 # --- split_passages -------------------------------------------------------
@@ -319,6 +325,173 @@ def test_load_codes_parity(tmp_path, case):
         for d in documents
     ] == expected[0]
     assert codebook.entries == expected[1]
+
+
+# --- the column reader against csv.reader ------------------------------------
+
+_NAMES = ("a", "b", "c")  # every header has "a"; "c" may be absent
+
+
+def _csv_reader_columns(text):
+    """What csv.reader makes of ``text``: per name, the values of its last
+    header column (None where absent or short), and each record's line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    index = {name: i for i, name in enumerate(next(reader))}
+    records = [(reader.line_num, r) for r in reader if r]
+    columns = [
+        [r[index[n]] if n in index and index[n] < len(r) else None for _, r in records]
+        for n in _NAMES
+    ]
+    return columns, [line for line, _ in records]
+
+
+def _check_read_columns(root, text, limit):
+    path = root / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    default = csv.field_size_limit(limit)
+    try:
+        try:
+            expected = _csv_reader_columns(text)
+        except csv.Error:
+            with pytest.raises(CollectionFormatError, match="unreadable CSV"):
+                _read_columns(path, _NAMES[:1], _NAMES[1:])
+            return
+        columns, line_of = _read_columns(path, _NAMES[:1], _NAMES[1:])
+    finally:
+        csv.field_size_limit(default)
+    assert columns == expected[0]
+    assert [line_of(k) for k in range(len(expected[1]))] == expected[1]
+
+
+_HEADERS = st.lists(st.sampled_from(_NAMES), max_size=3).flatmap(
+    lambda rest: st.permutations(["a", *rest])
+)
+
+
+# quoted fields with commas and line breaks, CRLF, lone CR, blank lines, NUL,
+# a character outside ASCII; rows short and long; a repeated header name
+_RAW_CSV = st.lists(
+    st.sampled_from(["x", "y", ",", '"', "\n", "\r\n", "\r", "\x00", "é", " "]), max_size=40
+).map(lambda parts: "a,b,a\n" + "".join(parts))
+
+
+@st.composite
+def _written_csv(draw):
+    """Rows of any width written by csv.writer with either line ending,
+    blank lines inserted at random."""
+    header = draw(_HEADERS)
+    cell = st.text(alphabet=st.sampled_from('xy, "\n\r\x00é'), max_size=4)
+    rows = draw(st.lists(st.lists(cell, max_size=5), max_size=6))
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    for row in [header, *rows]:
+        writer.writerow(row)
+        if draw(st.integers(0, 3)) == 0:
+            buffer.write("\n")
+    return buffer.getvalue()
+
+
+@st.composite
+def _uniform_csv(draw):
+    """A file the split path takes: every line the header's width, no quote,
+    no CR, no blank line."""
+    header = draw(_HEADERS)
+    cell = st.text(alphabet=st.sampled_from("xy \x00é\t"), max_size=4)
+    rows = draw(st.lists(st.lists(cell, min_size=len(header), max_size=len(header)), max_size=6))
+    lines = [",".join(row) for row in [header, *rows]]
+    return "\n".join(line for line in lines if line) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(st.one_of(_RAW_CSV, _written_csv()), st.sampled_from([csv.field_size_limit(), 3]))
+def test_read_columns_matches_csv_reader(tmp_path_factory, text, limit):
+    _check_read_columns(tmp_path_factory.mktemp("cols"), text, limit)
+
+
+@given(_uniform_csv())
+def test_read_columns_split_path_matches_csv_reader(tmp_path_factory, text):
+    assert _uniform_records(text.encode("utf-8")) is not None
+    _check_read_columns(tmp_path_factory.mktemp("split"), text, csv.field_size_limit())
+
+
+_ROW_FAULTS = {
+    "blank-value": ("d1,,A,0.5", _BLANK),
+    "unknown-document": ("ghost,human,A,0.5", "code row references unknown document 'ghost'"),
+    "blank-label": ("d1,human,  ,0.5", "code label '  ' canonicalizes to the empty string"),
+    "bad-position": ("d1,human,A,x", "bad position 'x'"),
+    "position-out-of-range": ("d1,human,A,1.5", "position 1.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(sorted(_ROW_FAULTS), 2))
+def test_earliest_failing_record_raises(tmp_path, first, second):
+    """Two rows fail two different checks: the earlier line's error wins,
+    whichever check it is."""
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    codes = tmp_path / "codes.csv"
+    codes.write_text(
+        _CODES_HEADER + "d2,human,B,0.25\n"
+        + f"{_ROW_FAULTS[first][0]}\nd1,human,C,\n{_ROW_FAULTS[second][0]}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(CollectionFormatError) as err:
+        load_collection(docs, codes)
+    assert str(err.value) == f"{codes}:3: {_ROW_FAULTS[first][1]}"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("ghost,human,  ,x", "code row references unknown document 'ghost'"),
+        ("d1,human,  ,2", "code label '  ' canonicalizes to the empty string"),
+        ("ghost,,A,x", _BLANK),
+    ],
+)
+def test_one_record_keeps_check_order(tmp_path, row, message):
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    codes = tmp_path / "codes.csv"
+    codes.write_text(_CODES_HEADER + "d1,human,A,0.5\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(CollectionFormatError) as err:
+        load_collection(docs, codes)
+    assert str(err.value) == f"{codes}:3: {message}"
+
+
+def test_files_are_checked_in_the_order_given(tmp_path):
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    late, early = tmp_path / "late.csv", tmp_path / "early.csv"
+    late.write_text(_CODES_HEADER + "d1,human,A,0.5\nd1,human,A,0.5\nd1,human,A,7\n")
+    early.write_text(_CODES_HEADER + "ghost,human,A,0.5\n")
+    with pytest.raises(CollectionFormatError) as err:
+        load_collection(docs, [late, early])
+    assert str(err.value) == f"{late}:4: position 7.0 outside [0, 1]"
+
+
+def test_synth_collection_never_calls_csv_reader(tmp_path, monkeypatch):
+    """Files written by csv.writer with no quoted field take the split path."""
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(a) or reader(*a, **k))
+    documents, codebook = synth_corpus(40, n_codes=30, seed=3, n_themes=4)
+    paths = tmp_path / "d.jsonl", tmp_path / "c.csv", tmp_path / "t.csv"
+    write_collection(documents, codebook, *paths)
+    loaded, _ = load_collection(*paths)
+    assert calls == []
+    assert loaded == documents
+    paths[1].write_text(paths[1].read_text().replace("\n", "\r\n"), encoding="utf-8")
+    assert load_collection(*paths)[0] == documents
+    assert len(calls) == 1  # a CRLF file goes through csv.reader
+
+
+def test_non_utf8_csv_names_file_and_line(tmp_path):
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    codes = tmp_path / "codes.csv"
+    codes.write_bytes((_CODES_HEADER + "d1,human,A,0.5\nd2,human,caf\xe9,\n").encode("latin-1"))
+    with pytest.raises(CollectionFormatError) as err:
+        load_collection(docs, codes)
+    assert str(err.value).startswith(f"{codes}:3: not UTF-8 text: 'utf-8' codec can't decode")
 
 
 # --- CodeMatrix.take against the walk ---------------------------------------

@@ -429,3 +429,5 @@ def test_corpus_density_conservation_view():
         make_doc("b", ["x"], length=500, source="ai"),
     ]
     assert corpus_code_density(docs, "ai") == pytest.approx(2 / 1000 * 1000)
+    # a Python float: sweep.csv writes repr(), which spells a numpy scalar out
+    assert type(corpus_code_density(docs, "ai")) is float
