@@ -3,6 +3,7 @@
 from .corpus import (
     Codebook,
     CodeInstance,
+    Collection,
     Document,
     FecundityReport,
     FrequencyTable,

@@ -149,13 +149,12 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     docs, codebook = _load(args)
     out = _out_dir(args)
-    lengths = [d.text_length for d in docs]
-    sources = sorted({s for d in docs for s in d.codes})
+    lengths = docs.lengths.tolist()
     summary = {
         "documents": len(docs),
         "codes": len(codebook.entries),
         "themes": len(codebook.themes or {}),
-        "coder_sources": sources,
+        "coder_sources": sorted(docs.matrices),
         "length": vars(summary_stats(lengths)) if lengths else None,
     }
     (out / "collection_summary.json").write_text(
@@ -255,7 +254,7 @@ def cmd_select(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
     vf = ValueFunction(args.value_function)
-    if args.budget_chars:
+    if args.budget_chars is not None:
         budget = SelectionBudget(args.budget_chars)
     else:
         budget = SelectionBudget.from_mean_docs(docs, args.budget_docs)
@@ -308,19 +307,19 @@ def cmd_select(args) -> int:
 
 
 def _manifest_order(docs, manifest_path: str):
-    by_id = {d.id: d for d in docs}
-    ordered = {}
+    row_of = {doc_id: i for i, doc_id in enumerate(docs.ids)}
+    rows = {}
     for lineno, (doc_id,) in _read_csv(manifest_path, ("doc_id",)):
-        if doc_id not in by_id:
+        if doc_id not in row_of:
             raise CollectionFormatError(
                 f"manifest references unknown document {doc_id!r}", manifest_path, lineno
             )
-        if doc_id in ordered:
+        if doc_id in rows:
             raise CollectionFormatError(
                 f"manifest repeats document {doc_id!r}", manifest_path, lineno
             )
-        ordered[doc_id] = by_id[doc_id]
-    return list(ordered.values())
+        rows[doc_id] = row_of[doc_id]
+    return docs.take(list(rows.values()))
 
 
 def cmd_saturate(args) -> int:
@@ -384,7 +383,15 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
-    arms = {doc_id: arm for _, (doc_id, arm) in _read_csv(args.unblinding, ("doc_id", "arm"))}
+    arms = {}
+    for lineno, (doc_id, arm) in _read_csv(args.unblinding, ("doc_id", "arm")):
+        if arm not in ("treatment", "control", "overlap"):
+            message = f"arm must be treatment, control or overlap, got {arm!r}"
+            raise CollectionFormatError(message, args.unblinding, lineno)
+        if doc_id in arms:
+            message = f"unblinding repeats document {doc_id!r}"
+            raise CollectionFormatError(message, args.unblinding, lineno)
+        arms[doc_id] = arm
     extra = {}  # doc_id -> (round, old_random); 0.0 and False when not given
     if args.experiment:
         rows = _read_csv(args.experiment, ("doc_id",), ("round", "old_random"))
@@ -399,7 +406,7 @@ def cmd_analyze(args) -> int:
 
     freq = compute_frequencies(ordered, args.outcome_source)
     density_freq = None
-    if args.density_source and all(args.density_source in d.codes for d in ordered):
+    if args.density_source and args.density_source in ordered.matrices:
         density_freq = compute_frequencies(ordered, args.density_source)
 
     data: dict[str, list] = {
@@ -465,13 +472,11 @@ def cmd_analyze(args) -> int:
 
     arm_rows = []
     for arm in ("control", "treatment", "overlap"):
-        members = [i for i, d in enumerate(ordered) if arms.get(d.id, "control") == arm]
+        members = [i for i, doc_id in enumerate(ordered.ids) if arms.get(doc_id, "control") == arm]
         if not members:
             continue
-        fec = [data["fecundity"][i] for i in members]
-        lens = [ordered[i].text_length for i in members]
-        for var, values in (("fecundity", fec), ("text_length", lens)):
-            s = summary_stats(values)
+        for var, column in (("fecundity", "fecundity"), ("text_length", "length")):
+            s = summary_stats([data[column][i] for i in members])
             arm_rows.append(
                 [arm, var, _fmt(s.mean), s.n, _fmt(s.ci95_lower), _fmt(s.ci95_upper),
                  _fmt(s.p25), _fmt(s.p75)]
@@ -613,7 +618,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("synth", help="generate a synthetic coded corpus")
     _add_common(p)
     p.add_argument("--n-docs", type=int, default=60)
-    p.add_argument("--n-codes", type=int, default=80)
+    p.add_argument("--n-codes", type=_int_at_least, default=80)
     p.add_argument("--zipf", type=float, default=1.1)
     p.add_argument("--mean-len", type=int, default=2000)
     p.add_argument("--codes-per-kchar", type=float, default=3.0)
@@ -660,9 +665,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--codes", required=True, help="codes.csv (comma-separate to merge)")
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
-    p.add_argument("--budget-chars", type=int)
-    p.add_argument("--budget-docs", type=int, default=20)
-    p.add_argument("--control-docs", type=int, default=20)
+    p.add_argument("--budget-chars", type=_int_at_least)
+    p.add_argument("--budget-docs", type=_int_at_least, default=20)
+    p.add_argument("--control-docs", type=functools.partial(_int_at_least, minimum=0), default=20)
     p.add_argument("--plain-gain", action="store_true", help="rank by raw gain, not gain/char")
     p.set_defaults(func=cmd_select)
     commands["select"] = p
@@ -703,7 +708,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--sizes", type=_positive_ints, help="comma-separated subset sizes")
     p.add_argument("--replicates", type=_int_at_least, default=10)
-    p.add_argument("--budget-docs", type=int, default=20)
+    p.add_argument("--budget-docs", type=_int_at_least, default=20)
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
     p.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")
     p.add_argument("--pairs", help="csv: ai_density,human_density to fit the quadratic")

@@ -12,10 +12,8 @@ comparison.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,9 +42,7 @@ class Document:
 
     ``codes`` maps a coder-source identifier (e.g. "human", "ai") to the
     instances that source produced for this document. Treat instances as
-    immutable after construction; they are stored as tuples. A document
-    returned by ``load_collection`` holds its row of the collection's
-    interned matrices instead, and builds each tuple on first access.
+    immutable after construction; they are stored as tuples.
     """
 
     id: str
@@ -57,12 +53,7 @@ class Document:
     def __post_init__(self):
         if self.text_length < 1:
             raise ValueError(f"document {self.id!r}: text_length must be >= 1")
-        stored = self.codes
-        if isinstance(stored, _StoredCodes) and stored.lengths[stored.row] == self.text_length:
-            return
-        object.__setattr__(
-            self, "codes", {src: tuple(insts) for src, insts in self.codes.items()}
-        )
+        object.__setattr__(self, "codes", {s: tuple(insts) for s, insts in self.codes.items()})
 
     def instances(self, coder_source: str) -> tuple[CodeInstance, ...]:
         if coder_source not in self.codes:
@@ -95,66 +86,14 @@ class CodeMatrix:
     there. Document ``i``'s code ids, in file order and with repeats, are
     ``codes[offsets[i]:offsets[i + 1]]`` (compressed sparse rows), with
     each instance's position alongside in ``positions`` (NaN where it has
-    none); ``lengths[i]`` is its character length. ``labels`` may hold
-    codes no row uses (see ``take``), but ids always follow label order.
+    none). ``labels`` may hold codes no row uses (see ``take``), but ids
+    always follow label order.
     """
 
     labels: tuple[str, ...]
     offsets: np.ndarray
     codes: np.ndarray
     positions: np.ndarray
-    lengths: np.ndarray
-
-    @classmethod
-    def build(cls, docs: Sequence[Document], coder_source: str) -> "CodeMatrix":
-        """The matrix of ``docs``; a missing source raises like ``instances``.
-
-        Rows of one loaded collection are gathered from its matrix; other
-        documents are interned in one walk over their instances.
-        """
-        codes = [doc.codes for doc in docs]
-        if codes and all(isinstance(c, _StoredCodes) and c.store is codes[0].store for c in codes):
-            if coder_source not in codes[0].store:
-                docs[0].instances(coder_source)  # raises UnknownCoderSourceError
-            return codes[0].store[coder_source].take([c.row for c in codes])
-        ids: dict[str, int] = {}  # label -> id, in first-seen order
-        instances = [
-            (i, ids.setdefault(inst.code_id, len(ids)), inst.position)
-            for i, doc in enumerate(docs)
-            for inst in doc.instances(coder_source)
-        ]
-        rows, label_ids, positions = zip(*instances) if instances else ((), (), ())
-        return cls.intern(rows, label_ids, positions, list(ids), [d.text_length for d in docs])
-
-    @classmethod
-    def intern(
-        cls,
-        rows: Sequence[int],
-        label_ids: Sequence[int],
-        positions: Sequence[float | None],
-        names: Sequence[str],
-        lengths: Sequence[int],
-    ) -> "CodeMatrix":
-        """The matrix of code instances given as columns, in any row order:
-        each instance's document row, the index of its label in ``names`` and
-        its position (None or NaN for none). Each row's instances keep their
-        order; the labels are the used names, sorted."""
-        rows = np.asarray(rows, dtype=np.int64)
-        label_ids = np.asarray(label_ids, dtype=np.int64)
-        used = np.flatnonzero(np.bincount(label_ids, minlength=len(names))).tolist()
-        used.sort(key=names.__getitem__)
-        rank = np.zeros(len(names), dtype=np.int64)
-        rank[used] = np.arange(len(used))
-        by_row = np.argsort(rows, kind="stable")
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(lengths)), out=offsets[1:])
-        return cls(
-            labels=tuple(names[i] for i in used),
-            offsets=offsets,
-            codes=rank[label_ids[by_row]],
-            positions=np.asarray(positions, dtype=np.float64)[by_row],  # None reads NaN
-            lengths=np.array(lengths, dtype=np.int64),
-        )
 
     def take(self, rows: Sequence[int]) -> "CodeMatrix":
         """The given rows, in that order, gathered without re-interning:
@@ -165,45 +104,134 @@ class CodeMatrix:
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         index = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return CodeMatrix(
-            labels=self.labels,
-            offsets=offsets,
-            codes=self.codes[index],
-            positions=self.positions[index],
-            lengths=self.lengths[rows],
-        )
+        return CodeMatrix(self.labels, offsets, self.codes[index], self.positions[index])
 
     def doc_index(self) -> np.ndarray:
         """The document index of every instance, aligned with ``codes``."""
-        return np.repeat(np.arange(len(self.lengths), dtype=np.int64), np.diff(self.offsets))
+        return np.repeat(np.arange(len(self.offsets) - 1, dtype=np.int64), np.diff(self.offsets))
+
+    def instances(self, row: int) -> tuple[CodeInstance, ...]:
+        """Row ``row`` as ``CodeInstance`` tuples, in file order."""
+        start, end = self.offsets[row : row + 2].tolist()
+        return tuple(
+            CodeInstance(self.labels[c], None if p != p else p)  # NaN: no position
+            for c, p in zip(self.codes[start:end].tolist(), self.positions[start:end].tolist())
+        )
 
 
-class _StoredCodes(Mapping):
-    """A loaded document's ``codes``: its row of the collection's matrices,
-    one per coder source, built into ``CodeInstance`` tuples on first access."""
+@dataclass(frozen=True, eq=False)
+class Collection(Sequence[Document]):
+    """Documents as columns: the one representation every estimator reads.
 
-    def __init__(self, store: dict[str, CodeMatrix], lengths: list[int], row: int):
-        self.store, self.lengths, self.row = store, lengths, row
-        self._built: dict[str, tuple[CodeInstance, ...]] = {}
+    Row ``i`` is document ``ids[i]`` (ids are unique) of ``lengths[i]``
+    characters, with its codes from each coder source in row ``i`` of
+    ``matrices[source]``. ``carried[source]`` marks the rows carrying a source
+    that some hand-built documents lack. Indexing builds a ``Document``, and a
+    collection equals any sequence of equal documents.
+    """
 
-    def __getitem__(self, source: str) -> tuple[CodeInstance, ...]:
-        if source not in self._built:
-            m = self.store[source]
-            start, end = m.offsets[self.row], m.offsets[self.row + 1]
-            self._built[source] = tuple(
-                CodeInstance(m.labels[c], None if p != p else p)  # NaN: no position
-                for c, p in zip(m.codes[start:end].tolist(), m.positions[start:end].tolist())
-            )
-        return self._built[source]
+    ids: tuple[str, ...]
+    lengths: np.ndarray  # int64
+    source_labels: tuple[str | None, ...]
+    matrices: Mapping[str, CodeMatrix]
+    carried: Mapping[str, np.ndarray] = field(default_factory=dict)
 
-    def __iter__(self):
-        return iter(self.store)
+    @classmethod
+    def intern(
+        cls, ids: Sequence[str], lengths: Sequence[int], source_labels: Sequence[str | None],
+        sources: Sequence[str], instances: Sequence[Sequence], names: Sequence[str],
+        carried: Mapping[str, np.ndarray] | None = None,
+    ) -> "Collection":
+        """The collection with code instances given as columns in any row order:
+        index in ``sources``, row, index of the label in ``names`` and position
+        (None or NaN for none). Labels are sorted; rows keep instance order."""
+        source_ids, rows, label_ids = (np.asarray(c, dtype=np.int64) for c in instances[:3])
+        positions = np.asarray(instances[3], dtype=np.float64)  # None reads NaN
+        n, matrices = len(ids), {}
+        for s, source in enumerate(sources):
+            mine = np.flatnonzero(source_ids == s)
+            mine = mine[np.argsort(rows[mine], kind="stable")]
+            used = np.flatnonzero(np.bincount(label_ids[mine], minlength=len(names))).tolist()
+            used.sort(key=names.__getitem__)
+            rank = np.zeros(len(names), dtype=np.int64)
+            rank[used] = np.arange(len(used))
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[mine], minlength=n), out=offsets[1:])
+            labels = tuple(names[i] for i in used)
+            matrices[source] = CodeMatrix(labels, offsets, rank[label_ids[mine]], positions[mine])
+        lengths = np.array(lengths, dtype=np.int64)
+        return cls(tuple(ids), lengths, tuple(source_labels), matrices, carried or {})
+
+    @classmethod
+    def of(cls, docs: Iterable[Document]) -> "Collection":
+        """``docs`` as a collection: unchanged if it is one, else interned in one
+        walk over the instances. A repeated document id raises ValueError."""
+        if isinstance(docs, Collection):
+            return docs
+        ids: dict[str, None] = {}  # in row order
+        lengths, source_labels, instances = [], [], []
+        names: dict[str, int] = {}  # label -> index, in first-seen order
+        source_of: dict[str, int] = {}  # coder source -> index, in first-seen order
+        carriers: dict[str, list[int]] = {}  # coder source -> the rows that carry it
+        for row, doc in enumerate(docs):
+            if doc.id in ids:
+                raise ValueError(f"duplicate document id {doc.id!r} in collection")
+            ids[doc.id] = None
+            lengths.append(doc.text_length)
+            source_labels.append(doc.source_label)
+            for source, insts in doc.codes.items():
+                s = source_of.setdefault(source, len(source_of))
+                carriers.setdefault(source, []).append(row)
+                instances.extend(
+                    (s, row, names.setdefault(inst.code_id, len(names)), inst.position)
+                    for inst in insts
+                )
+        n = len(ids)
+        carried = {s: np.bincount(r, minlength=n) > 0 for s, r in carriers.items() if len(r) < n}
+        columns = tuple(zip(*instances)) if instances else ((),) * 4
+        sources, names = list(source_of), list(names)
+        return cls.intern(list(ids), lengths, source_labels, sources, columns, names, carried)
+
+    def matrix(self, source: str) -> CodeMatrix:
+        """The codes of ``source`` over every row; a document without the
+        source raises ``UnknownCoderSourceError``, naming the first one."""
+        carried = self.carried.get(source)
+        if source in self.matrices and (carried is None or carried.all()):
+            return self.matrices[source]
+        if not self.ids:  # no document lacks the source
+            return Collection.intern((), (), (), [source], ((),) * 4, []).matrices[source]
+        first = self.ids[0 if carried is None else int(np.argmin(carried))]
+        raise UnknownCoderSourceError(f"document {first!r} has no codes from source {source!r}")
+
+    def take(self, rows: Sequence[int]) -> "Collection":
+        """The given distinct rows, in that order, without re-interning."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return Collection(
+            tuple(map(self.ids.__getitem__, rows.tolist())),
+            self.lengths[rows],
+            tuple(map(self.source_labels.__getitem__, rows.tolist())),
+            {source: m.take(rows) for source, m in self.matrices.items()},
+            {source: mask[rows] for source, mask in self.carried.items()},
+        )
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.ids)
 
-    def __repr__(self) -> str:
-        return repr(dict(self))
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        row = range(len(self))[index]
+        codes = {
+            source: m.instances(row)
+            for source, m in self.matrices.items()
+            if source not in self.carried or self.carried[source][row]
+        }
+        return Document(self.ids[row], int(self.lengths[row]), self.source_labels[row], codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -231,14 +259,6 @@ class SummaryStats:
     p75: float
 
 
-def _check_unique_ids(docs: Sequence[Document]) -> None:
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise ValueError(f"duplicate document id {doc.id!r} in collection")
-        seen.add(doc.id)
-
-
 def compute_frequencies(docs: Iterable[Document], coder_source: str) -> FrequencyTable:
     """Count each code's instances across ``docs`` for one coder source.
 
@@ -246,13 +266,13 @@ def compute_frequencies(docs: Iterable[Document], coder_source: str) -> Frequenc
     fine); a document without it raises UnknownCoderSourceError so stale
     source names fail loudly rather than silently undercounting.
     """
-    docs = list(docs)
-    _check_unique_ids(docs)
-    counts: Counter[str] = Counter()
-    for doc in docs:
-        for inst in doc.instances(coder_source):
-            counts[inst.code_id] += 1
-    return FrequencyTable(scope=frozenset(d.id for d in docs), counts=dict(counts))
+    docs = Collection.of(docs)
+    matrix = docs.matrix(coder_source)
+    counts = np.bincount(matrix.codes, minlength=len(matrix.labels)).tolist()
+    return FrequencyTable(
+        scope=frozenset(docs.ids),
+        counts={label: n for label, n in zip(matrix.labels, counts) if n},
+    )
 
 
 def unique_weight(doc: Document, freq: FrequencyTable, coder_source: str) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Codebook, CodeMatrix, Document, _StoredCodes
+from .corpus import Codebook, Collection, Document
 from .errors import (
     BlankCodeError,
     CollectionFormatError,
@@ -134,10 +134,11 @@ def load_collection(
     documents_path: str | Path,
     codes_path: str | Path | Sequence[str | Path] | None = None,
     themes_path: str | Path | None = None,
-) -> tuple[list[Document], Codebook]:
+) -> tuple[Collection, Codebook]:
     """Load and validate a document collection.
 
-    Returns documents in file order plus the codebook of every code seen.
+    Returns the documents in file order, as a ``Collection``, plus the
+    codebook of every code seen.
     ``codes_path`` may be a list of files to merge (e.g. human plus AI
     codes). Duplicate document ids, dangling references, and malformed
     rows raise with the offending file and line number: in each file, in
@@ -257,18 +258,10 @@ def load_collection(
             theme_map[cid] = tid
             themes.setdefault(tid, theme_label.strip())
 
-    store = {}
-    if parts:
-        source_ids, doc_rows, label_ids, positions = map(np.concatenate, zip(*parts))
-        for source, i in source_of.items():
-            mine = source_ids == i
-            store[source] = CodeMatrix.intern(
-                doc_rows[mine], label_ids[mine], positions[mine], list(names), lengths
-            )
-    documents = [
-        Document(doc_id, lengths[row], source_labels[row], _StoredCodes(store, lengths, row))
-        for doc_id, row in row_of.items()
-    ]
+    columns = tuple(map(np.concatenate, zip(*parts))) if parts else ((),) * 4
+    documents = Collection.intern(
+        list(row_of), lengths, source_labels, list(source_of), columns, list(names)
+    )
     return documents, Codebook(entries=entries, theme_map=theme_map, themes=themes)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Codebook, CodeMatrix, Document
+from .corpus import Codebook, CodeMatrix, Collection, Document
 
 
 REGIME_KINDS = ("unique", "hf_retrospective", "hf_iterative", "themes")
@@ -185,13 +185,13 @@ def cumulative_curve(
     hf_iterative credits a code at the document where its cumulative count
     first reaches the threshold.
     """
-    order = list(order)
+    order = Collection.of(order)
     theme_map = _theme_map(regime, codebook)
-    matrix = CodeMatrix.build(order, coder_source)
+    matrix = order.matrix(coder_source)
     groups = _groups(matrix, regime, theme_map)
     counts = np.empty((1, len(order)), dtype=np.int64)
     _count_orders(groups, np.arange(len(order), dtype=np.int64)[None, :], counts)
-    chars = np.cumsum(matrix.lengths).tolist()
+    chars = np.cumsum(order.lengths).tolist()
     steps = tuple(
         CurveStep(doc_index=k, cumulative_chars=c, cumulative_count=n)
         for k, (c, n) in enumerate(zip(chars, counts[0].tolist()), start=1)
@@ -199,7 +199,7 @@ def cumulative_curve(
     return SaturationCurve(
         steps=steps,
         regime=regime,
-        document_order=tuple(d.id for d in order),
+        document_order=order.ids,
     )
 
 
@@ -261,12 +261,12 @@ def bootstrap_bands(
         raise ValueError("bootstrap_bands requires n_iterations >= 1")
     if not 0.0 < truncation < 1.0:
         raise ValueError("bootstrap_bands requires 0 < truncation < 1")
-    docs = list(docs)
+    docs = Collection.of(docs)
     N = len(docs)
     if N < 2:
         raise ValueError("bootstrap_bands requires at least 2 documents")
     theme_maps = [_theme_map(regime, codebook) for regime in regimes]
-    matrix = CodeMatrix.build(docs, coder_source)
+    matrix = docs.matrix(coder_source)
 
     positions = np.empty((n_iterations, N), dtype=np.int32)
     # Integer partial sums stay below 2**53, so dividing the total gives the
@@ -279,7 +279,7 @@ def bootstrap_bands(
         perms = np.stack(
             [np.random.default_rng([seed, it]).permutation(N) for it in range(first, stop)]
         )
-        chars_total += np.cumsum(matrix.lengths[perms], axis=1).sum(axis=0)
+        chars_total += np.cumsum(docs.lengths[perms], axis=1).sum(axis=0)
         np.put_along_axis(positions[first:stop], perms, places, axis=1)
     mean_chars = chars_total / n_iterations
     mean_chars.setflags(write=False)  # every band holds this one array
@@ -307,7 +307,7 @@ def bootstrap_bands(
 
 def median_code_position(doc: Document, coder_source: str) -> float | None:
     """Median fractional position of the document's positioned code instances."""
-    return _median_positions(CodeMatrix.build([doc], coder_source))[0]
+    return _median_positions(Collection.of([doc]).matrix(coder_source))[0]
 
 
 def _median_positions(matrix: CodeMatrix) -> list[float | None]:
@@ -336,9 +336,10 @@ def position_trend(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    order = sorted(docs, key=lambda d: (d.text_length, d.id))
-    medians = _median_positions(CodeMatrix.build(order, coder_source))
-    rows = [(doc.text_length, med) for doc, med in zip(order, medians) if med is not None]
+    docs = Collection.of(docs)
+    order = docs.take(sorted(range(len(docs)), key=lambda i: (docs.lengths[i], docs.ids[i])))
+    medians = _median_positions(order.matrix(coder_source))
+    rows = [(n, med) for n, med in zip(order.lengths.tolist(), medians) if med is not None]
     points = []
     n = len(rows)
     for i in range(n):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CodeMatrix, Document
+from .corpus import CodeMatrix, Collection, Document
 from .errors import SampleSizeError
 
 GAIN_FLOOR = 1e-12
@@ -68,9 +68,10 @@ class SelectionBudget:
     @classmethod
     def from_mean_docs(cls, candidates: Sequence[Document], n_docs: int) -> "SelectionBudget":
         """Budget equal to n_docs average candidate lengths."""
-        if not candidates:
+        lengths = Collection.of(candidates).lengths
+        if not len(lengths):
             raise ValueError("cannot derive a budget from an empty candidate set")
-        mean_len = sum(d.text_length for d in candidates) / len(candidates)
+        mean_len = int(lengths.sum()) / len(lengths)
         return cls(max_chars=max(1, round(n_docs * mean_len)))
 
 
@@ -98,7 +99,7 @@ def objective(
     Summation runs in sorted code order so structurally identical
     selections produce bitwise identical values.
     """
-    matrix = CodeMatrix.build(list(selected), coder_source)
+    matrix = Collection.of(selected).matrix(coder_source)
     g = value_function.g
     return sum((g(c) for c in np.bincount(matrix.codes).tolist()), 0.0)
 
@@ -111,7 +112,7 @@ def _code_copies(matrix: CodeMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     n_codes = max(len(matrix.labels), 1)
     keys, copies = np.unique(matrix.doc_index() * n_codes + matrix.codes, return_counts=True)
-    starts = np.searchsorted(keys, np.arange(len(matrix.lengths) + 1) * n_codes)
+    starts = np.searchsorted(keys, np.arange(len(matrix.offsets)) * n_codes)
     return starts, keys % n_codes, copies
 
 
@@ -146,12 +147,6 @@ def _marginal_gain(
     return gain
 
 
-def _sort_key(doc: Document, tie_break: str) -> tuple:
-    if tie_break == "shortest-then-id":
-        return (doc.text_length, doc.id)
-    return (doc.id,)
-
-
 def select_greedy(
     candidates: Sequence[Document],
     budget: SelectionBudget,
@@ -179,7 +174,8 @@ def select_greedy(
     """
     if tie_break not in _TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
-    matrix = CodeMatrix.build(candidates, coder_source)
+    docs = Collection.of(candidates)
+    matrix = docs.matrix(coder_source)
     starts, codes, copies = _code_copies(matrix)
     # g at every copy count a code can reach; g(0) = 0, so the first gain
     # of a document is also its value as a singleton.
@@ -187,25 +183,24 @@ def select_greedy(
     values = [value_function.g(m) for m in range(max_copies + 1)]
     first = _first_gains(starts, copies, np.array(values, dtype=np.float64))
     items = (starts.tolist(), codes.tolist(), copies.tolist())
+    lengths = docs.lengths.tolist()
+    keys = list(zip(lengths, docs.ids)) if tie_break == "shortest-then-id" else list(docs.ids)
 
-    selected_docs, gains = _greedy_lazy(
-        candidates, items, first.tolist(), budget, values, tie_break, cost_benefit
-    )
-    obj = objective(selected_docs, value_function, coder_source)
-    feasible = matrix.lengths < budget.max_chars
+    picked, gains = _greedy_lazy(lengths, keys, items, first.tolist(), budget, values, cost_benefit)
+    obj = objective(docs.take(picked), value_function, coder_source)
+    feasible = docs.lengths < budget.max_chars
     if singleton_fallback and feasible.any():
         top = first[feasible].max()
         if top > obj:
             tied = np.flatnonzero(feasible & (first == top)).tolist()
-            best = min(tied, key=lambda i: _sort_key(candidates[i], tie_break))
-            selected_docs = [candidates[best]]
+            picked = [min(tied, key=keys.__getitem__)]
             gains = [float(top)]
-            obj = objective(selected_docs, value_function, coder_source)
+            obj = objective(docs.take(picked), value_function, coder_source)
 
     return CorpusSelection(
-        selected_ids=tuple(d.id for d in selected_docs),
+        selected_ids=tuple(docs.ids[i] for i in picked),
         objective_value=obj,
-        total_chars=sum(d.text_length for d in selected_docs),
+        total_chars=sum(lengths[i] for i in picked),
         value_function=value_function,
         budget=budget,
         gains=tuple(gains),
@@ -216,38 +211,35 @@ def _score(gain: float, length: int, cost_benefit: bool) -> float:
     return gain / length if cost_benefit else gain
 
 
-def _greedy_lazy(candidates, items, first_gains, budget, values, tie_break, cost_benefit):
+def _greedy_lazy(lengths, keys, items, first_gains, budget, values, cost_benefit):
+    """The rows greedy picks, in order, and their gains; ties break on ``keys``."""
     counts: dict[int, int] = {}
     total = 0
-    picked: list[Document] = []
+    picked: list[int] = []
     gains: list[float] = []
     step = 0
-    heap = []
-    for i, (doc, gain) in enumerate(zip(candidates, first_gains)):
-        if doc.text_length >= budget.max_chars:
-            continue
-        heap.append((-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, i))
+    heap = [
+        (-_score(gain, n, cost_benefit), key, step, gain, i)
+        for i, (n, key, gain) in enumerate(zip(lengths, keys, first_gains))
+        if n < budget.max_chars
+    ]
     heapq.heapify(heap)
     starts, codes, copies = items
-    shortest = min((doc.text_length for doc in candidates), default=0)
+    shortest = min(lengths, default=0)
     while heap and total + shortest < budget.max_chars:  # else nothing left fits
-        entry = heapq.heappop(heap)
-        evaluated_at, gain, i = entry[-3], entry[-2], entry[-1]
-        doc = candidates[i]
-        if total + doc.text_length >= budget.max_chars:
+        _, key, evaluated_at, gain, i = heapq.heappop(heap)
+        n = lengths[i]
+        if total + n >= budget.max_chars:
             continue  # budget only shrinks, safe to drop
         if evaluated_at != step:
             gain = _marginal_gain(i, items, counts, values)
-            heapq.heappush(
-                heap,
-                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, i),
-            )
+            heapq.heappush(heap, (-_score(gain, n, cost_benefit), key, step, gain, i))
             continue
         if gain <= GAIN_FLOOR:
             break
-        picked.append(doc)
+        picked.append(i)
         gains.append(gain)
-        total += doc.text_length
+        total += n
         for k in range(starts[i], starts[i + 1]):
             counts[codes[k]] = counts.get(codes[k], 0) + copies[k]
         step += 1
@@ -262,17 +254,17 @@ def select_random(
     value_function: ValueFunction = SQRT,
 ) -> CorpusSelection:
     """Uniform sample of n_docs candidates without replacement, seed-reproducible."""
-    if n_docs > len(candidates):
+    docs = Collection.of(candidates)
+    if n_docs > len(docs):
         raise SampleSizeError(
-            f"cannot sample {n_docs} documents from {len(candidates)} candidates"
+            f"cannot sample {n_docs} documents from {len(docs)} candidates"
         )
     rng = np.random.default_rng(seed)
-    indices = rng.choice(len(candidates), size=n_docs, replace=False)
-    picked = [candidates[i] for i in indices]
+    picked = docs.take(rng.choice(len(docs), size=n_docs, replace=False))
     return CorpusSelection(
-        selected_ids=tuple(d.id for d in picked),
+        selected_ids=picked.ids,
         objective_value=objective(picked, value_function, coder_source),
-        total_chars=sum(d.text_length for d in picked),
+        total_chars=int(picked.lengths.sum()),
         value_function=value_function,
         budget=None,
     )

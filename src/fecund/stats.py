@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CodeMatrix, Document
+from .corpus import Collection, Document
 from .errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from .selection import SQRT, SelectionBudget, ValueFunction, select_greedy
 
@@ -467,25 +467,11 @@ def corpus_code_density(docs: Sequence[Document], coder_source: str) -> float:
     Equals the length-weighted aggregate of per-document fecundity when
     frequencies are taken over the same corpus.
     """
+    docs = Collection.of(docs)
     if not docs:
         return 0.0
-    matrix = CodeMatrix.build(docs, coder_source)
-    distinct = int(np.count_nonzero(np.bincount(matrix.codes)))
-    return distinct / int(matrix.lengths.sum()) * 1000.0
-
-
-def _selected_density(
-    docs: list[Document],
-    coder_source: str,
-    n_budget_docs: int,
-    value_function: ValueFunction,
-) -> float:
-    if len(docs) <= n_budget_docs:
-        return corpus_code_density(docs, coder_source)
-    budget = SelectionBudget.from_mean_docs(docs, n_budget_docs)
-    selection = select_greedy(docs, budget, value_function, coder_source)
-    by_id = {d.id: d for d in docs}
-    return corpus_code_density([by_id[i] for i in selection.selected_ids], coder_source)
+    distinct = int(np.count_nonzero(np.bincount(docs.matrix(coder_source).codes)))
+    return distinct / int(docs.lengths.sum()) * 1000.0
 
 
 def superset_sweep(
@@ -508,7 +494,8 @@ def superset_sweep(
     superset of the same size, where everything is taken), normalized to
     100%; it is returned as the first point.
     """
-    full = list(full_set)
+    full = Collection.of(full_set)
+    row_of = {doc_id: i for i, doc_id in enumerate(full.ids)}
     N = len(full)
     if sizes is None:
         sizes = sorted({s for s in (50, 100, 250, 500, 1000) if s <= N} | {N})
@@ -522,11 +509,12 @@ def superset_sweep(
         densities = []
         for rep in range(replicates):
             rng = np.random.default_rng([seed, size, rep])
-            idx = rng.choice(N, size=size, replace=False)
-            subset = [full[i] for i in idx]
-            densities.append(
-                _selected_density(subset, coder_source, n_budget_docs, value_function)
-            )
+            subset = full.take(rng.choice(N, size=size, replace=False))
+            if size > n_budget_docs:
+                budget = SelectionBudget.from_mean_docs(subset, n_budget_docs)
+                selection = select_greedy(subset, budget, value_function, coder_source)
+                subset = full.take([row_of[doc_id] for doc_id in selection.selected_ids])
+            densities.append(corpus_code_density(subset, coder_source))
         return sum(densities) / len(densities)
 
     baseline_density = mean_density(min(n_budget_docs, N))

@@ -49,7 +49,7 @@ from fecund.coder import (
     relevance_note,
     render_prompt,
 )
-from fecund.corpus import CodeMatrix, Document
+from fecund.corpus import Collection, Document
 from fecund.errors import FecundError, ResponseParseError
 from fecund.ingest import Passage
 from fecund.saturation import CountingRegime
@@ -62,8 +62,13 @@ from fecund.selection import (
     _code_copies,
     _marginal_gain,
     _score,
-    _sort_key,
 )
+
+
+def _sort_key(doc: Document, tie_break: str) -> tuple:
+    if tie_break == "shortest-then-id":
+        return (doc.text_length, doc.id)
+    return (doc.id,)
 
 
 def hf_codes(docs, coder_source, threshold):
@@ -272,30 +277,28 @@ def select_greedy_loop(
     )
 
 
-def greedy_naive(candidates, items, first_gains, budget, values, tie_break, cost_benefit):
+def greedy_naive(lengths, keys, items, first_gains, budget, values, cost_benefit):
     starts, codes, copies = items
     counts = {}
     total = 0
     picked = []
     gains = []
-    remaining = list(range(len(candidates)))
+    remaining = list(range(len(lengths)))
     while True:
         best = None
         for i in remaining:
-            doc = candidates[i]
-            if total + doc.text_length >= budget.max_chars:
+            if total + lengths[i] >= budget.max_chars:
                 continue
             gain = _marginal_gain(i, items, counts, values)
-            key = (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break))
+            key = (-_score(gain, lengths[i], cost_benefit), keys[i])
             if best is None or key < best[0]:
                 best = (key, i, gain)
         if best is None or best[2] <= GAIN_FLOOR:
             break
         _, i, gain = best
-        doc = candidates[i]
-        picked.append(doc)
+        picked.append(i)
         gains.append(gain)
-        total += doc.text_length
+        total += lengths[i]
         for k in range(starts[i], starts[i + 1]):
             counts[codes[k]] = counts.get(codes[k], 0) + copies[k]
         remaining.remove(i)
@@ -328,7 +331,7 @@ def select_exact(
             f"exact selection enumerates subsets; {len(candidates)} candidates > 20"
         )
     docs = sorted(candidates, key=lambda d: d.id)
-    starts, codes, copies = (a.tolist() for a in _code_copies(CodeMatrix.build(docs, coder_source)))
+    starts, codes, copies = (a.tolist() for a in _code_copies(Collection.of(docs).matrix(coder_source)))
     items = [list(zip(codes[s:e], copies[s:e])) for s, e in zip(starts, starts[1:])]
     g = value_function.g
     best_obj = 0.0

@@ -425,6 +425,9 @@ _CASE_FILES = {
     "codes-long-label.csv": "doc_id,coder_source,code_label\ndoc-00,human," + "x" * 200_000 + "\n",
     "codes-latin1.csv": "doc_id,coder_source,code_label\ndoc-00,human,café\n".encode("latin-1"),
     "manifest-latin1.csv": "reading_index,doc_id\n1,doc-00\n2,café\n".encode("latin-1"),
+    "unblinding-typo.csv": "doc_id,arm\ndoc-00,treatment\ndoc-01,treatmnet\n",
+    "unblinding-repeat.csv": "doc_id,arm\ndoc-00,treatment\ndoc-00,control\n",
+    "budget0.toml": "budget_chars = 0\n",
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -564,6 +567,44 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "argument --positions-window: must be >= 1, got 0",
     ),
+    "unblinding-unknown-arm": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding-typo.csv"],
+        EXIT_DATA,
+        "{tmp}/unblinding-typo.csv:3: arm must be treatment, control or overlap, got 'treatmnet'",
+    ),
+    "unblinding-repeated-id": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding-repeat.csv"],
+        EXIT_DATA,
+        "{tmp}/unblinding-repeat.csv:3: unblinding repeats document 'doc-00'",
+    ),
+    "budget-chars-zero": (
+        ["select", "--coder-source", "human", "--seed", "1", "--budget-chars", "0"],
+        EXIT_USAGE,
+        "argument --budget-chars: must be >= 1, got 0",
+    ),
+    "config-budget-chars-zero": (
+        ["select", "--coder-source", "human", "--seed", "1", "--config", "{tmp}/budget0.toml"],
+        EXIT_USAGE,
+        "argument --budget-chars: must be >= 1, got 0",
+    ),
+    "budget-docs-negative": (
+        ["select", "--coder-source", "human", "--seed", "1", "--budget-docs", "-2"],
+        EXIT_USAGE,
+        "argument --budget-docs: must be >= 1, got -2",
+    ),
+    "control-docs-negative": (
+        ["select", "--coder-source", "human", "--seed", "1", "--control-docs", "-1"],
+        EXIT_USAGE,
+        "argument --control-docs: must be >= 0, got -1",
+    ),
+    "sweep-budget-docs-negative": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
+         "--budget-docs", "-2"],
+        EXIT_USAGE,
+        "argument --budget-docs: must be >= 1, got -2",
+    ),
 }
 
 
@@ -587,6 +628,14 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # rejected while parsing, before any output
         assert not (tmp_path / "out").exists()
+
+
+def test_synth_rejects_an_empty_vocabulary(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("synth", "--out", tmp_path / "corpus", "--seed", 1, "--n-codes", 0)
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --n-codes: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeypatch, capsys):

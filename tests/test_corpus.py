@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fecund.corpus import (
     CodeInstance,
+    Collection,
     Document,
     FrequencyTable,
     compute_frequencies,
@@ -13,6 +15,11 @@ from fecund.corpus import (
     unique_weight,
 )
 from fecund.errors import StaleFrequencyError, UnknownCoderSourceError
+from fecund.ingest import load_collection, write_collection
+from fecund.saturation import CountingRegime, bootstrap_bands, cumulative_curve, position_trend
+from fecund.selection import SQRT, SelectionBudget, objective, select_greedy, select_random
+from fecund.stats import IDENTITY_MAP, corpus_code_density, superset_sweep
+from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
 
@@ -181,6 +188,97 @@ def test_document_rejects_nonpositive_length():
 def test_code_instance_position_range():
     with pytest.raises(ValueError):
         CodeInstance("a", position=1.5)
+
+
+# --- Collection ----------------------------------------------------------------
+
+_POSITIONS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0]))
+
+
+@st.composite
+def mixed_sources(draw):
+    """1-8 hand-built documents, each carrying any subset of two coder sources."""
+    docs = []
+    for i in range(draw(st.integers(1, 8))):
+        sources = draw(st.lists(st.sampled_from(["human", "ai"]), unique=True, max_size=2))
+        codes = {
+            source: [CodeInstance(c, p) for c, p in draw(st.lists(st.tuples(code_ids, _POSITIONS), max_size=5))]
+            for source in sources
+        }
+        length = draw(st.integers(1, 500))
+        docs.append(Document(f"d{i}", length, draw(st.sampled_from([None, "x"])), codes))
+    return docs
+
+
+def _walk_error(docs, source):
+    """The message the first document without ``source`` raises, or None."""
+    for doc in docs:
+        if source not in doc.codes:
+            with pytest.raises(UnknownCoderSourceError) as err:
+                doc.instances(source)
+            return str(err.value)
+    return None
+
+
+@given(mixed_sources(), st.data())
+def test_collection_of_hand_built_documents(docs, data):
+    collection = Collection.of(docs)
+    assert list(collection) == docs
+    assert Collection.of(collection) is collection
+    assert collection[::-1] == docs[::-1] and collection[-1] == docs[-1]
+    rows = data.draw(st.lists(st.integers(0, len(docs) - 1), unique=True))
+    picked = [docs[i] for i in rows]
+    taken = collection.take(rows)
+    assert list(taken) == picked
+    for scope, walked in ((collection, docs), (taken, picked)):
+        for source in ("human", "ai", "other"):
+            message = _walk_error(walked, source)
+            if message is None:
+                matrix = scope.matrix(source)
+                instances = [matrix.instances(i) for i in range(len(walked))]
+                assert instances == [d.instances(source) for d in walked]
+                counted = Counter(inst.code_id for d in walked for inst in d.instances(source))
+                assert compute_frequencies(scope, source).counts == counted
+            else:
+                with pytest.raises(UnknownCoderSourceError) as err:
+                    scope.matrix(source)
+                assert str(err.value) == message
+
+
+def test_loaded_estimators_build_no_documents(tmp_path, monkeypatch):
+    docs, codebook = synth_corpus(40, seed=3, n_themes=4)
+    paths = [tmp_path / "documents.jsonl", tmp_path / "codes.csv", tmp_path / "themes.csv"]
+    write_collection(docs, codebook, *paths)
+    loaded, codebook = load_collection(*paths)
+    built = []
+    monkeypatch.setattr(Document, "__post_init__", lambda self: built.append(self))
+    select_greedy(loaded, SelectionBudget.from_mean_docs(loaded, 5), SQRT, "human")
+    regimes = [CountingRegime(kind) for kind in ("unique", "hf_iterative", "themes")]
+    bootstrap_bands(loaded, regimes, "human", n_iterations=5, codebook=codebook)
+    superset_sweep(loaded, "human", IDENTITY_MAP, seed=1, sizes=[10, 40], replicates=2,
+                   n_budget_docs=5)
+    assert built == []
+
+
+_ESTIMATORS = {
+    "compute_frequencies": lambda docs: compute_frequencies(docs, "src"),
+    "objective": lambda docs: objective(docs, SQRT, "src"),
+    "select_greedy": lambda docs: select_greedy(docs, SelectionBudget(100), SQRT, "src"),
+    "select_random": lambda docs: select_random(docs, 1, seed=0, coder_source="src"),
+    "from_mean_docs": lambda docs: SelectionBudget.from_mean_docs(docs, 1),
+    "cumulative_curve": lambda docs: cumulative_curve(docs, CountingRegime("unique"), "src"),
+    "bootstrap_bands": lambda docs: bootstrap_bands(docs, [CountingRegime("unique")], "src"),
+    "position_trend": lambda docs: position_trend(docs, "src", window=1),
+    "corpus_code_density": lambda docs: corpus_code_density(docs, "src"),
+    "superset_sweep": lambda docs: superset_sweep(docs, "src", IDENTITY_MAP, seed=0, sizes=[2]),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
+def test_estimators_reject_repeated_ids(estimator):
+    docs = [make_doc("D1", ["a"]), make_doc("D2", ["b"]), make_doc("D1", ["c"])]
+    with pytest.raises(ValueError, match="^duplicate document id 'D1' in collection$"):
+        _ESTIMATORS[estimator](docs)
 
 
 # --- summary_stats -------------------------------------------------------------

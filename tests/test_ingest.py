@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fecund.corpus import CodeInstance, CodeMatrix, Document, Codebook
+from fecund.corpus import CodeInstance, Collection, Document, Codebook
 from fecund.errors import (
     BlankCodeError,
     CollectionFormatError,
@@ -540,16 +540,18 @@ def test_take_matches_walk(tmp_path_factory, collection, data):
     documents, _ = load_collection(docs_path, codes_paths)
     picks = data.draw(st.lists(st.integers(0, len(documents) - 1), max_size=10))
     subset = [documents[i] for i in picks]
-    # plain copies: their codes are dictionaries, so build walks them
-    copies = [Document(d.id, d.text_length, d.source_label, dict(d.codes)) for d in subset]
+    expected = {}  # (row, source) -> the file rows' instances, in file order
+    for d, src, label, pos in files[0] + files[1]:
+        expected.setdefault((d, src), []).append(CodeInstance(canonicalize_code(label), pos))
     for source in documents[0].codes:
-        walked = CodeMatrix.build(copies, source)
-        full = CodeMatrix.build(documents, source)
-        for taken in (full.take(picks), CodeMatrix.build(subset, source)):
-            assert [taken.labels[c] for c in taken.codes] == [walked.labels[c] for c in walked.codes]
-            assert taken.offsets.tolist() == walked.offsets.tolist()
-            assert taken.lengths.tolist() == walked.lengths.tolist()
-            np.testing.assert_array_equal(taken.positions, walked.positions)
+        full = documents.matrix(source)
+        taken = full.take(picks)
+        assert [taken.instances(k) for k in range(len(picks))] == [
+            d.instances(source) for d in subset
+        ]
+        assert [d.instances(source) for d in subset] == [
+            tuple(expected.get((i, source), ())) for i in picks
+        ]
         assert list(full.labels) == sorted(full.labels)
 
 
@@ -561,7 +563,7 @@ def test_take_missing_source_raises_like_the_walk(tmp_path):
     )
     documents, _ = load_collection(docs, codes)
     with pytest.raises(UnknownCoderSourceError) as err:
-        CodeMatrix.build(documents[::-1], "ai")
+        documents[::-1].matrix("ai")
     assert str(err.value) == "document 'd2' has no codes from source 'ai'"
 
 
@@ -572,5 +574,5 @@ def test_replaced_length_leaves_the_shared_row(tmp_path):
     (loaded,), _ = load_collection(docs, codes)
     longer = dataclasses.replace(loaded, text_length=40)
     assert longer.codes == {"human": (CodeInstance("x", 0.5),)}
-    assert CodeMatrix.build([longer], "human").lengths.tolist() == [40]
-    assert CodeMatrix.build([loaded], "human").lengths.tolist() == [10]
+    assert Collection.of([longer]).lengths.tolist() == [40]
+    assert Collection.of([loaded]).lengths.tolist() == [10]
