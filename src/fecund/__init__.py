@@ -5,10 +5,7 @@ from .corpus import (
     CodeInstance,
     Collection,
     Document,
-    FecundityReport,
-    FrequencyTable,
     SummaryStats,
-    compute_frequencies,
     fecundity,
     summary_stats,
     unique_weight,

@@ -27,7 +27,7 @@ from .coder import (
     code_passages,
     passage_key,
 )
-from .corpus import compute_frequencies, fecundity, summary_stats
+from .corpus import fecundity, summary_stats
 from .errors import (
     CollectionFormatError,
     FecundError,
@@ -400,39 +400,31 @@ def cmd_analyze(args) -> int:
             try:
                 if flag not in ("true", "false"):
                     raise ValueError(f"old_random must be true or false, got {old_random!r}")
+                if doc_id in extra:
+                    raise ValueError(f"experiment repeats document {doc_id!r}")
                 extra[doc_id] = (float(round_ or 0), flag == "true")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.experiment, lineno) from None
+    unassigned = next((doc_id for doc_id in ordered.ids if doc_id not in arms), None)
+    if unassigned is not None:
+        message = f"no row for manifest document {unassigned!r}"
+        raise CollectionFormatError(message, args.unblinding)
 
-    freq = compute_frequencies(ordered, args.outcome_source)
-    density_freq = None
-    if args.density_source and args.density_source in ordered.matrices:
-        density_freq = compute_frequencies(ordered, args.density_source)
-
+    doc_arms = [arms[doc_id] for doc_id in ordered.ids]
+    given = [extra.get(doc_id, (0.0, False)) for doc_id in ordered.ids]
     data: dict[str, list] = {
-        "fecundity": [],
-        "ai_selected": [],
-        "index": [],
-        "length": [],
-        "overlap": [],
-        "old_random": [],
-        "round": [],
+        "fecundity": fecundity(ordered, args.outcome_source).tolist(),
+        "ai_selected": [1.0 if arm in ("treatment", "overlap") else 0.0 for arm in doc_arms],
+        "index": [float(i) for i in range(1, len(ordered) + 1)],
+        "length": ordered.lengths.astype(float).tolist(),
+        "overlap": [arm == "overlap" for arm in doc_arms],
+        "old_random": [old_random for _, old_random in given],
+        "round": [round_ for round_, _ in given],
         "ai_density": [],
     }
-    for i, doc in enumerate(ordered, start=1):
-        arm = arms.get(doc.id, "control")
-        round_, old_random = extra.get(doc.id, (0.0, False))
-        data["fecundity"].append(fecundity(doc, freq, args.outcome_source).fecundity)
-        data["ai_selected"].append(1.0 if arm in ("treatment", "overlap") else 0.0)
-        data["index"].append(float(i))
-        data["length"].append(float(doc.text_length))
-        data["overlap"].append(arm == "overlap")
-        data["old_random"].append(old_random)
-        data["round"].append(round_)
-        if density_freq is not None:
-            data["ai_density"].append(
-                fecundity(doc, density_freq, args.density_source).fecundity
-            )
+    with_density = bool(args.density_source) and args.density_source in ordered.matrices
+    if with_density:
+        data["ai_density"] = fecundity(ordered, args.density_source).tolist()
 
     feasible = [1, 2, 3, 6]
     fits: dict[int, object] = {}
@@ -460,7 +452,7 @@ def cmd_analyze(args) -> int:
         [[_fmt(r.get(h, "")) for h in header] for r in rows],
     )
 
-    if density_freq is not None and 5 in feasible:
+    if with_density and 5 in feasible:
         check = length_residual_check(data)
         lines = [
             f"stage-1 R2 (length on AI density): {check.stage1.r2:.3f}",
@@ -472,7 +464,7 @@ def cmd_analyze(args) -> int:
 
     arm_rows = []
     for arm in ("control", "treatment", "overlap"):
-        members = [i for i, doc_id in enumerate(ordered.ids) if arms.get(doc_id, "control") == arm]
+        members = [i for i, a in enumerate(doc_arms) if a == arm]
         if not members:
             continue
         for var, column in (("fecundity", "fecundity"), ("text_length", "length")):
@@ -574,6 +566,19 @@ def _int_at_least(text: str, minimum: int = 1) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+_int_at_least_zero = functools.partial(_int_at_least, minimum=0)
+
+
 def _positive_ints(text: str) -> list[int]:
     return [_int_at_least(part) for part in text.split(",")]
 
@@ -617,13 +622,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("synth", help="generate a synthetic coded corpus")
     _add_common(p)
-    p.add_argument("--n-docs", type=int, default=60)
+    p.add_argument("--n-docs", type=_int_at_least_zero, default=60)
     p.add_argument("--n-codes", type=_int_at_least, default=80)
     p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--mean-len", type=int, default=2000)
-    p.add_argument("--codes-per-kchar", type=float, default=3.0)
+    p.add_argument("--mean-len", type=_int_at_least, default=2000)
+    p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
     p.add_argument("--coder-source", default="human")
-    p.add_argument("--themes-count", type=int, default=8)
+    p.add_argument("--themes-count", type=_int_at_least_zero, default=8)
     p.add_argument("--with-text", action="store_true")
     p.set_defaults(func=cmd_synth)
     commands["synth"] = p
@@ -643,9 +648,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--chain", choices=sorted(CHAINS), default="socratic")
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--min-passage-len", type=int, default=100)
-    p.add_argument("--vocab-size", type=int, default=200)
+    p.add_argument("--vocab-size", type=_int_at_least, default=200)
     p.add_argument("--zipf", type=float, default=1.1)
-    p.add_argument("--codes-per-kchar", type=float, default=3.0)
+    p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
     p.add_argument("--summaries", help="csv: doc_id,summary")
     p.add_argument("--clusters", help="csv: passage_id,cluster_id")
     p.add_argument("--exemplars", help="csv: cluster_id,code_label")
@@ -667,7 +672,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
     p.add_argument("--budget-chars", type=_int_at_least)
     p.add_argument("--budget-docs", type=_int_at_least, default=20)
-    p.add_argument("--control-docs", type=functools.partial(_int_at_least, minimum=0), default=20)
+    p.add_argument("--control-docs", type=_int_at_least_zero, default=20)
     p.add_argument("--plain-gain", action="store_true", help="rank by raw gain, not gain/char")
     p.set_defaults(func=cmd_select)
     commands["select"] = p

@@ -3,10 +3,9 @@
 Fecundity is inverse-frequency-weighted unique codes per 1000 characters:
 every instance of a code that occurs f times in the evaluated scope
 contributes 1/f, so the per-document weights over a whole scope add up to
-the number of distinct codes in that scope. Frequencies are always taken
-over an explicit document scope because uniqueness is relative to the set
-of codes being compared; callers pick the scope that matches their
-comparison.
+the number of distinct codes in that scope. Frequencies are taken over the
+collection passed in, because uniqueness is relative to the set of codes
+being compared; callers pass the scope that matches their comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StaleFrequencyError, UnknownCoderSourceError
+from .errors import UnknownCoderSourceError
 
 
 @dataclass(frozen=True)
@@ -235,21 +234,6 @@ class Collection(Sequence[Document]):
 
 
 @dataclass(frozen=True)
-class FrequencyTable:
-    """Per-code instance counts over an explicit document scope."""
-
-    scope: frozenset[str]
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class FecundityReport:
-    document_id: str
-    unique_weight: float
-    fecundity: float
-
-
-@dataclass(frozen=True)
 class SummaryStats:
     mean: float
     n: int
@@ -259,49 +243,28 @@ class SummaryStats:
     p75: float
 
 
-def compute_frequencies(docs: Iterable[Document], coder_source: str) -> FrequencyTable:
-    """Count each code's instances across ``docs`` for one coder source.
+def unique_weight(docs: Iterable[Document], coder_source: str) -> np.ndarray:
+    """Inverse-frequency weight of each document's code instances, one per row.
 
-    Every document must carry the named source (an empty instance list is
-    fine); a document without it raises UnknownCoderSourceError so stale
-    source names fail loudly rather than silently undercounting.
+    Each instance of code i contributes 1/f_i, where f_i counts code i over
+    ``docs`` itself, duplicates within a document included; so the weights
+    over ``docs`` add up to its number of distinct codes. Every document must
+    carry the named source (an empty instance list is fine); one without it
+    raises UnknownCoderSourceError rather than silently undercounting.
     """
     docs = Collection.of(docs)
-    matrix = docs.matrix(coder_source)
-    counts = np.bincount(matrix.codes, minlength=len(matrix.labels)).tolist()
-    return FrequencyTable(
-        scope=frozenset(docs.ids),
-        counts={label: n for label, n in zip(matrix.labels, counts) if n},
-    )
+    m = docs.matrix(coder_source)
+    counts = np.bincount(m.codes, minlength=len(m.labels))
+    # bincount adds each row's weights in instance order, starting from 0.0;
+    # with no instance at all it returns integer zeros
+    weights = np.bincount(m.doc_index(), weights=1.0 / counts[m.codes], minlength=len(docs))
+    return weights.astype(np.float64, copy=False)
 
 
-def unique_weight(doc: Document, freq: FrequencyTable, coder_source: str) -> float:
-    """Inverse-frequency weight of the document's code instances.
-
-    Each instance of code i contributes 1/f_i, duplicates within the same
-    document included, so summing over all documents in the table's scope
-    recovers the number of distinct codes in scope exactly.
-    """
-    total = 0.0
-    for inst in doc.instances(coder_source):
-        f = freq.counts.get(inst.code_id)
-        if f is None:
-            raise StaleFrequencyError(
-                f"code {inst.code_id!r} in document {doc.id!r} is missing from the "
-                "frequency table; recompute frequencies over the evaluated scope"
-            )
-        total += 1.0 / f
-    return total
-
-
-def fecundity(doc: Document, freq: FrequencyTable, coder_source: str) -> FecundityReport:
-    """Unique-code weight per 1000 characters of the document."""
-    uw = unique_weight(doc, freq, coder_source)
-    return FecundityReport(
-        document_id=doc.id,
-        unique_weight=uw,
-        fecundity=uw / doc.text_length * 1000.0,
-    )
+def fecundity(docs: Iterable[Document], coder_source: str) -> np.ndarray:
+    """Each document's unique-code weight per 1000 characters, over ``docs``."""
+    docs = Collection.of(docs)
+    return unique_weight(docs, coder_source) / docs.lengths * 1000.0
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:

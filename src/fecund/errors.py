@@ -9,10 +9,6 @@ class UnknownCoderSourceError(FecundError):
     """A document does not carry codes from the requested coder source."""
 
 
-class StaleFrequencyError(FecundError):
-    """A code instance is missing from the frequency table it is weighted against."""
-
-
 class BlankCodeError(FecundError, ValueError):
     """A code label canonicalizes to the empty string."""
 

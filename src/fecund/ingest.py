@@ -395,7 +395,7 @@ def _read_csv(
 
 
 def write_collection(
-    documents: list[Document],
+    documents: Iterable[Document],
     codebook: Codebook,
     documents_path: str | Path,
     codes_path: str | Path | None = None,
@@ -403,22 +403,33 @@ def write_collection(
     texts: dict[str, str] | None = None,
 ) -> None:
     """Write a collection back out in the ingest formats (lossless round trip)."""
+    documents = Collection.of(documents)
     with open(documents_path, "w", encoding="utf-8", newline="") as fh:
-        for doc in documents:
-            obj: dict = {"id": doc.id, "text_length": doc.text_length, "source": doc.source_label}
-            if texts and doc.id in texts:
-                obj["text"] = texts[doc.id]
+        for doc_id, length, label in zip(
+            documents.ids, documents.lengths.tolist(), documents.source_labels
+        ):
+            obj: dict = {"id": doc_id, "text_length": length, "source": label}
+            if texts and doc_id in texts:
+                obj["text"] = texts[doc_id]
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     if codes_path is not None:
+        rows, cells = [np.zeros(0, dtype=np.int64)], []
+        for source in sorted(documents.matrices):
+            m = documents.matrices[source]
+            labels = [codebook.entries.get(label, label) for label in m.labels]
+            rows.append(m.doc_index())
+            cells.extend(
+                (source, labels[c], "" if p != p else repr(p))  # NaN: no position
+                for c, p in zip(m.codes.tolist(), m.positions.tolist())
+            )
+        # by document, then by sorted source, then in instance order
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable").tolist()
         with open(codes_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["doc_id", "coder_source", "code_label", "position"])
-            for doc in documents:
-                for source in sorted(doc.codes):
-                    for inst in doc.codes[source]:
-                        label = codebook.entries.get(inst.code_id, inst.code_id)
-                        pos = "" if inst.position is None else repr(inst.position)
-                        writer.writerow([doc.id, source, label, pos])
+            ids = documents.ids
+            writer.writerows([ids[r], *cells[i]] for r, i in zip(rows[order].tolist(), order))
     if themes_path is not None and codebook.theme_map:
         with open(themes_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Codebook, CodeInstance, Document
+from .corpus import Codebook, Collection
 from .ingest import RawArticle
 
 _WORDS = (
@@ -33,7 +33,7 @@ def synth_corpus(
     n_themes: int = 0,
     with_positions: bool = True,
     lengths: list[int] | None = None,
-) -> tuple[list[Document], Codebook]:
+) -> tuple[Collection, Codebook]:
     """Corpus with Zipf-skewed code frequencies and length-scaled code counts.
 
     Lengths are lognormal around ``mean_length`` unless given explicitly;
@@ -45,33 +45,30 @@ def synth_corpus(
     probs = zipf_probabilities(n_codes, zipf_exponent)
     vocab = [f"code {i:03d}" for i in range(1, n_codes + 1)]
     width = len(str(n_docs))
-    docs = []
+    doc_lengths, sizes, picks, positions = [], [], [], []
     for d in range(n_docs):
         if lengths is not None:
             length = lengths[d]
         else:
             length = max(100, int(rng.lognormal(np.log(mean_length), 0.5)))
         k = int(rng.poisson(codes_per_kchar * length / 1000.0))
-        picks = rng.choice(n_codes, size=k, p=probs) if k else []
-        instances = []
-        for c in picks:
-            position = float(rng.uniform()) if with_positions else None
-            instances.append(CodeInstance(vocab[int(c)], position))
-        docs.append(
-            Document(
-                id=f"doc-{d:0{width}d}",
-                text_length=length,
-                source_label="synthetic",
-                codes={coder_source: tuple(instances)},
-            )
-        )
-    used = {inst.code_id for doc in docs for inst in doc.codes[coder_source]}
-    entries = {v: v for v in vocab if v in used}
+        doc_lengths.append(length)
+        sizes.append(k)
+        if k:  # no draw for an empty document
+            picks.append(rng.choice(n_codes, size=k, p=probs))
+            positions.append(rng.uniform(size=k) if with_positions else np.full(k, np.nan))
+    label_ids = np.concatenate(picks or [np.zeros(0, dtype=np.int64)])
+    rows = np.repeat(np.arange(n_docs), sizes)
+    instances = (np.zeros(len(rows)), rows, label_ids, np.concatenate(positions or [np.zeros(0)]))
+    docs = Collection.intern(
+        [f"doc-{d:0{width}d}" for d in range(n_docs)], doc_lengths, ("synthetic",) * n_docs,
+        [coder_source], instances, vocab,
+    )
+    used = np.flatnonzero(np.bincount(label_ids, minlength=n_codes)).tolist()
+    entries = {vocab[i]: vocab[i] for i in used}
     theme_map = themes = None
     if n_themes > 0:
-        theme_map = {
-            v: f"theme {i % n_themes + 1:02d}" for i, v in enumerate(vocab) if v in used
-        }
+        theme_map = {vocab[i]: f"theme {i % n_themes + 1:02d}" for i in used}
         themes = {t: t for t in sorted(set(theme_map.values()))}
     return docs, Codebook(entries=entries, theme_map=theme_map, themes=themes)
 
@@ -84,7 +81,7 @@ def experiment_corpus(
     effect_ratio: float = 2.0,
     length_range: tuple[int, int] = (1000, 3000),
     coder_source: str = "human",
-) -> tuple[list[Document], dict[str, str]]:
+) -> tuple[Collection, dict[str, str]]:
     """Two-arm corpus with a known planted fecundity effect.
 
     Control documents generate code instances at ``control_rate`` per 1000
@@ -94,29 +91,22 @@ def experiment_corpus(
     Returns documents plus an id->arm map.
     """
     rng = np.random.default_rng(seed)
-    docs = []
-    arms = {}
-    serial = 0
+    arms, lengths, sizes = {}, [], []
     for arm, count, rate in (
         ("control", n_control, control_rate),
         ("treatment", n_treatment, control_rate * effect_ratio),
     ):
         for i in range(count):
             length = int(rng.integers(length_range[0], length_range[1] + 1))
-            k = int(rng.poisson(rate * length / 1000.0))
-            instances = tuple(
-                CodeInstance(f"fresh {serial + j:06d}") for j in range(k)
-            )
-            serial += k
-            doc_id = f"{arm[0]}{i:03d}"
-            docs.append(
-                Document(
-                    id=doc_id,
-                    text_length=length,
-                    codes={coder_source: instances},
-                )
-            )
-            arms[doc_id] = arm
+            sizes.append(int(rng.poisson(rate * length / 1000.0)))
+            lengths.append(length)
+            arms[f"{arm[0]}{i:03d}"] = arm
+    n = sum(sizes)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    instances = (np.zeros(n), rows, np.arange(n), np.full(n, np.nan))
+    names = [f"fresh {j:06d}" for j in range(n)]
+    docs = Collection.intern(list(arms), lengths, (None,) * len(sizes), [coder_source],
+                             instances, names)
     return docs, arms
 
 

@@ -9,7 +9,9 @@ return bit-identical selections. ``greedy_naive`` re-evaluates every
 candidate at every step; the lazy heap in ``fecund.selection`` must select
 exactly what it selects. ``select_exact`` enumerates every feasible
 subset, the globally optimal selection the greedy is certified against on
-small instances. ``run_chain_branches`` is the coder's chain with
+small instances. ``unique_weight_loop`` sums each document's inverse-frequency
+weights one instance at a time; ``fecund.corpus.unique_weight`` must return
+the same floats. ``run_chain_branches`` is the coder's chain with
 one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
 ``parse_relevance``); ``fecund.coder._run_chain`` must render the same
@@ -69,6 +71,19 @@ def _sort_key(doc: Document, tie_break: str) -> tuple:
     if tie_break == "shortest-then-id":
         return (doc.text_length, doc.id)
     return (doc.id,)
+
+
+def unique_weight_loop(docs: Sequence[Document], coder_source: str) -> list[float]:
+    """Each document's 1/f weights summed one instance at a time, with every
+    code's frequency f counted over ``docs`` itself."""
+    counts = Counter(inst.code_id for doc in docs for inst in doc.instances(coder_source))
+    weights = []
+    for doc in docs:
+        total = 0.0
+        for inst in doc.instances(coder_source):
+            total += 1.0 / counts[inst.code_id]
+        weights.append(total)
+    return weights
 
 
 def hf_codes(docs, coder_source, threshold):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from fecund.cli import EXIT_OK, main
-from fecund.corpus import compute_frequencies, fecundity, unique_weight
+from fecund.corpus import fecundity, unique_weight
 from fecund.saturation import CountingRegime, bootstrap_bands, cumulative_curve, detect_stopping
 from fecund.selection import (
     LOG1P,
@@ -42,9 +42,8 @@ def test_01_conservation_identity():
     for _ in range(100):
         n = int(rng.integers(5, 51))
         docs, _ = synth_corpus(n, seed=int(rng.integers(0, 2**31)), n_codes=40)
-        freq = compute_frequencies(docs, "human")
-        total = sum(unique_weight(d, freq, "human") for d in docs)
-        assert abs(total - len(freq.counts)) <= 1e-9
+        total = unique_weight(docs, "human").sum()
+        assert abs(total - len(np.unique(docs.matrix("human").codes))) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"100 corpora conserve distinct-code count within 1e-9 in {elapsed:.2f}s")
@@ -291,14 +290,13 @@ def test_09_paper_mimicking_simulation():
     for seed in range(n_seeds):
         docs, arms = experiment_corpus(seed, n_treatment=34, n_control=14)
         assert len(docs) == 48
-        freq = compute_frequencies(docs, "human")
         n = len(docs)
         data = {
-            "fecundity": [fecundity(d, freq, "human").fecundity for d in docs],
-            "ai_selected": [1.0 if arms[d.id] == "treatment" else 0.0 for d in docs],
+            "fecundity": fecundity(docs, "human").tolist(),
+            "ai_selected": [1.0 if arms[i] == "treatment" else 0.0 for i in docs.ids],
             "index": list(range(1, n + 1)),
             "round": [0.0] * n,
-            "length": [float(d.text_length) for d in docs],
+            "length": docs.lengths.astype(float).tolist(),
             "overlap": [False] * n,
             "old_random": [False] * n,
         }

@@ -11,7 +11,7 @@ import pytest
 
 from fecund import cli, coder
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
-from fecund.corpus import CodeInstance, compute_frequencies
+from fecund.corpus import CodeInstance, Document
 from fecund.ingest import load_collection
 from fecund.saturation import CountingRegime, cumulative_curve
 
@@ -428,6 +428,7 @@ _CASE_FILES = {
     "unblinding-typo.csv": "doc_id,arm\ndoc-00,treatment\ndoc-01,treatmnet\n",
     "unblinding-repeat.csv": "doc_id,arm\ndoc-00,treatment\ndoc-00,control\n",
     "budget0.toml": "budget_chars = 0\n",
+    "experiment-repeat.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-00,0,true\n",
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -599,6 +600,18 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "argument --control-docs: must be >= 0, got -1",
     ),
+    "unblinding-missing-document": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding.csv"],
+        EXIT_DATA,
+        "{tmp}/unblinding.csv: no row for manifest document 'doc-01'",
+    ),
+    "experiment-repeated-id": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding.csv", "--experiment", "{tmp}/experiment-repeat.csv"],
+        EXIT_DATA,
+        "{tmp}/experiment-repeat.csv:3: experiment repeats document 'doc-00'",
+    ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
          "--budget-docs", "-2"],
@@ -628,6 +641,54 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # rejected while parsing, before any output
         assert not (tmp_path / "out").exists()
+
+
+# generator flag out of range -> the message argparse prints; each exits 2
+_BAD_GENERATOR_FLAGS = {
+    "code-vocab-size-zero": (
+        ["code", "--vocab-size", "0"], "argument --vocab-size: must be >= 1, got 0"),
+    "code-codes-per-kchar-negative": (
+        ["code", "--codes-per-kchar", "-1"],
+        "argument --codes-per-kchar: must be a finite number >= 0, got -1"),
+    "synth-n-docs-negative": (
+        ["synth", "--n-docs", "-3"], "argument --n-docs: must be >= 0, got -3"),
+    "synth-mean-len-negative": (
+        ["synth", "--mean-len", "-5"], "argument --mean-len: must be >= 1, got -5"),
+    "synth-mean-len-zero": (
+        ["synth", "--mean-len", "0"], "argument --mean-len: must be >= 1, got 0"),
+    "synth-codes-per-kchar-negative": (
+        ["synth", "--codes-per-kchar", "-1"],
+        "argument --codes-per-kchar: must be a finite number >= 0, got -1"),
+    "synth-codes-per-kchar-nan": (
+        ["synth", "--codes-per-kchar", "nan"],
+        "argument --codes-per-kchar: must be a finite number >= 0, got nan"),
+    "synth-codes-per-kchar-not-a-number": (
+        ["synth", "--codes-per-kchar", "x"],
+        "argument --codes-per-kchar: invalid float value: 'x'"),
+    "synth-themes-count-negative": (
+        ["synth", "--themes-count", "-1"], "argument --themes-count: must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GENERATOR_FLAGS))
+def test_generator_flags_are_checked_while_parsing(tmp_path, capsys, case):
+    (command, *flags), message = _BAD_GENERATOR_FLAGS[case]
+    docs = ["--docs", tmp_path / "documents.jsonl"] if command == "code" else []
+    with pytest.raises(SystemExit) as exc:
+        run(command, *docs, "--out", tmp_path / "out", "--seed", 1, *flags)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_accepts_zero_counts(tmp_path):
+    out = tmp_path / "out"
+    assert run("synth", "--out", out, "--seed", 1, "--n-docs", 0, "--themes-count", 0,
+               "--codes-per-kchar", 0) == EXIT_OK
+    assert (out / "documents.jsonl").read_text() == ""
+    assert (out / "codes.csv").read_text() == "doc_id,coder_source,code_label,position\n"
+    assert not (out / "themes.csv").exists()
 
 
 def test_synth_rejects_an_empty_vocabulary(tmp_path, capsys):
@@ -805,19 +866,28 @@ def test_code_merges_into_collection(corpus_dir, tmp_path):
         corpus_dir / "documents.jsonl",
         [corpus_dir / "codes.csv", coded / "ai_codes.csv"],
     )
-    freq = compute_frequencies(docs, "ai")
-    assert freq.counts
+    assert len(docs.matrix("ai").codes)
     assert all(set(d.codes) == {"human", "ai"} for d in docs)
 
 
-def test_loaded_commands_build_no_code_instances(corpus_dir, tmp_path, monkeypatch):
-    """select, saturate and sweep work on the interned matrices of the loaded
-    collection; none of them turns a code row into a CodeInstance."""
+def test_loaded_commands_build_no_code_instances(tmp_path, monkeypatch):
+    """synth writes its corpus from columns, and select, saturate, analyze and
+    sweep work on the interned matrices of the loaded collection; none of them
+    turns a row into a Document or a code row into a CodeInstance."""
     built = []
     monkeypatch.setattr(CodeInstance, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(Document, "__post_init__", lambda self: built.append(self))
+    corpus_dir = tmp_path / "corpus"
+    assert run("synth", "--out", corpus_dir, "--seed", 5, "--n-docs", 30, "--with-text") == EXIT_OK
     data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
             "--coder-source", "human", "--seed", 3]
     _select_human(corpus_dir, tmp_path / "sel")
+    ids = [r["doc_id"] for r in _read_csv(tmp_path / "sel" / "manifest.csv")]
+    experiment = tmp_path / "experiment.csv"
+    experiment.write_text("doc_id,round,old_random\n" + "".join(
+        f"{d},{i % 2},{str(i % 3 == 0).lower()}\n" for i, d in enumerate(ids)))
+    assert run(*_analyze_argv(corpus_dir, tmp_path / "sel", tmp_path / "ana"), "--experiment",
+               experiment, "--density-source", "human") == EXIT_OK
     assert run("saturate", *data, "--themes", corpus_dir / "themes.csv",
                "--order", tmp_path / "sel" / "manifest.csv", "--regimes",
                "unique,hf_retrospective,hf_iterative,themes", "--bootstrap",

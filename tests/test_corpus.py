@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,13 +9,11 @@ from fecund.corpus import (
     CodeInstance,
     Collection,
     Document,
-    FrequencyTable,
-    compute_frequencies,
     fecundity,
     summary_stats,
     unique_weight,
 )
-from fecund.errors import StaleFrequencyError, UnknownCoderSourceError
+from fecund.errors import UnknownCoderSourceError
 from fecund.ingest import load_collection, write_collection
 from fecund.saturation import CountingRegime, bootstrap_bands, cumulative_curve, position_trend
 from fecund.selection import SQRT, SelectionBudget, objective, select_greedy, select_random
@@ -22,6 +21,7 @@ from fecund.stats import IDENTITY_MAP, corpus_code_density, superset_sweep
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
+from reference import unique_weight_loop
 
 
 # --- strategies ---------------------------------------------------------
@@ -40,65 +40,65 @@ def corpora(draw, min_docs=1, max_docs=12):
     return docs
 
 
-# --- compute_frequencies --------------------------------------------------
+# --- unique_weight and fecundity: frequencies over the collection passed in ---
 
 
 def test_frequencies_direct_count():
-    docs = [make_doc("D1", ["a", "b"]), make_doc("D2", ["a"])]
-    freq = compute_frequencies(docs, "src")
-    assert freq.counts == {"a": 2, "b": 1}
-    assert freq.scope == frozenset({"D1", "D2"})
+    """a occurs three times and b and c once each, over the collection passed in."""
+    docs = [make_doc("D1", ["a", "b"]), make_doc("D2", ["a"]), make_doc("D3", ["c", "a"])]
+    assert unique_weight(docs, "src").tolist() == [1 / 3 + 1, 1 / 3, 1 + 1 / 3]
+    assert unique_weight(docs[1:], "src").tolist() == [0.5, 1 + 0.5]
 
 
 def test_frequencies_empty_docs():
-    assert compute_frequencies([], "src").counts == {}
+    for measure in (unique_weight, fecundity):
+        result = measure([], "src")
+        assert result.dtype == np.float64 and result.shape == (0,)
 
 
 def test_frequencies_duplicates_within_doc_count():
-    freq = compute_frequencies([make_doc("D1", ["a", "a", "b"])], "src")
-    assert freq.counts == {"a": 2, "b": 1}
+    """Both instances of a count towards its frequency: each weighs 1/2."""
+    assert unique_weight([make_doc("D1", ["a", "a", "b"])], "src").tolist() == [0.5 + 0.5 + 1]
 
 
 def test_frequencies_unknown_source_names_it():
-    with pytest.raises(UnknownCoderSourceError, match="nosuch"):
-        compute_frequencies([make_doc("D1", ["a"])], "nosuch")
+    for measure in (unique_weight, fecundity):
+        with pytest.raises(UnknownCoderSourceError, match="nosuch"):
+            measure([make_doc("D1", ["a"])], "nosuch")
 
 
 def test_frequencies_rejects_duplicate_ids():
     docs = [make_doc("D1", ["a"]), make_doc("D1", ["b"])]
-    with pytest.raises(ValueError, match="duplicate"):
-        compute_frequencies(docs, "src")
-
-
-# --- unique_weight ----------------------------------------------------------
+    for measure in (unique_weight, fecundity):
+        with pytest.raises(ValueError, match="duplicate"):
+            measure(docs, "src")
 
 
 def test_unique_weight_hand_cases():
     docs = [make_doc("D1", ["a", "b"]), make_doc("D2", ["a"])]
-    freq = compute_frequencies(docs, "src")
-    assert unique_weight(docs[0], freq, "src") == pytest.approx(1.5)
-    assert unique_weight(docs[1], freq, "src") == pytest.approx(0.5)
+    assert unique_weight(docs, "src").tolist() == pytest.approx([1.5, 0.5])
 
 
 def test_unique_weight_empty_doc():
-    doc = make_doc("D", [])
-    freq = compute_frequencies([doc], "src")
-    assert unique_weight(doc, freq, "src") == 0.0
+    weights = unique_weight([make_doc("D", [])], "src")
+    assert weights.dtype == np.float64 and weights.tolist() == [0.0]
 
 
-def test_unique_weight_stale_table():
-    doc = make_doc("D", ["a"])
-    stale = FrequencyTable(scope=frozenset({"D"}), counts={"b": 1})
-    with pytest.raises(StaleFrequencyError, match="'a'"):
-        unique_weight(doc, stale, "src")
+@given(corpora(min_docs=0))
+def test_weights_equal_the_loop(docs):
+    """Column weights are the loop's floats exactly, empty documents included."""
+    weights = unique_weight_loop(docs, "src")
+    assert unique_weight(docs, "src").tolist() == weights
+    expected = [w / d.text_length * 1000.0 for w, d in zip(weights, docs)]
+    assert fecundity(docs, "src").tolist() == expected
+    assert fecundity(Collection.of(docs), "src").tolist() == expected
 
 
 @given(corpora())
 def test_conservation_identity(docs):
     """Weights over the scope add up to the distinct-code count."""
-    freq = compute_frequencies(docs, "src")
-    total = sum(unique_weight(d, freq, "src") for d in docs)
-    assert total == pytest.approx(len(freq.counts), abs=1e-9)
+    distinct = {inst.code_id for d in docs for inst in d.instances("src")}
+    assert unique_weight(docs, "src").sum() == pytest.approx(len(distinct), abs=1e-9)
 
 
 @given(corpora())
@@ -111,25 +111,19 @@ def test_doubling_instances_preserves_weights(docs):
         )
         for d in docs
     ]
-    freq = compute_frequencies(docs, "src")
-    freq2 = compute_frequencies(doubled, "src")
-    for code, count in freq.counts.items():
-        assert freq2.counts[code] == 2 * count
-    for d, d2 in zip(docs, doubled):
-        assert unique_weight(d2, freq2, "src") == pytest.approx(
-            unique_weight(d, freq, "src"), abs=1e-9
-        )
+    assert unique_weight(doubled, "src").tolist() == pytest.approx(
+        unique_weight(docs, "src").tolist(), abs=1e-9
+    )
 
 
 @given(corpora())
 def test_unique_weight_bounds(docs):
-    freq = compute_frequencies(docs, "src")
-    if not freq.counts:
+    counts = Counter(inst.code_id for d in docs for inst in d.instances("src"))
+    if not counts:
         return
-    max_f = max(freq.counts.values())
-    for d in docs:
+    max_f = max(counts.values())
+    for d, uw in zip(docs, unique_weight(docs, "src").tolist()):
         distinct = len({inst.code_id for inst in d.instances("src")})
-        uw = unique_weight(d, freq, "src")
         assert uw <= distinct + 1e-9
         assert uw >= distinct / max_f - 1e-9
 
@@ -149,35 +143,24 @@ def test_fecundity_invariant_to_relabeling(docs):
         )
         for d in docs
     ]
-    freq = compute_frequencies(docs, "src")
-    freq2 = compute_frequencies(renamed, "src")
-    for d, d2 in zip(docs, renamed):
-        assert fecundity(d2, freq2, "src").fecundity == pytest.approx(
-            fecundity(d, freq, "src").fecundity
-        )
-
-
-# --- fecundity ----------------------------------------------------------------
+    assert fecundity(renamed, "src").tolist() == fecundity(docs, "src").tolist()
 
 
 def test_fecundity_unit_scale():
-    doc = make_doc("D", ["a", "b"], length=1000)
-    freq = FrequencyTable(frozenset({"D"}), {"a": 2, "b": 1})
-    assert fecundity(doc, freq, "src").fecundity == pytest.approx(1.5)
+    """a occurs twice in the scope and b once: 1.5 per 1000 characters."""
+    docs = [make_doc("D", ["a", "b"], length=1000), make_doc("E", ["a"])]
+    assert fecundity(docs, "src")[0] == pytest.approx(1.5)
 
 
 def test_fecundity_quarter_length():
-    doc = make_doc("D", ["a"], length=250)
-    freq = FrequencyTable(frozenset({"D"}), {"a": 2})
-    assert fecundity(doc, freq, "src").fecundity == pytest.approx(2.0)
+    docs = [make_doc("D", ["a"], length=250), make_doc("E", ["a"])]
+    assert fecundity(docs, "src")[0] == pytest.approx(2.0)
 
 
 def test_fecundity_no_codes():
-    doc = make_doc("D", [], length=777)
-    freq = compute_frequencies([doc], "src")
-    report = fecundity(doc, freq, "src")
-    assert report.fecundity == 0.0
-    assert report.unique_weight == 0.0
+    docs = [make_doc("D", [], length=777)]
+    assert fecundity(docs, "src").tolist() == [0.0]
+    assert unique_weight(docs, "src").tolist() == [0.0]
 
 
 def test_document_rejects_nonpositive_length():
@@ -237,8 +220,7 @@ def test_collection_of_hand_built_documents(docs, data):
                 matrix = scope.matrix(source)
                 instances = [matrix.instances(i) for i in range(len(walked))]
                 assert instances == [d.instances(source) for d in walked]
-                counted = Counter(inst.code_id for d in walked for inst in d.instances(source))
-                assert compute_frequencies(scope, source).counts == counted
+                assert unique_weight(scope, source).tolist() == unique_weight_loop(walked, source)
             else:
                 with pytest.raises(UnknownCoderSourceError) as err:
                     scope.matrix(source)
@@ -257,11 +239,13 @@ def test_loaded_estimators_build_no_documents(tmp_path, monkeypatch):
     bootstrap_bands(loaded, regimes, "human", n_iterations=5, codebook=codebook)
     superset_sweep(loaded, "human", IDENTITY_MAP, seed=1, sizes=[10, 40], replicates=2,
                    n_budget_docs=5)
+    fecundity(loaded, "human")
     assert built == []
 
 
 _ESTIMATORS = {
-    "compute_frequencies": lambda docs: compute_frequencies(docs, "src"),
+    "unique_weight": lambda docs: unique_weight(docs, "src"),
+    "fecundity": lambda docs: fecundity(docs, "src"),
     "objective": lambda docs: objective(docs, SQRT, "src"),
     "select_greedy": lambda docs: select_greedy(docs, SelectionBudget(100), SQRT, "src"),
     "select_random": lambda docs: select_random(docs, 1, seed=0, coder_source="src"),

@@ -256,6 +256,28 @@ def test_round_trip(tmp_path):
     assert t2.read_bytes() == t.read_bytes()
 
 
+def test_round_trip_of_a_source_some_documents_lack(tmp_path):
+    """Rows go by document, then by sorted source, then in instance order; a
+    missing position is a blank cell; writing the loaded files again changes
+    no byte."""
+    original = [
+        Document("d2", 50, codes={"human": (CodeInstance("b", 0.5), CodeInstance("a"))}),
+        Document("d1", 70, "x", {"ai": (CodeInstance("z", 1.0),), "human": (CodeInstance("a"),)}),
+        Document("d3", 30, codes={"human": ()}),
+    ]
+    paths = tmp_path / "d.jsonl", tmp_path / "c.csv"
+    write_collection(original, Codebook(), *paths)
+    assert paths[1].read_text() == (
+        "doc_id,coder_source,code_label,position\n"
+        "d2,human,b,0.5\nd2,human,a,\nd1,ai,z,1.0\nd1,human,a,\n"
+    )
+    loaded, codebook = load_collection(*paths)
+    assert [d.instances("human") for d in loaded] == [d.instances("human") for d in original]
+    again = tmp_path / "d2.jsonl", tmp_path / "c2.csv"
+    write_collection(loaded, codebook, *again)
+    assert [p.read_bytes() for p in again] == [p.read_bytes() for p in paths]
+
+
 # --- ingest parity: each case pins what the DictReader loader returned ----
 
 _PARITY_DOCS = '{"id": "d1", "text_length": 10}\n{"id": "d2", "text_length": 20}\n'

@@ -268,7 +268,7 @@ def test_treatment_samples_respect_flags():
 
 def test_planted_effect_recovered_within_two_se():
     """The experiment simulation recovers its planted effect in >= 95% of seeds."""
-    from fecund.corpus import compute_frequencies, fecundity
+    from fecund.corpus import fecundity
     from fecund.synthetic import experiment_corpus
 
     planted = 1.4  # control rate x (ratio - 1)
@@ -276,14 +276,13 @@ def test_planted_effect_recovered_within_two_se():
     n_seeds = 500
     for seed in range(n_seeds):
         docs, arms = experiment_corpus(seed)
-        freq = compute_frequencies(docs, "human")
         n = len(docs)
         data = {
-            "fecundity": [fecundity(d, freq, "human").fecundity for d in docs],
-            "ai_selected": [1.0 if arms[d.id] == "treatment" else 0.0 for d in docs],
+            "fecundity": fecundity(docs, "human").tolist(),
+            "ai_selected": [1.0 if arms[i] == "treatment" else 0.0 for i in docs.ids],
             "index": list(range(1, n + 1)),
             "round": [0.0] * n,
-            "length": [float(d.text_length) for d in docs],
+            "length": docs.lengths.astype(float).tolist(),
             "overlap": [False] * n,
             "old_random": [False] * n,
         }
