@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -566,17 +567,19 @@ def _int_at_least(text: str, minimum: int = 1) -> int:
     return value
 
 
-def _non_negative_float(text: str) -> float:
+def _finite_float(text: str, minimum: float = -math.inf) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 <= value < float("inf"):  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    if not (math.isfinite(value) and value >= minimum):  # also rejects NaN
+        at_least = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise argparse.ArgumentTypeError(f"must be a finite number{at_least}, got {text}")
     return value
 
 
 _int_at_least_zero = functools.partial(_int_at_least, minimum=0)
+_non_negative_float = functools.partial(_finite_float, minimum=0.0)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -624,7 +627,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     p.add_argument("--n-docs", type=_int_at_least_zero, default=60)
     p.add_argument("--n-codes", type=_int_at_least, default=80)
-    p.add_argument("--zipf", type=float, default=1.1)
+    p.add_argument("--zipf", type=_finite_float, default=1.1)
     p.add_argument("--mean-len", type=_int_at_least, default=2000)
     p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
     p.add_argument("--coder-source", default="human")
@@ -649,7 +652,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--min-passage-len", type=int, default=100)
     p.add_argument("--vocab-size", type=_int_at_least, default=200)
-    p.add_argument("--zipf", type=float, default=1.1)
+    p.add_argument("--zipf", type=_finite_float, default=1.1)
     p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
     p.add_argument("--summaries", help="csv: doc_id,summary")
     p.add_argument("--clusters", help="csv: passage_id,cluster_id")
@@ -658,9 +661,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model")
     p.add_argument("--token-env", default="CODER_API_TOKEN")
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--retries", type=_int_at_least, default=3)
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--max-in-flight", type=int, default=4)
+    p.add_argument("--max-in-flight", type=_int_at_least, default=4)
     p.set_defaults(func=cmd_code)
     commands["code"] = p
 

@@ -20,8 +20,9 @@ import re
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import takewhile
 from string import Template
 from typing import Callable, Iterator, Sequence
 
@@ -188,15 +189,45 @@ class PromptTemplate:
     text: str
 
     @cached_property
+    def _split(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+        """The text, split once by ``Template.pattern``, as literal runs and the
+        placeholder names between them (one more literal than names); None
+        when the text holds an invalid ``$``."""
+        literals, names, literal, start = [], [], "", 0
+        for match in Template.pattern.finditer(self.text):
+            literal += self.text[start:match.start()]
+            start = match.end()
+            name = match.group("named") or match.group("braced")
+            if name is not None:
+                literals.append(literal)
+                names.append(name)
+                literal = ""
+            elif match.group("escaped") is not None:
+                literal += Template.delimiter
+            else:
+                return None
+        literals.append(literal + self.text[start:])
+        return tuple(literals), tuple(names)
+
+    @cached_property
     def placeholders(self) -> tuple[str, ...]:
-        return tuple(sorted(set(re.findall(r"\$(\w+)", self.text))))
+        return tuple(sorted(set(self._split[1] if self._split else ())))
 
     def render(self, **bindings: str) -> str:
-        """Substitute placeholders verbatim (no escaping)."""
+        """Substitute placeholders verbatim (no escaping), as
+        ``Template.substitute`` does."""
+        split = self._split
         try:
-            return Template(self.text).substitute(bindings)
+            if split is None:  # substitute raises the invalid placeholder's error
+                return Template(self.text).substitute(bindings)
+            literals, names = split
+            pieces = [literals[0]]
+            for name, literal in zip(names, literals[1:]):
+                pieces.append(str(bindings[name]))
+                pieces.append(literal)
         except KeyError as exc:
             raise PromptBindingError(exc.args[0], template=self.name)
+        return "".join(pieces)
 
 
 TEMPLATES: dict[str, PromptTemplate] = {
@@ -347,12 +378,14 @@ class MockCoder:
     """Offline coder with a seeded Zipf vocabulary.
 
     Each passage yields 0-6 codes (expected count scales with passage
-    length); each code slot walks the template chain with deterministic
-    replies, so prompt rendering, note threading, and parsing are all
-    exercised without a network. Passages containing tell-tale boilerplate
-    markers ("photo:", "photo caption", "disclaimer", "views expressed")
-    are flagged at triage, mirroring the screening behaviour of a real
-    backend.
+    length). A passage with codes is triaged once, and each code slot then
+    walks the chain's coding steps, all with deterministic replies, so
+    prompt rendering, note threading, and parsing are all exercised
+    without a network. Triage replies ignore the slot; each slot's coding
+    replies share that slot's one draw. Passages containing tell-tale
+    boilerplate markers ("photo:", "photo caption", "disclaimer", "views
+    expressed") are flagged at triage, mirroring the screening behaviour
+    of a real backend.
     """
 
     kind = "mock"
@@ -596,30 +629,38 @@ def _read_round1(state: _ChainState, raw: str) -> None:
     state.response = parse_round1_response(raw)
 
 
-# step -> (builder of the note the step's prompt binds, or None; reply handler)
-_STEPS: dict[str, tuple[Callable | None, Callable[[_ChainState, str], None]]] = {
-    "round1": (None, _read_round1),
-    "triage_caption": (None, _read_caption),
-    "triage_relevance": (lambda s: flag_note(s.flags), _read_topic),
-    "relevance_confidence": (lambda s: flag_note(s.flags), _read_confidence),
-    "socratic_code": (lambda s: relevance_note(s.level, s.reason), _read_precode),
-    "summary_reassess": (lambda s: reassess_note(s.level, s.reason), _read_code),
-    "final_fewshot": (None, _read_code),
+# step -> (builder of the note the step's prompt binds, or None; reply handler;
+# whether the step judges the whole passage, so one answer serves every slot)
+_STEPS: dict[str, tuple[Callable | None, Callable[[_ChainState, str], None], bool]] = {
+    "round1": (None, _read_round1, False),
+    "triage_caption": (None, _read_caption, True),
+    "triage_relevance": (lambda s: flag_note(s.flags), _read_topic, True),
+    "relevance_confidence": (lambda s: flag_note(s.flags), _read_confidence, True),
+    "socratic_code": (lambda s: relevance_note(s.level, s.reason), _read_precode, False),
+    "summary_reassess": (lambda s: reassess_note(s.level, s.reason), _read_code, False),
+    "final_fewshot": (None, _read_code, False),
 }
+
+
+def _walk(
+    state: _ChainState, passage: Passage, backend, steps: Sequence[str], slot: int
+) -> None:
+    for step in steps:
+        if step not in _STEPS:
+            raise ValueError(f"unknown chain step {step!r}")
+        note, read, _ = _STEPS[step]
+        if note is not None:
+            state.note = note(state)
+        bindings = {name: getattr(state, name) for name in TEMPLATES[step].placeholders}
+        read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
 
 
 def _run_chain(
     passage: Passage, backend, chain: Sequence[str], summary: str, fewshot: str, slot: int
 ) -> CodeResponse:
+    """One slot's walk through the whole chain."""
     state = _ChainState(excerpt=passage.text, summary=summary, relevant=fewshot)
-    for step in chain:
-        if step not in _STEPS:
-            raise ValueError(f"unknown chain step {step!r}")
-        note, read = _STEPS[step]
-        if note is not None:
-            state.note = note(state)
-        bindings = {name: getattr(state, name) for name in TEMPLATES[step].placeholders}
-        read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
+    _walk(state, passage, backend, chain, slot)
     return state.response
 
 
@@ -632,27 +673,40 @@ def code_passages(
 ) -> CodingRun:
     """Run the template chain over every passage.
 
-    ``summaries`` maps article ids to their summaries (required whenever a
-    chain step binds one); ``fewshot_context`` maps passage keys
-    ("article:index") to the exemplar-coding overview bound as the
-    few-shot reference. A transport failure or an unreadable reply costs
-    only its passage, which is recorded in ``errors``; the mock backend never
-    fails. Results are ordered by passage key; remote batches honour the
-    configured in-flight cap.
+    The chain's leading passage-level steps (triage, relevance, confidence)
+    are asked once per passage that has at least one code slot, as slot 0;
+    each slot then walks the remaining steps from its own copy of that
+    state. A passage with no slots makes no call. ``summaries`` maps article
+    ids to their summaries (required whenever a chain step binds one);
+    ``fewshot_context`` maps passage keys ("article:index") to the
+    exemplar-coding overview bound as the few-shot reference. A transport
+    failure or an unreadable reply costs only its passage, which is
+    recorded in ``errors``; the mock backend never fails. Results are
+    ordered by passage key; remote batches honour the configured in-flight
+    cap.
     """
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
     ordered = sorted(passages, key=passage_key)
+    head = tuple(takewhile(lambda step: step in _STEPS and _STEPS[step][2], template_chain))
+    tail = template_chain[len(head):]
 
     def work(passage: Passage) -> tuple[str, list[CodeResponse], str | None]:
         key = passage_key(passage)
-        summary = summaries.get(passage.article_id, "")
-        fewshot = fewshot_context.get(key, "[]")
+        state = _ChainState(
+            excerpt=passage.text,
+            summary=summaries.get(passage.article_id, ""),
+            relevant=fewshot_context.get(key, "[]"),
+        )
+        responses = []
         try:
-            responses = [
-                _run_chain(passage, backend, template_chain, summary, fewshot, slot)
-                for slot in range(backend.n_slots(passage))
-            ]
+            n_slots = backend.n_slots(passage)
+            if n_slots:
+                _walk(state, passage, backend, head, 0)
+            for slot in range(n_slots):
+                branch = replace(state, flags=list(state.flags))
+                _walk(branch, passage, backend, tail, slot)
+                responses.append(branch.response)
         except TransportError as exc:
             return key, [], f"{type(exc).__name__}: {exc}"
         except ResponseParseError as exc:

@@ -16,6 +16,9 @@ one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
 ``parse_relevance``); ``fecund.coder._run_chain`` must render the same
 prompts and return the same responses for every reply these accept.
+``code_passages_per_slot`` codes a batch with every slot walking the whole
+chain, triage included; ``fecund.coder.code_passages``, which triages each
+passage once, must return an equal ``CodingRun``.
 ``mock_draw_choice`` is the mock coder's code draw as ``Generator.choice``
 makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
 ``reference_band`` is the bootstrap band with one loop-counted order per
@@ -43,6 +46,7 @@ from fecund.coder import (
     CRITERIA_NOT_MALAYSIA,
     CRITERIA_NOT_REFUGEES,
     CodeResponse,
+    CodingRun,
     MockCoder,
     _normalize_valence,
     flag_note,
@@ -52,7 +56,7 @@ from fecund.coder import (
     render_prompt,
 )
 from fecund.corpus import Collection, Document
-from fecund.errors import FecundError, ResponseParseError
+from fecund.errors import FecundError, ResponseParseError, TransportError
 from fecund.ingest import Passage
 from fecund.saturation import CountingRegime
 from fecund.selection import (
@@ -498,6 +502,38 @@ def run_chain_branches(
             continue
         raise ValueError(f"unknown chain step {step!r}")
     return response
+
+
+def code_passages_per_slot(
+    passages: Sequence[Passage],
+    backend,
+    chain: Sequence[str],
+    summaries: dict[str, str],
+    fewshot_context: dict[str, str],
+    run_chain: Callable = run_chain_branches,
+) -> CodingRun:
+    """Code each passage slot by slot, every slot running ``run_chain`` over
+    the whole chain; the first unreadable reply or transport failure costs
+    the passage."""
+    results, errors = [], []
+    for passage in sorted(passages, key=lambda p: f"{p.article_id}:{p.index:04d}"):
+        key = f"{passage.article_id}:{passage.index:04d}"
+        summary = summaries.get(passage.article_id, "")
+        fewshot = fewshot_context.get(key, "[]")
+        try:
+            responses = [
+                run_chain(passage, backend, chain, summary, fewshot, slot)
+                for slot in range(backend.n_slots(passage))
+            ]
+        except TransportError as exc:
+            errors.append((key, f"{type(exc).__name__}: {exc}"))
+            continue
+        except ResponseParseError as exc:
+            raw = exc.raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
+            errors.append((key, f"{type(exc).__name__}: {exc}: {raw}"))
+            continue
+        results.extend((key, response) for response in responses)
+    return CodingRun(tuple(results), tuple(errors))
 
 
 def parse_bool_dict(raw: str) -> dict[str, bool]:

@@ -667,12 +667,29 @@ _BAD_GENERATOR_FLAGS = {
         "argument --codes-per-kchar: invalid float value: 'x'"),
     "synth-themes-count-negative": (
         ["synth", "--themes-count", "-1"], "argument --themes-count: must be >= 0, got -1"),
+    "synth-zipf-nan": (["synth", "--zipf", "nan"], "argument --zipf: must be a finite number, got nan"),
+    "synth-zipf-inf": (["synth", "--zipf=-inf"], "argument --zipf: must be a finite number, got -inf"),
+    "synth-zipf-nan-in-config": (
+        ["synth", "--config", "{tmp}/zipf-nan.toml"], "argument --zipf: must be a finite number, got nan"),
+    "code-zipf-nan": (["code", "--zipf", "nan"], "argument --zipf: must be a finite number, got nan"),
+    "code-zipf-not-a-number": (["code", "--zipf", "x"], "argument --zipf: invalid float value: 'x'"),
+    "code-zipf-nan-in-config": (
+        ["code", "--config", "{tmp}/zipf-nan.toml"], "argument --zipf: must be a finite number, got nan"),
+    "code-retries-zero": (["code", "--retries", "0"], "argument --retries: must be >= 1, got 0"),
+    "code-retries-negative": (["code", "--retries", "-1"], "argument --retries: must be >= 1, got -1"),
+    "code-retries-zero-in-config": (
+        ["code", "--config", "{tmp}/retries0.toml"], "argument --retries: must be >= 1, got 0"),
+    "code-max-in-flight-zero": (
+        ["code", "--max-in-flight", "0"], "argument --max-in-flight: must be >= 1, got 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_GENERATOR_FLAGS))
 def test_generator_flags_are_checked_while_parsing(tmp_path, capsys, case):
+    (tmp_path / "zipf-nan.toml").write_text("zipf = nan\n", encoding="utf-8")
+    (tmp_path / "retries0.toml").write_text("retries = 0\n", encoding="utf-8")
     (command, *flags), message = _BAD_GENERATOR_FLAGS[case]
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
     docs = ["--docs", tmp_path / "documents.jsonl"] if command == "code" else []
     with pytest.raises(SystemExit) as exc:
         run(command, *docs, "--out", tmp_path / "out", "--seed", 1, *flags)

@@ -1,5 +1,8 @@
 import ast
 import json
+import re
+from collections import Counter
+from string import Template
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,12 +16,14 @@ from fecund.coder import (
     TEMPLATES,
     CodeResponse,
     MockCoder,
+    PromptTemplate,
     RemoteCoder,
     RemoteConfig,
     code_passages,
     flag_note,
     parse_response,
     parse_round1_response,
+    passage_key,
     reassess_note,
     relevance_note,
     render_prompt,
@@ -26,7 +31,7 @@ from fecund.coder import (
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
-from reference import mock_draw_choice, run_chain_branches
+from reference import code_passages_per_slot, mock_draw_choice, run_chain_branches
 
 
 def passage(text, article="a1", index=0):
@@ -64,6 +69,70 @@ def test_placeholders_discovered():
         "precode",
         "summary",
     )
+
+
+PLACEHOLDERS = sorted({name for tpl in TEMPLATES.values() for name in tpl.placeholders})
+binding_values = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(["$", "$$", "${x}", "$excerpt", "{note}", "{}", "{{", "naïve — 難民 ✓"]),
+    st.integers(),
+    st.none(),
+)
+all_bindings = st.fixed_dictionaries({name: binding_values for name in PLACEHOLDERS})
+# template texts: literal runs (braces and non-ASCII included) between
+# plain, braced and escaped placeholders, and now and then a bare "$"
+template_texts = st.lists(
+    st.one_of(
+        st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="$"),
+                max_size=6),
+        st.sampled_from(
+            ["$$", "$excerpt", "${note}", "${summary}x", "$note.", "{", "}", "{$precode}", "$",
+             "é ✓ 日本"]
+        ),
+    ),
+    max_size=10,
+).map("".join)
+
+
+def substitute_outcome(render):
+    """What a render returns, or the error it raises, in comparable form."""
+    try:
+        return render()
+    except PromptBindingError as exc:
+        return ("missing", exc.placeholder)
+    except KeyError as exc:
+        return ("missing", exc.args[0])
+    except ValueError as exc:
+        return ("invalid", str(exc))
+
+
+@given(name=st.sampled_from(sorted(TEMPLATES)), bindings=all_bindings)
+def test_render_matches_template_substitute(name, bindings):
+    expected = Template(TEMPLATES[name].text).substitute(bindings)
+    assert render_prompt(name, bindings) == expected
+
+
+@given(text=template_texts, bindings=all_bindings, drop=st.sets(st.sampled_from(PLACEHOLDERS)))
+@example(text="$$excerpt ${excerpt}$$$note{}", bindings=dict.fromkeys(PLACEHOLDERS, "$"), drop=set())
+@example(text="a $ b $excerpt", bindings={}, drop=set())
+def test_split_render_matches_template_substitute(text, bindings, drop):
+    bindings = {k: v for k, v in bindings.items() if k not in drop}
+    tpl = PromptTemplate("custom", text)
+    assert substitute_outcome(lambda: tpl.render(**bindings)) == substitute_outcome(
+        lambda: Template(text).substitute(bindings)
+    )
+
+
+def test_render_errors_match_substitute():
+    with pytest.raises(PromptBindingError, match="'note' in template 'custom'"):
+        PromptTemplate("custom", "a ${note} b").render(excerpt="E")
+    for text in ("cost: $5 for $excerpt", "trailing $", "${excerpt"):
+        with pytest.raises(ValueError) as raised:
+            Template(text).substitute(excerpt="E")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            PromptTemplate("custom", text).render(excerpt="E")
+    # an escaped dollar names no placeholder
+    assert PromptTemplate("custom", "$$excerpt ${note}").placeholders == ("note",)
 
 
 ROUND1_FRAGMENTS = [
@@ -289,16 +358,19 @@ def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
 class RecordingBackend:
     """Wraps a backend and records every prompt it is asked to answer."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, min_slots=1):
         self.inner = inner
         self.kind = inner.kind
+        self.min_slots = min_slots
         self.prompts = []
+        self.asked = []
 
     def n_slots(self, passage):
-        return max(1, self.inner.n_slots(passage))
+        return max(self.min_slots, self.inner.n_slots(passage))
 
     def respond(self, step, prompt, passage, slot=0):
         self.prompts.append((step, prompt))
+        self.asked.append((step, passage_key(passage), slot))
         return self.inner.respond(step, prompt, passage, slot)
 
 
@@ -592,6 +664,100 @@ def test_unreadable_reply_is_recorded_as_utf8():
     assert run.errors == (
         ("bad:0000", 'ResponseParseError: reply holds a lone surrogate: {"1. Theme": "bad \\ud83d"}'),
     )
+
+
+# --- passage-level steps asked once, against the per-slot oracle ----------------
+
+PASSAGE_LEVEL = ("triage_caption", "triage_relevance", "relevance_confidence")
+mock_passages = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["", "Photo: ", "The views expressed are the author's. "]),
+        st.integers(1, 2500),
+    ),
+    max_size=6,
+).map(lambda rows: [
+    passage(marker + "x" * n, article=article, index=i)
+    for i, (article, marker, n) in enumerate(rows)
+])
+
+
+@given(
+    passages=mock_passages,
+    seed=st.integers(0, 2**32 - 1),
+    chain=st.sampled_from([SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN]),
+)
+@settings(max_examples=60, deadline=None)
+def test_triage_once_matches_per_slot_walk_on_mock(passages, seed, chain):
+    summaries, fewshot = {"a": "SUM"}, {"b:0001": '["exemplar"]'}
+    new, old = (RecordingBackend(MockCoder(seed=seed), min_slots=0) for _ in range(2))
+    run = code_passages(passages, new, chain, summaries, fewshot)
+    assert run == code_passages_per_slot(passages, old, chain, summaries, fewshot)
+    assert set(new.prompts) == set(old.prompts)
+
+
+class SlottedBackend(OneBadPassage):
+    """OneBadPassage with a fixed slot count for each passage index."""
+
+    def __init__(self, replies, slots, step=None, bad_reply=None):
+        super().__init__(step, bad_reply)
+        self.replies = replies
+        self.slots = slots
+
+    def n_slots(self, passage):
+        return self.slots[passage.index]
+
+
+UNREADABLE = ["no dictionary here", "{'1. Theme': 'x',}}", "{" + "z" * 250 + "}", '{"1. Theme": "\\ud800"}']
+
+
+@given(
+    replies=scripted_replies,
+    slots=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(STEPS), st.sampled_from(UNREADABLE))),
+    chain=st.one_of(
+        st.sampled_from([SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN]),
+        st.lists(st.sampled_from(STEPS), max_size=7).map(tuple),
+    ),
+)
+@example(
+    replies=dict.fromkeys(STEPS, "{}"), slots=[1, 2, 0],
+    bad=("triage_relevance", "no dictionary here"), chain=SOCRATIC_CHAIN,
+)
+@example(
+    replies=dict.fromkeys(STEPS, "{}"), slots=[3, 2, 1],
+    bad=("summary_reassess", UNREADABLE[3]), chain=SOCRATIC_CHAIN,
+)
+@settings(max_examples=150, deadline=None)
+def test_triage_once_matches_per_slot_walk_scripted(replies, slots, bad, chain):
+    passages = [passage("t", article=a, index=i) for i, a in enumerate(("a", "bad", "c"))]
+    step, bad_reply = bad or (None, None)
+    # the branch oracle's triage parsers read well-formed replies only, so an
+    # unreadable reply is walked by the one-slot chain, which records it
+    walk = run_chain_branches if bad is None else _run_chain
+    new, old = (SlottedBackend(replies, slots, step, bad_reply) for _ in range(2))
+    run = code_passages(passages, new, chain, {"a": "S"}, {})
+    assert run == code_passages_per_slot(passages, old, chain, {"a": "S"}, {}, walk)
+    assert set(new.prompts) == set(old.prompts)  # the same prompts, repeats aside
+    assert {key for key, _ in run.errors} <= {"bad:0001"}
+
+
+def test_passage_level_steps_are_asked_once_per_passage():
+    passages = [passage("y" * n, article=f"p{n}") for n in range(1, 2400, 150)]
+    mock = MockCoder(seed=8)
+    backend = RecordingBackend(mock, min_slots=0)
+    code_passages(passages, backend, SOCRATIC_CHAIN)
+    slots = {passage_key(p): mock.n_slots(p) for p in passages}
+    assert 0 in slots.values() and max(slots.values()) >= 2
+    expected = Counter()
+    for key, n in slots.items():
+        for step in PASSAGE_LEVEL:
+            expected[step, key, 0] += n > 0
+        for step in ("socratic_code", "summary_reassess"):
+            expected.update((step, key, slot) for slot in range(n))
+    assert Counter(backend.asked) == +expected
+    n_coded = sum(n > 0 for n in slots.values())
+    assert len(backend.asked) == 3 * n_coded + 2 * sum(slots.values())
 
 
 # --- remote backend ---------------------------------------------------------------
