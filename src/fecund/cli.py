@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import json
 import math
 import sys
@@ -18,16 +19,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .coder import (
-    FEWSHOT_CHAIN,
-    ROUND1_CHAIN,
-    SOCRATIC_CHAIN,
-    MockCoder,
-    RemoteCoder,
-    RemoteConfig,
-    code_passages,
-    passage_key,
-)
 from .corpus import fecundity, summary_stats
 from .errors import (
     CollectionFormatError,
@@ -36,31 +27,50 @@ from .errors import (
     TransportError,
 )
 from .ingest import _read_csv, load_articles, load_collection, split_passages, write_collection
-from .saturation import (
-    CountingRegime,
-    REGIME_KINDS,
-    bootstrap_bands,
-    cumulative_curve,
-    position_trend,
-)
-from .selection import (
-    SelectionBudget,
-    ValueFunction,
-    interleave_blinded,
-    select_greedy,
-    select_random,
-)
-from .stats import (
-    QuadraticMap,
-    fit_quadratic,
-    format_treatment_table,
-    length_residual_check,
-    superset_sweep,
-    treatment_table,
-    treatment_table_rows,
-)
-from .svgplot import line_chart
-from .synthetic import synth_articles, synth_corpus
+
+# The other layers are imported only by the commands that run them: `_bind`
+# sets each layer's names below as globals of this module, where the
+# commands look them up. A name already set, such as a wrapper patched onto
+# this module, is kept.
+_LAZY = {
+    "coder": ("CHAINS", "MockCoder", "RemoteCoder", "RemoteConfig", "code_passages", "passage_key"),
+    "saturation": (
+        "CountingRegime", "REGIME_KINDS", "bootstrap_bands", "cumulative_curve", "position_trend",
+    ),
+    "selection": (
+        "SelectionBudget", "ValueFunction", "interleave_blinded", "select_greedy", "select_random",
+    ),
+    "stats": (
+        "QuadraticMap", "fit_quadratic", "format_treatment_table", "length_residual_check",
+        "superset_sweep", "treatment_table", "treatment_table_rows",
+    ),
+    "svgplot": ("line_chart",),
+    "synthetic": ("synth_articles", "synth_corpus"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
+_LAYERS = {  # command -> the layers it runs
+    "synth": ("synthetic",),
+    "ingest": (),
+    "code": ("coder",),
+    "select": ("selection",),
+    "saturate": ("saturation", "svgplot"),
+    "analyze": ("stats",),
+    "sweep": ("selection", "stats", "svgplot"),
+}
+
+
+def _bind(layer: str) -> None:
+    module = importlib.import_module(f".{layer}", __package__)
+    for name in _LAZY[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAYER_OF[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,8 +78,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_REMOTE = 5
-
-CHAINS = {"socratic": SOCRATIC_CHAIN, "fewshot": FEWSHOT_CHAIN, "round1": ROUND1_CHAIN}
 
 
 def _out_dir(args) -> Path:
@@ -587,6 +595,7 @@ def _positive_ints(text: str) -> list[int]:
 
 
 def _regimes(text: str) -> list[str]:
+    _bind("saturation")  # parsing runs before main binds the command's layers
     kinds = [part.strip() for part in text.split(",") if part.strip()]
     if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(REGIME_KINDS):
         raise argparse.ArgumentTypeError(
@@ -648,7 +657,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common(p)
     p.add_argument("--docs", required=True, help="documents.jsonl with text")
     p.add_argument("--backend", choices=("mock", "remote"), default="mock")
-    p.add_argument("--chain", choices=sorted(CHAINS), default="socratic")
+    # literal, so that parsing imports no coder; equal to sorted(coder.CHAINS)
+    p.add_argument("--chain", choices=("fewshot", "round1", "socratic"), default="socratic")
     p.add_argument("--coder-source", default="ai")
     p.add_argument("--min-passage-len", type=int, default=100)
     p.add_argument("--vocab-size", type=_int_at_least, default=200)
@@ -776,6 +786,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "bootstrap", False) and args.seed is None:
         commands[args.command].error("--bootstrap requires --seed")
+    for layer in _LAYERS[args.command]:
+        _bind(layer)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -19,7 +19,6 @@ import os
 import re
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import takewhile
@@ -31,6 +30,7 @@ from numpy.random import default_rng
 
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from .ingest import Passage
+from .synthetic import zipf_probabilities
 
 # --- templates ------------------------------------------------------------
 
@@ -243,6 +243,7 @@ SOCRATIC_CHAIN = (
 )
 FEWSHOT_CHAIN = ("final_fewshot",)
 ROUND1_CHAIN = ("round1",)
+CHAINS = {"socratic": SOCRATIC_CHAIN, "fewshot": FEWSHOT_CHAIN, "round1": ROUND1_CHAIN}
 
 
 def render_prompt(template: str | PromptTemplate, bindings: dict[str, str]) -> str:
@@ -394,9 +395,7 @@ class MockCoder:
                  mean_codes_per_kchar: float = 3.0):
         self.seed = seed
         self.vocab = [f"mock code {i:03d}" for i in range(1, vocab_size + 1)]
-        ranks = np.arange(1, vocab_size + 1, dtype=float)
-        weights = ranks**-zipf_exponent
-        self.probabilities = weights / weights.sum()
+        self.probabilities = zipf_probabilities(vocab_size, zipf_exponent)
         # Generator.choice(p=...) draws one uniform and bisects this same CDF
         cdf = self.probabilities.cumsum()
         cdf /= cdf[-1]
@@ -717,6 +716,8 @@ def code_passages(
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)
     if backend.kind == "remote" and cap > 1 and len(ordered) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only this path uses threads
+
         with ThreadPoolExecutor(max_workers=cap) as pool:
             outcomes = list(pool.map(work, ordered))
     else:

@@ -17,9 +17,21 @@ _WORDS = (
 
 
 def zipf_probabilities(n: int, exponent: float = 1.1) -> np.ndarray:
+    """Probability of each of ranks 1..n, proportional to rank**-exponent.
+
+    Raises ValueError when the weights overflow (a large negative exponent
+    over a large vocabulary) or do not sum to a positive number.
+    """
     ranks = np.arange(1, n + 1, dtype=float)
-    weights = ranks**-exponent
-    return weights / weights.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = ranks**-exponent
+        total = weights.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise ValueError(
+            f"Zipf exponent {exponent:g} gives no finite, positive weights "
+            f"over a vocabulary of {n} codes"
+        )
+    return weights / total
 
 
 def synth_corpus(

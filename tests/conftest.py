@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -20,3 +25,13 @@ def make_doc(doc_id, codes, length=10, source="src", positions=None):
     else:
         instances = tuple(CodeInstance(c, p) for c, p in zip(codes, positions))
     return Document(id=doc_id, text_length=length, codes={source: instances})
+
+
+def run_python(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this checkout's ``fecund``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env
+    )

@@ -1,13 +1,12 @@
 import csv
+import importlib
 import json
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import run_python
 
 from fecund import cli, coder
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
@@ -797,19 +796,141 @@ def test_cli_import_loads_no_scipy_or_http(corpus_dir, tmp_path):
         print(code, "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
         """
     )
-    argv = _analyze_argv(corpus_dir, sel, tmp_path / "ana")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *map(str, argv)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_python(script, *_analyze_argv(corpus_dir, sel, tmp_path / "ana"))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "0 True False"
     assert (tmp_path / "ana" / "treatment_table.csv").exists()
+
+
+def _every_command(corpus_dir, tmp_path):
+    """One argument list per command, each writing to ``tmp_path / command``;
+    saturate and sweep plot, and analyze fits the residual check."""
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    ids = [r["doc_id"] for r in _read_csv(sel / "manifest.csv")]
+    experiment = tmp_path / "experiment.csv"
+    experiment.write_text("doc_id,round,old_random\n" + "".join(
+        f"{d},{i % 2},false\n" for i, d in enumerate(ids)))
+    docs = ["--docs", corpus_dir / "documents.jsonl"]
+    data = [*docs, "--codes", corpus_dir / "codes.csv", "--coder-source", "human"]
+    argvs = {
+        "synth": ["synth", "--seed", 1, "--n-docs", 5, "--with-text"],
+        "ingest": ["ingest", *docs, "--codes", corpus_dir / "codes.csv"],
+        "code": ["code", *docs, "--backend", "mock", "--seed", 1],
+        "select": ["select", *data, "--seed", 1, "--budget-docs", 5, "--control-docs", 5],
+        "saturate": ["saturate", *data, "--themes", corpus_dir / "themes.csv", "--order",
+                     sel / "manifest.csv", "--regimes", "unique,themes", "--bootstrap",
+                     "--iterations", 20, "--seed", 1, "--plot"],
+        "analyze": ["analyze", *docs, "--codes", corpus_dir / "codes.csv", "--manifest",
+                    sel / "manifest.csv", "--unblinding", sel / "unblinding.csv",
+                    "--experiment", experiment, "--outcome-source", "human",
+                    "--density-source", "human"],
+        "sweep": ["sweep", *data, "--seed", 1, "--sizes", "10,30", "--replicates", 2,
+                  "--budget-docs", 5, "--quadratic", "0,1,0", "--plot"],
+    }
+    return {c: [str(a) for a in (*argv, "--out", tmp_path / c)] for c, argv in argvs.items()}
+
+
+# The layers beyond corpus, errors and ingest that each command loads. The
+# mock coder draws from synthetic's Zipf weights, and stats imports selection.
+_COMMAND_LAYERS = {
+    "synth": ["synthetic"],
+    "ingest": [],
+    "code": ["coder", "synthetic"],
+    "select": ["selection"],
+    "saturate": ["saturation", "svgplot"],
+    "analyze": ["selection", "stats"],
+    "sweep": ["selection", "stats", "svgplot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_LAYERS))
+def test_command_loads_only_its_layers(corpus_dir, tmp_path, command):
+    """Start-up cost guard: importing the package or the CLI loads no layer
+    past corpus, errors and ingest; a command then loads exactly its own."""
+    script = textwrap.dedent(
+        """\
+        import json, sys
+        layers = ("coder", "saturation", "selection", "stats", "svgplot", "synthetic")
+        def loaded():
+            return [layer for layer in layers if "fecund." + layer in sys.modules]
+        import fecund
+        print(json.dumps(loaded()))
+        import fecund.cli
+        print(json.dumps(loaded()))
+        code = fecund.cli.main(sys.argv[1:])
+        print(json.dumps([code, loaded(), "concurrent.futures" in sys.modules]))
+        """
+    )
+    proc = run_python(script, *_every_command(corpus_dir, tmp_path)[command])
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()[:2]]
+    code, layers, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert lines == [[], []]
+    assert (code, layers) == (EXIT_OK, _COMMAND_LAYERS[command])
+    if command == "code":  # only a remote run with --max-in-flight > 1 uses threads
+        assert not threads
+
+
+# Each name the benchmark's traced run replaces on fecund.cli, by the
+# command that calls it: a command must call the module attribute, so the
+# replacement sees (and times) every call.
+_PATCHED_NAMES = {
+    "synth": ("synth_articles", "synth_corpus"),
+    "ingest": ("load_collection",),
+    "code": ("load_articles", "split_passages", "code_passages"),
+    "select": ("load_collection", "select_greedy", "select_random", "interleave_blinded"),
+    "saturate": ("load_collection", "bootstrap_bands", "line_chart"),
+    "analyze": ("load_collection", "fecundity", "treatment_table", "length_residual_check"),
+    "sweep": ("load_collection", "superset_sweep", "line_chart"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PATCHED_NAMES))
+def test_command_calls_the_names_patched_onto_cli(corpus_dir, tmp_path, monkeypatch, command):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _PATCHED_NAMES[command]:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    assert main(_every_command(corpus_dir, tmp_path)[command]) == EXIT_OK
+    assert sorted(calls) == sorted(_PATCHED_NAMES[command])
+
+
+def test_cli_names_resolve_to_their_layers():
+    for layer, names in cli._LAZY.items():
+        module = importlib.import_module(f"fecund.{layer}")
+        for name in names:
+            assert getattr(cli, name) is getattr(module, name)
+    assert not hasattr(cli, "no_such_name")
+
+
+def test_chain_choices_are_the_coder_chains():
+    _, commands = cli.build_parser()
+    (chain,) = [a for a in commands["code"]._actions if a.dest == "chain"]
+    assert list(chain.choices) == sorted(coder.CHAINS)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+@pytest.mark.parametrize("command", ["synth", "code"])
+def test_overflowing_zipf_exponent_exits_data(corpus_dir, tmp_path, capsys, command):
+    argv = [command, "--seed", 1, "--zipf", -1000, "--out", tmp_path / "out"]
+    if command == "code":
+        argv += ["--docs", corpus_dir / "documents.jsonl"]
+    capsys.readouterr()
+    assert run(*argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    vocabulary = 80 if command == "synth" else 200  # each command's default
+    message = "Zipf exponent -1000 gives no finite, positive weights"
+    assert f"{message} over a vocabulary of {vocabulary} codes" in err
+    assert "Traceback" not in err
 
 
 def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
@@ -831,13 +952,7 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
         ["sweep", *data, "--sizes", "10,30", "--replicates", 2, "--budget-docs", 5,
          "--quadratic", "0,1,0", "--out", tmp_path / "sw"],
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([[str(a) for a in c] for c in commands])],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_python(script, json.dumps([[str(a) for a in c] for c in commands]))
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
     assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False"]

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from string import Template
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -323,6 +324,22 @@ def test_mock_zipf_vocabulary_skews():
     top = counts.most_common(1)[0][1]
     assert top >= 3  # head codes repeat
     assert len(counts) >= 10  # but the tail is long
+
+
+@pytest.mark.parametrize("vocab_size, exponent", [(200, 1.1), (50, 0.0), (7, 3.5), (200, -2.0)])
+def test_mock_probabilities_are_the_normalised_zipf_weights(vocab_size, exponent):
+    """The mock's weights come from synthetic.zipf_probabilities, bit for bit
+    what its own rank**-exponent / sum gave, so ai_codes.csv is unchanged."""
+    weights = np.arange(1, vocab_size + 1, dtype=float) ** -exponent
+    backend = MockCoder(vocab_size=vocab_size, zipf_exponent=exponent)
+    assert backend.probabilities.tobytes() == (weights / weights.sum()).tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+@pytest.mark.parametrize("vocab_size, exponent", [(200, -1000.0), (2, -2000.0), (0, 1.1)])
+def test_mock_rejects_zipf_weights_that_do_not_normalise(vocab_size, exponent):
+    with pytest.raises(ValueError, match=f"exponent {exponent:g} .* vocabulary of {vocab_size}"):
+        MockCoder(vocab_size=vocab_size, zipf_exponent=exponent)
 
 
 @given(
