@@ -575,19 +575,22 @@ def _int_at_least(text: str, minimum: int = 1) -> int:
     return value
 
 
-def _finite_float(text: str, minimum: float = -math.inf) -> float:
+def _finite_float(text: str, minimum: float = -math.inf, strict: bool = False) -> float:
+    """A finite float of at least ``minimum`` (above it when ``strict``)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= minimum):  # also rejects NaN
-        at_least = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise argparse.ArgumentTypeError(f"must be a finite number{at_least}, got {text}")
+    in_range = value > minimum if strict else value >= minimum
+    if not (math.isfinite(value) and in_range):  # also rejects NaN
+        bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+        raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text}")
     return value
 
 
 _int_at_least_zero = functools.partial(_int_at_least, minimum=0)
 _non_negative_float = functools.partial(_finite_float, minimum=0.0)
+_positive_float = functools.partial(_finite_float, minimum=0.0, strict=True)
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -612,10 +615,11 @@ def _quadratic(text: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True, plot: bool = False) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--plot", action="store_true", help="also write SVG plots")
+    if plot:  # only the commands that draw take it
+        parser.add_argument("--plot", action="store_true", help="also write SVG plots")
     if seed:
         parser.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
 
@@ -660,7 +664,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     # literal, so that parsing imports no coder; equal to sorted(coder.CHAINS)
     p.add_argument("--chain", choices=("fewshot", "round1", "socratic"), default="socratic")
     p.add_argument("--coder-source", default="ai")
-    p.add_argument("--min-passage-len", type=int, default=100)
+    p.add_argument("--min-passage-len", type=_int_at_least_zero, default=100)
     p.add_argument("--vocab-size", type=_int_at_least, default=200)
     p.add_argument("--zipf", type=_finite_float, default=1.1)
     p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
@@ -670,9 +674,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--url")
     p.add_argument("--model")
     p.add_argument("--token-env", default="CODER_API_TOKEN")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=_positive_float, default=30.0)
     p.add_argument("--retries", type=_int_at_least, default=3)
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=_non_negative_float, default=0.0)
     p.add_argument("--max-in-flight", type=_int_at_least, default=4)
     p.set_defaults(func=cmd_code)
     commands["code"] = p
@@ -691,7 +695,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands["select"] = p
 
     p = sub.add_parser("saturate", help="cumulative code/theme curves, optional bootstrap")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, plot=True)
     p.add_argument("--seed", type=int, help="RNG seed (mandatory with --bootstrap)")
     p.add_argument("--docs", required=True)
     p.add_argument("--codes", required=True)
@@ -720,7 +724,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     commands["analyze"] = p
 
     p = sub.add_parser("sweep", help="predicted benefit vs. superset size")
-    _add_common(p)
+    _add_common(p, plot=True)
     p.add_argument("--docs", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--coder-source", default="ai")

@@ -14,12 +14,13 @@ and reproducibly.
 from __future__ import annotations
 
 import ast
+import copy
 import json
 import os
 import re
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
 from string import Template
@@ -283,6 +284,19 @@ class CodeResponse:
 
 
 _DICT_REGION = re.compile(r"\{.*\}", re.DOTALL)
+# a double-quoted string (kept as it is) or a bare Python name outside one
+_PYTHON_NAME = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")|\b(True|False|None)\b', re.DOTALL)
+_JSON_NAME = {"True": "true", "False": "false", "None": "null"}
+
+
+def _json_names(match: re.Match) -> str:
+    return match.group(1) or _JSON_NAME[match.group(2)]
+
+
+def _loads_python_names(region: str):
+    """``region`` as JSON once its bare ``True``/``False``/``None`` are spelled
+    ``true``/``false``/``null``."""
+    return json.loads(_PYTHON_NAME.sub(_json_names, region))
 
 
 def _normalize_valence(value) -> str | None:
@@ -299,17 +313,22 @@ def _extract_dict(raw: str) -> list[tuple[str, object]]:
     """The first dictionary-shaped region of a reply, in JSON or Python literal
     syntax, as (lowercased key, value) pairs.
 
-    JSON is tried first: most replies are JSON, and it reads escapes as
-    meant where Python would not (``\\/`` is ``/``, an escaped surrogate
-    pair is one character). Every reply of every chain step is read here,
-    so a reply that parses at one step parses at all of them.
+    The region is read as JSON; failing that, as JSON with its bare Python
+    names (outside double-quoted strings) spelled as JSON's, which covers
+    the prompts' "python dictionary format" at JSON's cost; and only then as
+    a Python literal (single quotes, Python escapes, trailing commas). JSON
+    reads escapes as meant where Python would not (``\\/`` is ``/``, an
+    escaped surrogate pair is one character). Every reply of every chain
+    step is read here, so a reply that parses at one step parses at all of
+    them.
     """
     match = _DICT_REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
-    for parser in (json.loads, ast.literal_eval):
+    region = match.group(0)
+    for parser in (json.loads, _loads_python_names, ast.literal_eval):
         try:
-            obj = parser(match.group(0))
+            obj = parser(region)
             break
         except Exception:
             obj = None
@@ -375,6 +394,9 @@ def parse_round1_response(raw: str) -> CodeResponse:
 # --- backends ---------------------------------------------------------------
 
 
+_Memo = tuple[Passage | None, list[str], dict[int, tuple[str, str]]]
+
+
 class MockCoder:
     """Offline coder with a seeded Zipf vocabulary.
 
@@ -383,10 +405,10 @@ class MockCoder:
     walks the chain's coding steps, all with deterministic replies, so
     prompt rendering, note threading, and parsing are all exercised
     without a network. Triage replies ignore the slot; each slot's coding
-    replies share that slot's one draw. Passages containing tell-tale
-    boilerplate markers ("photo:", "photo caption", "disclaimer", "views
-    expressed") are flagged at triage, mirroring the screening behaviour
-    of a real backend.
+    steps share that slot's one draw and the one reply built from it.
+    Passages containing tell-tale boilerplate markers ("photo:", "photo
+    caption", "disclaimer", "views expressed") are flagged at triage,
+    mirroring the screening behaviour of a real backend.
     """
 
     kind = "mock"
@@ -401,9 +423,10 @@ class MockCoder:
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
-        # the passage asked about last, its triage flags and its drawn codes by slot;
-        # the chain asks about one passage many times in a row
-        self._last: tuple[Passage | None, list[str], dict[int, str]] = (None, [], {})
+        # the passage asked about last, its triage flags and, by slot, the drawn
+        # code and its coding reply; the chain asks about one passage many times
+        # in a row
+        self._last: _Memo = (None, [], {})
 
     def _rng(self, passage_id: str, slot: int) -> np.random.Generator:
         digest = int.from_bytes(passage_id.encode("utf-8")[-8:].rjust(8, b"\0"), "big")
@@ -423,19 +446,25 @@ class MockCoder:
             flags.append(CRITERIA_CAPTION)
         return flags
 
-    def _memo(self, passage: Passage) -> tuple[Passage | None, list[str], dict[int, str]]:
+    def _memo(self, passage: Passage) -> _Memo:
         memo = self._last
         if memo[0] is not passage:
             memo = self._last = (passage, self._flags(passage), {})
         return memo
 
-    def _draw_code(self, passage: Passage, slot: int) -> str:
-        """One seeded draw per (passage, slot), shared by every step that asks."""
-        codes = self._memo(passage)[2]
-        if slot not in codes:
+    def _draw(self, passage: Passage, slot: int) -> tuple[str, str]:
+        """One seeded draw per (passage, slot) and the coding reply that
+        carries it, both shared by every step that asks."""
+        slots = self._memo(passage)[2]
+        if slot not in slots:
             rng = self._rng(passage.article_id + ":" + str(passage.index), slot + 1)
-            codes[slot] = self.vocab[bisect_right(self._cdf, rng.random())]
-        return codes[slot]
+            code = self.vocab[bisect_right(self._cdf, rng.random())]
+            reply = CodeResponse(
+                theme=code, whose_attitude="the author", target="the Rohingya",
+                valence="Sympathetic",
+            ).format()
+            slots[slot] = code, reply
+        return slots[slot]
 
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
         flags = self._memo(passage)[1]
@@ -457,14 +486,9 @@ class MockCoder:
                     'page boilerplate"}'
                 )
             return '{"1. Relevant?": "Yes.", "2. Why Not?": None}'
-        if step == "round1":
-            return self._draw_code(passage, slot)
-        # coding steps share one deterministic draw so precode == final theme
-        code = self._draw_code(passage, slot)
-        return CodeResponse(
-            theme=code, whose_attitude="the author", target="the Rohingya",
-            valence="Sympathetic",
-        ).format()
+        # every coding step shares the slot's one draw, so precode == final theme
+        code, reply = self._draw(passage, slot)
+        return code if step == "round1" else reply
 
 
 @dataclass(frozen=True)
@@ -703,7 +727,8 @@ def code_passages(
             if n_slots:
                 _walk(state, passage, backend, head, 0)
             for slot in range(n_slots):
-                branch = replace(state, flags=list(state.flags))
+                branch = copy.copy(state)
+                branch.flags = list(state.flags)
                 _walk(branch, passage, backend, tail, slot)
                 responses.append(branch.response)
         except TransportError as exc:

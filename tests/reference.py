@@ -16,6 +16,10 @@ one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
 ``parse_relevance``); ``fecund.coder._run_chain`` must render the same
 prompts and return the same responses for every reply these accept.
+``read_dict`` reads a reply's dictionary region in the library's three
+steps, with ``python_names_as_json`` respelling Python's bare names by a
+walk over the characters; ``fecund.coder._extract_dict`` must read the same
+pairs.
 ``code_passages_per_slot`` codes a batch with every slot walking the whole
 chain, triage included; ``fecund.coder.code_passages``, which triages each
 passage once, must return an equal ``CodingRun``.
@@ -396,20 +400,52 @@ def select_exact(
     )
 
 
+_JSON_SPELLING = {"True": "true", "False": "false", "None": "null"}
+
+
+def _is_word(char: str) -> bool:
+    return char.isalnum() or char == "_"
+
+
+def python_names_as_json(region: str) -> str:
+    """``region`` with each bare ``True``/``False``/``None`` outside a
+    double-quoted string spelled as JSON spells it."""
+    out, i, quoted = [], 0, False
+    while i < len(region):
+        char, step = region[i], 1
+        if quoted and char == "\\":  # an escape: the next character is never a quote
+            char, step = region[i:i + 2], 2
+        elif char == '"':
+            quoted = not quoted
+        elif not quoted and not _is_word(region[i - 1:i]):
+            for name, spelled in _JSON_SPELLING.items():
+                end = i + len(name)
+                if region.startswith(name, i) and not _is_word(region[end:end + 1]):
+                    char, step = spelled, len(name)
+                    break
+        out.append(char)
+        i += step
+    return "".join(out)
+
+
+def read_dict(region: str):
+    """JSON, then JSON with Python's names respelled, then a Python literal;
+    None when none of them reads ``region``."""
+    # JSON first: where both read a region, JSON reads "\/" as "/" and an
+    # escaped surrogate pair as one character
+    for parser in (json.loads, lambda r: json.loads(python_names_as_json(r)), ast.literal_eval):
+        try:
+            return parser(region)
+        except Exception:
+            continue
+    return None
+
+
 def parse_response_branches(raw: str) -> CodeResponse:
     match = _DICT_REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
-    region = match.group(0)
-    obj = None
-    # JSON first: where both read a region, JSON reads "\/" as "/" and an
-    # escaped surrogate pair as one character
-    for parser in (json.loads, ast.literal_eval):
-        try:
-            obj = parser(region)
-            break
-        except Exception:
-            continue
+    obj = read_dict(match.group(0))
     if not isinstance(obj, dict):
         raise ResponseParseError("dictionary-shaped region failed to parse", raw)
 

@@ -272,6 +272,31 @@ def test_config_sets_a_valueless_flag_only_when_true(corpus_dir, tmp_path, value
     assert (out / "sweep.svg").exists() == (value == "true")
 
 
+@pytest.mark.parametrize("command", ["synth", "ingest", "code", "select", "analyze"])
+def test_plot_is_only_a_flag_of_the_commands_that_draw(corpus_dir, tmp_path, capsys, command):
+    argv = {
+        "synth": ["synth", "--n-docs", 3, "--seed", 1],
+        "ingest": ["ingest", "--docs", corpus_dir / "documents.jsonl"],
+        "code": ["code", "--docs", corpus_dir / "documents.jsonl", "--seed", 1],
+        "select": ["select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+                   corpus_dir / "codes.csv", "--coder-source", "human", "--seed", 1],
+    }
+    if command == "analyze":
+        _select_human(corpus_dir, tmp_path / "sel")
+        argv["analyze"] = _analyze_argv(corpus_dir, tmp_path / "sel", tmp_path / "out")[:-2]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(*argv[command], "--plot", "--out", tmp_path / "out")
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a config file's plot = true is passed only to the commands that take it
+    config = tmp_path / "run.toml"
+    config.write_text("plot = true\n", encoding="utf-8")
+    assert run(*argv[command], "--config", config, "--out", tmp_path / "out") == EXIT_OK
+    assert not list((tmp_path / "out").glob("*.svg"))
+
+
 def _select_human(corpus_dir, out):
     assert (
         run("select", "--docs", corpus_dir / "documents.jsonl", "--codes",
@@ -680,6 +705,28 @@ _BAD_GENERATOR_FLAGS = {
         ["code", "--config", "{tmp}/retries0.toml"], "argument --retries: must be >= 1, got 0"),
     "code-max-in-flight-zero": (
         ["code", "--max-in-flight", "0"], "argument --max-in-flight: must be >= 1, got 0"),
+    "code-min-passage-len-negative": (
+        ["code", "--min-passage-len", "-5"], "argument --min-passage-len: must be >= 0, got -5"),
+    "code-timeout-negative": (
+        ["code", "--timeout", "-1"], "argument --timeout: must be a finite number > 0, got -1"),
+    "code-timeout-zero": (
+        ["code", "--timeout", "0"], "argument --timeout: must be a finite number > 0, got 0"),
+    "code-timeout-nan": (
+        ["code", "--timeout", "nan"], "argument --timeout: must be a finite number > 0, got nan"),
+    "code-timeout-inf": (
+        ["code", "--timeout", "inf"], "argument --timeout: must be a finite number > 0, got inf"),
+    "code-timeout-nan-in-config": (
+        ["code", "--config", "{tmp}/timeout-nan.toml"],
+        "argument --timeout: must be a finite number > 0, got nan"),
+    "code-temperature-nan": (
+        ["code", "--temperature", "nan"],
+        "argument --temperature: must be a finite number >= 0, got nan"),
+    "code-temperature-negative": (
+        ["code", "--temperature", "-0.5"],
+        "argument --temperature: must be a finite number >= 0, got -0.5"),
+    "code-temperature-nan-in-config": (
+        ["code", "--config", "{tmp}/temperature-nan.toml"],
+        "argument --temperature: must be a finite number >= 0, got nan"),
 }
 
 
@@ -687,6 +734,8 @@ _BAD_GENERATOR_FLAGS = {
 def test_generator_flags_are_checked_while_parsing(tmp_path, capsys, case):
     (tmp_path / "zipf-nan.toml").write_text("zipf = nan\n", encoding="utf-8")
     (tmp_path / "retries0.toml").write_text("retries = 0\n", encoding="utf-8")
+    (tmp_path / "timeout-nan.toml").write_text("timeout = nan\n", encoding="utf-8")
+    (tmp_path / "temperature-nan.toml").write_text("temperature = nan\n", encoding="utf-8")
     (command, *flags), message = _BAD_GENERATOR_FLAGS[case]
     flags = [flag.format(tmp=tmp_path) for flag in flags]
     docs = ["--docs", tmp_path / "documents.jsonl"] if command == "code" else []

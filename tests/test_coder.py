@@ -28,11 +28,12 @@ from fecund.coder import (
     reassess_note,
     relevance_note,
     render_prompt,
+    _extract_dict,
     _run_chain,
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
-from reference import code_passages_per_slot, mock_draw_choice, run_chain_branches
+from reference import code_passages_per_slot, mock_draw_choice, read_dict, run_chain_branches
 
 
 def passage(text, article="a1", index=0):
@@ -295,6 +296,99 @@ def test_lone_surrogate_is_unreadable(raw):
         parse_round1_response("theme \ud83d")
 
 
+# text a double-quoted string holds as it is: no quote, backslash or character
+# that either syntax reads differently or not at all
+plain = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters='"\\'
+    ),
+    max_size=12,
+)
+plain_or_named = st.one_of(plain, st.sampled_from(["None of the above", "True", "False.", "x None"]))
+
+
+def _typed(pairs):
+    return [(key, type(value), value) for key, value in pairs]
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(
+            plain_or_named,
+            st.one_of(st.booleans(), st.none(), st.integers(-10**6, 10**6), plain_or_named),
+        ),
+        max_size=6,
+    ),
+    before=st.text(alphabet=st.characters(blacklist_characters="{}"), max_size=8),
+    after=st.text(alphabet=st.characters(blacklist_characters="{}"), max_size=8),
+)
+@example(pairs=[("1. disclaimer?", False), ("2. caption?", True), ("Body?", None)], before="", after="")
+def test_python_dict_reply_reads_as_its_literal(pairs, before, after):
+    """A reply in the prompts' python dictionary format (double-quoted
+    strings, bare True/False/None) reads as its Python literal does."""
+    region = "{" + ", ".join(
+        f'"{key}": ' + (f'"{value}"' if isinstance(value, str) else repr(value))
+        for key, value in pairs
+    ) + "}"
+    literal = [(str(key).lower(), value) for key, value in ast.literal_eval(region).items()]
+    assert _typed(_extract_dict(before + region + after)) == _typed(literal)
+
+
+def test_python_names_inside_strings_stay_as_written():
+    assert _extract_dict(
+        '{"1. Relevant?": "Maybe.", "2. Why Not?": "None of the above", "x": None}'
+    ) == [("1. relevant?", "Maybe."), ("2. why not?", "None of the above"), ("x", None)]
+    assert _extract_dict('{"1. Theme": "say \\"True\\"", "3. Target": None, "Body?": False}') == [
+        ("1. theme", 'say "True"'), ("3. target", None), ("body?", False)
+    ]
+
+
+# a Python literal keeps "\/" and warns about it
+python_escape_warning = pytest.mark.filterwarnings(
+    "ignore:invalid escape sequence:DeprecationWarning"
+)
+
+
+@python_escape_warning
+def test_python_names_beside_json_escapes_read_as_json():
+    """A reply with bare Python names reads its escapes as JSON does, where
+    a Python literal would keep the backslash or split a surrogate pair."""
+    raw = '{"1. Theme": "a\\/b", "3. Target": None}'
+    assert parse_response(raw).theme == "a/b"
+    assert ast.literal_eval(raw)["1. Theme"] == "a\\/b"
+    raw = '{"1. Theme": "\\ud83d\\ude00", "3. Target": None}'
+    assert parse_response(raw).theme == "\U0001f600"
+    assert ast.literal_eval(raw)["1. Theme"] == "\ud83d\ude00"  # two lone surrogates
+
+
+# pieces of dictionary regions: quoted strings holding names and escapes, and bare values
+quoted = st.lists(
+    st.sampled_from(["True", "None", "False", " ", "x", "'", '\\"', "\\\\", "\\/", "\\ud83d", "\\n"]),
+    max_size=5,
+).map(lambda parts: '"' + "".join(parts) + '"')
+bare = st.sampled_from(["True", "False", "None", "null", "true", "1", "-2", "'s'", "Nones", "xNone"])
+region_soups = st.lists(
+    st.tuples(st.one_of(quoted, bare), st.one_of(quoted, bare), st.sampled_from([",", ", ", ",,"])),
+    max_size=4,
+).map(lambda items: "{" + "".join(f"{k}: {v}{sep}" for k, v, sep in items).rstrip(",") + "}")
+
+
+@given(region_soups)
+@example('{"a": None, "b": "\\"None\\""}')
+@example('{"a": "None}')
+@settings(max_examples=300)
+@python_escape_warning
+def test_extract_dict_matches_character_walk_oracle(region):
+    expected = read_dict(region)
+    if not isinstance(expected, dict):
+        with pytest.raises(ResponseParseError):
+            _extract_dict(region)
+        return
+    assert _typed(_extract_dict(region)) == _typed(
+        (str(key).lower(), value) for key, value in expected.items()
+    )
+
+
 # --- mock backend --------------------------------------------------------------
 
 
@@ -353,7 +447,7 @@ def test_mock_rejects_zipf_weights_that_do_not_normalise(vocab_size, exponent):
 def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zipf_exponent):
     backend = MockCoder(seed=seed, vocab_size=vocab_size, zipf_exponent=zipf_exponent)
     p = passage("x", article=article, index=index)
-    assert backend._draw_code(p, slot) == mock_draw_choice(backend, p, slot)
+    assert backend._draw(p, slot)[0] == mock_draw_choice(backend, p, slot)
 
 
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
@@ -759,13 +853,26 @@ def test_triage_once_matches_per_slot_walk_scripted(replies, slots, bad, chain):
     assert {key for key, _ in run.errors} <= {"bad:0001"}
 
 
-def test_passage_level_steps_are_asked_once_per_passage():
-    passages = [passage("y" * n, article=f"p{n}") for n in range(1, 2400, 150)]
+def test_passage_level_steps_are_asked_once_per_passage(monkeypatch):
+    """The mock batch's calls are counted, and none of its replies, flagged
+    triage included, is read as a Python literal."""
+    markers = ["", "Photo: ", "The views expressed are the author's. "]
+    passages = [
+        passage(markers[i % 3] + "y" * n, article=f"p{n}")
+        for i, n in enumerate(range(1, 2400, 150))
+    ]
     mock = MockCoder(seed=8)
     backend = RecordingBackend(mock, min_slots=0)
-    code_passages(passages, backend, SOCRATIC_CHAIN)
+    literals = []
+    real = ast.literal_eval
+    monkeypatch.setattr(ast, "literal_eval", lambda text: literals.append(text) or real(text))
+    run = code_passages(passages, backend, SOCRATIC_CHAIN)
+    assert literals == [] and not run.errors
+    parse_response("{'1. Theme': 'single quotes'}")  # a Python-only reply is counted
+    assert len(literals) == 1
     slots = {passage_key(p): mock.n_slots(p) for p in passages}
     assert 0 in slots.values() and max(slots.values()) >= 2
+    assert any(slots[passage_key(p)] and markers[i % 3] for i, p in enumerate(passages))
     expected = Counter()
     for key, n in slots.items():
         for step in PASSAGE_LEVEL:
