@@ -18,8 +18,7 @@ _EXPORTS = {  # module -> the names it exports here
     ),
     "saturation": (
         "BootstrapBand", "CountingRegime", "SaturationCurve", "StoppingRuleResult",
-        "bootstrap_bands", "cumulative_curve", "detect_stopping", "median_code_position",
-        "position_trend",
+        "bootstrap_bands", "cumulative_curve", "detect_stopping", "position_trend",
     ),
     "selection": (
         "LOG1P", "SQRT", "UNIQUE", "CorpusSelection", "ReadingEntry", "SelectionBudget",

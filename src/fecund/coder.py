@@ -678,15 +678,6 @@ def _walk(
         read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
 
 
-def _run_chain(
-    passage: Passage, backend, chain: Sequence[str], summary: str, fewshot: str, slot: int
-) -> CodeResponse:
-    """One slot's walk through the whole chain."""
-    state = _ChainState(excerpt=passage.text, summary=summary, relevant=fewshot)
-    _walk(state, passage, backend, chain, slot)
-    return state.response
-
-
 def code_passages(
     passages: Sequence[Passage],
     backend,

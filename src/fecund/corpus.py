@@ -11,7 +11,7 @@ being compared; callers pass the scope that matches their comparison.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,29 +30,16 @@ class CodeInstance:
     code_id: str
     position: float | None = None
 
-    def __post_init__(self):
-        if self.position is not None and not 0.0 <= self.position <= 1.0:
-            raise ValueError(f"position {self.position} outside [0, 1]")
-
 
 @dataclass(frozen=True)
 class Document:
-    """A unit of text with a character length and per-source code instances.
-
-    ``codes`` maps a coder-source identifier (e.g. "human", "ai") to the
-    instances that source produced for this document. Treat instances as
-    immutable after construction; they are stored as tuples.
-    """
+    """One row of a ``Collection``: its id, character length, source label
+    and the instances each coder source (e.g. "human", "ai") produced."""
 
     id: str
     text_length: int
     source_label: str | None = None
     codes: Mapping[str, tuple[CodeInstance, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.text_length < 1:
-            raise ValueError(f"document {self.id!r}: text_length must be >= 1")
-        object.__setattr__(self, "codes", {s: tuple(insts) for s, insts in self.codes.items()})
 
     def instances(self, coder_source: str) -> tuple[CodeInstance, ...]:
         if coder_source not in self.codes:
@@ -120,32 +107,42 @@ class CodeMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Collection(Sequence[Document]):
-    """Documents as columns: the one representation every estimator reads.
+    """Documents as columns: the one input form every estimator reads.
 
     Row ``i`` is document ``ids[i]`` (ids are unique) of ``lengths[i]``
     characters, with its codes from each coder source in row ``i`` of
-    ``matrices[source]``. ``carried[source]`` marks the rows carrying a source
-    that some hand-built documents lack. Indexing builds a ``Document``, and a
-    collection equals any sequence of equal documents.
+    ``matrices[source]``. Every row carries every source. Indexing builds
+    a ``Document``.
     """
 
     ids: tuple[str, ...]
     lengths: np.ndarray  # int64
     source_labels: tuple[str | None, ...]
     matrices: Mapping[str, CodeMatrix]
-    carried: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def intern(
         cls, ids: Sequence[str], lengths: Sequence[int], source_labels: Sequence[str | None],
         sources: Sequence[str], instances: Sequence[Sequence], names: Sequence[str],
-        carried: Mapping[str, np.ndarray] | None = None,
     ) -> "Collection":
         """The collection with code instances given as columns in any row order:
         index in ``sources``, row, index of the label in ``names`` and position
-        (None or NaN for none). Labels are sorted; rows keep instance order."""
+        (None or NaN for none). Labels are sorted; rows keep instance order.
+        A repeated id, a length below 1 or a position outside [0, 1] raises
+        ValueError."""
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            repeated = next(i for i in ids if i in seen or seen.add(i))
+            raise ValueError(f"duplicate document id {repeated!r} in collection")
+        lengths = np.array(lengths, dtype=np.int64)
+        if len(lengths) and lengths.min() < 1:
+            short = ids[int(np.argmin(lengths))]
+            raise ValueError(f"document {short!r}: text_length must be >= 1")
         source_ids, rows, label_ids = (np.asarray(c, dtype=np.int64) for c in instances[:3])
         positions = np.asarray(instances[3], dtype=np.float64)  # None reads NaN
+        outside = positions[(positions < 0.0) | (positions > 1.0)]  # NaN is neither
+        if len(outside):
+            raise ValueError(f"position {outside[0]} outside [0, 1]")
         n, matrices = len(ids), {}
         for s, source in enumerate(sources):
             mine = np.flatnonzero(source_ids == s)
@@ -158,49 +155,28 @@ class Collection(Sequence[Document]):
             np.cumsum(np.bincount(rows[mine], minlength=n), out=offsets[1:])
             labels = tuple(names[i] for i in used)
             matrices[source] = CodeMatrix(labels, offsets, rank[label_ids[mine]], positions[mine])
-        lengths = np.array(lengths, dtype=np.int64)
-        return cls(tuple(ids), lengths, tuple(source_labels), matrices, carried or {})
+        return cls(tuple(ids), lengths, tuple(source_labels), matrices)
 
     @classmethod
-    def of(cls, docs: Iterable[Document]) -> "Collection":
-        """``docs`` as a collection: unchanged if it is one, else interned in one
-        walk over the instances. A repeated document id raises ValueError."""
-        if isinstance(docs, Collection):
-            return docs
-        ids: dict[str, None] = {}  # in row order
-        lengths, source_labels, instances = [], [], []
-        names: dict[str, int] = {}  # label -> index, in first-seen order
-        source_of: dict[str, int] = {}  # coder source -> index, in first-seen order
-        carriers: dict[str, list[int]] = {}  # coder source -> the rows that carry it
-        for row, doc in enumerate(docs):
-            if doc.id in ids:
-                raise ValueError(f"duplicate document id {doc.id!r} in collection")
-            ids[doc.id] = None
-            lengths.append(doc.text_length)
-            source_labels.append(doc.source_label)
-            for source, insts in doc.codes.items():
-                s = source_of.setdefault(source, len(source_of))
-                carriers.setdefault(source, []).append(row)
-                instances.extend(
-                    (s, row, names.setdefault(inst.code_id, len(names)), inst.position)
-                    for inst in insts
-                )
-        n = len(ids)
-        carried = {s: np.bincount(r, minlength=n) > 0 for s, r in carriers.items() if len(r) < n}
-        columns = tuple(zip(*instances)) if instances else ((),) * 4
-        sources, names = list(source_of), list(names)
-        return cls.intern(list(ids), lengths, source_labels, sources, columns, names, carried)
+    def of(cls, docs: "Collection") -> "Collection":
+        """``docs`` unchanged; anything but a collection raises TypeError."""
+        if not isinstance(docs, cls):
+            raise TypeError(
+                f"expected a Collection, got {type(docs).__name__}; "
+                "build one with Collection.intern"
+            )
+        return docs
 
     def matrix(self, source: str) -> CodeMatrix:
-        """The codes of ``source`` over every row; a document without the
-        source raises ``UnknownCoderSourceError``, naming the first one."""
-        carried = self.carried.get(source)
-        if source in self.matrices and (carried is None or carried.all()):
+        """The codes of ``source`` over every row; a collection without the
+        source raises ``UnknownCoderSourceError``, naming its first document."""
+        if source in self.matrices:
             return self.matrices[source]
         if not self.ids:  # no document lacks the source
             return Collection.intern((), (), (), [source], ((),) * 4, []).matrices[source]
-        first = self.ids[0 if carried is None else int(np.argmin(carried))]
-        raise UnknownCoderSourceError(f"document {first!r} has no codes from source {source!r}")
+        raise UnknownCoderSourceError(
+            f"document {self.ids[0]!r} has no codes from source {source!r}"
+        )
 
     def take(self, rows: Sequence[int]) -> "Collection":
         """The given distinct rows, in that order, without re-interning."""
@@ -210,7 +186,6 @@ class Collection(Sequence[Document]):
             self.lengths[rows],
             tuple(map(self.source_labels.__getitem__, rows.tolist())),
             {source: m.take(rows) for source, m in self.matrices.items()},
-            {source: mask[rows] for source, mask in self.carried.items()},
         )
 
     def __len__(self) -> int:
@@ -220,17 +195,8 @@ class Collection(Sequence[Document]):
         if isinstance(index, slice):
             return self.take(range(len(self))[index])
         row = range(len(self))[index]
-        codes = {
-            source: m.instances(row)
-            for source, m in self.matrices.items()
-            if source not in self.carried or self.carried[source][row]
-        }
+        codes = {source: m.instances(row) for source, m in self.matrices.items()}
         return Document(self.ids[row], int(self.lengths[row]), self.source_labels[row], codes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -243,14 +209,13 @@ class SummaryStats:
     p75: float
 
 
-def unique_weight(docs: Iterable[Document], coder_source: str) -> np.ndarray:
+def unique_weight(docs: Collection, coder_source: str) -> np.ndarray:
     """Inverse-frequency weight of each document's code instances, one per row.
 
     Each instance of code i contributes 1/f_i, where f_i counts code i over
     ``docs`` itself, duplicates within a document included; so the weights
-    over ``docs`` add up to its number of distinct codes. Every document must
-    carry the named source (an empty instance list is fine); one without it
-    raises UnknownCoderSourceError rather than silently undercounting.
+    over ``docs`` add up to its number of distinct codes. A non-empty
+    collection without the named source raises UnknownCoderSourceError.
     """
     docs = Collection.of(docs)
     m = docs.matrix(coder_source)
@@ -261,7 +226,7 @@ def unique_weight(docs: Iterable[Document], coder_source: str) -> np.ndarray:
     return weights.astype(np.float64, copy=False)
 
 
-def fecundity(docs: Iterable[Document], coder_source: str) -> np.ndarray:
+def fecundity(docs: Collection, coder_source: str) -> np.ndarray:
     """Each document's unique-code weight per 1000 characters, over ``docs``."""
     docs = Collection.of(docs)
     return unique_weight(docs, coder_source) / docs.lengths * 1000.0

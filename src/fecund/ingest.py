@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Codebook, Collection, Document
+from .corpus import Codebook, Collection
 from .errors import (
     BlankCodeError,
     CollectionFormatError,
@@ -395,7 +395,7 @@ def _read_csv(
 
 
 def write_collection(
-    documents: Iterable[Document],
+    documents: Collection,
     codebook: Codebook,
     documents_path: str | Path,
     codes_path: str | Path | None = None,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Codebook, CodeMatrix, Collection, Document
+from .corpus import Codebook, CodeMatrix, Collection
 
 
 REGIME_KINDS = ("unique", "hf_retrospective", "hf_iterative", "themes")
@@ -173,7 +173,7 @@ def _count_orders(groups: _Groups, positions: np.ndarray, out: np.ndarray) -> No
 
 
 def cumulative_curve(
-    order: Sequence[Document],
+    order: Collection,
     regime: CountingRegime,
     coder_source: str,
     codebook: Codebook | None = None,
@@ -229,7 +229,7 @@ def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleR
 
 
 def bootstrap_bands(
-    docs: Sequence[Document],
+    docs: Collection,
     regimes: Sequence[CountingRegime],
     coder_source: str,
     n_iterations: int = 2000,
@@ -305,11 +305,6 @@ def bootstrap_bands(
     return bands
 
 
-def median_code_position(doc: Document, coder_source: str) -> float | None:
-    """Median fractional position of the document's positioned code instances."""
-    return _median_positions(Collection.of([doc]).matrix(coder_source))[0]
-
-
 def _median_positions(matrix: CodeMatrix) -> list[float | None]:
     """Each row's median over its positioned instances; None where it has none."""
     positions, offsets = matrix.positions.tolist(), matrix.offsets.tolist()
@@ -326,7 +321,7 @@ class TrendPoint:
 
 
 def position_trend(
-    docs: Sequence[Document], coder_source: str, window: int
+    docs: Collection, coder_source: str, window: int
 ) -> list[TrendPoint]:
     """Median code positions against document length, with a moving average.
 

@@ -13,16 +13,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CodeMatrix, Collection, Document
+from .corpus import CodeMatrix, Collection
 from .errors import SampleSizeError
 
 GAIN_FLOOR = 1e-12
-
-_TIE_BREAKS = ("shortest-then-id", "id")
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class SelectionBudget:
             raise ValueError("budget must be >= 1 character")
 
     @classmethod
-    def from_mean_docs(cls, candidates: Sequence[Document], n_docs: int) -> "SelectionBudget":
+    def from_mean_docs(cls, candidates: Collection, n_docs: int) -> "SelectionBudget":
         """Budget equal to n_docs average candidate lengths."""
         lengths = Collection.of(candidates).lengths
         if not len(lengths):
@@ -92,7 +89,7 @@ class CorpusSelection:
 
 
 def objective(
-    selected: Iterable[Document], value_function: ValueFunction, coder_source: str
+    selected: Collection, value_function: ValueFunction, coder_source: str
 ) -> float:
     """Sum over codes of g(total copies in the selection).
 
@@ -148,14 +145,12 @@ def _marginal_gain(
 
 
 def select_greedy(
-    candidates: Sequence[Document],
+    candidates: Collection,
     budget: SelectionBudget,
     value_function: ValueFunction,
     coder_source: str,
-    tie_break: str = "shortest-then-id",
     *,
     cost_benefit: bool = True,
-    singleton_fallback: bool = True,
 ) -> CorpusSelection:
     """Greedy selection under the strict character budget.
 
@@ -170,10 +165,8 @@ def select_greedy(
     Density-ranked greedy can stall on one cheap low-value document while
     a single expensive high-value document fits the budget on its own, so
     the result is compared against the best feasible singleton and the
-    better of the two is returned (disable with ``singleton_fallback``).
+    better of the two is returned.
     """
-    if tie_break not in _TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
     docs = Collection.of(candidates)
     matrix = docs.matrix(coder_source)
     starts, codes, copies = _code_copies(matrix)
@@ -184,12 +177,12 @@ def select_greedy(
     first = _first_gains(starts, copies, np.array(values, dtype=np.float64))
     items = (starts.tolist(), codes.tolist(), copies.tolist())
     lengths = docs.lengths.tolist()
-    keys = list(zip(lengths, docs.ids)) if tie_break == "shortest-then-id" else list(docs.ids)
+    keys = list(zip(lengths, docs.ids))
 
     picked, gains = _greedy_lazy(lengths, keys, items, first.tolist(), budget, values, cost_benefit)
     obj = objective(docs.take(picked), value_function, coder_source)
     feasible = docs.lengths < budget.max_chars
-    if singleton_fallback and feasible.any():
+    if feasible.any():
         top = first[feasible].max()
         if top > obj:
             tied = np.flatnonzero(feasible & (first == top)).tolist()
@@ -247,7 +240,7 @@ def _greedy_lazy(lengths, keys, items, first_gains, budget, values, cost_benefit
 
 
 def select_random(
-    candidates: Sequence[Document],
+    candidates: Collection,
     n_docs: int,
     seed: int,
     coder_source: str,

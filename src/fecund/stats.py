@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Collection, Document
+from .corpus import Collection
 from .errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from .selection import SQRT, SelectionBudget, ValueFunction, select_greedy
 
@@ -461,7 +461,7 @@ class SweepPoint:
     normalized_pct: float
 
 
-def corpus_code_density(docs: Sequence[Document], coder_source: str) -> float:
+def corpus_code_density(docs: Collection, coder_source: str) -> float:
     """Distinct codes per 1000 characters over a whole corpus.
 
     Equals the length-weighted aggregate of per-document fecundity when
@@ -475,7 +475,7 @@ def corpus_code_density(docs: Sequence[Document], coder_source: str) -> float:
 
 
 def superset_sweep(
-    full_set: Sequence[Document],
+    full_set: Collection,
     coder_source: str,
     quadratic_map: QuadraticMap,
     seed: int,
@@ -490,9 +490,10 @@ def superset_sweep(
     method runs on each under a budget of ``n_budget_docs`` mean subset
     lengths, and the mean selected-corpus code density is mapped through
     the fitted quadratic to a predicted human density. The baseline is a
-    random corpus of ``n_budget_docs`` documents (selection from a
-    superset of the same size, where everything is taken), normalized to
-    100%; it is returned as the first point.
+    random corpus of ``n_budget_docs`` documents, or of the whole set when
+    it is smaller (selection from a superset of the same size, where
+    everything is taken), normalized to 100%; it is returned as the first
+    point, labelled with the size sampled.
     """
     full = Collection.of(full_set)
     row_of = {doc_id: i for i, doc_id in enumerate(full.ids)}
@@ -517,11 +518,12 @@ def superset_sweep(
             densities.append(corpus_code_density(subset, coder_source))
         return sum(densities) / len(densities)
 
-    baseline_density = mean_density(min(n_budget_docs, N))
+    baseline_size = min(n_budget_docs, N)
+    baseline_density = mean_density(baseline_size)
     baseline_pred = quadratic_map(baseline_density)
     if baseline_pred <= 0:
         raise ValueError("quadratic map gives a nonpositive baseline prediction")
-    points = [SweepPoint(n_budget_docs, baseline_density, baseline_pred, 100.0)]
+    points = [SweepPoint(baseline_size, baseline_density, baseline_pred, 100.0)]
     for size in sizes:
         d = mean_density(size)
         pred = quadratic_map(d)

@@ -1,5 +1,8 @@
 """Loop implementations kept as references for the library's fast paths.
 
+``collection`` interns hand-built ``Document`` lists in one walk over their
+instances, the test-side builder of the one input form estimators accept;
+the loop oracles below read the plain lists.
 ``cumulative_counts`` walks code instances in Python, one document at a
 time, exactly as the counting regimes are defined; the interned-array
 kernel in ``fecund.saturation`` must reproduce it. ``select_greedy_loop``
@@ -14,8 +17,9 @@ weights one instance at a time; ``fecund.corpus.unique_weight`` must return
 the same floats. ``run_chain_branches`` is the coder's chain with
 one branch per step and its own dictionary parser per reply kind
 (``parse_response_branches``, ``parse_bool_dict``, ``parse_yes_no_dict``,
-``parse_relevance``); ``fecund.coder._run_chain`` must render the same
-prompts and return the same responses for every reply these accept.
+``parse_relevance``); ``run_chain``, one slot's walk through the whole
+chain with the library's step table (``fecund.coder._walk``), must render
+the same prompts and return the same responses for every reply these accept.
 ``read_dict`` reads a reply's dictionary region in the library's three
 steps, with ``python_names_as_json`` respelling Python's bare names by a
 walk over the characters; ``fecund.coder._extract_dict`` must read the same
@@ -52,7 +56,9 @@ from fecund.coder import (
     CodeResponse,
     CodingRun,
     MockCoder,
+    _ChainState,
     _normalize_valence,
+    _walk,
     flag_note,
     parse_round1_response,
     reassess_note,
@@ -64,7 +70,6 @@ from fecund.errors import FecundError, ResponseParseError, TransportError
 from fecund.ingest import Passage
 from fecund.saturation import CountingRegime
 from fecund.selection import (
-    _TIE_BREAKS,
     GAIN_FLOOR,
     CorpusSelection,
     SelectionBudget,
@@ -75,10 +80,33 @@ from fecund.selection import (
 )
 
 
-def _sort_key(doc: Document, tie_break: str) -> tuple:
-    if tie_break == "shortest-then-id":
-        return (doc.text_length, doc.id)
-    return (doc.id,)
+def collection(docs: Iterable[Document]) -> Collection:
+    """Hand-built documents as a ``Collection``, in their order. A coder
+    source that some documents carry and others lack raises ValueError."""
+    docs = list(docs)
+    names: dict[str, int] = {}  # label -> index, in first-seen order
+    source_of: dict[str, int] = {}  # coder source -> index, in first-seen order
+    instances = []
+    for row, doc in enumerate(docs):
+        for source, insts in doc.codes.items():
+            s = source_of.setdefault(source, len(source_of))
+            instances.extend(
+                (s, row, names.setdefault(inst.code_id, len(names)), inst.position)
+                for inst in insts
+            )
+    for doc in docs:
+        for source in source_of:
+            if source not in doc.codes:
+                raise ValueError(f"document {doc.id!r} lacks coder source {source!r}")
+    columns = tuple(zip(*instances)) if instances else ((),) * 4
+    return Collection.intern(
+        [d.id for d in docs], [d.text_length for d in docs], [d.source_label for d in docs],
+        list(source_of), columns, list(names),
+    )
+
+
+def _sort_key(doc: Document) -> tuple:
+    return (doc.text_length, doc.id)
 
 
 def unique_weight_loop(docs: Sequence[Document], coder_source: str) -> list[float]:
@@ -213,14 +241,13 @@ def best_singleton(
     pool: list[tuple[Document, list[tuple[str, int]]]],
     budget: SelectionBudget,
     g: Callable[[float], float],
-    tie_break: str,
 ) -> tuple[Document, float] | None:
     best = None
     for doc, items in pool:
         if doc.text_length >= budget.max_chars:
             continue
         value = sum(g(c) for _, c in items)
-        key = (-value, *_sort_key(doc, tie_break))
+        key = (-value, *_sort_key(doc))
         if best is None or key < best[0]:
             best = (key, doc, value)
     if best is None:
@@ -228,7 +255,7 @@ def best_singleton(
     return best[1], best[2]
 
 
-def greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit):
+def greedy_lazy_loop(pool, budget, g, cost_benefit):
     counts: dict[str, int] = {}
     total = 0
     picked: list[Document] = []
@@ -240,7 +267,7 @@ def greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit):
             continue
         gain = marginal_gain_loop(items, counts, g)
         heap.append(
-            (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items)
+            (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc), step, gain, doc, items)
         )
     heapq.heapify(heap)
     while heap:
@@ -252,7 +279,7 @@ def greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit):
             gain = marginal_gain_loop(items, counts, g)
             heapq.heappush(
                 heap,
-                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc, tie_break), step, gain, doc, items),
+                (-_score(gain, doc.text_length, cost_benefit), *_sort_key(doc), step, gain, doc, items),
             )
             continue
         if gain <= GAIN_FLOOR:
@@ -271,24 +298,19 @@ def select_greedy_loop(
     budget: SelectionBudget,
     value_function: ValueFunction,
     coder_source: str,
-    tie_break: str = "shortest-then-id",
     *,
     cost_benefit: bool = True,
-    singleton_fallback: bool = True,
 ) -> CorpusSelection:
-    if tie_break not in _TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {_TIE_BREAKS}")
     pool = [(doc, doc_items(doc, coder_source)) for doc in candidates]
     g = value_function.g
 
-    selected_docs, gains = greedy_lazy_loop(pool, budget, g, tie_break, cost_benefit)
+    selected_docs, gains = greedy_lazy_loop(pool, budget, g, cost_benefit)
     obj = objective_loop(selected_docs, value_function, coder_source)
-    if singleton_fallback:
-        single = best_singleton(pool, budget, g, tie_break)
-        if single is not None and single[1] > obj:
-            selected_docs = [single[0]]
-            gains = [single[1]]
-            obj = objective_loop(selected_docs, value_function, coder_source)
+    single = best_singleton(pool, budget, g)
+    if single is not None and single[1] > obj:
+        selected_docs = [single[0]]
+        gains = [single[1]]
+        obj = objective_loop(selected_docs, value_function, coder_source)
 
     return CorpusSelection(
         selected_ids=tuple(d.id for d in selected_docs),
@@ -354,7 +376,7 @@ def select_exact(
             f"exact selection enumerates subsets; {len(candidates)} candidates > 20"
         )
     docs = sorted(candidates, key=lambda d: d.id)
-    starts, codes, copies = (a.tolist() for a in _code_copies(Collection.of(docs).matrix(coder_source)))
+    starts, codes, copies = (a.tolist() for a in _code_copies(collection(docs).matrix(coder_source)))
     items = [list(zip(codes[s:e], copies[s:e])) for s, e in zip(starts, starts[1:])]
     g = value_function.g
     best_obj = 0.0
@@ -538,6 +560,15 @@ def run_chain_branches(
             continue
         raise ValueError(f"unknown chain step {step!r}")
     return response
+
+
+def run_chain(
+    passage: Passage, backend, chain: Sequence[str], summary: str, fewshot: str, slot: int
+) -> CodeResponse:
+    """One slot's walk through the whole chain."""
+    state = _ChainState(excerpt=passage.text, summary=summary, relevant=fewshot)
+    _walk(state, passage, backend, chain, slot)
+    return state.response
 
 
 def code_passages_per_slot(

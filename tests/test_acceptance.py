@@ -26,7 +26,7 @@ from fecund.synthetic import experiment_corpus, synth_corpus
 
 from conftest import make_doc
 from prompt_fragments import FINAL_FEWSHOT_FRAGMENTS, ROUND1_FRAGMENTS
-from reference import select_exact, select_greedy_naive
+from reference import collection, select_exact, select_greedy_naive
 
 
 def report(criterion, detail):
@@ -60,7 +60,7 @@ def _random_instance(rng):
         codes = [f"c{int(c)}" for c in rng.integers(0, 15, k)]
         docs.append(make_doc(f"d{i:02d}", codes, length=int(rng.integers(1, 50))))
     total = sum(d.text_length for d in docs)
-    return docs, SelectionBudget(int(rng.integers(1, total + 2)))
+    return collection(docs), SelectionBudget(int(rng.integers(1, total + 2)))
 
 
 def test_02_greedy_vs_exact_oracle():
@@ -113,9 +113,10 @@ def test_03_submodularity_monotonicity():
         B = [docs[i] for i in perm[:cut_b]]
         d = docs[perm[cut_b]]
         for vf in (SQRT, LOG1P):
-            obj_a, obj_b = objective(A, vf, "src"), objective(B, vf, "src")
-            gain_a = objective(A + [d], vf, "src") - obj_a
-            gain_b = objective(B + [d], vf, "src") - obj_b
+            value = lambda docs: objective(collection(docs), vf, "src")
+            obj_a, obj_b = value(A), value(B)
+            gain_a = value(A + [d]) - obj_a
+            gain_b = value(B + [d]) - obj_b
             assert gain_a >= gain_b - 1e-9, "submodularity violated"
             assert obj_a <= obj_b + 1e-9, "monotonicity violated"
         checked += 1
@@ -128,13 +129,13 @@ def test_03_submodularity_monotonicity():
 
 
 def test_04_counting_regime_oracle():
-    order = [
+    order = collection([
         make_doc("D1", ["a"]),
         make_doc("D2", ["a"]),
         make_doc("D3", ["a", "b"]),
         make_doc("D4", ["b"]),
         make_doc("D5", ["b"]),
-    ]
+    ])
     expected = {
         "unique": [1, 1, 2, 2, 2],
         "hf_retrospective": [1, 1, 2, 2, 2],
@@ -163,7 +164,7 @@ def test_05_retrospective_pathology():
                 make_doc(f"d{i}", list(rng.choice(pool, size=k, replace=False)))
             )
         for _ in range(5):
-            order = [docs[i] for i in rng.permutation(n)]
+            order = collection([docs[i] for i in rng.permutation(n)])
             counts = cumulative_curve(
                 order, CountingRegime("hf_retrospective", threshold), "src"
             ).counts
@@ -179,32 +180,32 @@ def test_05_retrospective_pathology():
 def test_06_bootstrap_degeneracy_and_speed():
     rng = np.random.default_rng(6006)
     # arbitrary corpus: raw band must close at the final step
-    docs = [
+    docs = collection([
         make_doc(
             f"d{i}", [f"c{int(c)}" for c in rng.integers(0, 25, rng.integers(0, 7))],
             length=int(rng.integers(50, 500)),
         )
         for i in range(18)
-    ]
+    ])
     unique = [CountingRegime("unique")]
     [band] = bootstrap_bands(docs, unique, "src", n_iterations=300, seed=6)
     assert band.raw_hi95[-1] - band.raw_lo95[-1] == 0.0
     assert len(band.lo95) == math.floor(0.9 * 18)
     assert len(band.raw_lo95) == 18
 
-    same = [make_doc(f"s{i}", ["one"], length=10) for i in range(12)]
+    same = collection([make_doc(f"s{i}", ["one"], length=10) for i in range(12)])
     [same_band] = bootstrap_bands(same, unique, "src", n_iterations=300, seed=6)
     retained = len(same_band.lo95)
     assert np.array_equal(same_band.lo95, same_band.mean_count[:retained])
     assert np.array_equal(same_band.hi95, same_band.lo95)
 
-    timed = [
+    timed = collection([
         make_doc(
             f"t{i}", [f"c{int(c)}" for c in rng.integers(0, 60, rng.integers(0, 8))],
             length=int(rng.integers(100, 4000)),
         )
         for i in range(30)
-    ]
+    ])
     start = time.perf_counter()
     [big] = bootstrap_bands(timed, unique, "src", n_iterations=2000, seed=60)
     elapsed = time.perf_counter() - start
@@ -227,7 +228,7 @@ def _order_with_counts(counts):
         new = [f"n{i}_{j}" for j in range(c - prev)] or ["n0_0"]
         docs.append(make_doc(f"d{i:03d}", new))
         prev = c
-    return docs
+    return collection(docs)
 
 
 def test_07_stopping_rule():

@@ -1056,8 +1056,8 @@ def test_loaded_commands_build_no_code_instances(tmp_path, monkeypatch):
     sweep work on the interned matrices of the loaded collection; none of them
     turns a row into a Document or a code row into a CodeInstance."""
     built = []
-    monkeypatch.setattr(CodeInstance, "__post_init__", lambda self: built.append(self))
-    monkeypatch.setattr(Document, "__post_init__", lambda self: built.append(self))
+    for row_type in (CodeInstance, Document):
+        monkeypatch.setattr(row_type, "__init__", lambda self, *args, **kwargs: built.append(self))
     corpus_dir = tmp_path / "corpus"
     assert run("synth", "--out", corpus_dir, "--seed", 5, "--n-docs", 30, "--with-text") == EXIT_OK
     data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",

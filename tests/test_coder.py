@@ -29,11 +29,12 @@ from fecund.coder import (
     relevance_note,
     render_prompt,
     _extract_dict,
-    _run_chain,
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
-from reference import code_passages_per_slot, mock_draw_choice, read_dict, run_chain_branches
+from reference import (
+    code_passages_per_slot, mock_draw_choice, read_dict, run_chain, run_chain_branches,
+)
 
 
 def passage(text, article="a1", index=0):
@@ -685,7 +686,7 @@ FLAGGED = "Photo caption: the views expressed are not those of the paper"
 def test_chain_loop_matches_branch_oracle(chain, text, summary, fewshot, replies):
     p = passage(text)
     new, old = ScriptedBackend(replies), ScriptedBackend(replies)
-    response = _run_chain(p, new, chain, summary, fewshot, 0)
+    response = run_chain(p, new, chain, summary, fewshot, 0)
     assert response == run_chain_branches(p, old, chain, summary, fewshot, 0)
     assert new.prompts == old.prompts
 
@@ -696,14 +697,14 @@ def test_chain_loop_matches_branch_oracle_on_mock(chain, text):
     p = passage(text)
     for slot in range(4):
         new, old = RecordingBackend(MockCoder(seed=3)), RecordingBackend(MockCoder(seed=3))
-        response = _run_chain(p, new, chain, "S", '["x"]', slot)
+        response = run_chain(p, new, chain, "S", '["x"]', slot)
         assert response == run_chain_branches(p, old, chain, "S", '["x"]', slot)
         assert new.prompts == old.prompts
 
 
 def test_unknown_chain_step_raises():
     with pytest.raises(ValueError, match="unknown chain step 'nope'"):
-        _run_chain(passage("t"), ScriptedBackend({}), ("nope",), "", "[]", 0)
+        run_chain(passage("t"), ScriptedBackend({}), ("nope",), "", "[]", 0)
 
 
 # every dictionary step's reply; each holds a value JSON spells differently
@@ -726,7 +727,7 @@ def test_every_step_reads_python_and_json_replies(step):
         replies = {s: repr(reply) for s, reply in LITERAL_REPLIES.items()}
         replies[step] = render(LITERAL_REPLIES[step])
         backend = ScriptedBackend(replies)
-        runs.append((_run_chain(passage("t"), backend, chain, "S", "[]", 0), backend.prompts))
+        runs.append((run_chain(passage("t"), backend, chain, "S", "[]", 0), backend.prompts))
     assert runs[0] == runs[1]
     with pytest.raises(ValueError):  # so the JSON form was read by json.loads
         ast.literal_eval(json.dumps(LITERAL_REPLIES[step]))
@@ -845,7 +846,7 @@ def test_triage_once_matches_per_slot_walk_scripted(replies, slots, bad, chain):
     step, bad_reply = bad or (None, None)
     # the branch oracle's triage parsers read well-formed replies only, so an
     # unreadable reply is walked by the one-slot chain, which records it
-    walk = run_chain_branches if bad is None else _run_chain
+    walk = run_chain_branches if bad is None else run_chain
     new, old = (SlottedBackend(replies, slots, step, bad_reply) for _ in range(2))
     run = code_passages(passages, new, chain, {"a": "S"}, {})
     assert run == code_passages_per_slot(passages, old, chain, {"a": "S"}, {}, walk)

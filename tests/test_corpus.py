@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from fecund.corpus import (
     CodeInstance,
+    Codebook,
     Collection,
     Document,
     fecundity,
@@ -21,7 +23,7 @@ from fecund.stats import IDENTITY_MAP, corpus_code_density, superset_sweep
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
-from reference import unique_weight_loop
+from reference import collection, unique_weight_loop
 
 
 # --- strategies ---------------------------------------------------------
@@ -45,42 +47,36 @@ def corpora(draw, min_docs=1, max_docs=12):
 
 def test_frequencies_direct_count():
     """a occurs three times and b and c once each, over the collection passed in."""
-    docs = [make_doc("D1", ["a", "b"]), make_doc("D2", ["a"]), make_doc("D3", ["c", "a"])]
+    docs = collection([make_doc("D1", ["a", "b"]), make_doc("D2", ["a"]), make_doc("D3", ["c", "a"])])
     assert unique_weight(docs, "src").tolist() == [1 / 3 + 1, 1 / 3, 1 + 1 / 3]
     assert unique_weight(docs[1:], "src").tolist() == [0.5, 1 + 0.5]
 
 
 def test_frequencies_empty_docs():
     for measure in (unique_weight, fecundity):
-        result = measure([], "src")
+        result = measure(collection([]), "src")
         assert result.dtype == np.float64 and result.shape == (0,)
 
 
 def test_frequencies_duplicates_within_doc_count():
     """Both instances of a count towards its frequency: each weighs 1/2."""
-    assert unique_weight([make_doc("D1", ["a", "a", "b"])], "src").tolist() == [0.5 + 0.5 + 1]
+    docs = collection([make_doc("D1", ["a", "a", "b"])])
+    assert unique_weight(docs, "src").tolist() == [0.5 + 0.5 + 1]
 
 
 def test_frequencies_unknown_source_names_it():
     for measure in (unique_weight, fecundity):
         with pytest.raises(UnknownCoderSourceError, match="nosuch"):
-            measure([make_doc("D1", ["a"])], "nosuch")
-
-
-def test_frequencies_rejects_duplicate_ids():
-    docs = [make_doc("D1", ["a"]), make_doc("D1", ["b"])]
-    for measure in (unique_weight, fecundity):
-        with pytest.raises(ValueError, match="duplicate"):
-            measure(docs, "src")
+            measure(collection([make_doc("D1", ["a"])]), "nosuch")
 
 
 def test_unique_weight_hand_cases():
-    docs = [make_doc("D1", ["a", "b"]), make_doc("D2", ["a"])]
+    docs = collection([make_doc("D1", ["a", "b"]), make_doc("D2", ["a"])])
     assert unique_weight(docs, "src").tolist() == pytest.approx([1.5, 0.5])
 
 
 def test_unique_weight_empty_doc():
-    weights = unique_weight([make_doc("D", [])], "src")
+    weights = unique_weight(collection([make_doc("D", [])]), "src")
     assert weights.dtype == np.float64 and weights.tolist() == [0.0]
 
 
@@ -88,17 +84,16 @@ def test_unique_weight_empty_doc():
 def test_weights_equal_the_loop(docs):
     """Column weights are the loop's floats exactly, empty documents included."""
     weights = unique_weight_loop(docs, "src")
-    assert unique_weight(docs, "src").tolist() == weights
+    assert unique_weight(collection(docs), "src").tolist() == weights
     expected = [w / d.text_length * 1000.0 for w, d in zip(weights, docs)]
-    assert fecundity(docs, "src").tolist() == expected
-    assert fecundity(Collection.of(docs), "src").tolist() == expected
+    assert fecundity(collection(docs), "src").tolist() == expected
 
 
 @given(corpora())
 def test_conservation_identity(docs):
     """Weights over the scope add up to the distinct-code count."""
     distinct = {inst.code_id for d in docs for inst in d.instances("src")}
-    assert unique_weight(docs, "src").sum() == pytest.approx(len(distinct), abs=1e-9)
+    assert unique_weight(collection(docs), "src").sum() == pytest.approx(len(distinct), abs=1e-9)
 
 
 @given(corpora())
@@ -111,8 +106,8 @@ def test_doubling_instances_preserves_weights(docs):
         )
         for d in docs
     ]
-    assert unique_weight(doubled, "src").tolist() == pytest.approx(
-        unique_weight(docs, "src").tolist(), abs=1e-9
+    assert unique_weight(collection(doubled), "src").tolist() == pytest.approx(
+        unique_weight(collection(docs), "src").tolist(), abs=1e-9
     )
 
 
@@ -122,7 +117,7 @@ def test_unique_weight_bounds(docs):
     if not counts:
         return
     max_f = max(counts.values())
-    for d, uw in zip(docs, unique_weight(docs, "src").tolist()):
+    for d, uw in zip(docs, unique_weight(collection(docs), "src").tolist()):
         distinct = len({inst.code_id for inst in d.instances("src")})
         assert uw <= distinct + 1e-9
         assert uw >= distinct / max_f - 1e-9
@@ -143,49 +138,54 @@ def test_fecundity_invariant_to_relabeling(docs):
         )
         for d in docs
     ]
-    assert fecundity(renamed, "src").tolist() == fecundity(docs, "src").tolist()
+    assert fecundity(collection(renamed), "src").tolist() == fecundity(collection(docs), "src").tolist()
 
 
 def test_fecundity_unit_scale():
     """a occurs twice in the scope and b once: 1.5 per 1000 characters."""
-    docs = [make_doc("D", ["a", "b"], length=1000), make_doc("E", ["a"])]
+    docs = collection([make_doc("D", ["a", "b"], length=1000), make_doc("E", ["a"])])
     assert fecundity(docs, "src")[0] == pytest.approx(1.5)
 
 
 def test_fecundity_quarter_length():
-    docs = [make_doc("D", ["a"], length=250), make_doc("E", ["a"])]
+    docs = collection([make_doc("D", ["a"], length=250), make_doc("E", ["a"])])
     assert fecundity(docs, "src")[0] == pytest.approx(2.0)
 
 
 def test_fecundity_no_codes():
-    docs = [make_doc("D", [], length=777)]
+    docs = collection([make_doc("D", [], length=777)])
     assert fecundity(docs, "src").tolist() == [0.0]
     assert unique_weight(docs, "src").tolist() == [0.0]
 
 
-def test_document_rejects_nonpositive_length():
-    with pytest.raises(ValueError):
-        make_doc("D", [], length=0)
-
-
-def test_code_instance_position_range():
-    with pytest.raises(ValueError):
-        CodeInstance("a", position=1.5)
-
-
 # --- Collection ----------------------------------------------------------------
+
+_BAD_INPUT = {  # case -> (ids, lengths, position, message)
+    "duplicate-id": (("D1", "D2", "D1"), (10, 10, 10), 0.5, "^duplicate document id 'D1' in collection$"),
+    "length-below-one": (("D1", "D2"), (10, 0), 0.5, "^document 'D2': text_length must be >= 1$"),
+    "position-outside-unit": (("D1",), (10,), 1.5, r"^position 1\.5 outside \[0, 1\]$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT))
+def test_intern_rejects_bad_input(case):
+    ids, lengths, position, message = _BAD_INPUT[case]
+    instances = ((0,), (0,), (0,), (position,))  # one instance of "a", on the first row
+    with pytest.raises(ValueError, match=message):
+        Collection.intern(ids, lengths, (None,) * len(ids), ["src"], instances, ["a"])
+
 
 _POSITIONS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0]))
 
 
 @st.composite
 def mixed_sources(draw):
-    """1-8 hand-built documents, each carrying any subset of two coder sources."""
+    """1-8 hand-built documents, all carrying the same subset of two coder sources."""
+    sources = draw(st.lists(st.sampled_from(["human", "ai"]), unique=True, max_size=2))
     docs = []
     for i in range(draw(st.integers(1, 8))):
-        sources = draw(st.lists(st.sampled_from(["human", "ai"]), unique=True, max_size=2))
         codes = {
-            source: [CodeInstance(c, p) for c, p in draw(st.lists(st.tuples(code_ids, _POSITIONS), max_size=5))]
+            source: tuple(CodeInstance(c, p) for c, p in draw(st.lists(st.tuples(code_ids, _POSITIONS), max_size=5)))
             for source in sources
         }
         length = draw(st.integers(1, 500))
@@ -205,15 +205,15 @@ def _walk_error(docs, source):
 
 @given(mixed_sources(), st.data())
 def test_collection_of_hand_built_documents(docs, data):
-    collection = Collection.of(docs)
-    assert list(collection) == docs
-    assert Collection.of(collection) is collection
-    assert collection[::-1] == docs[::-1] and collection[-1] == docs[-1]
+    built = collection(docs)
+    assert list(built) == docs
+    assert Collection.of(built) is built
+    assert list(built[::-1]) == docs[::-1] and built[-1] == docs[-1]
     rows = data.draw(st.lists(st.integers(0, len(docs) - 1), unique=True))
     picked = [docs[i] for i in rows]
-    taken = collection.take(rows)
+    taken = built.take(rows)
     assert list(taken) == picked
-    for scope, walked in ((collection, docs), (taken, picked)):
+    for scope, walked in ((built, docs), (taken, picked)):
         for source in ("human", "ai", "other"):
             message = _walk_error(walked, source)
             if message is None:
@@ -225,6 +225,9 @@ def test_collection_of_hand_built_documents(docs, data):
                 with pytest.raises(UnknownCoderSourceError) as err:
                     scope.matrix(source)
                 assert str(err.value) == message
+    partial = docs + [Document("partial", 1, None, {"other": ()})]
+    with pytest.raises(ValueError, match="lacks coder source"):
+        collection(partial)
 
 
 def test_loaded_estimators_build_no_documents(tmp_path, monkeypatch):
@@ -233,7 +236,7 @@ def test_loaded_estimators_build_no_documents(tmp_path, monkeypatch):
     write_collection(docs, codebook, *paths)
     loaded, codebook = load_collection(*paths)
     built = []
-    monkeypatch.setattr(Document, "__post_init__", lambda self: built.append(self))
+    monkeypatch.setattr(Document, "__init__", lambda self, *args, **kwargs: built.append(self))
     select_greedy(loaded, SelectionBudget.from_mean_docs(loaded, 5), SQRT, "human")
     regimes = [CountingRegime(kind) for kind in ("unique", "hf_iterative", "themes")]
     bootstrap_bands(loaded, regimes, "human", n_iterations=5, codebook=codebook)
@@ -255,13 +258,17 @@ _ESTIMATORS = {
     "position_trend": lambda docs: position_trend(docs, "src", window=1),
     "corpus_code_density": lambda docs: corpus_code_density(docs, "src"),
     "superset_sweep": lambda docs: superset_sweep(docs, "src", IDENTITY_MAP, seed=0, sizes=[2]),
+    "write_collection": lambda docs: write_collection(docs, Codebook(), os.devnull),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(_ESTIMATORS))
 def test_estimators_reject_repeated_ids(estimator):
+    """A plain list of documents, here one that repeats an id, is refused
+    whole: estimators read only collections, whose ids ``Collection.intern``
+    has checked."""
     docs = [make_doc("D1", ["a"]), make_doc("D2", ["b"]), make_doc("D1", ["c"])]
-    with pytest.raises(ValueError, match="^duplicate document id 'D1' in collection$"):
+    with pytest.raises(TypeError, match="^expected a Collection, got list; build one with Collection.intern$"):
         _ESTIMATORS[estimator](docs)
 
 

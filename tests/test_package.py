@@ -20,8 +20,7 @@ EXPORTS = {
     ),
     "saturation": (
         "BootstrapBand", "CountingRegime", "SaturationCurve", "StoppingRuleResult",
-        "bootstrap_bands", "cumulative_curve", "detect_stopping", "median_code_position",
-        "position_trend",
+        "bootstrap_bands", "cumulative_curve", "detect_stopping", "position_trend",
     ),
     "selection": (
         "LOG1P", "SQRT", "UNIQUE", "CorpusSelection", "ReadingEntry", "SelectionBudget",

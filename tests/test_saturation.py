@@ -11,20 +11,19 @@ from fecund.saturation import (
     bootstrap_bands,
     cumulative_curve,
     detect_stopping,
-    median_code_position,
     position_trend,
 )
 
 from conftest import make_doc
-from reference import reference_band, reference_counts
+from reference import collection, reference_band, reference_counts
 
-WORKED_ORDER = lambda: [
+WORKED_ORDER = lambda: collection([
     make_doc("D1", ["a"]),
     make_doc("D2", ["a"]),
     make_doc("D3", ["a", "b"]),
     make_doc("D4", ["b"]),
     make_doc("D5", ["b"]),
-]
+])
 
 
 # --- cumulative_curve -------------------------------------------------------
@@ -44,7 +43,7 @@ def test_worked_example(kind, expected):
 
 
 def test_curve_chars_accumulate():
-    docs = [make_doc("a", ["x"], length=5), make_doc("b", ["y"], length=7)]
+    docs = collection([make_doc("a", ["x"], length=5), make_doc("b", ["y"], length=7)])
     curve = cumulative_curve(docs, CountingRegime("unique"), "src")
     assert [s.cumulative_chars for s in curve.steps] == [5, 12]
     assert [s.doc_index for s in curve.steps] == [1, 2]
@@ -56,14 +55,14 @@ def test_themes_regime():
         theme_map={"a": "t1", "b": "t1", "c": "t2"},
         themes={"t1": "t1", "t2": "t2"},
     )
-    docs = [make_doc("d1", ["a"]), make_doc("d2", ["b"]), make_doc("d3", ["c"])]
+    docs = collection([make_doc("d1", ["a"]), make_doc("d2", ["b"]), make_doc("d3", ["c"])])
     curve = cumulative_curve(docs, CountingRegime("themes"), "src", codebook=codebook)
     assert curve.counts == [1, 1, 2]
 
 
 def test_themes_regime_requires_map():
     with pytest.raises(ValueError, match="theme map"):
-        cumulative_curve([make_doc("d", ["a"])], CountingRegime("themes"), "src")
+        cumulative_curve(collection([make_doc("d", ["a"])]), CountingRegime("themes"), "src")
 
 
 def test_regime_validation():
@@ -86,6 +85,7 @@ def random_orderings(draw):
 @given(random_orderings())
 def test_iterative_below_retrospective_below_unique(order):
     thr = 3
+    order = collection(order)
     unique = cumulative_curve(order, CountingRegime("unique", thr), "src").counts
     retro = cumulative_curve(order, CountingRegime("hf_retrospective", thr), "src").counts
     iterative = cumulative_curve(order, CountingRegime("hf_iterative", thr), "src").counts
@@ -97,10 +97,10 @@ def test_iterative_below_retrospective_below_unique(order):
 @given(random_orderings())
 def test_final_count_is_order_invariant(order):
     regime = CountingRegime("unique")
-    base = cumulative_curve(order, regime, "src").counts
+    base = cumulative_curve(collection(order), regime, "src").counts
     rng = np.random.default_rng(0)
     perm = [order[i] for i in rng.permutation(len(order))]
-    assert cumulative_curve(perm, regime, "src").counts[-1] == base[-1]
+    assert cumulative_curve(collection(perm), regime, "src").counts[-1] == base[-1]
 
 
 def test_retrospective_pathology():
@@ -119,7 +119,7 @@ def test_retrospective_pathology():
         for _ in range(4):
             order = [docs[i] for i in rng.permutation(n)]
             counts = cumulative_curve(
-                order, CountingRegime("hf_retrospective", thr), "src"
+                collection(order), CountingRegime("hf_retrospective", thr), "src"
             ).counts
             assert counts[-1] == counts[-(thr - 1) - 1]
 
@@ -162,10 +162,10 @@ ZERO_GROUPS = (
 @example(ZERO_GROUPS, "hf_retrospective", 4)
 @example(ZERO_GROUPS, "hf_iterative", 4)
 @example(ZERO_GROUPS, "themes", 2)
-def test_curve_matches_reference_loop(collection, kind, threshold):
-    order, codebook = collection
+def test_curve_matches_reference_loop(coded, kind, threshold):
+    order, codebook = coded
     regime = CountingRegime(kind, threshold)
-    curve = cumulative_curve(order, regime, "src", codebook=codebook)
+    curve = cumulative_curve(collection(order), regime, "src", codebook=codebook)
     assert curve.counts == reference_counts(order, regime, "src", codebook)
 
 
@@ -212,7 +212,7 @@ def _fixture_curve(counts):
             new = ["n0_0"] if prev else ["filler"]
         docs.append(make_doc(f"d{i:03d}", new))
         prev = c
-    curve = cumulative_curve(docs, CountingRegime("unique"), "src")
+    curve = cumulative_curve(collection(docs), CountingRegime("unique"), "src")
     assert curve.counts == counts
     return curve
 
@@ -228,7 +228,7 @@ def _unique_band(docs, coder_source="src", **kwargs):
 
 
 def test_band_identical_documents_zero_width():
-    docs = [make_doc(f"d{i}", ["only"], length=10) for i in range(10)]
+    docs = collection([make_doc(f"d{i}", ["only"], length=10) for i in range(10)])
     band = _unique_band(docs, n_iterations=50, seed=1)
     assert np.array_equal(band.lo95, band.mean_count[: len(band.lo95)])
     assert np.array_equal(band.hi95, band.lo95)
@@ -236,10 +236,10 @@ def test_band_identical_documents_zero_width():
 
 
 def test_band_two_disjoint_docs():
-    docs = [
+    docs = collection([
         make_doc("d1", ["a"], length=10),
         make_doc("d2", ["b"], length=20),
-    ]
+    ])
     band = _unique_band(docs, n_iterations=100, seed=2)
     assert len(band.lo95) == len(band.hi95) == 1  # ceil(0.1*2) = 1 step dropped
     assert band.mean_count[0] == 1.0
@@ -248,33 +248,33 @@ def test_band_two_disjoint_docs():
 
 def test_band_raw_final_step_always_degenerate():
     rng = np.random.default_rng(4)
-    docs = [
+    docs = collection([
         make_doc(f"d{i}", [f"c{int(c)}" for c in rng.integers(0, 10, rng.integers(0, 6))])
         for i in range(9)
-    ]
+    ])
     band = _unique_band(docs, n_iterations=200, seed=4)
     assert band.raw_hi95[-1] - band.raw_lo95[-1] == 0.0
 
 
 def test_band_truncation_count():
-    docs = [make_doc(f"d{i}", ["x"], length=5) for i in range(30)]
+    docs = collection([make_doc(f"d{i}", ["x"], length=5) for i in range(30)])
     band = _unique_band(docs, n_iterations=20, seed=0)
     assert len(band.lo95) == len(band.hi95) == 27  # floor(0.9 * 30)
 
 
 @pytest.mark.parametrize("truncation", [0.0, 1.0, -0.1, 1.5])
 def test_band_requires_truncation_inside_unit_interval(truncation):
-    docs = [make_doc("a", ["x"]), make_doc("b", ["y"])]
+    docs = collection([make_doc("a", ["x"]), make_doc("b", ["y"])])
     with pytest.raises(ValueError, match="truncation"):
         _unique_band(docs, n_iterations=5, truncation=truncation)
 
 
 def test_band_mean_within_bounds_and_nondecreasing():
     rng = np.random.default_rng(8)
-    docs = [
+    docs = collection([
         make_doc(f"d{i}", [f"c{int(c)}" for c in rng.integers(0, 40, rng.integers(0, 8))])
         for i in range(20)
-    ]
+    ])
     band = _unique_band(docs, n_iterations=400, seed=8)
     means = band.mean_count[: len(band.lo95)]
     assert np.all(np.diff(means) >= 0)
@@ -293,7 +293,7 @@ def test_band_mean_concave_trending_on_iid_corpus():
 
 
 def test_band_seed_deterministic():
-    docs = [make_doc(f"d{i}", [f"c{i % 4}"]) for i in range(8)]
+    docs = collection([make_doc(f"d{i}", [f"c{i % 4}"]) for i in range(8)])
     a = _unique_band(docs, n_iterations=50, seed=9)
     b = _unique_band(docs, n_iterations=50, seed=9)
     for column in BAND_COLUMNS:
@@ -302,12 +302,12 @@ def test_band_seed_deterministic():
 
 def test_band_requires_two_docs():
     with pytest.raises(ValueError):
-        _unique_band([make_doc("d", ["a"])], seed=0)
+        _unique_band(collection([make_doc("d", ["a"])]), seed=0)
 
 
 @pytest.mark.parametrize("iterations", [0, -3])
 def test_band_requires_an_iteration(iterations):
-    docs = [make_doc("a", ["x"]), make_doc("b", ["y"])]
+    docs = collection([make_doc("a", ["x"]), make_doc("b", ["y"])])
     with pytest.raises(ValueError, match="n_iterations"):
         _unique_band(docs, n_iterations=iterations)
 
@@ -319,16 +319,16 @@ def test_band_requires_an_iteration(iterations):
     st.integers(0, 2**32 - 1),
 )
 @example(ZERO_GROUPS, list(REGIMES), 4, 0)
-def test_band_matches_reference_loop(collection, kinds, threshold, seed):
+def test_band_matches_reference_loop(coded, kinds, threshold, seed):
     """One call over several regimes gives each the loop's band, every raw
     and adjusted column equal, however iterations are blocked."""
-    docs, codebook = collection
+    docs, codebook = coded
     regimes = [CountingRegime(kind, threshold) for kind in kinds]
     expected = [reference_band(docs, r, "src", 23, seed, codebook=codebook) for r in regimes]
     for block_elements in (1, 40, 1 << 16):
         with mock.patch.object(saturation, "_BLOCK_ELEMENTS", block_elements):
             bands = bootstrap_bands(
-                docs, regimes, "src", n_iterations=23, seed=seed, codebook=codebook
+                collection(docs), regimes, "src", n_iterations=23, seed=seed, codebook=codebook
             )
         assert [band.regime for band in bands] == regimes
         for band, want in zip(bands, expected):
@@ -384,41 +384,47 @@ def test_band_mean_matches_rarefaction():
 # --- positions ----------------------------------------------------------------
 
 
+def _median_position(doc):
+    """The document's median code position, as ``position_trend`` reports it."""
+    return [t.median_position for t in position_trend(collection([doc]), "src", window=1)]
+
+
 def test_median_position_odd():
     doc = make_doc("d", ["a", "b", "c"], positions=[0.2, 0.5, 0.9])
-    assert median_code_position(doc, "src") == 0.5
+    assert _median_position(doc) == [0.5]
 
 
 def test_median_position_even():
     doc = make_doc("d", ["a", "b"], positions=[0.2, 0.6])
-    assert median_code_position(doc, "src") == pytest.approx(0.4)
+    assert _median_position(doc) == [pytest.approx(0.4)]
 
 
 def test_median_position_absent():
-    assert median_code_position(make_doc("d", ["a"]), "src") is None
-    assert median_code_position(make_doc("d", []), "src") is None
+    """A document without positioned codes has no median and is skipped."""
+    assert _median_position(make_doc("d", ["a"])) == []
+    assert _median_position(make_doc("d", [])) == []
 
 
 def test_trend_constant():
-    docs = [
+    docs = collection([
         make_doc(f"d{i}", ["a"], length=100 + i, positions=[0.5]) for i in range(6)
-    ]
+    ])
     trend = position_trend(docs, "src", window=3)
     assert all(t.moving_average == pytest.approx(0.5) for t in trend)
 
 
 def test_trend_single_doc():
-    docs = [make_doc("d", ["a"], length=50, positions=[0.3])]
+    docs = collection([make_doc("d", ["a"], length=50, positions=[0.3])])
     trend = position_trend(docs, "src", window=5)
     assert len(trend) == 1
     assert trend[0].moving_average == pytest.approx(0.3)
 
 
 def test_trend_monotone_for_linear_medians():
-    docs = [
+    docs = collection([
         make_doc(f"d{i}", ["a"], length=100 + 10 * i, positions=[i / 10])
         for i in range(10)
-    ]
+    ])
     trend = position_trend(docs, "src", window=3)
     avgs = [t.moving_average for t in trend]
     assert all(a <= b + 1e-12 for a, b in zip(avgs, avgs[1:]))

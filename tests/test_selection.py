@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fecund.corpus import Document
-from fecund.errors import SampleSizeError, UnknownCoderSourceError
+from fecund.errors import SampleSizeError
 from fecund.selection import (
     LOG1P,
     SQRT,
@@ -22,6 +21,10 @@ from fecund.selection import (
 from conftest import make_doc
 from reference import (
     TooManyCandidatesError,
+    collection,
+    doc_items,
+    greedy_lazy_loop,
+    objective_loop,
     select_exact,
     select_greedy_loop,
     select_greedy_naive,
@@ -35,7 +38,7 @@ def _brute_force(docs, budget, vf, source):
         for combo in itertools.combinations(sorted(docs, key=lambda d: d.id), r):
             if sum(d.text_length for d in combo) >= budget.max_chars:
                 continue
-            obj = objective(combo, vf, source)
+            obj = objective(collection(combo), vf, source)
             ids = tuple(d.id for d in combo)
             if obj > best_obj + 1e-12 or (abs(obj - best_obj) <= 1e-12 and ids < best_ids):
                 best_obj, best_ids = obj, ids
@@ -59,16 +62,16 @@ def _random_instance(rng, max_docs=10, max_codes=15):
 
 def test_objective_sqrt_two_copies():
     doc = make_doc("A", ["x", "x"])
-    assert objective([doc], SQRT, "src") == pytest.approx(math.sqrt(2))
+    assert objective(collection([doc]), SQRT, "src") == pytest.approx(math.sqrt(2))
 
 
 def test_objective_empty():
     # a float like every other objective, so selection.json writes 0.0, not 0
-    assert repr(objective([], SQRT, "src")) == "0.0"
+    assert repr(objective(collection([]), SQRT, "src")) == "0.0"
 
 
 def test_objective_unique_counts_distinct():
-    docs = [make_doc("A", ["x", "x"]), make_doc("B", ["y"])]
+    docs = collection([make_doc("A", ["x", "x"]), make_doc("B", ["y"])])
     assert objective(docs, UNIQUE, "src") == 2
 
 
@@ -85,11 +88,11 @@ def test_value_function_kinds():
 
 
 def three_doc_instance():
-    return [
+    return collection([
         make_doc("A", ["x", "x"], length=10),
         make_doc("B", ["y"], length=10),
         make_doc("C", ["x"], length=10),
-    ]
+    ])
 
 
 def test_greedy_worked_example():
@@ -105,27 +108,27 @@ def test_greedy_worked_example():
 
 
 def test_greedy_nothing_fits():
-    docs = [make_doc("A", ["x"], length=2), make_doc("B", ["y"], length=3)]
+    docs = collection([make_doc("A", ["x"], length=2), make_doc("B", ["y"], length=3)])
     sel = select_greedy(docs, SelectionBudget(1), SQRT, "src")
     assert sel.selected_ids == ()
     assert sel.objective_value == 0.0
 
 
 def test_greedy_single_doc_under_budget():
-    docs = [make_doc("A", ["x"], length=5)]
+    docs = collection([make_doc("A", ["x"], length=5)])
     sel = select_greedy(docs, SelectionBudget(6), SQRT, "src")
     assert sel.selected_ids == ("A",)
 
 
 def test_greedy_budget_strict():
     # total exactly equal to the budget is not allowed
-    docs = [make_doc("A", ["x"], length=10), make_doc("B", ["y"], length=10)]
+    docs = collection([make_doc("A", ["x"], length=10), make_doc("B", ["y"], length=10)])
     sel = select_greedy(docs, SelectionBudget(20), SQRT, "src")
     assert len(sel.selected_ids) == 1
 
 
 def test_greedy_skips_zero_gain_docs():
-    docs = [make_doc("A", ["x"], length=10), make_doc("B", [], length=1)]
+    docs = collection([make_doc("A", ["x"], length=10), make_doc("B", [], length=1)])
     sel = select_greedy(docs, SelectionBudget(100), SQRT, "src")
     assert sel.selected_ids == ("A",)
 
@@ -133,7 +136,7 @@ def test_greedy_skips_zero_gain_docs():
 def test_greedy_gains_telescope_to_objective():
     rng = np.random.default_rng(7)
     docs, budget = _random_instance(rng)
-    sel = select_greedy(docs, budget, SQRT, "src")
+    sel = select_greedy(collection(docs), budget, SQRT, "src")
     assert sum(sel.gains) == pytest.approx(sel.objective_value, abs=1e-9)
 
 
@@ -142,17 +145,18 @@ def test_singleton_fallback_rescues_density_trap():
     big = make_doc("big", [f"v{i}" for i in range(10)], length=100)
     tiny = make_doc("tiny", ["x"], length=1)
     budget = SelectionBudget(101)
-    trapped = select_greedy([big, tiny], budget, SQRT, "src", singleton_fallback=False)
-    assert trapped.selected_ids == ("tiny",)
-    rescued = select_greedy([big, tiny], budget, SQRT, "src")
+    pool = [(doc, doc_items(doc, "src")) for doc in (big, tiny)]
+    trapped, _ = greedy_lazy_loop(pool, budget, SQRT.g, cost_benefit=True)
+    assert [doc.id for doc in trapped] == ["tiny"]
+    rescued = select_greedy(collection([big, tiny]), budget, SQRT, "src")
     assert rescued.selected_ids == ("big",)
-    assert rescued.objective_value > trapped.objective_value
+    assert rescued.objective_value > objective_loop(trapped, SQRT, "src")
 
 
 def test_plain_gain_mode():
     big = make_doc("big", [f"v{i}" for i in range(10)], length=100)
     tiny = make_doc("tiny", ["x"], length=1)
-    sel = select_greedy([big, tiny], SelectionBudget(101), SQRT, "src", cost_benefit=False)
+    sel = select_greedy(collection([big, tiny]), SelectionBudget(101), SQRT, "src", cost_benefit=False)
     assert sel.selected_ids[0] == "big"
 
 
@@ -160,6 +164,7 @@ def test_lazy_equals_naive_on_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(120):
         docs, budget = _random_instance(rng)
+        docs = collection(docs)
         for vf in (SQRT, LOG1P, UNIQUE):
             lazy = select_greedy(docs, budget, vf, "src")
             naive = select_greedy_naive(docs, budget, vf, "src")
@@ -178,20 +183,10 @@ def _greedy_instances(draw):
         )
         for doc_id in ids
     ]
-    if docs and draw(st.booleans()):
-        at = draw(st.integers(0, len(docs) - 1))
-        docs[at] = Document(docs[at].id, docs[at].text_length, codes={"other": ()})
     return docs, SelectionBudget(draw(st.integers(1, 200)))
 
 
-def _greedy_outcome(select, docs, budget, vf, tie_break, cost_benefit, fallback):
-    try:
-        sel = select(
-            docs, budget, vf, "src", tie_break,
-            cost_benefit=cost_benefit, singleton_fallback=fallback,
-        )
-    except UnknownCoderSourceError as exc:
-        return "error", str(exc)
+def _greedy_outcome(sel):
     return sel.selected_ids, repr(sel.objective_value), repr(sel.gains), sel.total_chars
 
 
@@ -213,27 +208,26 @@ _TIED_TRAP = (
 @given(
     instance=_greedy_instances(),
     vf=st.sampled_from([SQRT, LOG1P, UNIQUE]),
-    tie_break=st.sampled_from(["shortest-then-id", "id"]),
     cost_benefit=st.booleans(),
-    fallback=st.booleans(),
 )
-@example(instance=_DENSITY_TRAP, vf=SQRT, tie_break="shortest-then-id", cost_benefit=True, fallback=True)
-@example(instance=_DENSITY_TRAP, vf=UNIQUE, tie_break="id", cost_benefit=True, fallback=True)
-@example(instance=_TIED_TRAP, vf=LOG1P, tie_break="shortest-then-id", cost_benefit=True, fallback=True)
-@example(instance=([], SelectionBudget(5)), vf=SQRT, tie_break="id", cost_benefit=True, fallback=True)
-def test_greedy_bit_identical_to_loop_oracle(instance, vf, tie_break, cost_benefit, fallback):
+@example(instance=_DENSITY_TRAP, vf=SQRT, cost_benefit=True)
+@example(instance=_DENSITY_TRAP, vf=UNIQUE, cost_benefit=True)
+@example(instance=_TIED_TRAP, vf=LOG1P, cost_benefit=True)
+@example(instance=([], SelectionBudget(5)), vf=SQRT, cost_benefit=True)
+def test_greedy_bit_identical_to_loop_oracle(instance, vf, cost_benefit):
     docs, budget = instance
-    args = (docs, budget, vf, tie_break, cost_benefit, fallback)
-    assert _greedy_outcome(select_greedy, *args) == _greedy_outcome(select_greedy_loop, *args)
+    fast = select_greedy(collection(docs), budget, vf, "src", cost_benefit=cost_benefit)
+    loop = select_greedy_loop(docs, budget, vf, "src", cost_benefit=cost_benefit)
+    assert _greedy_outcome(fast) == _greedy_outcome(loop)
 
 
 def test_greedy_deterministic_tie_break():
     # identical gain/char: shorter doc wins, then smaller id
-    docs = [
+    docs = collection([
         make_doc("b", ["x"], length=5),
         make_doc("a", ["y"], length=5),
         make_doc("c", ["z"], length=3),
-    ]
+    ])
     sel = select_greedy(docs, SelectionBudget(100), UNIQUE, "src", cost_benefit=False)
     assert sel.selected_ids == ("c", "a", "b")
 
@@ -288,7 +282,7 @@ def test_greedy_near_exact_on_random_instances():
         exact = select_exact(docs, budget, SQRT, "src")
         if exact.objective_value == 0.0:
             continue
-        greedy = select_greedy(docs, budget, SQRT, "src")
+        greedy = select_greedy(collection(docs), budget, SQRT, "src")
         ratios.append(greedy.objective_value / exact.objective_value)
     assert min(ratios) >= 0.5
     assert sum(ratios) / len(ratios) >= 0.95
@@ -311,30 +305,31 @@ def test_submodularity_and_monotonicity():
             if not rest:
                 continue
             d = rest[0]
-            gain_a = objective(A + [d], vf, "src") - objective(A, vf, "src")
-            gain_b = objective(B + [d], vf, "src") - objective(B, vf, "src")
+            value = lambda docs: objective(collection(docs), vf, "src")
+            gain_a = value(A + [d]) - value(A)
+            gain_b = value(B + [d]) - value(B)
             assert gain_a >= gain_b - 1e-9
-            assert objective(A, vf, "src") <= objective(B, vf, "src") + 1e-9
+            assert value(A) <= value(B) + 1e-9
 
 
 # --- select_random ----------------------------------------------------------------
 
 
 def test_random_full_set():
-    docs = [make_doc(f"d{i}", ["x"], length=5) for i in range(4)]
+    docs = collection([make_doc(f"d{i}", ["x"], length=5) for i in range(4)])
     sel = select_random(docs, 4, seed=1, coder_source="src")
-    assert sorted(sel.selected_ids) == [d.id for d in docs]
+    assert sorted(sel.selected_ids) == list(docs.ids)
 
 
 def test_random_empty():
-    docs = [make_doc("d0", ["x"])]
+    docs = collection([make_doc("d0", ["x"])])
     sel = select_random(docs, 0, seed=1, coder_source="src")
     assert sel.selected_ids == ()
     assert sel.objective_value == 0.0
 
 
 def test_random_seed_deterministic():
-    docs = [make_doc(f"d{i}", ["x"], length=5) for i in range(10)]
+    docs = collection([make_doc(f"d{i}", ["x"], length=5) for i in range(10)])
     a = select_random(docs, 4, seed=7, coder_source="src")
     b = select_random(docs, 4, seed=7, coder_source="src")
     assert a.selected_ids == b.selected_ids
@@ -342,14 +337,14 @@ def test_random_seed_deterministic():
 
 def test_random_oversample_errors():
     with pytest.raises(SampleSizeError):
-        select_random([make_doc("d", ["x"])], 2, seed=1, coder_source="src")
+        select_random(collection([make_doc("d", ["x"])]), 2, seed=1, coder_source="src")
 
 
 # --- interleave_blinded --------------------------------------------------------
 
 
 def _selection_of(ids):
-    docs = [make_doc(i, ["x"], length=5) for i in ids]
+    docs = collection([make_doc(i, ["x"], length=5) for i in ids])
     return select_random(docs, len(docs), seed=0, coder_source="src")
 
 
@@ -386,7 +381,7 @@ def test_interleave_seed_reproducible():
 
 
 def test_budget_from_mean_docs():
-    docs = [make_doc("a", [], length=10), make_doc("b", [], length=30)]
+    docs = collection([make_doc("a", [], length=10), make_doc("b", [], length=30)])
     assert SelectionBudget.from_mean_docs(docs, 3).max_chars == 60
 
 

@@ -22,6 +22,7 @@ from fecund.stats import (
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
+from reference import collection
 
 
 # --- ols -----------------------------------------------------------------
@@ -389,7 +390,9 @@ def test_quadratic_needs_three_distinct_x():
 
 def test_sweep_identity_constant_density_is_flat():
     # one fresh code per equal-length doc: any selection has the same density
-    docs = [make_doc(f"d{i:03d}", [f"u{i}"], length=100, source="ai") for i in range(60)]
+    docs = collection(
+        [make_doc(f"d{i:03d}", [f"u{i}"], length=100, source="ai") for i in range(60)]
+    )
     points = superset_sweep(
         docs, "ai", IDENTITY_MAP, seed=4, sizes=(30, 60), replicates=3, n_budget_docs=10
     )
@@ -407,6 +410,16 @@ def test_sweep_baseline_first_and_deterministic():
     assert [p.size for p in a[1:]] == [40, 80]
 
 
+def test_sweep_baseline_labels_the_size_sampled():
+    """A budget of more documents than the set holds samples the whole set,
+    and the baseline point says so."""
+    docs, _ = synth_corpus(30, seed=6, coder_source="ai", n_codes=40)
+    points = superset_sweep(docs, "ai", IDENTITY_MAP, seed=1, sizes=(10,), replicates=2,
+                            n_budget_docs=40)
+    assert [p.size for p in points] == [30, 10]
+    assert points[0].normalized_pct == 100.0
+
+
 def test_sweep_larger_supersets_help():
     docs, _ = synth_corpus(120, seed=31, coder_source="ai", n_codes=60)
     points = superset_sweep(
@@ -417,16 +430,16 @@ def test_sweep_larger_supersets_help():
 
 
 def test_sweep_oversized_subset_errors():
-    docs = [make_doc(f"d{i}", ["x"], source="ai") for i in range(10)]
+    docs = collection([make_doc(f"d{i}", ["x"], source="ai") for i in range(10)])
     with pytest.raises(SampleSizeError):
         superset_sweep(docs, "ai", IDENTITY_MAP, seed=0, sizes=(50,))
 
 
 def test_corpus_density_conservation_view():
-    docs = [
+    docs = collection([
         make_doc("a", ["x", "y"], length=500, source="ai"),
         make_doc("b", ["x"], length=500, source="ai"),
-    ]
+    ])
     assert corpus_code_density(docs, "ai") == pytest.approx(2 / 1000 * 1000)
     # a Python float: sweep.csv writes repr(), which spells a numpy scalar out
     assert type(corpus_code_density(docs, "ai")) is float
