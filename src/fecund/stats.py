@@ -24,6 +24,11 @@ from .selection import SQRT, SelectionBudget, ValueFunction, select_greedy
 STAR_THRESHOLDS = (0.1, 0.05, 0.01)
 
 
+def _stars(p: float) -> str:
+    """One star per threshold of ``STAR_THRESHOLDS`` that ``p`` falls below."""
+    return "*" * sum(p < threshold for threshold in STAR_THRESHOLDS)
+
+
 @dataclass(frozen=True)
 class RegressionSpec:
     outcome: str
@@ -53,14 +58,7 @@ class RegressionFit:
     weighted: bool = False
 
     def stars(self, name: str) -> str:
-        p = self.p_values[name]
-        if p < 0.01:
-            return "***"
-        if p < 0.05:
-            return "**"
-        if p < 0.1:
-            return "*"
-        return ""
+        return _stars(self.p_values[name])
 
     def ci95(self, name: str) -> tuple[float, float]:
         half = 1.96 * self.standard_errors[name]
@@ -172,13 +170,83 @@ def ols(
 
 
 def _p_two_sided(t: float, df: int) -> float:
+    """P(|T| > |t|) for Student's t with ``df`` degrees of freedom: the
+    incomplete beta I_x(df/2, 1/2) at x = df/(df + t²)."""
+    t = abs(float(t))
     if not math.isfinite(t):
         return 0.0
-    # imported here so that only commands that fit a regression load scipy;
-    # stdtr(df, -|t|) is the t survival function, exact at any df
-    from scipy import special
+    q = t * t / df
+    # past |t| ≈ 1.3e154 t² overflows, and log1p(q) = log(q) to the last bit
+    log1p_q = math.log1p(q) if q < math.inf else 2.0 * math.log(t) - math.log(df)
+    return _beta_tail(df / 2.0, 0.5, q, log1p_q)
 
-    return float(2.0 * special.stdtr(df, -abs(t)))
+
+# Stirling's series for log Γ(z) − [(z − ½)·log z − z + ½·log 2π]: B_2k / (2k(2k − 1))
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _stirling_tail(z: float) -> float:
+    return sum(c / z ** (2 * k + 1) for k, c in enumerate(_STIRLING))
+
+
+def _log_beta(a: float, b: float) -> float:
+    small, big = sorted((a, b))
+    if big < 20.0:  # from 20 on, five terms of Stirling's series hold 1e-16
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    # log Γ(big + small) − log Γ(big) as a Stirling difference: two lgammas
+    # of size big·log(big) would cancel to the last few digits
+    ratio = (
+        small * math.log(big) + (big + small - 0.5) * math.log1p(small / big) - small
+        + _stirling_tail(big + small) - _stirling_tail(big)
+    )
+    return math.lgamma(small) - ratio
+
+
+def _beta_tail(a: float, b: float, q: float, log1p_q: float) -> float:
+    """I_x(a, b) at x = 1/(1 + q), ``log1p_q`` = log(1 + q), q ≥ 0.
+
+    The prefactor x^a·(1 − x)^b / B(a, b) is taken in log space from q, so
+    neither x nor 1 − x is rounded before its logarithm; the rest is the
+    continued fraction of Numerical Recipes §6.4, on whichever side of the
+    mean it converges fast.
+    """
+    if q == 0.0:
+        return 1.0
+    x = 1.0 / (1.0 + q)
+    if q <= 1.0:
+        y, log_y = q / (1.0 + q), math.log(q) - log1p_q
+    else:
+        y, log_y = 1.0 / (1.0 + 1.0 / q), -math.log1p(1.0 / q)
+    front = math.exp(b * log_y - a * log1p_q - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front / (a * _beta_fraction(a, b, x, y))
+    return 1.0 - front / (b * _beta_fraction(b, a, y, x))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
+    """1 + d1/(1 + d2/(1 + ...)), the incomplete beta's continued fraction
+    at x, with y = 1 − x.
+
+    It is evaluated from its tail inward, two terms a step, and the depth
+    doubles until two depths agree. Near the mean 1 + d_(2m+1) nears 0, so
+    for x > ½ it is formed from y, as DiDonato & Morris (1992) form their λ:
+    formed from x it would lose about a·ε.
+    """
+    depth, previous = 8, 0.0
+    while True:
+        g = 1.0
+        for m in range(depth, -1, -1):
+            h = (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2) * g)
+            den = (a + 2 * m) * (a + 2 * m + 1)
+            c = (a + m) * (a + b + m)
+            if x > 0.5:  # 1 − c·x/den = (den − c + c·y)/den, den − c expanded
+                odd = (a * (1 - b + 2 * m) + m * (3 * m + 2 - b) + c * y) / den
+            else:
+                odd = 1.0 - c * x / den
+            g = (odd + h) / (1.0 + h)
+        if abs(g - previous) <= 1e-15 * g or depth > 1 << 15:
+            return g
+        depth, previous = 2 * depth, g
 
 
 TREATMENT_SPECS: dict[int, dict] = {
@@ -311,10 +379,8 @@ def _f_stars(fit: RegressionFit) -> str:
     k, df = fit.f_df
     if k < 1 or not math.isfinite(fit.f_statistic):
         return ""
-    from scipy import special  # deferred: see _p_two_sided
-
-    p = float(special.fdtrc(k, df, fit.f_statistic))
-    return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
+    q = k * fit.f_statistic / df
+    return _stars(_beta_tail(df / 2.0, k / 2.0, q, math.log1p(q)))
 
 
 def format_treatment_table(fits: Mapping[int, RegressionFit | str]) -> str:

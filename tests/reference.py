@@ -32,6 +32,10 @@ makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
 ``reference_band`` is the bootstrap band with one loop-counted order per
 iteration and the finite population correction applied step by step;
 ``fecund.saturation.bootstrap_bands`` must return equal columns.
+``t_two_sided_closed`` is Student's two-sided t tail for integer degrees of
+freedom as the finite sums of Abramowitz & Stegun 26.7.3-26.7.4, and
+``f_upper_k2`` the F tail at 2 numerator degrees of freedom;
+``fecund.stats`` computes both through one regularized incomplete beta.
 """
 
 from __future__ import annotations
@@ -645,3 +649,31 @@ def parse_relevance(raw: str) -> tuple[str, str]:
         elif "why" in lowered and value is not None:
             reason = str(value)
     return level, reason
+
+
+def t_two_sided_closed(t, df: int, lib=math):
+    """P(|T| > |t|) for Student's t with integer ``df``, as 1 − A(t|df) of
+    Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), with
+    θ = atan(|t|/√df). At df = 1 it is 1 − (2/π)·atan|t|, at df = 2
+    1 − |t|/√(2 + t²). ``lib`` supplies ``atan``, ``sin``, ``cos``, ``sqrt``
+    and ``pi``: ``math``, or ``mpmath`` for the tail far below 1e-16, where
+    1 − A cancels in floats."""
+    theta = lib.atan(abs(t) / lib.sqrt(df))
+    c2 = lib.cos(theta) ** 2
+    total = 0
+    if df % 2:
+        term = lib.sin(theta) * lib.cos(theta)
+        for j in range((df - 1) // 2):
+            total += term
+            term *= c2 * (2 * j + 2) / (2 * j + 3)
+        return 1 - 2 * (theta + total) / lib.pi
+    term = lib.sin(theta)
+    for j in range(df // 2):
+        total += term
+        term *= c2 * (2 * j + 1) / (2 * j + 2)
+    return 1 - total
+
+
+def f_upper_k2(f, df):
+    """P(F > f) for F with 2 and ``df`` degrees of freedom: (df/(df + 2f))^(df/2)."""
+    return (df / (df + 2 * f)) ** (df / 2)

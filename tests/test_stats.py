@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fecund.errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from fecund.stats import (
     IDENTITY_MAP,
     RegressionSpec,
+    _beta_tail,
     _f_stars,
     _p_two_sided,
+    _stars,
     corpus_code_density,
     fit_quadratic,
     format_treatment_table,
@@ -22,7 +25,7 @@ from fecund.stats import (
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
-from reference import collection
+from reference import collection, f_upper_k2, t_two_sided_closed
 
 
 # --- ols -----------------------------------------------------------------
@@ -134,11 +137,31 @@ def test_spec_rejects_outcome_as_regressor():
         RegressionSpec("y", ("y",))
 
 
-# --- p-values against scipy.stats ------------------------------------------
+# --- p-values against closed forms, mpmath and scipy ------------------------
+#
+# ``_p_two_sided`` and the F tail behind ``_f_stars`` are one regularized
+# incomplete beta. The tight oracles are the integer-df closed forms and
+# mpmath; scipy's own ``stdtr`` is off by 4e-11 at df = 1, t = 1.3e-6 (and
+# by more nearer 0), so it serves only as a loose cross-check.
 
 
 def _stars_oracle(p):
     return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
+
+
+def _assert_tail_close(p, ref, rel):
+    """``p`` is a plain float within ``rel`` of ``ref`` wherever the tail is
+    at least 1e-300; below that both may underflow."""
+    assert type(p) is float
+    if ref >= 1e-300:
+        assert abs(p - ref) <= rel * ref, (p, ref)
+    else:
+        assert 0.0 <= p < 1e-300
+
+
+def _mpmath_t_tail(mpmath, t, df):
+    x = df / (df + mpmath.mpf(t) ** 2)
+    return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
 
 
 @pytest.mark.parametrize("n", [6, 40, 203, 204, 600])
@@ -155,7 +178,8 @@ def test_ols_p_values_match_scipy_stats_t(n):
     assert fit.df_resid == n - 3
     for name in fit.param_names:
         t = fit.t_stats[name]
-        assert fit.p_values[name] == float(2.0 * spstats.t.sf(abs(t), fit.df_resid))
+        ref = float(2.0 * spstats.t.sf(abs(t), fit.df_resid))
+        _assert_tail_close(fit.p_values[name], ref, 1e-10)
 
 
 @pytest.mark.parametrize("df", [1, 7, 200, 201, 5000])
@@ -163,7 +187,78 @@ def test_ols_p_values_match_scipy_stats_t(n):
 def test_p_two_sided_matches_scipy_stats_t(t, df):
     from scipy import stats as spstats
 
-    assert _p_two_sided(t, df) == float(2.0 * spstats.t.sf(abs(t), df))
+    _assert_tail_close(_p_two_sided(t, df), float(2.0 * spstats.t.sf(abs(t), df)), 1e-10)
+
+
+def test_p_two_sided_keeps_the_cauchy_tail_past_overflow():
+    # t² overflows, yet at df = 1 the tail is (2/π)·atan(1/t) = 2/(π·t)
+    assert _p_two_sided(1e300, 1) == pytest.approx(2.0 / (math.pi * 1e300), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 7, 10, 30])
+@pytest.mark.parametrize("t", [0.0, 1e-8, 0.3, 1.0, 1.96, -3.0])
+def test_p_two_sided_matches_closed_forms(t, df):
+    # in floats 1 − A(t|df) keeps 1e-12 only while the tail stays above 1e-3
+    _assert_tail_close(_p_two_sided(t, df), t_two_sided_closed(t, df), 1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 30, 201, 1000, 3000])
+def test_p_two_sided_matches_closed_forms_in_mpmath(df):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(340):  # 1 − A(t|df) resolved down to 1e-300
+        for t in [10.0 ** (e / 8) for e in range(-40, 81)] + [10.0**e for e in range(20, 301, 20)]:
+            ref = t_two_sided_closed(mpmath.mpf(t), df, mpmath)
+            _assert_tail_close(_p_two_sided(t, df), float(ref), 1e-12)
+            if ref < 1e-300:  # and so for every larger t
+                break
+
+
+@pytest.mark.parametrize("df", [10_000, 31_623, 100_000])
+@pytest.mark.parametrize("t", [1e-8, 0.3, 1.96, 5.0, 20.0, 37.0])
+def test_p_two_sided_matches_mpmath_at_large_df(t, df):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        _assert_tail_close(_p_two_sided(t, df), _mpmath_t_tail(mpmath, t, df), 1e-11)
+
+
+@pytest.mark.parametrize("df", [3000, 100_000])
+def test_p_two_sided_keeps_its_digits_near_the_mean(df):
+    # near t² = 3 the continued fraction's 1 + d_1 nears 0; formed from x
+    # instead of 1 − x it lost about (df/2)·ε, 5e-12 at df = 100,000
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for t in np.linspace(1.4, 2.2, 41).tolist():
+            _assert_tail_close(_p_two_sided(t, df), _mpmath_t_tail(mpmath, t, df), 1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4.0, 3.0), st.integers(1, 100_000))
+def test_p_two_sided_cross_checks_scipy_stdtr(log_t, df):
+    from scipy import special
+
+    t = 10.0**log_t
+    ref = float(2.0 * special.stdtr(df, -t))
+    assume(ref >= 1e-300)
+    _assert_tail_close(_p_two_sided(t, df), ref, 1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-4.0, 3.0), st.integers(1, 10), st.integers(1, 100_000))
+def test_f_tail_cross_checks_scipy_fdtrc(log_f, k, df):
+    from scipy import special
+
+    f = 10.0**log_f
+    ref = float(special.fdtrc(k, df, f))
+    assume(ref >= 1e-300)
+    q = k * f / df
+    _assert_tail_close(_beta_tail(df / 2, k / 2, q, math.log1p(q)), ref, 1e-10)
+
+
+@pytest.mark.parametrize("df", [1, 4, 38, 200])
+@pytest.mark.parametrize("f", [0.0, 0.01, 1.0, 3.5, 40.0, 1e4])
+def test_f_tail_matches_closed_form_at_two_numerator_df(f, df):
+    q = 2 * f / df
+    _assert_tail_close(_beta_tail(df / 2, 1.0, q, math.log1p(q)), f_upper_k2(f, df), 1e-12)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf])
@@ -189,6 +284,12 @@ def test_f_stars_match_scipy_stats_f(k, df):
         assert _f_stars(probe) == _stars_oracle(p)
     assert _f_stars(dataclasses.replace(fit, f_statistic=math.inf)) == ""
     assert _f_stars(fit) == _stars_oracle(float(spstats.f.sf(fit.f_statistic, k, df)))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.1, 0.0999, 0.05, 0.0499, 0.01, 0.0099, 0.0, math.nan])
+def test_stars_follow_the_star_thresholds(p):
+    # a p-value at a threshold earns no star for it: the table's note says p < 0.1
+    assert _stars(p) == _stars_oracle(p)
 
 
 # --- treatment_table ------------------------------------------------------
