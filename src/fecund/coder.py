@@ -31,7 +31,7 @@ from numpy.random import default_rng
 
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from .ingest import Passage
-from .synthetic import zipf_probabilities
+from .synthetic import zipf_cdf, zipf_probabilities
 
 # --- templates ------------------------------------------------------------
 
@@ -419,9 +419,7 @@ class MockCoder:
         self.vocab = [f"mock code {i:03d}" for i in range(1, vocab_size + 1)]
         self.probabilities = zipf_probabilities(vocab_size, zipf_exponent)
         # Generator.choice(p=...) draws one uniform and bisects this same CDF
-        cdf = self.probabilities.cumsum()
-        cdf /= cdf[-1]
-        self._cdf = cdf.tolist()
+        self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
         # the passage asked about last, its triage flags and, by slot, the drawn
         # code and its coding reply; the chain asks about one passage many times

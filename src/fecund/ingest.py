@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import types
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,6 +150,7 @@ def load_collection(
     row_of: dict[str, int] = {}  # document id -> row, in file order
     lengths: list[int] = []
     source_labels: list[str | None] = []
+    total = 0
     for lineno, obj in _read_jsonl(documents_path):
         if "id" not in obj or not str(obj["id"]):
             raise CollectionFormatError("missing document id", str(documents_path), lineno)
@@ -172,6 +174,12 @@ def load_collection(
                 f"document {doc_id!r}: text_length must be a positive integer",
                 str(documents_path),
                 lineno,
+            )
+        total += length
+        if total >= 2**53:
+            raise CollectionFormatError(
+                f"document {doc_id!r}: the total text_length reaches 2**53, the cap "
+                "below which every length and sum is exact in float64", str(documents_path), lineno
             )
         if text is not None and len(text) != length:
             raise CollectionFormatError(
@@ -404,32 +412,43 @@ def write_collection(
 ) -> None:
     """Write a collection back out in the ingest formats (lossless round trip)."""
     documents = Collection.of(documents)
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps(..., ensure_ascii=False)
+    texts = texts or {}
+    lines = []
+    for doc_id, length, label in zip(
+        documents.ids, documents.lengths.tolist(), documents.source_labels
+    ):
+        line = f'{{"id": {encode(doc_id)}, "text_length": {length}, "source": {encode(label)}'
+        text = f', "text": {encode(texts[doc_id])}' if doc_id in texts else ""
+        lines.append(f"{line}{text}}}\n")
     with open(documents_path, "w", encoding="utf-8", newline="") as fh:
-        for doc_id, length, label in zip(
-            documents.ids, documents.lengths.tolist(), documents.source_labels
-        ):
-            obj: dict = {"id": doc_id, "text_length": length, "source": label}
-            if texts and doc_id in texts:
-                obj["text"] = texts[doc_id]
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        fh.write("".join(lines))
     if codes_path is not None:
+        # writerow returns what its file's write returns: here, the row itself
+        row = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+
+        def field(value) -> str:  # quoted as csv.writer quotes it within a row
+            return row((value, ""))[:-2]  # less the empty second field and "\n"
+
         rows, cells = [np.zeros(0, dtype=np.int64)], []
         for source in sorted(documents.matrices):
             m = documents.matrices[source]
-            labels = [codebook.entries.get(label, label) for label in m.labels]
+            head = field(source) + ","
+            labels = [head + field(codebook.entries.get(label, label)) + "," for label in m.labels]
             rows.append(m.doc_index())
-            cells.extend(
-                (source, labels[c], "" if p != p else repr(p))  # NaN: no position
-                for c, p in zip(m.codes.tolist(), m.positions.tolist())
+            cells += map(
+                str.__add__,
+                map(labels.__getitem__, m.codes.tolist()),
+                ["" if p != p else repr(p) for p in m.positions.tolist()],  # NaN: no position
             )
         # by document, then by sorted source, then in instance order
         rows = np.concatenate(rows)
-        order = np.argsort(rows, kind="stable").tolist()
+        order = np.argsort(rows, kind="stable")
+        ids = [field(doc_id) + "," for doc_id in documents.ids]
+        body = map(str.__add__, map(ids.__getitem__, rows[order].tolist()),
+                   map(cells.__getitem__, order.tolist()))
         with open(codes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["doc_id", "coder_source", "code_label", "position"])
-            ids = documents.ids
-            writer.writerows([ids[r], *cells[i]] for r, i in zip(rows[order].tolist(), order))
+            fh.write("\n".join(["doc_id,coder_source,code_label,position", *body, ""]))
     if themes_path is not None and codebook.theme_map:
         with open(themes_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

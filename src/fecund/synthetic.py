@@ -34,6 +34,14 @@ def zipf_probabilities(n: int, exponent: float = 1.1) -> np.ndarray:
     return weights / total
 
 
+def zipf_cdf(n: int, exponent: float = 1.1) -> np.ndarray:
+    """The normalised cumulative ``zipf_probabilities``: ``Generator.choice(p=...)``
+    builds this CDF and bisects it (``side="right"``) with one uniform per pick."""
+    cdf = zipf_probabilities(n, exponent).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def synth_corpus(
     n_docs: int,
     seed: int,
@@ -54,22 +62,24 @@ def synth_corpus(
     positions. When ``n_themes`` > 0, codes map onto themes round-robin.
     """
     rng = np.random.default_rng(seed)
-    probs = zipf_probabilities(n_codes, zipf_exponent)
+    cdf = zipf_cdf(n_codes, zipf_exponent)
+    log_mean = np.log(mean_length)
     vocab = [f"code {i:03d}" for i in range(1, n_codes + 1)]
     width = len(str(n_docs))
-    doc_lengths, sizes, picks, positions = [], [], [], []
+    doc_lengths, sizes, uniforms, positions = [], [], [], []
     for d in range(n_docs):
         if lengths is not None:
             length = lengths[d]
         else:
-            length = max(100, int(rng.lognormal(np.log(mean_length), 0.5)))
+            length = max(100, int(rng.lognormal(log_mean, 0.5)))
         k = int(rng.poisson(codes_per_kchar * length / 1000.0))
         doc_lengths.append(length)
         sizes.append(k)
         if k:  # no draw for an empty document
-            picks.append(rng.choice(n_codes, size=k, p=probs))
-            positions.append(rng.uniform(size=k) if with_positions else np.full(k, np.nan))
-    label_ids = np.concatenate(picks or [np.zeros(0, dtype=np.int64)])
+            uniforms.append(rng.random(k))  # what Generator.choice(p=...) draws
+            # rng.random(k) is rng.uniform(size=k), 0 + 1 * u, with less argument checking
+            positions.append(rng.random(k) if with_positions else np.full(k, np.nan))
+    label_ids = cdf.searchsorted(np.concatenate(uniforms or [np.zeros(0)]), side="right")
     rows = np.repeat(np.arange(n_docs), sizes)
     instances = (np.zeros(len(rows)), rows, label_ids, np.concatenate(positions or [np.zeros(0)]))
     docs = Collection.intern(
@@ -137,8 +147,8 @@ def synth_articles(
         paragraphs = []
         for _ in range(n_paragraphs):
             n_words = int(rng.integers(*words_per_paragraph))
-            words = [ _WORDS[int(i)] for i in rng.integers(0, len(_WORDS), n_words) ]
-            paragraphs.append(" ".join(words))
+            words = rng.integers(0, len(_WORDS), n_words).tolist()
+            paragraphs.append(" ".join(map(_WORDS.__getitem__, words)))
         articles.append(
             RawArticle(
                 id=f"doc-{d:0{width}d}",

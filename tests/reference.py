@@ -36,11 +36,19 @@ iteration and the finite population correction applied step by step;
 freedom as the finite sums of Abramowitz & Stegun 26.7.3-26.7.4, and
 ``f_upper_k2`` the F tail at 2 numerator degrees of freedom;
 ``fecund.stats`` computes both through one regularized incomplete beta.
+``write_collection_rows`` writes a collection with one ``json.dumps`` per
+document and ``csv.writer.writerows``; ``fecund.ingest.write_collection``,
+which encodes each distinct value once and writes each file in one call,
+must write the same bytes. ``synth_corpus_choice`` draws each document's
+codes with ``Generator.choice(p=...)`` and ``synth_articles_loop`` picks
+words one ``int`` at a time; ``fecund.synthetic.synth_corpus`` and
+``synth_articles`` must return equal columns and texts.
 """
 
 from __future__ import annotations
 
 import ast
+import csv
 import heapq
 import json
 import math
@@ -69,9 +77,9 @@ from fecund.coder import (
     relevance_note,
     render_prompt,
 )
-from fecund.corpus import Collection, Document
+from fecund.corpus import Codebook, Collection, Document
 from fecund.errors import FecundError, ResponseParseError, TransportError
-from fecund.ingest import Passage
+from fecund.ingest import Passage, RawArticle
 from fecund.saturation import CountingRegime
 from fecund.selection import (
     GAIN_FLOOR,
@@ -82,6 +90,7 @@ from fecund.selection import (
     _marginal_gain,
     _score,
 )
+from fecund.synthetic import _WORDS, zipf_probabilities
 
 
 def collection(docs: Iterable[Document]) -> Collection:
@@ -677,3 +686,126 @@ def t_two_sided_closed(t, df: int, lib=math):
 def f_upper_k2(f, df):
     """P(F > f) for F with 2 and ``df`` degrees of freedom: (df/(df + 2f))^(df/2)."""
     return (df / (df + 2 * f)) ** (df / 2)
+
+
+def write_collection_rows(
+    documents: Collection,
+    codebook: Codebook,
+    documents_path,
+    codes_path=None,
+    themes_path=None,
+    texts: dict[str, str] | None = None,
+) -> None:
+    """The collection in the ingest formats, one ``json.dumps`` per document
+    and every code row through ``csv.writer.writerows``."""
+    with open(documents_path, "w", encoding="utf-8", newline="") as fh:
+        for doc_id, length, label in zip(
+            documents.ids, documents.lengths.tolist(), documents.source_labels
+        ):
+            obj: dict = {"id": doc_id, "text_length": length, "source": label}
+            if texts and doc_id in texts:
+                obj["text"] = texts[doc_id]
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    if codes_path is not None:
+        rows, cells = [np.zeros(0, dtype=np.int64)], []
+        for source in sorted(documents.matrices):
+            m = documents.matrices[source]
+            labels = [codebook.entries.get(label, label) for label in m.labels]
+            rows.append(m.doc_index())
+            cells.extend(
+                (source, labels[c], "" if p != p else repr(p))  # NaN: no position
+                for c, p in zip(m.codes.tolist(), m.positions.tolist())
+            )
+        # by document, then by sorted source, then in instance order
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable").tolist()
+        with open(codes_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["doc_id", "coder_source", "code_label", "position"])
+            ids = documents.ids
+            writer.writerows([ids[r], *cells[i]] for r, i in zip(rows[order].tolist(), order))
+    if themes_path is not None and codebook.theme_map:
+        with open(themes_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["code_label", "theme_label"])
+            for cid in sorted(codebook.theme_map):
+                tid = codebook.theme_map[cid]
+                writer.writerow(
+                    [
+                        codebook.entries.get(cid, cid),
+                        (codebook.themes or {}).get(tid, tid),
+                    ]
+                )
+
+
+def synth_corpus_choice(
+    n_docs: int,
+    seed: int,
+    n_codes: int = 60,
+    zipf_exponent: float = 1.1,
+    mean_length: int = 2000,
+    codes_per_kchar: float = 3.0,
+    coder_source: str = "human",
+    n_themes: int = 0,
+    with_positions: bool = True,
+    lengths: list[int] | None = None,
+) -> tuple[Collection, Codebook]:
+    """The synthetic corpus with each document's codes drawn by
+    ``Generator.choice(p=...)`` and its positions by ``Generator.uniform``."""
+    rng = np.random.default_rng(seed)
+    probs = zipf_probabilities(n_codes, zipf_exponent)
+    vocab = [f"code {i:03d}" for i in range(1, n_codes + 1)]
+    width = len(str(n_docs))
+    doc_lengths, sizes, picks, positions = [], [], [], []
+    for d in range(n_docs):
+        if lengths is not None:
+            length = lengths[d]
+        else:
+            length = max(100, int(rng.lognormal(np.log(mean_length), 0.5)))
+        k = int(rng.poisson(codes_per_kchar * length / 1000.0))
+        doc_lengths.append(length)
+        sizes.append(k)
+        if k:  # no draw for an empty document
+            picks.append(rng.choice(n_codes, size=k, p=probs))
+            positions.append(rng.uniform(size=k) if with_positions else np.full(k, np.nan))
+    label_ids = np.concatenate(picks or [np.zeros(0, dtype=np.int64)])
+    rows = np.repeat(np.arange(n_docs), sizes)
+    instances = (np.zeros(len(rows)), rows, label_ids, np.concatenate(positions or [np.zeros(0)]))
+    docs = Collection.intern(
+        [f"doc-{d:0{width}d}" for d in range(n_docs)], doc_lengths, ("synthetic",) * n_docs,
+        [coder_source], instances, vocab,
+    )
+    used = np.flatnonzero(np.bincount(label_ids, minlength=n_codes)).tolist()
+    entries = {vocab[i]: vocab[i] for i in used}
+    theme_map = themes = None
+    if n_themes > 0:
+        theme_map = {vocab[i]: f"theme {i % n_themes + 1:02d}" for i in used}
+        themes = {t: t for t in sorted(set(theme_map.values()))}
+    return docs, Codebook(entries=entries, theme_map=theme_map, themes=themes)
+
+
+def synth_articles_loop(
+    n_docs: int,
+    seed: int,
+    mean_paragraphs: int = 6,
+    words_per_paragraph: tuple[int, int] = (20, 60),
+) -> list[RawArticle]:
+    """Word-salad articles with each word looked up one ``int`` at a time."""
+    rng = np.random.default_rng(seed)
+    width = len(str(n_docs))
+    articles = []
+    for d in range(n_docs):
+        n_paragraphs = max(1, int(rng.poisson(mean_paragraphs)))
+        paragraphs = []
+        for _ in range(n_paragraphs):
+            n_words = int(rng.integers(*words_per_paragraph))
+            words = [_WORDS[int(i)] for i in rng.integers(0, len(_WORDS), n_words)]
+            paragraphs.append(" ".join(words))
+        articles.append(
+            RawArticle(
+                id=f"doc-{d:0{width}d}",
+                full_text="\n".join(paragraphs),
+                source_label="synthetic",
+            )
+        )
+    return articles

@@ -453,6 +453,11 @@ _CASE_FILES = {
     "unblinding-repeat.csv": "doc_id,arm\ndoc-00,treatment\ndoc-00,control\n",
     "budget0.toml": "budget_chars = 0\n",
     "experiment-repeat.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-00,0,true\n",
+    "docs-length-1e20.jsonl": '{"id": "d0", "text_length": 100000000000000000000}\n',
+    "docs-length-2p62.jsonl": "".join(
+        f'{{"id": "d{i}", "text_length": {2**62}}}\n' for i in range(3)
+    ),
+    "codes-d0.csv": "doc_id,coder_source,code_label\nd0,human,x\n",
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -565,6 +570,20 @@ _BAD_INPUTS = {
         ["saturate", "--coder-source", "human", "--seed", "1", "--threshold", "1"],
         EXIT_USAGE,
         "argument --threshold: must be >= 2, got 1",
+    ),
+    "text-length-over-int64": (
+        ["select", "--coder-source", "human", "--seed", "1", "--budget-docs", "2",
+         "--control-docs", "0", "--docs", "{tmp}/docs-length-1e20.jsonl",
+         "--codes", "{tmp}/codes-d0.csv"],
+        EXIT_DATA,
+        "{tmp}/docs-length-1e20.jsonl:1: document 'd0': the total text_length reaches 2**53",
+    ),
+    "text-length-sum-wraps-int64": (
+        ["select", "--coder-source", "human", "--seed", "1", "--budget-docs", "2",
+         "--control-docs", "0", "--docs", "{tmp}/docs-length-2p62.jsonl",
+         "--codes", "{tmp}/codes-d0.csv"],
+        EXIT_DATA,
+        "{tmp}/docs-length-2p62.jsonl:1: document 'd0': the total text_length reaches 2**53",
     ),
     "codes-field-over-limit": (
         ["saturate", "--coder-source", "human", "--codes", "{tmp}/codes-long-label.csv"],

@@ -5,9 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fecund.corpus import CodeInstance, Document, Codebook
+from fecund.corpus import CodeInstance, Codebook, Collection, Document
 from fecund.errors import (
     BlankCodeError,
     CollectionFormatError,
@@ -27,7 +27,7 @@ from fecund.ingest import (
 )
 from fecund.synthetic import synth_corpus
 
-from reference import collection
+from reference import collection, write_collection_rows
 
 
 # --- split_passages -------------------------------------------------------
@@ -600,3 +600,106 @@ def test_replaced_length_leaves_the_shared_row(tmp_path):
     assert longer.codes == {"human": (CodeInstance("x", 0.5),)}
     assert collection([longer]).lengths.tolist() == [40]
     assert collection([loaded]).lengths.tolist() == [10]
+
+
+# --- write_collection against the row-at-a-time writer -------------------
+
+# every character csv.writer or json.dumps treats specially, plus non-ASCII text
+_AWKWARD = st.text(
+    st.sampled_from([",", '"', "\r", "\n", "\0", " ", "\\", "\t", "é", "字", "a", "B"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+)
+
+
+@st.composite
+def _written_collections(draw):
+    """A collection, its codebook and texts for some of its ids."""
+    ids = draw(st.lists(_AWKWARD, max_size=6, unique=True))
+    names = draw(st.lists(_AWKWARD, min_size=1, max_size=5, unique=True))
+    sources = draw(st.lists(_AWKWARD, max_size=3, unique=True))
+    instances = draw(st.lists(
+        st.tuples(
+            st.integers(0, max(len(sources) - 1, 0)),
+            st.integers(0, max(len(ids) - 1, 0)),
+            st.integers(0, len(names) - 1),
+            st.none() | st.floats(0.0, 1.0),
+        ),
+        max_size=20 if ids and sources else 0,
+    ))
+    docs = Collection.intern(
+        ids,
+        draw(st.lists(st.integers(1, 2**53 - 1), min_size=len(ids), max_size=len(ids))),
+        draw(st.lists(st.none() | _AWKWARD, min_size=len(ids), max_size=len(ids))),
+        sources,
+        tuple(zip(*instances)) if instances else ((),) * 4,
+        names,
+    )
+    shown = draw(st.dictionaries(st.sampled_from(names), _AWKWARD))
+    themed = draw(st.dictionaries(st.sampled_from(names), _AWKWARD)) if shown else {}
+    theme_map = {cid: tid for cid, tid in themed.items() if cid in shown}
+    themes = draw(st.dictionaries(st.sampled_from(sorted(set(theme_map.values())) or [""]),
+                                  _AWKWARD))
+    codebook = Codebook(shown, theme_map or None, themes or None)
+    texts = {doc_id: draw(_AWKWARD) for doc_id in ids if draw(st.booleans())}
+    return docs, codebook, texts
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_written_collections())
+def test_write_collection_matches_row_writer_byte_for_byte(tmp_path, written):
+    docs, codebook, texts = written
+    paths = [tmp_path / name for name in ("d.jsonl", "c.csv", "t.csv")]
+    expected = [tmp_path / f"ref-{name}" for name in ("d.jsonl", "c.csv", "t.csv")]
+    for path in paths + expected:
+        path.unlink(missing_ok=True)
+    write_collection(docs, codebook, *paths, texts=texts)
+    write_collection_rows(docs, codebook, *expected, texts=texts)
+    for got, want in zip(paths, expected):
+        assert got.exists() == want.exists()
+        if want.exists():
+            assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_collection_of_an_empty_collection(tmp_path):
+    docs = Collection.intern((), (), (), ["human", "ai"], ((),) * 4, [])
+    paths = [tmp_path / name for name in ("d.jsonl", "c.csv", "t.csv")]
+    write_collection(docs, Codebook(), *paths)
+    assert paths[0].read_bytes() == b""
+    assert paths[1].read_bytes() == b"doc_id,coder_source,code_label,position\n"
+    assert not paths[2].exists()
+
+
+@pytest.mark.parametrize("where", ["id", "source", "text", "label", "coder source"])
+def test_write_collection_refuses_a_lone_surrogate(tmp_path, where):
+    bad = "x\ud800"
+    docs = Collection.intern(
+        [bad if where == "id" else "d"], [5], [bad if where == "source" else None],
+        [bad if where == "coder source" else "human"], ([0], [0], [0], [0.5]),
+        [bad if where == "label" else "a"],
+    )
+    texts = {docs.ids[0]: bad} if where == "text" else None
+    for writer in (write_collection, write_collection_rows):
+        with pytest.raises(UnicodeEncodeError):
+            writer(docs, Codebook(), tmp_path / "d.jsonl", tmp_path / "c.csv", texts=texts)
+
+
+# --- the cap on a collection's total length --------------------------------
+
+
+def test_total_text_length_is_capped_at_2_to_the_53(tmp_path):
+    """Below 2**53 every length and sum is exact in float64; the document at
+    which the running total reaches it is refused with its line."""
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text(
+        f'{{"id": "a", "text_length": {2**52}}}\n{{"id": "b", "text_length": {2**52 - 1}}}\n',
+        encoding="utf-8",
+    )
+    loaded, _ = load_collection(docs)
+    assert loaded.lengths.sum() == 2**53 - 1
+    docs.write_text(docs.read_text() + '{"id": "c", "text_length": 1}\n', encoding="utf-8")
+    with pytest.raises(CollectionFormatError) as err:
+        load_collection(docs)
+    assert str(err.value).startswith(
+        f"{docs}:3: document 'c': the total text_length reaches 2**53"
+    )
