@@ -9,7 +9,6 @@ underscores; command-line flags win over config values.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import importlib
 import json
@@ -26,7 +25,9 @@ from .errors import (
     RankDeficiencyError,
     TransportError,
 )
-from .ingest import _read_csv, load_articles, load_collection, split_passages, write_collection
+from .ingest import (
+    _csv_writer, _read_csv, load_articles, load_collection, split_passages, write_collection,
+)
 
 # The other layers are imported only by the commands that run them: `_bind`
 # sets each layer's names below as globals of this module, where the
@@ -100,7 +101,7 @@ def _write_meta(out: Path, args) -> None:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 

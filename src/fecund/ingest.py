@@ -32,6 +32,11 @@ from .errors import (
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _WS_RUN = re.compile(r"\s+")
 _CODE_COLUMNS = ("doc_id", "coder_source", "code_label")
+# Documents and codes smaller than this are parsed every time. Measured in
+# fresh processes (2-core x86-64, Python 3.11): a parse takes about 53 us per
+# KiB, a hit 4-7 ms (3 ms of it importing hashlib) and a miss its parse plus
+# about 7 ms. Hit and parse meet near 128 KiB; from 256 KiB one hit repays a miss.
+_CACHE_FLOOR = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -117,18 +122,33 @@ def load_articles(documents_path: str | Path) -> list[RawArticle]:
     return articles
 
 
-def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CollectionFormatError(f"invalid JSON: {exc}", str(path), lineno)
-            if not isinstance(obj, dict):
-                raise CollectionFormatError("expected a JSON object", str(path), lineno)
-            yield lineno, obj
+def _read_jsonl(path: str | Path, data: bytes | None = None) -> Iterable[tuple[int, dict]]:
+    """Each non-blank line's number and object; any of \\r\\n, \\r and \\n ends a line.
+    ``data`` is the file's bytes when the caller has read them already."""
+    lineno = 0
+    with open(path, "rb") if data is None else io.BytesIO(data) as fh:
+        for raw in fh:  # ends at \n; read as text, a lone \r splits it further
+            text = _decode(raw, str(path), lineno)
+            for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
+                lineno += 1
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CollectionFormatError(f"invalid JSON: {exc}", str(path), lineno)
+                if not isinstance(obj, dict):
+                    raise CollectionFormatError("expected a JSON object", str(path), lineno)
+                yield lineno, obj
+
+
+def _decode(data: bytes, path: str, lines_before: int = 0) -> str:
+    """``data`` as text; bytes that are not UTF-8 raise with file:line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lines_before + len(_LINE_BREAK.findall(data[: exc.start].decode("utf-8"))) + 1
+        raise CollectionFormatError(f"not UTF-8 text: {exc}", path, line) from None
 
 
 def load_collection(
@@ -146,45 +166,85 @@ def load_collection(
     the order given, the earliest failing record. Every returned
     document carries an entry (possibly empty) for every coder source
     present in the code files.
+
+    The documents and code files are read once, as bytes. From
+    ``_CACHE_FLOOR`` bytes on, their parse is kept in ``.fecund-cache/``
+    beside the documents, keyed by content (README, "The collection cache").
     """
+    codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
+    paths = [str(documents_path), *map(str, codes_paths)]
+    data = list(map(_read_bytes, paths))
+    key = cached = None
+    if all(isinstance(d, bytes) for d in data) and sum(map(len, data)) >= _CACHE_FLOOR:
+        from . import _cache  # compiled only by the loads that can use it
+
+        cache = Path(paths[0]).parent / ".fecund-cache"
+        key = _cache.key(data)
+        cached = _cache.read(cache / key)
+    documents, entries = cached or _parse_collection(paths, data)
+
+    theme_map: dict[str, str] | None = None
+    themes: dict[str, str] | None = None
+    if themes_path is not None:
+        theme_map, themes = {}, {}
+        rows = _read_csv(themes_path, ("code_label", "theme_label"))
+        for lineno, (code_label, theme_label) in rows:
+            try:
+                cid = canonicalize_code(code_label)
+                tid = canonicalize_code(theme_label)
+            except BlankCodeError as exc:
+                raise CollectionFormatError(str(exc), str(themes_path), lineno)
+            if cid not in entries:
+                raise DanglingReferenceError(
+                    f"theme map references unknown code {code_label!r}", str(themes_path), lineno
+                )
+            theme_map[cid] = tid
+            themes.setdefault(tid, theme_label.strip())
+
+    if key is not None and cached is None:
+        _cache.write(cache, key, documents, entries)
+    return documents, Codebook(entries=entries, theme_map=theme_map, themes=themes)
+
+
+def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[str, str]]:
+    """The documents (``paths[0]``) and the codes of the other files, parsed
+    from their ``data``, plus the codebook entries: canonical id -> label."""
     row_of: dict[str, int] = {}  # document id -> row, in file order
     lengths: list[int] = []
     source_labels: list[str | None] = []
     total = 0
-    for lineno, obj in _read_jsonl(documents_path):
+    for lineno, obj in _read_jsonl(paths[0], _bytes(data[0])):
         if "id" not in obj or not str(obj["id"]):
-            raise CollectionFormatError("missing document id", str(documents_path), lineno)
+            raise CollectionFormatError("missing document id", paths[0], lineno)
         doc_id = str(obj["id"])
         if doc_id in row_of:
-            raise DuplicateDocumentIdError(
-                f"duplicate document id {doc_id!r}", str(documents_path), lineno
-            )
+            raise DuplicateDocumentIdError(f"duplicate document id {doc_id!r}", paths[0], lineno)
         text = obj.get("text")
         length = obj.get("text_length")
         if length is None:
             if text is None:
                 raise CollectionFormatError(
                     f"document {doc_id!r} has neither text_length nor text",
-                    str(documents_path),
+                    paths[0],
                     lineno,
                 )
             length = len(text)
         if not isinstance(length, int) or isinstance(length, bool) or length < 1:
             raise CollectionFormatError(
                 f"document {doc_id!r}: text_length must be a positive integer",
-                str(documents_path),
+                paths[0],
                 lineno,
             )
         total += length
         if total >= 2**53:
             raise CollectionFormatError(
                 f"document {doc_id!r}: the total text_length reaches 2**53, the cap "
-                "below which every length and sum is exact in float64", str(documents_path), lineno
+                "below which every length and sum is exact in float64", paths[0], lineno
             )
         if text is not None and len(text) != length:
             raise CollectionFormatError(
                 f"document {doc_id!r}: text_length {length} != len(text) {len(text)}",
-                str(documents_path),
+                paths[0],
                 lineno,
             )
         row_of[doc_id] = len(lengths)
@@ -196,10 +256,9 @@ def load_collection(
     label_of: dict[str, int] = {}  # raw label -> label id, filled on first sight
     source_of: dict[str, int] = {}  # coder source -> index, in first-seen order
     parts = []  # per file: source index, document row, label id and position columns
-    codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
-    for path in map(str, codes_paths):
+    for path, content in zip(paths[1:], data[1:]):
         (doc_ids, sources, labels, raw_positions), line_of = _read_columns(
-            path, _CODE_COLUMNS, ("position",)
+            path, _CODE_COLUMNS, ("position",), _bytes(content)
         )
         n = len(doc_ids)
         rows = list(map(row_of.get, doc_ids))
@@ -248,29 +307,27 @@ def load_collection(
             positions,
         ))
 
-    theme_map: dict[str, str] | None = None
-    themes: dict[str, str] | None = None
-    if themes_path is not None:
-        theme_map, themes = {}, {}
-        rows = _read_csv(themes_path, ("code_label", "theme_label"))
-        for lineno, (code_label, theme_label) in rows:
-            try:
-                cid = canonicalize_code(code_label)
-                tid = canonicalize_code(theme_label)
-            except BlankCodeError as exc:
-                raise CollectionFormatError(str(exc), str(themes_path), lineno)
-            if cid not in entries:
-                raise DanglingReferenceError(
-                    f"theme map references unknown code {code_label!r}", str(themes_path), lineno
-                )
-            theme_map[cid] = tid
-            themes.setdefault(tid, theme_label.strip())
-
     columns = tuple(map(np.concatenate, zip(*parts))) if parts else ((),) * 4
     documents = Collection.intern(
         list(row_of), lengths, source_labels, list(source_of), columns, list(names)
     )
-    return documents, Codebook(entries=entries, theme_map=theme_map, themes=themes)
+    return documents, entries
+
+
+def _read_bytes(path: str) -> bytes | OSError:
+    """The file's bytes, or the error met reading it, which the parse raises
+    when it reaches the file: errors keep the order of the files."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        return exc
+
+
+def _bytes(data: bytes | OSError) -> bytes:
+    """``data``, or the error met reading it (see ``_read_bytes``) raised."""
+    if isinstance(data, OSError):
+        raise data
+    return data
 
 
 def _first_blank(columns: Sequence[Sequence[str | None]]) -> int:
@@ -311,7 +368,8 @@ def _parse_positions(column: Sequence[str | None]) -> tuple[np.ndarray, int, int
 
 
 def _read_columns(
-    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = ()
+    path: str | Path, required: tuple[str, ...], optional: tuple[str, ...] = (),
+    data: bytes | None = None,
 ) -> tuple[list[list[str | None]], Callable[[int], int]]:
     """The values of the ``required`` then the ``optional`` columns of a CSV
     file, one list per column over its non-blank records, and ``line_of(k)``,
@@ -324,16 +382,12 @@ def _read_columns(
     on line ``k + 2``; any other file goes through ``csv.reader``, which
     alone can read quoted fields. A missing required column, text that is
     not UTF-8 or a record ``csv.reader`` rejects raises
-    ``CollectionFormatError`` with file:line.
+    ``CollectionFormatError`` with file:line. ``data`` is the file's bytes
+    when the caller has read them already.
     """
     path = str(path)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(_LINE_BREAK.findall(data[: exc.start].decode("utf-8"))) + 1
-        raise CollectionFormatError(f"not UTF-8 text: {exc}", path, line) from None
+    data = Path(path).read_bytes() if data is None else data
+    text = _decode(data, path)
     fields = None
     n = _uniform_records(data)
     if n is not None:
@@ -402,6 +456,14 @@ def _read_csv(
         yield line_of(k), values
 
 
+def _csv_writer(fh):
+    """A ``csv.writer`` whose rows end in \\n and which quotes a value holding
+    \\r as it quotes one holding \\n. With ``lineterminator="\\n"`` csv
+    quotes only \\n, and a bare \\r then cannot be read back."""
+    end = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+    return csv.writer(end, lineterminator="\r\n")
+
+
 def write_collection(
     documents: Collection,
     codebook: Codebook,
@@ -425,7 +487,7 @@ def write_collection(
         fh.write("".join(lines))
     if codes_path is not None:
         # writerow returns what its file's write returns: here, the row itself
-        row = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+        row = _csv_writer(types.SimpleNamespace(write=str)).writerow
 
         def field(value) -> str:  # quoted as csv.writer quotes it within a row
             return row((value, ""))[:-2]  # less the empty second field and "\n"
@@ -451,7 +513,7 @@ def write_collection(
             fh.write("\n".join(["doc_id,coder_source,code_label,position", *body, ""]))
     if themes_path is not None and codebook.theme_map:
         with open(themes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = _csv_writer(fh)
             writer.writerow(["code_label", "theme_label"])
             for cid in sorted(codebook.theme_map):
                 tid = codebook.theme_map[cid]

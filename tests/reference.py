@@ -37,12 +37,16 @@ freedom as the finite sums of Abramowitz & Stegun 26.7.3-26.7.4, and
 ``f_upper_k2`` the F tail at 2 numerator degrees of freedom;
 ``fecund.stats`` computes both through one regularized incomplete beta.
 ``write_collection_rows`` writes a collection with one ``json.dumps`` per
-document and ``csv.writer.writerows``; ``fecund.ingest.write_collection``,
+document and one ``csv.writer`` row per code row, a bare ``\\r`` quoted as
+``\\n`` is; ``fecund.ingest.write_collection``,
 which encodes each distinct value once and writes each file in one call,
 must write the same bytes. ``synth_corpus_choice`` draws each document's
 codes with ``Generator.choice(p=...)`` and ``synth_articles_loop`` picks
 words one ``int`` at a time; ``fecund.synthetic.synth_corpus`` and
 ``synth_articles`` must return equal columns and texts.
+``read_jsonl_text`` reads a documents file as a text file, one line at a
+time; ``fecund.ingest._read_jsonl``, which reads bytes and decodes each line,
+must return the same objects on the same lines or raise the same error.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from __future__ import annotations
 import ast
 import csv
 import heapq
+import io
 import json
 import math
 from collections import Counter
@@ -78,7 +83,7 @@ from fecund.coder import (
     render_prompt,
 )
 from fecund.corpus import Codebook, Collection, Document
-from fecund.errors import FecundError, ResponseParseError, TransportError
+from fecund.errors import CollectionFormatError, FecundError, ResponseParseError, TransportError
 from fecund.ingest import Passage, RawArticle
 from fecund.saturation import CountingRegime
 from fecund.selection import (
@@ -688,6 +693,19 @@ def f_upper_k2(f, df):
     return (df / (df + 2 * f)) ** (df / 2)
 
 
+def _csv_row_writer(fh) -> Callable[[list], None]:
+    """Write one CSV row to ``fh`` per call, ending in "\\n", with a value that
+    holds a bare "\\r" quoted: a fresh ``csv.writer`` per row, ending rows in
+    "\\r\\n" (csv quotes only the terminator's characters), less the "\\r"."""
+
+    def writerow(values: list) -> None:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(values)
+        fh.write(buffer.getvalue()[:-2] + "\n")
+
+    return writerow
+
+
 def write_collection_rows(
     documents: Collection,
     codebook: Codebook,
@@ -697,7 +715,7 @@ def write_collection_rows(
     texts: dict[str, str] | None = None,
 ) -> None:
     """The collection in the ingest formats, one ``json.dumps`` per document
-    and every code row through ``csv.writer.writerows``."""
+    and one ``csv.writer`` row per code row."""
     with open(documents_path, "w", encoding="utf-8", newline="") as fh:
         for doc_id, length, label in zip(
             documents.ids, documents.lengths.tolist(), documents.source_labels
@@ -720,17 +738,18 @@ def write_collection_rows(
         rows = np.concatenate(rows)
         order = np.argsort(rows, kind="stable").tolist()
         with open(codes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["doc_id", "coder_source", "code_label", "position"])
+            writerow = _csv_row_writer(fh)
+            writerow(["doc_id", "coder_source", "code_label", "position"])
             ids = documents.ids
-            writer.writerows([ids[r], *cells[i]] for r, i in zip(rows[order].tolist(), order))
+            for r, i in zip(rows[order].tolist(), order):
+                writerow([ids[r], *cells[i]])
     if themes_path is not None and codebook.theme_map:
         with open(themes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["code_label", "theme_label"])
+            writerow = _csv_row_writer(fh)
+            writerow(["code_label", "theme_label"])
             for cid in sorted(codebook.theme_map):
                 tid = codebook.theme_map[cid]
-                writer.writerow(
+                writerow(
                     [
                         codebook.entries.get(cid, cid),
                         (codebook.themes or {}).get(tid, tid),
@@ -809,3 +828,21 @@ def synth_articles_loop(
             )
         )
     return articles
+
+
+def read_jsonl_text(path) -> list[tuple[int, dict]]:
+    """Each non-blank line's number and object, read in text mode, where any
+    of \\r\\n, \\r and \\n ends a line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CollectionFormatError(f"invalid JSON: {exc}", str(path), lineno)
+            if not isinstance(obj, dict):
+                raise CollectionFormatError("expected a JSON object", str(path), lineno)
+            out.append((lineno, obj))
+    return out

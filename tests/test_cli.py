@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import run_python
 
-from fecund import cli, coder
+from fecund import cli, coder, ingest
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
 from fecund.ingest import load_collection
@@ -458,6 +458,9 @@ _CASE_FILES = {
         f'{{"id": "d{i}", "text_length": {2**62}}}\n' for i in range(3)
     ),
     "codes-d0.csv": "doc_id,coder_source,code_label\nd0,human,x\n",
+    "docs-latin1.jsonl": '{"id": "d0", "text": "abc"}\n{"id": "caf\xe9", "text": "abc"}\n'.encode(
+        "latin-1"
+    ),
 }
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
@@ -590,6 +593,16 @@ _BAD_INPUTS = {
         EXIT_DATA,
         "{tmp}/codes-long-label.csv:2: unreadable CSV: field larger than field limit (131072)",
     ),
+    "documents-not-utf8-select": (
+        ["select", "--coder-source", "human", "--seed", "1", "--docs", "{tmp}/docs-latin1.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-latin1.jsonl:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "documents-not-utf8-code": (
+        ["code", "--seed", "1", "--docs", "{tmp}/docs-latin1.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-latin1.jsonl:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9",
+    ),
     "codes-not-utf8": (
         ["saturate", "--coder-source", "human", "--codes", "{tmp}/codes-latin1.csv"],
         EXIT_DATA,
@@ -671,10 +684,11 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     argv, expected, message = _BAD_INPUTS[case]
     command, *rest = [a.format(tmp=tmp_path) for a in argv]
     capsys.readouterr()
+    codes = [] if command == "code" else ["--codes", corpus_dir / "codes.csv"]  # code has none
     try:
         code = run(
-            command, "--docs", corpus_dir / "documents.jsonl", "--codes",
-            corpus_dir / "codes.csv", "--out", tmp_path / "out", *rest,
+            command, "--docs", corpus_dir / "documents.jsonl", *codes,
+            "--out", tmp_path / "out", *rest,
         )
     except SystemExit as exc:  # argparse rejects bad arguments by exiting
         code = exc.code
@@ -684,6 +698,33 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # rejected while parsing, before any output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_with_every_load_cached(corpus_dir, tmp_path, capsys, monkeypatch, case):
+    """With every collection cached, each case exits and reports as uncached,
+    also when run again, and a collection that fails to load caches nothing."""
+    monkeypatch.setattr(ingest, "_CACHE_FLOOR", 0)
+    for _ in range(2):  # the second run may rebuild the collection from the cache
+        test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case)
+    _, expected, message = _BAD_INPUTS[case]
+    if expected == EXIT_USAGE or message.startswith(("{tmp}/docs-", "{tmp}/codes-")):
+        assert not list(tmp_path.rglob(".fecund-cache"))
+
+
+def test_a_carriage_return_in_an_id_survives_the_manifest(tmp_path):
+    """select quotes an id holding a bare \\r, so saturate reads the manifest back."""
+    docs, codes = tmp_path / "documents.jsonl", tmp_path / "codes.csv"
+    docs.write_text("".join(
+        json.dumps({"id": doc_id, "text_length": 100}) + "\n" for doc_id in ("d0\rx", "d1", "d2")
+    ), encoding="utf-8")
+    codes.write_bytes(b'doc_id,coder_source,code_label\n"d0\rx",human,a\nd1,human,b\nd2,human,a\n')
+    data = ["--docs", docs, "--codes", codes, "--coder-source", "human"]
+    assert run("select", *data, "--seed", 1, "--budget-docs", 2, "--control-docs", 1,
+               "--out", tmp_path / "sel") == EXIT_OK
+    manifest = tmp_path / "sel" / "manifest.csv"
+    assert "d0\rx" in [row["doc_id"] for row in _read_csv(manifest)]
+    assert run("saturate", *data, "--order", manifest, "--out", tmp_path / "sat") == EXIT_OK
 
 
 # generator flag out of range -> the message argparse prints; each exits 2

@@ -18,6 +18,7 @@ from fecund.errors import (
 from fecund.ingest import (
     RawArticle,
     _read_columns,
+    _read_jsonl,
     _uniform_records,
     canonicalize_code,
     load_articles,
@@ -27,7 +28,7 @@ from fecund.ingest import (
 )
 from fecund.synthetic import synth_corpus
 
-from reference import collection, write_collection_rows
+from reference import collection, read_jsonl_text, write_collection_rows
 
 
 # --- split_passages -------------------------------------------------------
@@ -492,6 +493,22 @@ def test_files_are_checked_in_the_order_given(tmp_path):
     assert str(err.value) == f"{late}:4: position 7.0 outside [0, 1]"
 
 
+def test_a_missing_file_raises_when_the_parse_reaches_it(tmp_path):
+    """Every file is read before the parse, but a file that cannot be read
+    raises in its turn: a bad record in an earlier file comes first."""
+    docs, missing = tmp_path / "documents.jsonl", tmp_path / "missing.csv"
+    docs.write_text('{"id": "d1", "text_length": 0}\n', encoding="utf-8")
+    with pytest.raises(CollectionFormatError, match="text_length must be a positive integer"):
+        load_collection(docs, missing)
+    docs.write_text(_PARITY_DOCS, encoding="utf-8")
+    early = tmp_path / "early.csv"
+    early.write_text(_CODES_HEADER + "ghost,human,A,0.5\n")
+    with pytest.raises(DanglingReferenceError):
+        load_collection(docs, [early, missing])
+    with pytest.raises(FileNotFoundError):
+        load_collection(docs, [missing, early])
+
+
 def test_synth_collection_never_calls_csv_reader(tmp_path, monkeypatch):
     """Files written by csv.writer with no quoted field take the split path."""
     calls = []
@@ -703,3 +720,64 @@ def test_total_text_length_is_capped_at_2_to_the_53(tmp_path):
     assert str(err.value).startswith(
         f"{docs}:3: document 'c': the total text_length reaches 2**53"
     )
+
+
+# --- reading documents.jsonl -----------------------------------------------
+
+_JSONL_LINES = st.sampled_from([
+    '{"id": "a", "text_length": 3}', '{"id": "b",\r"text_length": 4}', '{"id": "c\\r"}',
+    '{"id": "é", "source": [1, null]}', "", "  ", "\t", "[1]", "{", '{"id": "d"} x', '"s"',
+])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_JSONL_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+       st.booleans())
+def test_read_jsonl_matches_the_text_mode_reader(tmp_path, lines, ended):
+    """Bytes decoded one line at a time give the lines, objects and errors of
+    the file read in text mode, where a lone \\r also ends a line."""
+    text = "".join(line + end for line, end in lines)
+    if lines and not ended:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return list(read())
+        except CollectionFormatError as exc:
+            return str(exc)
+
+    want = outcome(lambda: read_jsonl_text(path))
+    assert outcome(lambda: _read_jsonl(path)) == want
+    assert outcome(lambda: _read_jsonl(path, path.read_bytes())) == want
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_non_utf8_documents_name_file_and_line(tmp_path, end):
+    docs = tmp_path / "documents.jsonl"
+    lines = ['{"id": "a", "text": "xyz"}', "", '{"id": "caf\xe9", "text": "xyz"}']
+    docs.write_bytes((end.join(lines) + "\n").encode("latin-1"))
+    for load in (load_collection, load_articles):
+        with pytest.raises(CollectionFormatError) as err:
+            load(docs)
+        assert str(err.value).startswith(
+            f"{docs}:3: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"
+        )
+
+
+def test_a_bare_carriage_return_is_quoted_and_reads_back(tmp_path):
+    """csv.writer quotes only its line terminator's characters; a bare \\r in
+    an id, coder source, label or theme is quoted too, so the files load back."""
+    docs = Collection.intern(
+        ["d0\rx", "d1"], [5, 7], ["s\r", None], ["hu\rman"],
+        ([0, 0], [0, 1], [0, 1], [0.5, None]), ["a b", "c"],
+    )
+    codebook = Codebook({"a b": "a\rb", "c": "c"}, {"a b": "t x"}, {"t x": "t\rx"})
+    paths = tmp_path / "d.jsonl", tmp_path / "c.csv", tmp_path / "t.csv"
+    write_collection(docs, codebook, *paths)
+    assert b'"d0\rx","hu\rman","a\rb",0.5\n' in paths[1].read_bytes()
+    assert paths[2].read_bytes() == b'code_label,theme_label\n"a\rb","t\rx"\n'
+    loaded, book = load_collection(*paths)
+    assert list(loaded) == list(docs)
+    assert book == codebook
