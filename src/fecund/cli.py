@@ -622,7 +622,9 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True, plot: bool =
     if plot:  # only the commands that draw take it
         parser.add_argument("--plot", action="store_true", help="also write SVG plots")
     if seed:
-        parser.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+        parser.add_argument(
+            "--seed", type=_int_at_least_zero, required=True, help="RNG seed (mandatory)"
+        )
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -697,7 +699,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("saturate", help="cumulative code/theme curves, optional bootstrap")
     _add_common(p, seed=False, plot=True)
-    p.add_argument("--seed", type=int, help="RNG seed (mandatory with --bootstrap)")
+    p.add_argument(
+        "--seed", type=_int_at_least_zero, help="RNG seed (mandatory with --bootstrap)"
+    )
     p.add_argument("--docs", required=True)
     p.add_argument("--codes", required=True)
     p.add_argument("--themes")

@@ -22,13 +22,11 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile
+from itertools import islice, takewhile
 from string import Template
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-from numpy.random import default_rng
-
+from .corpus import _seeded_generators
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from .ingest import Passage
 from .synthetic import zipf_cdf, zipf_probabilities
@@ -408,7 +406,9 @@ class MockCoder:
     steps share that slot's one draw and the one reply built from it.
     Passages containing tell-tale boilerplate markers ("photo:", "photo
     caption", "disclaimer", "views expressed") are flagged at triage,
-    mirroring the screening behaviour of a real backend.
+    mirroring the screening behaviour of a real backend. ``code_passages``
+    hands it each block of passages through ``plan`` before asking about
+    them, so their slot counts and codes are drawn together.
     """
 
     kind = "mock"
@@ -425,15 +425,43 @@ class MockCoder:
         # code and its coding reply; the chain asks about one passage many times
         # in a row
         self._last: _Memo = (None, [], {})
+        self._plan: dict[Passage, list[str]] = {}  # see plan
 
-    def _rng(self, passage_id: str, slot: int) -> np.random.Generator:
-        digest = int.from_bytes(passage_id.encode("utf-8")[-8:].rjust(8, b"\0"), "big")
-        return default_rng([self.seed, digest % (2**32), slot])
+    def _digest(self, passage: Passage) -> int:
+        passage_id = passage.article_id + ":" + str(passage.index)
+        return int.from_bytes(passage_id.encode("utf-8")[-4:], "big")
+
+    def _codes(self, rows: list[tuple[int, int, int]]) -> list[str]:
+        streams = _seeded_generators(rows)
+        return [self.vocab[bisect_right(self._cdf, rng.random())] for rng in streams]
+
+    def plan(self, passages: Sequence[Passage]) -> None:
+        """Draw the slot count and the codes of every passage at once, for
+        ``n_slots`` and ``_draw`` to read; each plan replaces the last.
+
+        A passage's slot count comes from the stream ``default_rng([seed,
+        digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
+        s + 1])``, where the digest is the last 4 bytes of "article:index".
+        All of them are seeded in bulk (``corpus._seeded_generators``).
+        """
+        digests = list(map(self._digest, passages))
+        counts = [
+            int(min(6, rng.poisson(self.mean_codes_per_kchar * len(p.text) / 1000.0)))
+            for p, rng in zip(passages, _seeded_generators([(self.seed, d, 0) for d in digests]))
+        ]
+        codes = iter(self._codes(
+            [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
+        ))
+        self._plan = {p: list(islice(codes, n)) for p, n in zip(passages, counts)}
+
+    def _planned(self, passage: Passage) -> list[str]:
+        """The codes of the passage's slots; a passage not planned is planned alone."""
+        if passage not in self._plan:
+            self.plan([passage])
+        return self._plan[passage]
 
     def n_slots(self, passage: Passage) -> int:
-        rng = self._rng(passage.article_id + ":" + str(passage.index), 0)
-        lam = self.mean_codes_per_kchar * len(passage.text) / 1000.0
-        return int(min(6, rng.poisson(lam)))
+        return len(self._planned(passage))
 
     def _flags(self, passage: Passage) -> list[str]:
         text = passage.text.lower()
@@ -455,8 +483,11 @@ class MockCoder:
         carries it, both shared by every step that asks."""
         slots = self._memo(passage)[2]
         if slot not in slots:
-            rng = self._rng(passage.article_id + ":" + str(passage.index), slot + 1)
-            code = self.vocab[bisect_right(self._cdf, rng.random())]
+            codes = self._planned(passage)
+            if slot < len(codes):
+                code = codes[slot]
+            else:  # a wrapper may ask past the slot count
+                code = self._codes([(self.seed, self._digest(passage), slot + 1)])[0]
             reply = CodeResponse(
                 theme=code, whose_attitude="the author", target="the Rohingya",
                 valence="Sympathetic",
@@ -676,6 +707,11 @@ def _walk(
         read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
 
 
+# Passages a backend's ``plan`` hook draws for at once (``MockCoder.plan``):
+# enough to seed in bulk, few enough that memory stays flat.
+_PLAN_BLOCK = 512
+
+
 def code_passages(
     passages: Sequence[Passage],
     backend,
@@ -735,7 +771,13 @@ def code_passages(
         with ThreadPoolExecutor(max_workers=cap) as pool:
             outcomes = list(pool.map(work, ordered))
     else:
-        outcomes = [work(p) for p in ordered]
+        plan = getattr(backend, "plan", None)
+        outcomes = []
+        for first in range(0, len(ordered), _PLAN_BLOCK):
+            block = ordered[first : first + _PLAN_BLOCK]
+            if plan is not None:
+                plan(block)
+            outcomes += map(work, block)
 
     return CodingRun(
         results=tuple((key, r) for key, responses, _ in outcomes for r in responses),

@@ -11,8 +11,9 @@ being compared; callers pass the scope that matches their comparison.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -270,3 +271,73 @@ def summary_stats(values: Sequence[float]) -> SummaryStats:
         p25=_quantile(ordered, 0.25),
         p75=_quantile(ordered, 0.75),
     )
+
+
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_CHUNK = 512  # rows mixed at once: enough to vectorise, few enough to keep memory flat
+
+
+def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
+    """For each row of non-negative ints, the generator ``default_rng(list(row))``
+    gives, bit for bit, seeded in bulk.
+
+    One generator is yielded again for every row, its state set to the row's:
+    take a row's draws before asking for the next.
+    """
+    rows = iter(rows)
+    generator = None
+    while chunk := list(islice(rows, _SEED_CHUNK)):
+        if generator is None:
+            generator = np.random.Generator(np.random.PCG64(0))
+            setting = generator.bit_generator.state  # reused: only its "state" changes
+        for s_hi, s_lo, i_hi, i_lo in _seed_words(chunk):
+            # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            setting["state"] = {"state": state, "inc": inc}
+            generator.bit_generator.state = setting
+            yield generator
+
+
+def _seed_words(rows: list[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+    """``SeedSequence(list(row)).generate_state(4, np.uint64)`` for every row,
+    mixed as uint32 array operations over all rows at once: the hash
+    constants do not depend on the data."""
+    entropy = []
+    for row in rows:  # each int as little-endian 32-bit words, as SeedSequence splits it
+        if min(row, default=0) < 0:
+            raise ValueError("expected non-negative integer")
+        entropy.append([n >> s & _MASK32 for n in row for s in range(0, n.bit_length() or 1, 32)])
+    width = max(4, *map(len, entropy))
+    words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).T
+    sizes = np.array(list(map(len, entropy)))
+
+    def hasher(const: int, mult: int):
+        def step(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ value >> 16
+        return step
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = _MIX_L * x - _MIX_R * y
+        return out ^ out >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:4]]  # a zero word pads a short row
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):  # a longer row's later words mix into every pool word
+        for dst in range(4):
+            pool[dst] = np.where(sizes > src, mix(pool[dst], hashmix(words[src])), pool[dst])
+    out = hasher(_INIT_B, _MULT_B)
+    state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return zip(*[(state[k] | state[k + 1] << 32).tolist() for k in range(0, 8, 2)])

@@ -142,6 +142,14 @@ def _read_jsonl(path: str | Path, data: bytes | None = None) -> Iterable[tuple[i
                 yield lineno, obj
 
 
+def _encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _decode(data: bytes, path: str, lines_before: int = 0) -> str:
     """``data`` as text; bytes that are not UTF-8 raise with file:line."""
     try:
@@ -217,6 +225,11 @@ def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[st
         if "id" not in obj or not str(obj["id"]):
             raise CollectionFormatError("missing document id", paths[0], lineno)
         doc_id = str(obj["id"])
+        if not doc_id.isascii() and not _encodable(doc_id):
+            raise CollectionFormatError(
+                f"document id {doc_id!r} holds a lone surrogate, which no output can encode",
+                paths[0], lineno,
+            )
         if doc_id in row_of:
             raise DuplicateDocumentIdError(f"duplicate document id {doc_id!r}", paths[0], lineno)
         text = obj.get("text")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Codebook, CodeMatrix, Collection
+from .corpus import Codebook, CodeMatrix, Collection, _seeded_generators
 
 
 REGIME_KINDS = ("unique", "hf_retrospective", "hf_iterative", "themes")
@@ -251,8 +251,9 @@ def bootstrap_bands(
     the adjusted band. X positions are the mean cumulative characters at
     each step index across iterations.
 
-    Per-iteration seeds derive from (seed, iteration), so iterations can
-    be evaluated in any order or in parallel with identical results. The
+    Iteration ``it``'s order is ``default_rng([seed, it]).permutation(N)``,
+    its generator seeded in bulk with the others of its block, so iterations
+    can be evaluated in any order or in parallel with identical results. The
     orders are drawn once into an int32 position matrix; the regimes are
     counted in turn into one int32 count matrix, which each regime's
     percentiles partition in place and the next regime overwrites.
@@ -276,9 +277,8 @@ def bootstrap_bands(
     block = max(1, _BLOCK_ELEMENTS // N)
     for first in range(0, n_iterations, block):
         stop = min(first + block, n_iterations)
-        perms = np.stack(
-            [np.random.default_rng([seed, it]).permutation(N) for it in range(first, stop)]
-        )
+        streams = _seeded_generators((seed, it) for it in range(first, stop))
+        perms = np.stack([rng.permutation(N) for rng in streams])
         chars_total += np.cumsum(docs.lengths[perms], axis=1).sum(axis=0)
         np.put_along_axis(positions[first:stop], perms, places, axis=1)
     mean_chars = chars_total / n_iterations
@@ -296,13 +296,38 @@ def bootstrap_bands(
         for first in range(0, n_iterations, block):
             _count_orders(groups, positions[first : first + block], counts[first : first + block])
         mean_count = counts.mean(axis=0)
-        raw_lo, raw_hi = np.percentile(counts, [2.5, 97.5], axis=0, overwrite_input=True)
+        raw_lo, raw_hi = _percentile_bounds(counts)
         mean = mean_count[:retained]
         lo95 = mean - np.maximum(0.0, mean - raw_lo[:retained]) / fpc
         hi95 = mean + np.maximum(0.0, raw_hi[:retained] - mean) / fpc
         columns = (mean_chars, mean_count, lo95, hi95, raw_lo, raw_hi)
         bands.append(BootstrapBand(n_iterations, truncation, regime, *columns))
     return bands
+
+
+def _percentile_bounds(counts: np.ndarray) -> list[np.ndarray]:
+    """``np.percentile(counts, [2.5, 97.5], axis=0, overwrite_input=True)``,
+    bit for bit, from one in-place partition.
+
+    numpy's linear method reads order statistics ``floor(v)`` and the next
+    at the virtual index ``v = (n - 1) * (q / 100)`` and blends them with its
+    ``_lerp``: ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` where the
+    fraction ``g`` is at least 0.5. ``np.percentile`` picks its partition
+    points with ``np.unique``, which imports ``numpy.ma``; this does not.
+    """
+    n = len(counts)
+    picks = []
+    for q in (2.5, 97.5):
+        virtual = (n - 1) * (q / 100)
+        below = math.floor(virtual)
+        picks.append((below, min(below + 1, n - 1), virtual - below))
+    counts.partition(sorted({i for below, above, _ in picks for i in (below, above)}), axis=0)
+    bounds = []
+    for below, above, fraction in picks:
+        a, b = counts[below], counts[above]
+        diff = b - a
+        bounds.append(b - diff * (1 - fraction) if fraction >= 0.5 else a + diff * fraction)
+    return bounds
 
 
 def _median_positions(matrix: CodeMatrix) -> list[float | None]:

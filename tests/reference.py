@@ -512,8 +512,10 @@ def parse_response_branches(raw: str) -> CodeResponse:
 
 def mock_draw_choice(coder: MockCoder, passage: Passage, slot: int) -> str:
     """The code of one mock slot, drawn with ``Generator.choice`` from a fresh
-    generator on the slot's seed."""
-    rng = coder._rng(f"{passage.article_id}:{passage.index}", slot + 1)
+    ``default_rng`` on the slot's seed: the last 8 bytes of "article:index",
+    zero-padded and read as a big-endian int, modulo 2**32, and ``slot + 1``."""
+    tail = f"{passage.article_id}:{passage.index}".encode("utf-8")[-8:].rjust(8, b"\0")
+    rng = np.random.default_rng([coder.seed, int.from_bytes(tail, "big") % 2**32, slot + 1])
     return coder.vocab[int(rng.choice(len(coder.vocab), p=coder.probabilities))]
 
 

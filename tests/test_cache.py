@@ -95,23 +95,23 @@ def _encodable(value: str) -> bool:
 @st.composite
 def _inputs(draw):
     """documents.jsonl and zero to three code files, as bytes."""
-    ids = draw(st.lists(_TEXT.filter(bool), max_size=6, unique=True))
+    # an id holding a lone surrogate fails the load (no output could encode it)
+    ids = draw(st.lists(_CSV_TEXT, max_size=6, unique=True))
     lines = []
     for doc_id in ids:
         obj = {"id": doc_id, "text_length": draw(st.integers(1, 10**6)), "source": draw(_JSON)}
         line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
         lines.append(line if _encodable(line) else json.dumps(obj))
-    coded = [doc_id for doc_id in ids if _encodable(doc_id)]
     sources = draw(st.lists(_CSV_TEXT, max_size=3, unique=True))
     files = []
     for _ in range(draw(st.integers(0, 3))):  # a file may hold the header alone
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\r\n")  # quotes \r and \n
         writer.writerow(["doc_id", "coder_source", "code_label", "position"])
-        for _ in range(draw(st.integers(0, 6)) if coded and sources else 0):
+        for _ in range(draw(st.integers(0, 6)) if ids and sources else 0):
             position = draw(st.none() | st.floats(0.0, 1.0))
             writer.writerow([
-                draw(st.sampled_from(coded)), draw(st.sampled_from(sources)),
+                draw(st.sampled_from(ids)), draw(st.sampled_from(sources)),
                 draw(_CSV_TEXT.filter(str.strip)), "" if position is None else repr(position),
             ])
         files.append(buffer.getvalue().encode("utf-8"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import run_python
 
-from fecund import cli, coder, ingest
+from fecund import cli, coder, ingest, saturation
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
 from fecund.ingest import load_collection
@@ -158,26 +158,66 @@ def test_saturate_rejects_bad_iterations(corpus_dir, tmp_path, capsys, iteration
 
 
 def test_saturate_bootstrap_draws_each_order_once(corpus_dir, tmp_path, monkeypatch):
-    """Every regime counts the same orders: one generator per iteration."""
+    """Every regime counts the same orders: one stream per iteration."""
     built = []
-    real = np.random.default_rng
+    real = saturation._seeded_generators
 
-    def counting(seed):
-        built.append(seed)
-        return real(seed)
+    def counting(rows):
+        rows = list(rows)
+        built.extend(rows)
+        return real(rows)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(saturation, "_seeded_generators", counting)
     assert run(
         "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
         corpus_dir / "codes.csv", "--themes", corpus_dir / "themes.csv",
         "--coder-source", "human", "--seed", 1, "--bootstrap", "--iterations", 37,
         "--regimes", "unique,hf_retrospective,hf_iterative,themes", "--out", tmp_path / "sb",
     ) == EXIT_OK
-    assert len(built) == 37
+    assert built == [(1, it) for it in range(37)]
     assert sorted(p.name for p in (tmp_path / "sb").glob("curve_*.csv")) == [
         "curve_hf_iterative.csv", "curve_hf_retrospective.csv",
         "curve_themes.csv", "curve_unique.csv",
     ]
+
+
+class _Unplanned:
+    """Forwards a backend's ``n_slots`` and ``respond`` but not its ``plan`` hook."""
+
+    def __init__(self, inner):
+        self.inner, self.kind = inner, inner.kind
+
+    def n_slots(self, passage):
+        return self.inner.n_slots(passage)
+
+    def respond(self, step, prompt, passage, slot=0):
+        return self.inner.respond(step, prompt, passage, slot)
+
+
+def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monkeypatch):
+    """``code`` writes the same ai_codes.csv for plan blocks of 1, 7 and 512,
+    through a wrapper that hides the plan hook, and with every stream built
+    by ``np.random.default_rng`` itself."""
+
+    def ai_codes(name):
+        out = tmp_path / name
+        assert run("code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5,
+                   "--out", out) == EXIT_OK
+        return (out / "ai_codes.csv").read_bytes()
+
+    want = ai_codes("default")
+    assert want.count(b"\n") > 20
+    for block in (1, 7, 512):
+        monkeypatch.setattr(coder, "_PLAN_BLOCK", block)
+        assert ai_codes(f"block-{block}") == want
+    monkeypatch.setattr(cli, "MockCoder", lambda **kw: _Unplanned(coder.MockCoder(**kw)),
+                        raising=False)
+    assert ai_codes("unplanned") == want
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        coder, "_seeded_generators", lambda rows: (np.random.default_rng(list(r)) for r in rows)
+    )
+    assert ai_codes("default-rng") == want
 
 
 def test_saturate_themes_without_map_errors(corpus_dir, tmp_path):
@@ -458,10 +498,17 @@ _CASE_FILES = {
         f'{{"id": "d{i}", "text_length": {2**62}}}\n' for i in range(3)
     ),
     "codes-d0.csv": "doc_id,coder_source,code_label\nd0,human,x\n",
+    "seed-negative.toml": "seed = -3\n",
+    # the id on line 2 escapes a lone surrogate, which no UTF-8 output can hold
+    "docs-surrogate.jsonl": (
+        '{"id": "d0", "text_length": 100}\n{"id": "d1\\ud800", "text_length": 100}\n'
+    ),
     "docs-latin1.jsonl": '{"id": "d0", "text": "abc"}\n{"id": "caf\xe9", "text": "abc"}\n'.encode(
         "latin-1"
     ),
 }
+
+_NEGATIVE_SEED = "argument --seed: must be >= 0, got -3"
 
 # bad input -> (argv after the command's --docs/--codes/--out, exit code, stderr text);
 # {tmp} is the test's directory, which holds _CASE_FILES
@@ -668,6 +715,32 @@ _BAD_INPUTS = {
         EXIT_DATA,
         "{tmp}/experiment-repeat.csv:3: experiment repeats document 'doc-00'",
     ),
+    "seed-negative-code": (["code", "--seed", "-3"], EXIT_USAGE, _NEGATIVE_SEED),
+    "seed-negative-select": (
+        ["select", "--coder-source", "human", "--seed", "-3"], EXIT_USAGE, _NEGATIVE_SEED,
+    ),
+    "seed-negative-saturate-bootstrap": (
+        ["saturate", "--coder-source", "human", "--bootstrap", "--seed", "-3"],
+        EXIT_USAGE,
+        _NEGATIVE_SEED,
+    ),
+    "seed-negative-sweep": (
+        ["sweep", "--coder-source", "human", "--quadratic", "0,1,0", "--seed", "-3"],
+        EXIT_USAGE,
+        _NEGATIVE_SEED,
+    ),
+    "seed-negative-in-config": (
+        ["select", "--coder-source", "human", "--config", "{tmp}/seed-negative.toml"],
+        EXIT_USAGE,
+        _NEGATIVE_SEED,
+    ),
+    "document-id-lone-surrogate": (
+        ["select", "--coder-source", "human", "--seed", "1", "--budget-docs", "2",
+         "--control-docs", "0", "--docs", "{tmp}/docs-surrogate.jsonl",
+         "--codes", "{tmp}/codes-d0.csv"],
+        EXIT_DATA,
+        "{tmp}/docs-surrogate.jsonl:2: document id 'd1\\ud800' holds a lone surrogate",
+    ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
          "--budget-docs", "-2"],
@@ -734,6 +807,7 @@ _BAD_GENERATOR_FLAGS = {
     "code-codes-per-kchar-negative": (
         ["code", "--codes-per-kchar", "-1"],
         "argument --codes-per-kchar: must be a finite number >= 0, got -1"),
+    "synth-seed-negative": (["synth", "--seed", "-3"], _NEGATIVE_SEED),
     "synth-n-docs-negative": (
         ["synth", "--n-docs", "-3"], "argument --n-docs: must be >= 0, got -3"),
     "synth-mean-len-negative": (
@@ -1083,7 +1157,8 @@ def test_overflowing_zipf_exponent_exits_data(corpus_dir, tmp_path, capsys, comm
 
 def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
     """Start-up cost guard: ``np.unique`` without ``return_counts`` imports
-    ``numpy.ma``; neither ``select`` nor ``sweep`` may pay for it."""
+    ``numpy.ma``, and so does ``np.percentile``; neither ``select``, ``sweep``
+    nor a plotted bootstrap ``saturate`` may pay for it."""
     data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
             "--coder-source", "human", "--seed", 3]
     script = textwrap.dedent(
@@ -1099,11 +1174,12 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
         ["select", *data, "--budget-docs", 5, "--control-docs", 5, "--out", tmp_path / "sel"],
         ["sweep", *data, "--sizes", "10,30", "--replicates", 2, "--budget-docs", 5,
          "--quadratic", "0,1,0", "--out", tmp_path / "sw"],
+        ["saturate", *data, "--bootstrap", "--iterations", 50, "--plot", "--out", tmp_path / "sat"],
     ]
     proc = run_python(script, json.dumps([[str(a) for a in c] for c in commands]))
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
-    assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False"]
+    assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False", "loaded: saturate 0 False"]
 
 
 def test_full_pipeline_and_analyze(corpus_dir, tmp_path):

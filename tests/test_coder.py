@@ -455,16 +455,17 @@ def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zi
 def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
     passages = [passage("x" * (150 + 120 * i), article=f"a{i}") for i in range(12)]
     built = []
-    real = coder_module.default_rng
+    real = coder_module._seeded_generators
 
-    def counting(seed):
-        built.append(seed)
-        return real(seed)
+    def counting(rows):
+        rows = list(rows)
+        built.extend(rows)
+        return real(rows)
 
-    monkeypatch.setattr(coder_module, "default_rng", counting)
+    monkeypatch.setattr(coder_module, "_seeded_generators", counting)
     run = code_passages(passages, MockCoder(seed=4), chain)
     assert len(run.results) > len(passages)  # some passages have several slots
-    assert len(built) == len(passages) + len(run.results)
+    assert len(built) == len(set(built)) == len(passages) + len(run.results)
 
 
 class RecordingBackend:

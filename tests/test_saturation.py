@@ -227,6 +227,19 @@ def _unique_band(docs, coder_source="src", **kwargs):
     return band
 
 
+@example(rows=1, cols=1, seed=0, high=1)
+@example(rows=2001, cols=3, seed=1, high=2**31 - 1)
+@given(st.integers(1, 2001), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(1, 2**31 - 1))
+def test_percentile_bounds_match_np_percentile(rows, cols, seed, high):
+    """Bit for bit, over int32 count matrices of 1 to 2,001 iterations."""
+    counts = np.random.default_rng(seed).integers(0, high, (rows, cols), dtype=np.int32)
+    want = np.percentile(counts, [2.5, 97.5], axis=0)
+    got = saturation._percentile_bounds(counts.copy())
+    for bound, expected in zip(got, want, strict=True):
+        assert bound.dtype == expected.dtype == np.float64
+        assert bound.tobytes() == expected.tobytes()
+
+
 def test_band_identical_documents_zero_width():
     docs = collection([make_doc(f"d{i}", ["only"], length=10) for i in range(10)])
     band = _unique_band(docs, n_iterations=50, seed=1)
