@@ -25,6 +25,7 @@ from fecund.stats import IDENTITY_MAP, RegressionSpec, ols, superset_sweep, trea
 from fecund.synthetic import experiment_corpus, synth_corpus
 
 from conftest import make_doc
+import golden
 from prompt_fragments import FINAL_FEWSHOT_FRAGMENTS, ROUND1_FRAGMENTS
 from reference import collection, select_exact, select_greedy_naive
 
@@ -391,6 +392,7 @@ def test_11_end_to_end_determinism(tmp_path):
         if not filecmp.cmp(fa, fb, shallow=False)
     ]
     assert differing == [], f"files differ between runs: {differing}"
+    golden.check("test_11", tmp_path / "run_a")
     report(11, f"{len(rel_a)} pipeline output files byte-identical across two runs")
 
 
