@@ -358,8 +358,7 @@ def cmd_saturate(args) -> int:
             shaded, title = (lo, hi), f"Cumulative {kind} (bootstrap mean, 95% band)"
         else:
             curve = cumulative_curve(order, regime, args.coder_source, codebook=codebook)
-            x = [s.cumulative_chars for s in curve.steps]
-            y = [s.cumulative_count for s in curve.steps]
+            x, y = curve.chars, curve.counts
             header = ["step", "doc_id", "cumulative_chars", "cumulative_count"]
             rows = list(zip(range(1, len(order) + 1), curve.document_order, x, y))
             shaded, title = None, f"Cumulative {kind}"

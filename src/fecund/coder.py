@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 from .corpus import _seeded_generators
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from .ingest import Passage
-from .synthetic import zipf_cdf, zipf_probabilities
+from .synthetic import zipf_cdf
 
 # --- templates ------------------------------------------------------------
 
@@ -392,9 +392,6 @@ def parse_round1_response(raw: str) -> CodeResponse:
 # --- backends ---------------------------------------------------------------
 
 
-_Memo = tuple[Passage | None, list[str], dict[int, tuple[str, str]]]
-
-
 class MockCoder:
     """Offline coder with a seeded Zipf vocabulary.
 
@@ -403,7 +400,7 @@ class MockCoder:
     walks the chain's coding steps, all with deterministic replies, so
     prompt rendering, note threading, and parsing are all exercised
     without a network. Triage replies ignore the slot; each slot's coding
-    steps share that slot's one draw and the one reply built from it.
+    steps share that slot's one draw, and each code's reply is built once.
     Passages containing tell-tale boilerplate markers ("photo:", "photo
     caption", "disclaimer", "views expressed") are flagged at triage,
     mirroring the screening behaviour of a real backend. ``code_passages``
@@ -417,15 +414,11 @@ class MockCoder:
                  mean_codes_per_kchar: float = 3.0):
         self.seed = seed
         self.vocab = [f"mock code {i:03d}" for i in range(1, vocab_size + 1)]
-        self.probabilities = zipf_probabilities(vocab_size, zipf_exponent)
         # Generator.choice(p=...) draws one uniform and bisects this same CDF
         self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
-        # the passage asked about last, its triage flags and, by slot, the drawn
-        # code and its coding reply; the chain asks about one passage many times
-        # in a row
-        self._last: _Memo = (None, [], {})
-        self._plan: dict[Passage, list[str]] = {}  # see plan
+        self._plan: dict[Passage, tuple[list[str], list[str]]] = {}  # see plan
+        self._replies: dict[str, str] = {}  # code -> its coding reply
 
     def _digest(self, passage: Passage) -> int:
         passage_id = passage.article_id + ":" + str(passage.index)
@@ -436,8 +429,9 @@ class MockCoder:
         return [self.vocab[bisect_right(self._cdf, rng.random())] for rng in streams]
 
     def plan(self, passages: Sequence[Passage]) -> None:
-        """Draw the slot count and the codes of every passage at once, for
-        ``n_slots`` and ``_draw`` to read; each plan replaces the last.
+        """Draw the slot count and the codes of every passage at once, and
+        note its triage flags, for ``respond`` to read; each plan replaces
+        the last.
 
         A passage's slot count comes from the stream ``default_rng([seed,
         digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
@@ -452,16 +446,16 @@ class MockCoder:
         codes = iter(self._codes(
             [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
         ))
-        self._plan = {p: list(islice(codes, n)) for p, n in zip(passages, counts)}
+        self._plan = {p: (self._flags(p), list(islice(codes, n))) for p, n in zip(passages, counts)}
 
-    def _planned(self, passage: Passage) -> list[str]:
-        """The codes of the passage's slots; a passage not planned is planned alone."""
+    def _planned(self, passage: Passage) -> tuple[list[str], list[str]]:
+        """The passage's triage flags and slot codes; one not planned is planned alone."""
         if passage not in self._plan:
             self.plan([passage])
         return self._plan[passage]
 
     def n_slots(self, passage: Passage) -> int:
-        return len(self._planned(passage))
+        return len(self._planned(passage)[1])
 
     def _flags(self, passage: Passage) -> list[str]:
         text = passage.text.lower()
@@ -472,31 +466,8 @@ class MockCoder:
             flags.append(CRITERIA_CAPTION)
         return flags
 
-    def _memo(self, passage: Passage) -> _Memo:
-        memo = self._last
-        if memo[0] is not passage:
-            memo = self._last = (passage, self._flags(passage), {})
-        return memo
-
-    def _draw(self, passage: Passage, slot: int) -> tuple[str, str]:
-        """One seeded draw per (passage, slot) and the coding reply that
-        carries it, both shared by every step that asks."""
-        slots = self._memo(passage)[2]
-        if slot not in slots:
-            codes = self._planned(passage)
-            if slot < len(codes):
-                code = codes[slot]
-            else:  # a wrapper may ask past the slot count
-                code = self._codes([(self.seed, self._digest(passage), slot + 1)])[0]
-            reply = CodeResponse(
-                theme=code, whose_attitude="the author", target="the Rohingya",
-                valence="Sympathetic",
-            ).format()
-            slots[slot] = code, reply
-        return slots[slot]
-
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
-        flags = self._memo(passage)[1]
+        flags, codes = self._planned(passage)
         if step == "triage_caption":
             return (
                 '{"1. disclaimer?": %s, "2. caption?": %s, "Body?": %s }'
@@ -516,8 +487,18 @@ class MockCoder:
                 )
             return '{"1. Relevant?": "Yes.", "2. Why Not?": None}'
         # every coding step shares the slot's one draw, so precode == final theme
-        code, reply = self._draw(passage, slot)
-        return code if step == "round1" else reply
+        if slot < len(codes):
+            code = codes[slot]
+        else:  # a wrapper may ask past the slot count
+            code = self._codes([(self.seed, self._digest(passage), slot + 1)])[0]
+        if step == "round1":
+            return code
+        if code not in self._replies:
+            self._replies[code] = CodeResponse(
+                theme=code, whose_attitude="the author", target="the Rohingya",
+                valence="Sympathetic",
+            ).format()
+        return self._replies[code]
 
 
 @dataclass(frozen=True)

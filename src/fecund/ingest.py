@@ -14,7 +14,6 @@ import json
 import math
 import re
 import types
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -100,25 +99,14 @@ def canonicalize_code(label: str) -> str:
 
 
 def load_articles(documents_path: str | Path) -> list[RawArticle]:
-    """Read articles (id + full text) from documents.jsonl; text is required."""
+    """Read articles from documents.jsonl (see ``_read_documents``); text is required."""
     articles = []
-    for lineno, obj in _read_jsonl(documents_path):
-        if "text" not in obj or not isinstance(obj["text"], str):
+    for lineno, doc_id, _, source, text in _read_documents(documents_path):
+        if text is None:
             raise CollectionFormatError(
-                f"document {obj.get('id')!r} has no text", str(documents_path), lineno
+                f"document {doc_id!r} has no text", str(documents_path), lineno
             )
-        articles.append(
-            RawArticle(
-                id=str(obj["id"]),
-                full_text=obj["text"],
-                source_label=obj.get("source"),
-            )
-        )
-    dupes = [i for i, n in Counter(a.id for a in articles).items() if n > 1]
-    if dupes:
-        raise DuplicateDocumentIdError(
-            f"duplicate article id(s): {sorted(dupes)}", str(documents_path)
-        )
+        articles.append(RawArticle(id=doc_id, full_text=text, source_label=source))
     return articles
 
 
@@ -140,6 +128,61 @@ def _read_jsonl(path: str | Path, data: bytes | None = None) -> Iterable[tuple[i
                 if not isinstance(obj, dict):
                     raise CollectionFormatError("expected a JSON object", str(path), lineno)
                 yield lineno, obj
+
+
+def _read_documents(
+    path: str | Path, data: bytes | None = None
+) -> Iterator[tuple[int, str, int, str | None, str | None]]:
+    """Each document as (line, id, text_length, source, text or None), once
+    checked: a present, new, encodable id, a string text, a positive
+    text_length that agrees with it, and a running total below 2**53. A
+    failure raises with file:line; ``data`` is as for ``_read_jsonl``."""
+    path = str(path)
+    seen: set[str] = set()
+    total = 0
+    for lineno, obj in _read_jsonl(path, data):
+        doc_id = str(obj.get("id", ""))
+        if not doc_id:
+            raise CollectionFormatError("missing document id", path, lineno)
+        if not doc_id.isascii() and not _encodable(doc_id):
+            raise CollectionFormatError(
+                f"document id {doc_id!r} holds a lone surrogate, which no output can encode",
+                path, lineno,
+            )
+        if doc_id in seen:
+            raise DuplicateDocumentIdError(f"duplicate document id {doc_id!r}", path, lineno)
+        seen.add(doc_id)
+        text = obj.get("text")
+        if text is not None and not isinstance(text, str):
+            raise CollectionFormatError(f"document {doc_id!r}: text must be a string", path, lineno)
+        length = obj.get("text_length")
+        if length is None:
+            if text is None:
+                raise CollectionFormatError(
+                    f"document {doc_id!r} has neither text_length nor text",
+                    path,
+                    lineno,
+                )
+            length = len(text)
+        if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+            raise CollectionFormatError(
+                f"document {doc_id!r}: text_length must be a positive integer",
+                path,
+                lineno,
+            )
+        total += length
+        if total >= 2**53:
+            raise CollectionFormatError(
+                f"document {doc_id!r}: the total text_length reaches 2**53, the cap "
+                "below which every length and sum is exact in float64", path, lineno
+            )
+        if text is not None and len(text) != length:
+            raise CollectionFormatError(
+                f"document {doc_id!r}: text_length {length} != len(text) {len(text)}",
+                path,
+                lineno,
+            )
+        yield lineno, doc_id, length, obj.get("source"), text
 
 
 def _encodable(text: str) -> bool:
@@ -220,49 +263,10 @@ def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[st
     row_of: dict[str, int] = {}  # document id -> row, in file order
     lengths: list[int] = []
     source_labels: list[str | None] = []
-    total = 0
-    for lineno, obj in _read_jsonl(paths[0], _bytes(data[0])):
-        if "id" not in obj or not str(obj["id"]):
-            raise CollectionFormatError("missing document id", paths[0], lineno)
-        doc_id = str(obj["id"])
-        if not doc_id.isascii() and not _encodable(doc_id):
-            raise CollectionFormatError(
-                f"document id {doc_id!r} holds a lone surrogate, which no output can encode",
-                paths[0], lineno,
-            )
-        if doc_id in row_of:
-            raise DuplicateDocumentIdError(f"duplicate document id {doc_id!r}", paths[0], lineno)
-        text = obj.get("text")
-        length = obj.get("text_length")
-        if length is None:
-            if text is None:
-                raise CollectionFormatError(
-                    f"document {doc_id!r} has neither text_length nor text",
-                    paths[0],
-                    lineno,
-                )
-            length = len(text)
-        if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-            raise CollectionFormatError(
-                f"document {doc_id!r}: text_length must be a positive integer",
-                paths[0],
-                lineno,
-            )
-        total += length
-        if total >= 2**53:
-            raise CollectionFormatError(
-                f"document {doc_id!r}: the total text_length reaches 2**53, the cap "
-                "below which every length and sum is exact in float64", paths[0], lineno
-            )
-        if text is not None and len(text) != length:
-            raise CollectionFormatError(
-                f"document {doc_id!r}: text_length {length} != len(text) {len(text)}",
-                paths[0],
-                lineno,
-            )
+    for _, doc_id, length, source, _ in _read_documents(paths[0], _bytes(data[0])):
         row_of[doc_id] = len(lengths)
         lengths.append(length)
-        source_labels.append(obj.get("source"))
+        source_labels.append(source)
 
     entries: dict[str, str] = {}
     names: dict[str, int] = {}  # canonical id -> label id, in first-seen order

@@ -42,21 +42,14 @@ class CountingRegime:
 
 
 @dataclass(frozen=True)
-class CurveStep:
-    doc_index: int  # 1-based
-    cumulative_chars: int
-    cumulative_count: int
-
-
-@dataclass(frozen=True)
 class SaturationCurve:
-    steps: tuple[CurveStep, ...]
+    """Cumulative characters and counts along one document order, as lists
+    indexed by step (step ``k`` at index ``k - 1``)."""
+
     regime: CountingRegime
     document_order: tuple[str, ...]
-
-    @property
-    def counts(self) -> list[int]:
-        return [s.cumulative_count for s in self.steps]
+    chars: list[int]
+    counts: list[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,15 +185,7 @@ def cumulative_curve(
     counts = np.empty((1, len(order)), dtype=np.int64)
     _count_orders(groups, np.arange(len(order), dtype=np.int64)[None, :], counts)
     chars = np.cumsum(order.lengths).tolist()
-    steps = tuple(
-        CurveStep(doc_index=k, cumulative_chars=c, cumulative_count=n)
-        for k, (c, n) in enumerate(zip(chars, counts[0].tolist()), start=1)
-    )
-    return SaturationCurve(
-        steps=steps,
-        regime=regime,
-        document_order=order.ids,
-    )
+    return SaturationCurve(regime, order.ids, chars, counts[0].tolist())
 
 
 def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleResult:
@@ -212,9 +197,9 @@ def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleR
     """
     if rule != "10+3":
         raise ValueError(f"unknown stopping rule {rule!r}")
-    if not curve.steps:
-        raise ValueError("curve has no steps")
     counts = curve.counts
+    if not counts:
+        raise ValueError("curve has no steps")
     points = [
         k
         for k in range(13, len(counts) + 1)

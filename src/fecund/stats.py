@@ -4,8 +4,7 @@ The treatment table fits six related least-squares specifications of the
 fecundity outcome on an AI-selection dummy: the base contrast, inclusion
 of overlap documents, reading-order controls (index and its square), a
 round dummy with earlier-round documents, both together, and a
-length-weighted variant. Standard errors are classical homoskedastic
-ones; a robust flag exists but is off by default.
+length-weighted variant. Standard errors are classical homoskedastic ones.
 """
 
 from __future__ import annotations
@@ -75,16 +74,13 @@ def _collinear_columns(X: np.ndarray, names: Sequence[str]) -> list[str]:
     return involved or list(names)
 
 
-def ols(
-    data: Mapping[str, Sequence[float]], spec: RegressionSpec, robust: bool = False
-) -> RegressionFit:
+def ols(data: Mapping[str, Sequence[float]], spec: RegressionSpec) -> RegressionFit:
     """Classical (weighted) least squares with an implicit intercept.
 
     Weighted fits scale rows by sqrt(weight); with unit weights the code
     path is numerically identical to the unweighted fit. R-squared uses the
     (weighted) centered total sum of squares and is defined as 0 for a
-    constant outcome. ``robust`` switches to HC1 sandwich standard errors;
-    the default is the conventional homoskedastic estimator.
+    constant outcome.
     """
     for name in (spec.outcome, *spec.regressors):
         if name not in data:
@@ -128,13 +124,7 @@ def ols(
     df_resid = n - p
     sigma2 = rss / df_resid
     xtx_inv = np.linalg.inv(Xw.T @ Xw)
-    if robust:
-        ew = resid * np.sqrt(w) if w is not None else resid
-        meat = (Xw * ew[:, None] ** 2).T @ Xw
-        sandwich = xtx_inv @ meat @ xtx_inv * (n / df_resid)
-        se = np.sqrt(np.clip(np.diag(sandwich), 0.0, None))
-    else:
-        se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
+    se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
 
     wmean = float(np.average(y, weights=w)) if w is not None else float(y.mean())
     centered = y - wmean
@@ -323,10 +313,6 @@ class LengthResidualResult:
     stage1: RegressionFit
     fit: RegressionFit
     residual_dropped: bool
-
-    @property
-    def stage1_r2(self) -> float:
-        return self.stage1.r2
 
 
 def length_residual_check(data: Mapping[str, Sequence]) -> LengthResidualResult:

@@ -1,4 +1,4 @@
-"""Seeded synthetic corpora for tests, demos, and the synth CLI command."""
+"""Seeded synthetic corpora and articles for demos and the synth CLI command."""
 
 from __future__ import annotations
 
@@ -93,43 +93,6 @@ def synth_corpus(
         theme_map = {vocab[i]: f"theme {i % n_themes + 1:02d}" for i in used}
         themes = {t: t for t in sorted(set(theme_map.values()))}
     return docs, Codebook(entries=entries, theme_map=theme_map, themes=themes)
-
-
-def experiment_corpus(
-    seed: int,
-    n_treatment: int = 34,
-    n_control: int = 14,
-    control_rate: float = 1.4,
-    effect_ratio: float = 2.0,
-    length_range: tuple[int, int] = (1000, 3000),
-    coder_source: str = "human",
-) -> tuple[Collection, dict[str, str]]:
-    """Two-arm corpus with a known planted fecundity effect.
-
-    Control documents generate code instances at ``control_rate`` per 1000
-    characters; treatment documents at ``effect_ratio`` times that. Every
-    instance gets a fresh code id, so inverse-frequency weights are all 1
-    and the expected fecundity gap is exactly control_rate*(effect_ratio-1).
-    Returns documents plus an id->arm map.
-    """
-    rng = np.random.default_rng(seed)
-    arms, lengths, sizes = {}, [], []
-    for arm, count, rate in (
-        ("control", n_control, control_rate),
-        ("treatment", n_treatment, control_rate * effect_ratio),
-    ):
-        for i in range(count):
-            length = int(rng.integers(length_range[0], length_range[1] + 1))
-            sizes.append(int(rng.poisson(rate * length / 1000.0)))
-            lengths.append(length)
-            arms[f"{arm[0]}{i:03d}"] = arm
-    n = sum(sizes)
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    instances = (np.zeros(n), rows, np.arange(n), np.full(n, np.nan))
-    names = [f"fresh {j:06d}" for j in range(n)]
-    docs = Collection.intern(list(arms), lengths, (None,) * len(sizes), [coder_source],
-                             instances, names)
-    return docs, arms
 
 
 def synth_articles(

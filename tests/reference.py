@@ -47,6 +47,9 @@ words one ``int`` at a time; ``fecund.synthetic.synth_corpus`` and
 ``read_jsonl_text`` reads a documents file as a text file, one line at a
 time; ``fecund.ingest._read_jsonl``, which reads bytes and decodes each line,
 must return the same objects on the same lines or raise the same error.
+``experiment_corpus`` is a two-arm corpus with a planted fecundity effect,
+the one corpus whose effect is known in closed form; the regression tests
+must recover it.
 """
 
 from __future__ import annotations
@@ -510,13 +513,17 @@ def parse_response_branches(raw: str) -> CodeResponse:
     )
 
 
-def mock_draw_choice(coder: MockCoder, passage: Passage, slot: int) -> str:
-    """The code of one mock slot, drawn with ``Generator.choice`` from a fresh
-    ``default_rng`` on the slot's seed: the last 8 bytes of "article:index",
-    zero-padded and read as a big-endian int, modulo 2**32, and ``slot + 1``."""
+def mock_draw_choice(
+    coder: MockCoder, passage: Passage, slot: int, zipf_exponent: float
+) -> str:
+    """The code of one mock slot, drawn with ``Generator.choice`` over the
+    coder's Zipf weights from a fresh ``default_rng`` on the slot's seed: the
+    last 8 bytes of "article:index", zero-padded and read as a big-endian
+    int, modulo 2**32, and ``slot + 1``."""
     tail = f"{passage.article_id}:{passage.index}".encode("utf-8")[-8:].rjust(8, b"\0")
     rng = np.random.default_rng([coder.seed, int.from_bytes(tail, "big") % 2**32, slot + 1])
-    return coder.vocab[int(rng.choice(len(coder.vocab), p=coder.probabilities))]
+    p = zipf_probabilities(len(coder.vocab), zipf_exponent)
+    return coder.vocab[int(rng.choice(len(coder.vocab), p=p))]
 
 
 def run_chain_branches(
@@ -848,3 +855,40 @@ def read_jsonl_text(path) -> list[tuple[int, dict]]:
                 raise CollectionFormatError("expected a JSON object", str(path), lineno)
             out.append((lineno, obj))
     return out
+
+
+def experiment_corpus(
+    seed: int,
+    n_treatment: int = 34,
+    n_control: int = 14,
+    control_rate: float = 1.4,
+    effect_ratio: float = 2.0,
+    length_range: tuple[int, int] = (1000, 3000),
+    coder_source: str = "human",
+) -> tuple[Collection, dict[str, str]]:
+    """Two-arm corpus with a known planted fecundity effect.
+
+    Control documents generate code instances at ``control_rate`` per 1000
+    characters; treatment documents at ``effect_ratio`` times that. Every
+    instance gets a fresh code id, so inverse-frequency weights are all 1
+    and the expected fecundity gap is exactly control_rate*(effect_ratio-1).
+    Returns documents plus an id->arm map.
+    """
+    rng = np.random.default_rng(seed)
+    arms, lengths, sizes = {}, [], []
+    for arm, count, rate in (
+        ("control", n_control, control_rate),
+        ("treatment", n_treatment, control_rate * effect_ratio),
+    ):
+        for i in range(count):
+            length = int(rng.integers(length_range[0], length_range[1] + 1))
+            sizes.append(int(rng.poisson(rate * length / 1000.0)))
+            lengths.append(length)
+            arms[f"{arm[0]}{i:03d}"] = arm
+    n = sum(sizes)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    instances = (np.zeros(n), rows, np.arange(n), np.full(n, np.nan))
+    names = [f"fresh {j:06d}" for j in range(n)]
+    docs = Collection.intern(list(arms), lengths, (None,) * len(sizes), [coder_source],
+                             instances, names)
+    return docs, arms

@@ -22,12 +22,12 @@ from fecund.selection import (
     select_greedy,
 )
 from fecund.stats import IDENTITY_MAP, RegressionSpec, ols, superset_sweep, treatment_table
-from fecund.synthetic import experiment_corpus, synth_corpus
+from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
 import golden
 from prompt_fragments import FINAL_FEWSHOT_FRAGMENTS, ROUND1_FRAGMENTS
-from reference import collection, select_exact, select_greedy_naive
+from reference import collection, experiment_corpus, select_exact, select_greedy_naive
 
 
 def report(criterion, detail):

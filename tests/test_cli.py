@@ -123,9 +123,7 @@ def test_saturate_plain_matches_library(corpus_dir, tmp_path):
     docs, _ = load_collection(corpus_dir / "documents.jsonl", corpus_dir / "codes.csv")
     curve = cumulative_curve(docs, CountingRegime("unique"), "human")
     assert [int(r["cumulative_count"]) for r in rows] == curve.counts
-    assert [int(r["cumulative_chars"]) for r in rows] == [
-        s.cumulative_chars for s in curve.steps
-    ]
+    assert [int(r["cumulative_chars"]) for r in rows] == curve.chars
 
 
 def test_saturate_bootstrap_columns(corpus_dir, tmp_path):
@@ -503,6 +501,12 @@ _CASE_FILES = {
     "docs-surrogate.jsonl": (
         '{"id": "d0", "text_length": 100}\n{"id": "d1\\ud800", "text_length": 100}\n'
     ),
+    "docs-surrogate-text.jsonl": (
+        '{"id": "d0", "text": "abc"}\n{"id": "d1\\ud800", "text": "abc"}\n'
+    ),
+    "docs-no-id.jsonl": '{"id": "d0", "text": "abc"}\n{"text": "abc"}\n',
+    "docs-length-disagrees.jsonl": '{"id": "d0", "text_length": 5, "text": "%s"}\n' % ("x" * 300),
+    "docs-text-int.jsonl": '{"id": "d0", "text": 5}\n',
     "docs-latin1.jsonl": '{"id": "d0", "text": "abc"}\n{"id": "caf\xe9", "text": "abc"}\n'.encode(
         "latin-1"
     ),
@@ -740,6 +744,26 @@ _BAD_INPUTS = {
          "--codes", "{tmp}/codes-d0.csv"],
         EXIT_DATA,
         "{tmp}/docs-surrogate.jsonl:2: document id 'd1\\ud800' holds a lone surrogate",
+    ),
+    "code-document-without-id": (
+        ["code", "--seed", "1", "--docs", "{tmp}/docs-no-id.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-no-id.jsonl:2: missing document id",
+    ),
+    "code-document-id-lone-surrogate": (
+        ["code", "--seed", "1", "--docs", "{tmp}/docs-surrogate-text.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-surrogate-text.jsonl:2: document id 'd1\\ud800' holds a lone surrogate",
+    ),
+    "code-text-length-disagrees": (
+        ["code", "--seed", "1", "--docs", "{tmp}/docs-length-disagrees.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-length-disagrees.jsonl:1: document 'd0': text_length 5 != len(text) 300",
+    ),
+    "ingest-text-not-a-string": (
+        ["ingest", "--docs", "{tmp}/docs-text-int.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-text-int.jsonl:1: document 'd0': text must be a string",
     ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",

@@ -32,6 +32,7 @@ from fecund.coder import (
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
 from fecund.ingest import Passage
+from fecund.synthetic import zipf_probabilities
 from reference import (
     code_passages_per_slot, mock_draw_choice, read_dict, run_chain, run_chain_branches,
 )
@@ -423,11 +424,12 @@ def test_mock_zipf_vocabulary_skews():
 
 @pytest.mark.parametrize("vocab_size, exponent", [(200, 1.1), (50, 0.0), (7, 3.5), (200, -2.0)])
 def test_mock_probabilities_are_the_normalised_zipf_weights(vocab_size, exponent):
-    """The mock's weights come from synthetic.zipf_probabilities, bit for bit
-    what its own rank**-exponent / sum gave, so ai_codes.csv is unchanged."""
+    """The mock's weights, synthetic.zipf_probabilities (whose CDF it bisects,
+    see test_mock_cdf_draw_matches_choice), are bit for bit what its own
+    rank**-exponent / sum gave, so ai_codes.csv is unchanged."""
     weights = np.arange(1, vocab_size + 1, dtype=float) ** -exponent
-    backend = MockCoder(vocab_size=vocab_size, zipf_exponent=exponent)
-    assert backend.probabilities.tobytes() == (weights / weights.sum()).tobytes()
+    probabilities = zipf_probabilities(vocab_size, exponent)
+    assert probabilities.tobytes() == (weights / weights.sum()).tobytes()
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
@@ -448,7 +450,8 @@ def test_mock_rejects_zipf_weights_that_do_not_normalise(vocab_size, exponent):
 def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zipf_exponent):
     backend = MockCoder(seed=seed, vocab_size=vocab_size, zipf_exponent=zipf_exponent)
     p = passage("x", article=article, index=index)
-    assert backend._draw(p, slot)[0] == mock_draw_choice(backend, p, slot)
+    drawn = mock_draw_choice(backend, p, slot, zipf_exponent)
+    assert backend.respond("round1", "", p, slot) == drawn
 
 
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
@@ -466,6 +469,23 @@ def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
     run = code_passages(passages, MockCoder(seed=4), chain)
     assert len(run.results) > len(passages)  # some passages have several slots
     assert len(built) == len(set(built)) == len(passages) + len(run.results)
+
+
+def test_mock_formats_each_code_reply_once(monkeypatch):
+    """The mock builds a code's coding reply once, however many slots draw it."""
+    passages = [passage("x" * (200 + 7 * i), article=f"a{i}") for i in range(300)]
+    formatted = Counter()
+    real = CodeResponse.format
+
+    def counting(response):
+        formatted[response.theme] += 1
+        return real(response)
+
+    monkeypatch.setattr(CodeResponse, "format", counting)
+    run = code_passages(passages, MockCoder(seed=4))
+    assert len(run.results) > 2 * len(formatted)  # codes repeat across slots
+    assert set(formatted) == {response.theme for _, response in run}
+    assert max(formatted.values()) == 1
 
 
 class RecordingBackend:

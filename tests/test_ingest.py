@@ -183,7 +183,7 @@ def test_load_articles_duplicate_ids_listed(tmp_path):
     )
     with pytest.raises(DuplicateDocumentIdError) as err:
         load_articles(docs)
-    assert str(err.value) == f"{docs}: duplicate article id(s): ['a', 'b']"
+    assert str(err.value) == f"{docs}:4: duplicate document id 'b'"
 
 
 def test_load_dangling_theme_reference(tmp_path):

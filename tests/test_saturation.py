@@ -45,8 +45,8 @@ def test_worked_example(kind, expected):
 def test_curve_chars_accumulate():
     docs = collection([make_doc("a", ["x"], length=5), make_doc("b", ["y"], length=7)])
     curve = cumulative_curve(docs, CountingRegime("unique"), "src")
-    assert [s.cumulative_chars for s in curve.steps] == [5, 12]
-    assert [s.doc_index for s in curve.steps] == [1, 2]
+    assert curve.chars == [5, 12]
+    assert curve.document_order == ("a", "b")
 
 
 def test_themes_regime():
