@@ -74,7 +74,6 @@ def __getattr__(name: str):
 
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
@@ -411,7 +410,10 @@ def cmd_analyze(args) -> int:
                     raise ValueError(f"old_random must be true or false, got {old_random!r}")
                 if doc_id in extra:
                     raise ValueError(f"experiment repeats document {doc_id!r}")
-                extra[doc_id] = (float(round_ or 0), flag == "true")
+                round_ = float(round_ or 0)
+                if not math.isfinite(round_):
+                    raise ValueError(f"round must be a finite number, got {round_}")
+                extra[doc_id] = (round_, flag == "true")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.experiment, lineno) from None
     unassigned = next((doc_id for doc_id in ordered.ids if doc_id not in arms), None)
@@ -505,6 +507,8 @@ def cmd_sweep(args) -> int:
         for lineno, (ai, human) in _read_csv(args.pairs, ("ai_density", "human_density")):
             try:
                 pairs.append((float(ai), float(human)))
+                if not all(map(math.isfinite, pairs[-1])):
+                    raise ValueError(f"densities must be finite numbers, got {ai!r}, {human!r}")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.pairs, lineno) from None
         qmap = fit_quadratic(pairs)
@@ -609,10 +613,10 @@ def _regimes(text: str) -> list[str]:
 
 def _quadratic(text: str) -> tuple[float, float, float]:
     try:
-        a, b, c = (float(part) for part in text.split(","))
+        a, b, c = text.split(",")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three numbers a,b,c, got {text!r}") from None
-    return a, b, c
+    return _finite_float(a), _finite_float(b), _finite_float(c)
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = True, plot: bool = False) -> None:

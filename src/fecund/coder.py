@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 from .corpus import _seeded_generators
 from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
-from .ingest import Passage
+from .ingest import Passage, _encodable as _encodable_text
 from .synthetic import zipf_cdf
 
 # --- templates ------------------------------------------------------------
@@ -102,22 +102,6 @@ _TEMPLATE_TEXTS: dict[str, str] = {
         'again, the passage to code is ### $excerpt ### Finally, Respond ONLY in the '
         'following python dictionary format: {"1. Theme": stringval1/None, "2. Whose '
         'Attitude?":stringval2,"3. Target":stringval3,"4. Valence": '
-        '"Sympathetic."/"Hostile."/"N/A"}'
-    ),
-    "cluster_summary": (
-        'Read a list of four themes from a cluster of passages ### $codes ### Step by '
-        'step, answer the following: 1 Are all of these themes both present and relevant '
-        'to attitudes towards refugees in Malaysia? "All are."/"None are."/"Some are.". '
-        'If irrelevant, return none to all further questions. 2. If relevant, return the '
-        'overarching theme as it relates to attitudes towards refugees in Malaysia, or '
-        'return None. Do not give a generic theme like "attitudes towards refugees in '
-        'Malaysia", but provide a specific and detailed theme. If relevant, 3. Whose '
-        'attitudes are being reflected? Examples: the government, Malaysians, NGOs, the '
-        'author. 4. Who is the target of the attitudes? Examples: the Rohingya, the '
-        'government, UNHCR. 5. What is the overall valence, if any? Finally, Respond '
-        'ONLY in the following python dictionary format: {"1. Are Passages Relevant?": '
-        '"All are."/"None are."/"Some are.", "2. Theme": stringval1/None, "3. Whose '
-        'Attitude?":stringval2,"4. Target":stringval3,"5. Valence": '
         '"Sympathetic."/"Hostile."/"N/A"}'
     ),
     "final_fewshot": (
@@ -354,11 +338,8 @@ def _encodable(response: CodeResponse, raw: str) -> CodeResponse:
     """``response``, unless a field holds a lone surrogate, which no UTF-8
     output can store."""
     for value in (response.theme, response.whose_attitude, response.target, response.valence):
-        if value is not None and not value.isascii():
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ResponseParseError("reply holds a lone surrogate", raw) from None
+        if value is not None and not value.isascii() and not _encodable_text(value):
+            raise ResponseParseError("reply holds a lone surrogate", raw)
     return response
 
 

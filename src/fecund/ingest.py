@@ -44,7 +44,6 @@ class RawArticle:
 
     id: str
     full_text: str
-    source_label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,12 @@ def canonicalize_code(label: str) -> str:
 def load_articles(documents_path: str | Path) -> list[RawArticle]:
     """Read articles from documents.jsonl (see ``_read_documents``); text is required."""
     articles = []
-    for lineno, doc_id, _, source, text in _read_documents(documents_path):
+    for lineno, doc_id, _, _, text in _read_documents(documents_path):
         if text is None:
             raise CollectionFormatError(
                 f"document {doc_id!r} has no text", str(documents_path), lineno
             )
-        articles.append(RawArticle(id=doc_id, full_text=text, source_label=source))
+        articles.append(RawArticle(id=doc_id, full_text=text))
     return articles
 
 
@@ -134,14 +133,16 @@ def _read_documents(
     path: str | Path, data: bytes | None = None
 ) -> Iterator[tuple[int, str, int, str | None, str | None]]:
     """Each document as (line, id, text_length, source, text or None), once
-    checked: a present, new, encodable id, a string text, a positive
+    checked: a present, new, encodable string id, a string text, a positive
     text_length that agrees with it, and a running total below 2**53. A
     failure raises with file:line; ``data`` is as for ``_read_jsonl``."""
     path = str(path)
     seen: set[str] = set()
     total = 0
     for lineno, obj in _read_jsonl(path, data):
-        doc_id = str(obj.get("id", ""))
+        doc_id = obj.get("id", "")
+        if not isinstance(doc_id, str):
+            raise CollectionFormatError(f"document id {doc_id!r} is not a string", path, lineno)
         if not doc_id:
             raise CollectionFormatError("missing document id", path, lineno)
         if not doc_id.isascii() and not _encodable(doc_id):

@@ -188,15 +188,13 @@ def cumulative_curve(
     return SaturationCurve(regime, order.ids, chars, counts[0].tolist())
 
 
-def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleResult:
+def detect_stopping(curve: SaturationCurve) -> StoppingRuleResult:
     """Find where the order satisfies the minimum-13 / 3-flat-documents rule.
 
     A document index k >= 13 satisfies the rule when documents k-2, k-1
     and k added no new counts, i.e. count(k) == count(k-3). All such k are
     reported; the earliest is the conventional stopping point.
     """
-    if rule != "10+3":
-        raise ValueError(f"unknown stopping rule {rule!r}")
     counts = curve.counts
     if not counts:
         raise ValueError("curve has no steps")
@@ -206,7 +204,7 @@ def detect_stopping(curve: SaturationCurve, rule: str = "10+3") -> StoppingRuleR
         if counts[k - 1] == counts[k - 4]
     ]
     return StoppingRuleResult(
-        rule=rule,
+        rule="10+3",
         satisfied_at=points[0] if points else None,
         codes_at_satisfaction=counts[points[0] - 1] if points else None,
         all_satisfaction_points=tuple(points),

@@ -43,9 +43,6 @@ class ValueFunction:
             return math.log1p(m)
         return float(min(m, 1.0))
 
-    def __call__(self, m: float) -> float:
-        return self.g(m)
-
 
 SQRT = ValueFunction("sqrt")
 LOG1P = ValueFunction("log1p")

@@ -77,10 +77,9 @@ def _collinear_columns(X: np.ndarray, names: Sequence[str]) -> list[str]:
 def ols(data: Mapping[str, Sequence[float]], spec: RegressionSpec) -> RegressionFit:
     """Classical (weighted) least squares with an implicit intercept.
 
-    Weighted fits scale rows by sqrt(weight); with unit weights the code
-    path is numerically identical to the unweighted fit. R-squared uses the
-    (weighted) centered total sum of squares and is defined as 0 for a
-    constant outcome.
+    Rows are scaled by sqrt(weight); an unweighted fit has unit weights,
+    which scale nothing. R-squared uses the weighted centered total sum of
+    squares and is defined as 0 for a constant outcome.
     """
     for name in (spec.outcome, *spec.regressors):
         if name not in data:
@@ -95,23 +94,19 @@ def ols(data: Mapping[str, Sequence[float]], spec: RegressionSpec) -> Regression
     if n <= p:
         raise ValueError(f"need more observations ({n}) than parameters ({p})")
 
-    w = None
+    w = np.ones(n)
     if spec.weights is not None:
         if spec.weights not in data:
             raise MissingVariableError(spec.weights)
         w = np.asarray(data[spec.weights], dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be strictly positive")
-        # mean-1 normalization keeps the residual SE on the outcome scale;
-        # estimates, SEs, R2 and F are invariant to weight scaling
-        w = w * (n / w.sum())
-
-    if w is not None:
-        sw = np.sqrt(w)
-        Xw = X * sw[:, None]
-        yw = y * sw
-    else:
-        Xw, yw = X, y
+    # mean-1 normalization keeps the residual SE on the outcome scale;
+    # estimates, SEs, R2 and F are invariant to weight scaling
+    w = w * (n / w.sum())
+    sw = np.sqrt(w)
+    Xw = X * sw[:, None]
+    yw = y * sw
 
     if np.linalg.matrix_rank(Xw) < p:
         raise RankDeficiencyError(_collinear_columns(Xw, names))
@@ -119,16 +114,14 @@ def ols(data: Mapping[str, Sequence[float]], spec: RegressionSpec) -> Regression
     beta, _, _, _ = np.linalg.lstsq(Xw, yw, rcond=None)
     fitted = X @ beta
     resid = y - fitted
-    wr = resid * w if w is not None else resid
-    rss = float(resid @ wr)
+    rss = float(resid @ (resid * w))
     df_resid = n - p
     sigma2 = rss / df_resid
     xtx_inv = np.linalg.inv(Xw.T @ Xw)
     se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
 
-    wmean = float(np.average(y, weights=w)) if w is not None else float(y.mean())
-    centered = y - wmean
-    tss = float(centered @ (centered * w if w is not None else centered))
+    centered = y - float(np.average(y, weights=w))
+    tss = float(centered @ (centered * w))
     r2 = 0.0 if tss == 0.0 else 1.0 - rss / tss
     k = p - 1
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid if df_resid > 0 else math.nan
@@ -155,7 +148,7 @@ def ols(data: Mapping[str, Sequence[float]], spec: RegressionSpec) -> Regression
         f_df=(k, df_resid),
         n_obs=n,
         residuals=tuple(map(float, resid)),
-        weighted=w is not None,
+        weighted=spec.weights is not None,
     )
 
 
@@ -269,6 +262,24 @@ def _sample_mask(data: Mapping[str, Sequence], sample: str, spec_no: int) -> np.
     return np.ones(overlap.shape[0], dtype=bool)
 
 
+def _design(
+    data: Mapping[str, Sequence], spec_no: int
+) -> tuple[dict[str, np.ndarray], RegressionSpec]:
+    """Specification ``spec_no``'s columns over its sample, and its spec."""
+    if spec_no not in TREATMENT_SPECS:
+        raise ValueError(f"unknown specification {spec_no}")
+    layout = TREATMENT_SPECS[spec_no]
+    mask = _sample_mask(data, layout["sample"], spec_no)
+    columns = {"fecundity": _column(data, "fecundity", spec_no)[mask]}
+    for reg in layout["regressors"]:
+        base = "index" if reg == "index_sq" else reg
+        col = _column(data, base, spec_no)[mask]
+        columns[reg] = col**2 if reg == "index_sq" else col
+    if layout["weights"]:
+        columns[layout["weights"]] = _column(data, layout["weights"], spec_no)[mask]
+    return columns, RegressionSpec("fecundity", layout["regressors"], layout["weights"])
+
+
 def treatment_table(
     data: Mapping[str, Sequence], specs: Sequence[int] = (1, 2, 3, 4, 5, 6)
 ) -> dict[int, RegressionFit]:
@@ -280,30 +291,7 @@ def treatment_table(
     the earlier round). Uncentered index and index-squared are used for
     the order controls.
     """
-    fits: dict[int, RegressionFit] = {}
-    for spec_no in specs:
-        if spec_no not in TREATMENT_SPECS:
-            raise ValueError(f"unknown specification {spec_no}")
-        layout = TREATMENT_SPECS[spec_no]
-        mask = _sample_mask(data, layout["sample"], spec_no)
-        columns: dict[str, np.ndarray] = {
-            "fecundity": _column(data, "fecundity", spec_no)[mask]
-        }
-        for reg in layout["regressors"]:
-            base = "index" if reg == "index_sq" else reg
-            col = _column(data, base, spec_no)[mask]
-            columns[reg] = col**2 if reg == "index_sq" else col
-        if layout["weights"]:
-            columns[layout["weights"]] = _column(data, layout["weights"], spec_no)[mask]
-        fits[spec_no] = ols(
-            columns,
-            RegressionSpec(
-                outcome="fecundity",
-                regressors=layout["regressors"],
-                weights=layout["weights"],
-            ),
-        )
-    return fits
+    return {spec_no: ols(*_design(data, spec_no)) for spec_no in specs}
 
 
 @dataclass(frozen=True)
@@ -323,32 +311,22 @@ def length_residual_check(data: Mapping[str, Sequence]) -> LengthResidualResult:
     degenerate; it is then dropped with a warning so the second stage
     stays full rank.
     """
+    length = _column(data, "length", 0)
     stage1 = ols(
-        {"length": _column(data, "length", 0), "ai_density": _column(data, "ai_density", 0)},
+        {"length": length, "ai_density": _column(data, "ai_density", 0)},
         RegressionSpec(outcome="length", regressors=("ai_density",)),
     )
     resid = np.asarray(stage1.residuals)
-    index = _column(data, "index", 5)
-    columns = {
-        "fecundity": _column(data, "fecundity", 5),
-        "ai_selected": _column(data, "ai_selected", 5),
-        "round": _column(data, "round", 5),
-        "index": index,
-        "index_sq": index**2,
-        "length_resid": resid,
-    }
-    regressors = ("ai_selected", "round", "index", "index_sq", "length_resid")
-    dropped = False
-    scale = max(1.0, float(np.abs(np.asarray(data["length"], dtype=float)).max()))
-    if float(np.abs(resid).max()) <= 1e-9 * scale:
+    columns, spec = _design(data, 5)
+    dropped = float(np.abs(resid).max()) <= 1e-9 * max(1.0, float(np.abs(length).max()))
+    if dropped:
         warnings.warn(
             "length residuals are numerically zero; dropping the residual regressor"
         )
-        del columns["length_resid"]
-        regressors = regressors[:-1]
-        dropped = True
-    fit = ols(columns, RegressionSpec(outcome="fecundity", regressors=regressors))
-    return LengthResidualResult(stage1=stage1, fit=fit, residual_dropped=dropped)
+    else:
+        columns["length_resid"] = resid
+        spec = RegressionSpec("fecundity", (*spec.regressors, "length_resid"))
+    return LengthResidualResult(stage1=stage1, fit=ols(columns, spec), residual_dropped=dropped)
 
 
 _PARAM_LABELS = {
@@ -573,8 +551,8 @@ def superset_sweep(
     baseline_size = min(n_budget_docs, N)
     baseline_density = mean_density(baseline_size)
     baseline_pred = quadratic_map(baseline_density)
-    if baseline_pred <= 0:
-        raise ValueError("quadratic map gives a nonpositive baseline prediction")
+    if not baseline_pred > 0:  # also NaN
+        raise ValueError(f"quadratic map gives a baseline prediction of {baseline_pred}, not > 0")
     points = [SweepPoint(baseline_size, baseline_density, baseline_pred, 100.0)]
     for size in sizes:
         d = mean_density(size)

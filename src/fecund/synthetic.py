@@ -116,7 +116,6 @@ def synth_articles(
             RawArticle(
                 id=f"doc-{d:0{width}d}",
                 full_text="\n".join(paragraphs),
-                source_label="synthetic",
             )
         )
     return articles

@@ -833,7 +833,6 @@ def synth_articles_loop(
             RawArticle(
                 id=f"doc-{d:0{width}d}",
                 full_text="\n".join(paragraphs),
-                source_label="synthetic",
             )
         )
     return articles

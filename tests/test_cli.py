@@ -478,6 +478,8 @@ _CASE_FILES = {
     "sizes20.toml": "sizes = 20\n",
     "sizes500.toml": "sizes = 500\n",
     "pairs.csv": "ai_density,human_density\n1.0,2.0\nx,3\n",
+    "pairs-nan.csv": "ai_density,human_density\n1.0,2.0\nnan,3\n",
+    "pairs-inf.csv": "ai_density,human_density\n1.0,2.0\n2.0,3\n3.0,inf\n",
     "manifest-no-doc-id.csv": "reading_index,id\n1,doc-00\n",
     "manifest-repeat.csv": "reading_index,doc_id\n1,doc-00\n2,doc-00\n",
     "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
@@ -491,6 +493,7 @@ _CASE_FILES = {
     "unblinding-repeat.csv": "doc_id,arm\ndoc-00,treatment\ndoc-00,control\n",
     "budget0.toml": "budget_chars = 0\n",
     "experiment-repeat.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-00,0,true\n",
+    "experiment-round-nan.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-01,nan,false\n",
     "docs-length-1e20.jsonl": '{"id": "d0", "text_length": 100000000000000000000}\n',
     "docs-length-2p62.jsonl": "".join(
         f'{{"id": "d{i}", "text_length": {2**62}}}\n' for i in range(3)
@@ -507,6 +510,8 @@ _CASE_FILES = {
     "docs-no-id.jsonl": '{"id": "d0", "text": "abc"}\n{"text": "abc"}\n',
     "docs-length-disagrees.jsonl": '{"id": "d0", "text_length": 5, "text": "%s"}\n' % ("x" * 300),
     "docs-text-int.jsonl": '{"id": "d0", "text": 5}\n',
+    "docs-id-null.jsonl": '{"id": "d0", "text_length": 100}\n{"id": null, "text_length": 100}\n',
+    "docs-id-false.jsonl": '{"id": false, "text": "abc"}\n',
     "docs-latin1.jsonl": '{"id": "d0", "text": "abc"}\n{"id": "caf\xe9", "text": "abc"}\n'.encode(
         "latin-1"
     ),
@@ -536,6 +541,21 @@ _BAD_INPUTS = {
         ["sweep", "--seed", "1", "--quadratic", "0,1,0", "--replicates", "0"],
         EXIT_USAGE,
         "argument --replicates: must be >= 1, got 0",
+    ),
+    "pairs-nan": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs-nan.csv"],
+        EXIT_DATA,
+        "{tmp}/pairs-nan.csv:3: densities must be finite numbers, got 'nan', '3'",
+    ),
+    "pairs-inf": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs-inf.csv"],
+        EXIT_DATA,
+        "{tmp}/pairs-inf.csv:4: densities must be finite numbers, got '3.0', 'inf'",
+    ),
+    "quadratic-nan": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "nan,1,0"],
+        EXIT_USAGE,
+        "argument --quadratic: must be a finite number, got nan",
     ),
     "quadratic-two-values": (
         ["sweep", "--seed", "1", "--quadratic", "0,1"],
@@ -593,6 +613,12 @@ _BAD_INPUTS = {
          "--unblinding", "{tmp}/unblinding.csv", "--experiment", "{tmp}/experiment.csv"],
         EXIT_DATA,
         "{tmp}/experiment.csv:3: could not convert string to float: 'x'",
+    ),
+    "experiment-round-nan": (
+        ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
+         "--unblinding", "{tmp}/unblinding.csv", "--experiment", "{tmp}/experiment-round-nan.csv"],
+        EXIT_DATA,
+        "{tmp}/experiment-round-nan.csv:3: round must be a finite number, got nan",
     ),
     "experiment-old-random-not-boolean": (
         ["analyze", "--outcome-source", "human", "--manifest", "{tmp}/manifest.csv",
@@ -764,6 +790,16 @@ _BAD_INPUTS = {
         ["ingest", "--docs", "{tmp}/docs-text-int.jsonl"],
         EXIT_DATA,
         "{tmp}/docs-text-int.jsonl:1: document 'd0': text must be a string",
+    ),
+    "ingest-document-id-null": (
+        ["ingest", "--docs", "{tmp}/docs-id-null.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-id-null.jsonl:2: document id None is not a string",
+    ),
+    "code-document-id-false": (
+        ["code", "--seed", "1", "--docs", "{tmp}/docs-id-false.jsonl"],
+        EXIT_DATA,
+        "{tmp}/docs-id-false.jsonl:1: document id False is not a string",
     ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",

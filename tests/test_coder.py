@@ -75,6 +75,13 @@ def test_placeholders_discovered():
     )
 
 
+def test_every_template_is_a_chain_step_and_every_step_has_a_handler():
+    steps = {step for chain in coder_module.CHAINS.values() for step in chain}
+    handled = set(coder_module._STEPS)
+    assert set(TEMPLATES) <= steps, f"templates no chain uses: {set(TEMPLATES) - steps}"
+    assert steps <= handled, f"chain steps without a handler: {steps - handled}"
+
+
 PLACEHOLDERS = sorted({name for tpl in TEMPLATES.values() for name in tpl.placeholders})
 binding_values = st.one_of(
     st.text(max_size=30),

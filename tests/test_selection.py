@@ -76,10 +76,10 @@ def test_objective_unique_counts_distinct():
 
 
 def test_value_function_kinds():
-    assert SQRT(4) == 2.0
-    assert LOG1P(0) == 0.0
-    assert UNIQUE(5) == 1.0
-    assert all(type(UNIQUE(m)) is float for m in (0, 1, 2))
+    assert SQRT.g(4) == 2.0
+    assert LOG1P.g(0) == 0.0
+    assert UNIQUE.g(5) == 1.0
+    assert all(type(UNIQUE.g(m)) is float for m in (0, 1, 2))
     with pytest.raises(ValueError):
         ValueFunction("cubic")
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fecund.errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from fecund.stats import (
     IDENTITY_MAP,
+    QuadraticMap,
     RegressionSpec,
     _beta_tail,
     _f_stars,
@@ -510,6 +511,12 @@ def test_sweep_larger_supersets_help():
     )
     assert points[1].normalized_pct > 100.0
     assert points[2].normalized_pct >= points[1].normalized_pct
+
+
+def test_sweep_refuses_a_nan_baseline_prediction():
+    docs, _ = synth_corpus(30, seed=6, coder_source="ai", n_codes=40)
+    with pytest.raises(ValueError, match="baseline prediction of nan"):
+        superset_sweep(docs, "ai", QuadraticMap(math.nan, 1.0, 0.0), seed=1, sizes=(10,))
 
 
 def test_sweep_oversized_subset_errors():
