@@ -112,6 +112,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _reprs(values: list[float]) -> list[str]:
+    """``list(map(repr, values))`` in one C call: a list's repr joins its
+    items' reprs with ", ", which no float's repr holds."""
+    return repr(values)[1:-1].split(", ") if values else []
+
+
 def _load(args):
     codes = [p for p in (args.codes or "").split(",") if p]
     return load_collection(args.docs, codes or None, getattr(args, "themes", None))
@@ -345,23 +351,27 @@ def cmd_saturate(args) -> int:
             seed=args.seed,
             codebook=codebook,
         )
+        retained = len(bands[0].lo95)
+        x = bands[0].mean_chars[:retained].tolist()  # every band holds this one array
+        lead = [f"{step},{chars}" for step, chars in zip(range(1, retained + 1), _reprs(x))]
     for i, regime in enumerate(regimes):
         kind = regime.kind
+        path = out / f"curve_{kind}.csv"
         if args.bootstrap:
             band = bands[i]
-            retained = len(band.lo95)
-            columns = (band.mean_chars, band.mean_count, band.lo95, band.hi95)
-            x, y, lo, hi = (c[:retained].tolist() for c in columns)
-            header = ["step", "mean_chars", "mean_count", "lo95", "hi95"]
-            rows = list(zip(range(1, retained + 1), *(map(repr, c) for c in (x, y, lo, hi))))
+            y, lo, hi = (c[:retained].tolist() for c in (band.mean_count, band.lo95, band.hi95))
+            # every cell is a number, so csv.writer would quote none of them
+            rows = map(",".join, zip(lead, _reprs(y), _reprs(lo), _reprs(hi)))
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("\n".join(["step,mean_chars,mean_count,lo95,hi95", *rows, ""]))
             shaded, title = (lo, hi), f"Cumulative {kind} (bootstrap mean, 95% band)"
         else:
             curve = cumulative_curve(order, regime, args.coder_source, codebook=codebook)
             x, y = curve.chars, curve.counts
             header = ["step", "doc_id", "cumulative_chars", "cumulative_count"]
             rows = list(zip(range(1, len(order) + 1), curve.document_order, x, y))
+            _write_csv(path, header, rows)
             shaded, title = None, f"Cumulative {kind}"
-        _write_csv(out / f"curve_{kind}.csv", header, rows)
         if args.plot:
             line_chart(
                 out / f"curve_{kind}.svg",
@@ -464,14 +474,8 @@ def cmd_analyze(args) -> int:
     )
 
     if with_density and 5 in feasible:
-        check = length_residual_check(data)
-        lines = [
-            f"stage-1 R2 (length on AI density): {check.stage1.r2:.3f}",
-            "residual regressor dropped: " + str(check.residual_dropped),
-            "",
-            format_treatment_table({5: check.fit}),
-        ]
-        (out / "length_residuals.txt").write_text("\n".join(lines), encoding="utf-8")
+        text = _length_residuals(data, fits[5])
+        (out / "length_residuals.txt").write_text(text, encoding="utf-8")
 
     arm_rows = []
     for arm in ("control", "treatment", "overlap"):
@@ -492,6 +496,23 @@ def cmd_analyze(args) -> int:
     _write_meta(out, args)
     print(table_text)
     return EXIT_OK
+
+
+def _length_residuals(data: dict[str, list], spec5) -> str:
+    """``length_residuals.txt``: the residual check's fit, or why it was skipped."""
+    if isinstance(spec5, str):  # the check adds a column to specification 5's design
+        return f"skipped: {spec5}\n"
+    try:
+        check = length_residual_check(data)
+    except (RankDeficiencyError, ValueError) as exc:
+        return f"skipped: {exc}\n"
+    lines = [
+        f"stage-1 R2 (length on AI density): {check.stage1.r2:.3f}",
+        "residual regressor dropped: " + str(check.residual_dropped),
+        "",
+        format_treatment_table({5: check.fit}),
+    ]
+    return "\n".join(lines)
 
 
 # --- sweep -------------------------------------------------------------------

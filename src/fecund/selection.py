@@ -43,6 +43,12 @@ class ValueFunction:
             return math.log1p(m)
         return float(min(m, 1.0))
 
+    def table(self, n: int) -> list[float]:
+        """``[g(0), ..., g(n - 1)]``, through the C functions ``g`` calls."""
+        if self.kind == "unique":
+            return [0.0, *[1.0] * (n - 1)][:n]
+        return list(map(math.sqrt if self.kind == "sqrt" else math.log1p, range(n)))
+
 
 SQRT = ValueFunction("sqrt")
 LOG1P = ValueFunction("log1p")
@@ -170,13 +176,16 @@ def select_greedy(
     # g at every copy count a code can reach; g(0) = 0, so the first gain
     # of a document is also its value as a singleton.
     max_copies = int(np.bincount(matrix.codes).max()) if len(matrix.codes) else 0
-    values = [value_function.g(m) for m in range(max_copies + 1)]
+    values = value_function.table(max_copies + 1)
     first = _first_gains(starts, copies, np.array(values, dtype=np.float64))
     items = (starts.tolist(), codes.tolist(), copies.tolist())
     lengths = docs.lengths.tolist()
     keys = list(zip(lengths, docs.ids))
+    scores = -(first / docs.lengths) if cost_benefit else -first  # the IEEE ops of _score
 
-    picked, gains = _greedy_lazy(lengths, keys, items, first.tolist(), budget, values, cost_benefit)
+    picked, gains = _greedy_lazy(
+        lengths, keys, items, first.tolist(), scores.tolist(), budget, values, cost_benefit
+    )
     obj = objective(docs.take(picked), value_function, coder_source)
     feasible = docs.lengths < budget.max_chars
     if feasible.any():
@@ -201,16 +210,17 @@ def _score(gain: float, length: int, cost_benefit: bool) -> float:
     return gain / length if cost_benefit else gain
 
 
-def _greedy_lazy(lengths, keys, items, first_gains, budget, values, cost_benefit):
-    """The rows greedy picks, in order, and their gains; ties break on ``keys``."""
+def _greedy_lazy(lengths, keys, items, first_gains, first_scores, budget, values, cost_benefit):
+    """The rows greedy picks, in order, and their gains; ties break on ``keys``.
+    ``first_scores`` are the negated scores of ``first_gains``."""
     counts: dict[int, int] = {}
     total = 0
     picked: list[int] = []
     gains: list[float] = []
     step = 0
     heap = [
-        (-_score(gain, n, cost_benefit), key, step, gain, i)
-        for i, (n, key, gain) in enumerate(zip(lengths, keys, first_gains))
+        (score, key, step, gain, i)
+        for i, (n, key, gain, score) in enumerate(zip(lengths, keys, first_gains, first_scores))
         if n < budget.max_chars
     ]
     heapq.heapify(heap)

@@ -537,8 +537,10 @@ def superset_sweep(
         sizes = sorted(set(sizes))
 
     def mean_density(size: int) -> float:
+        # A draw of all N rows is the full set reordered, and neither the
+        # greedy nor the density depends on row order: measure it once.
         densities = []
-        for rep in range(replicates):
+        for rep in range(1 if size == N else replicates):
             rng = np.random.default_rng([seed, size, rep])
             subset = full.take(rng.choice(N, size=size, replace=False))
             if size > n_budget_docs:
@@ -546,6 +548,8 @@ def superset_sweep(
                 selection = select_greedy(subset, budget, value_function, coder_source)
                 subset = full.take([row_of[doc_id] for doc_id in selection.selected_ids])
             densities.append(corpus_code_density(subset, coder_source))
+        if size == N:
+            densities *= replicates  # the same sum and division as distinct draws
         return sum(densities) / len(densities)
 
     baseline_size = min(n_budget_docs, N)

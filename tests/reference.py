@@ -47,6 +47,12 @@ words one ``int`` at a time; ``fecund.synthetic.synth_corpus`` and
 ``read_jsonl_text`` reads a documents file as a text file, one line at a
 time; ``fecund.ingest._read_jsonl``, which reads bytes and decodes each line,
 must return the same objects on the same lines or raise the same error.
+``band_csv_rows`` writes a bootstrap curve with one ``csv.writer`` row of
+``repr`` strings per step; ``fecund.cli``'s ``saturate``, which formats each
+column in one call and writes the file as one string, must write the same
+bytes. ``superset_sweep_loop`` draws and selects every replicate at every
+size, the full set's too; ``fecund.stats.superset_sweep``, which measures a
+draw of the whole set once, must return the same floats.
 ``experiment_corpus`` is a two-arm corpus with a planted fecundity effect,
 the one corpus whose effect is known in closed form; the regression tests
 must recover it.
@@ -88,16 +94,19 @@ from fecund.coder import (
 from fecund.corpus import Codebook, Collection, Document
 from fecund.errors import CollectionFormatError, FecundError, ResponseParseError, TransportError
 from fecund.ingest import Passage, RawArticle
-from fecund.saturation import CountingRegime
+from fecund.saturation import BootstrapBand, CountingRegime
 from fecund.selection import (
     GAIN_FLOOR,
+    SQRT,
     CorpusSelection,
     SelectionBudget,
     ValueFunction,
     _code_copies,
     _marginal_gain,
     _score,
+    select_greedy,
 )
+from fecund.stats import SweepPoint, corpus_code_density
 from fecund.synthetic import _WORDS, zipf_probabilities
 
 
@@ -343,7 +352,7 @@ def select_greedy_loop(
     )
 
 
-def greedy_naive(lengths, keys, items, first_gains, budget, values, cost_benefit):
+def greedy_naive(lengths, keys, items, first_gains, first_scores, budget, values, cost_benefit):
     starts, codes, copies = items
     counts = {}
     total = 0
@@ -764,6 +773,56 @@ def write_collection_rows(
                         (codebook.themes or {}).get(tid, tid),
                     ]
                 )
+
+
+def band_csv_rows(path, band: BootstrapBand) -> None:
+    """``curve_<regime>.csv`` of a bootstrap band, one ``csv.writer`` row of
+    ``repr`` strings per retained step."""
+    retained = len(band.lo95)
+    columns = (band.mean_chars, band.mean_count, band.lo95, band.hi95)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writerow = _csv_row_writer(fh)
+        writerow(["step", "mean_chars", "mean_count", "lo95", "hi95"])
+        for step, *cells in zip(range(1, retained + 1), *(c[:retained].tolist() for c in columns)):
+            writerow([step, *map(repr, cells)])
+
+
+def superset_sweep_loop(
+    full: Collection,
+    coder_source: str,
+    quadratic_map,
+    seed: int,
+    sizes: Sequence[int],
+    replicates: int = 10,
+    n_budget_docs: int = 20,
+    value_function: ValueFunction = SQRT,
+) -> list[SweepPoint]:
+    """``superset_sweep`` at the given sizes, with every replicate drawn and
+    selected, including those that draw the whole set."""
+    row_of = {doc_id: i for i, doc_id in enumerate(full.ids)}
+    N = len(full)
+
+    def mean_density(size: int) -> float:
+        densities = []
+        for rep in range(replicates):
+            rng = np.random.default_rng([seed, size, rep])
+            subset = full.take(rng.choice(N, size=size, replace=False))
+            if size > n_budget_docs:
+                budget = SelectionBudget.from_mean_docs(subset, n_budget_docs)
+                chosen = select_greedy(subset, budget, value_function, coder_source)
+                subset = full.take([row_of[doc_id] for doc_id in chosen.selected_ids])
+            densities.append(corpus_code_density(subset, coder_source))
+        return sum(densities) / len(densities)
+
+    baseline_size = min(n_budget_docs, N)
+    baseline_density = mean_density(baseline_size)
+    baseline_pred = quadratic_map(baseline_density)
+    points = [SweepPoint(baseline_size, baseline_density, baseline_pred, 100.0)]
+    for size in sorted(set(sizes)):
+        d = mean_density(size)
+        pred = quadratic_map(d)
+        points.append(SweepPoint(size, d, pred, pred / baseline_pred * 100.0))
+    return points
 
 
 def synth_corpus_choice(

@@ -7,12 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import run_python
+from reference import band_csv_rows
 
 from fecund import cli, coder, ingest, saturation
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
+from fecund.errors import RankDeficiencyError
 from fecund.ingest import load_collection
-from fecund.saturation import CountingRegime, cumulative_curve
+from fecund.saturation import BootstrapBand, CountingRegime, cumulative_curve
 
 
 def run(*argv):
@@ -139,6 +141,43 @@ def test_saturate_bootstrap_columns(corpus_dir, tmp_path):
     rows = _read_csv(out / "curve_unique.csv")
     assert set(rows[0]) == {"step", "mean_chars", "mean_count", "lo95", "hi95"}
     assert len(rows) == 27  # floor(0.9 * 30)
+
+
+# integral, at and past 1e16 (repr turns to exponents), 1e-5, 0.1 + 0.2, -0.0
+_AWKWARD = np.array([3.0, 1e16, 2.5e17, 1e-05, 0.1 + 0.2, -0.0, 1 / 3, 12345.678, 1e22])
+
+
+@pytest.mark.parametrize("retained", [0, 1, len(_AWKWARD)])
+def test_saturate_bootstrap_writes_the_bytes_of_the_row_writer(
+    corpus_dir, tmp_path, monkeypatch, retained
+):
+    """The curves, formatted a column at a time with the chars column shared
+    across regimes, are the bytes one csv.writer row per step writes."""
+
+    def awkward_bands(order, regimes, *args, **kwargs):
+        bands = []
+        for k, regime in enumerate(regimes):
+            count, lo, hi = (np.roll(_AWKWARD, k + j) for j in (1, 2, 3))
+            bands.append(
+                BootstrapBand(
+                    25, 0.1, regime, _AWKWARD, count, lo[:retained], hi[:retained], lo, hi
+                )
+            )
+        return bands
+
+    monkeypatch.setattr(cli, "bootstrap_bands", awkward_bands)
+    out = tmp_path / "sb"
+    assert run(
+        "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--themes", corpus_dir / "themes.csv",
+        "--coder-source", "human", "--seed", 1, "--bootstrap", "--iterations", 25,
+        "--regimes", "unique,themes", "--out", out,
+    ) == EXIT_OK
+    for band in awkward_bands(None, [CountingRegime("unique"), CountingRegime("themes")]):
+        path = out / f"curve_{band.regime.kind}.csv"
+        band_csv_rows(tmp_path / "rows.csv", band)
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert len(_read_csv(path)) == retained
 
 
 @pytest.mark.parametrize("iterations", [0, -3])
@@ -398,6 +437,53 @@ def test_analyze_reads_blank_round_as_zero(corpus_dir, tmp_path):
         assert run(*_analyze_argv(corpus_dir, sel, out), "--experiment", experiment) == EXIT_OK
         tables.append((out / "treatment_table.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("spec5_fits", [True, False])
+def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, monkeypatch, spec5_fits):
+    """AI density 0 in every manifest document leaves the residual check's
+    first stage rank deficient, and the check extends specification 5, so
+    it is skipped when that is: either way the check is reported skipped,
+    and analyze still writes every file and exits 0."""
+    if not spec5_fits:
+        real = cli.treatment_table
+
+        def failing_spec5(data, specs):
+            if specs == (5,):
+                raise RankDeficiencyError(["round"])
+            return real(data, specs=specs)
+
+        monkeypatch.setattr(cli, "treatment_table", failing_spec5)
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--out", corpus, "--seed", 5, "--n-docs", 50, "--with-text") == EXIT_OK
+    sel = tmp_path / "sel"
+    assert run(
+        "select", "--docs", corpus / "documents.jsonl", "--codes", corpus / "codes.csv",
+        "--coder-source", "human", "--seed", 5, "--budget-docs", 10, "--control-docs", 10,
+        "--out", sel,
+    ) == EXIT_OK
+    ids = [r["doc_id"] for r in _read_csv(sel / "manifest.csv")]
+    docs, _ = load_collection(corpus / "documents.jsonl")
+    outside = next(doc_id for doc_id in docs.ids if doc_id not in ids)
+    ai_codes = tmp_path / "ai_codes.csv"
+    ai_codes.write_text(f"doc_id,coder_source,code_label,position\n{outside},ai,c1,0.5\n")
+    experiment = tmp_path / "experiment.csv"
+    rows = [f"{doc_id},{i % 3},false" for i, doc_id in enumerate(ids)]
+    experiment.write_text("doc_id,round,old_random\n" + "\n".join(rows) + "\n")
+    ana = tmp_path / "ana"
+    assert run(
+        "analyze", "--docs", corpus / "documents.jsonl",
+        "--codes", f"{corpus / 'codes.csv'},{ai_codes}", "--manifest", sel / "manifest.csv",
+        "--unblinding", sel / "unblinding.csv", "--outcome-source", "human",
+        "--density-source", "ai", "--experiment", experiment, "--out", ana,
+    ) == EXIT_OK
+    column = "ai_density" if spec5_fits else "round"
+    assert (ana / "length_residuals.txt").read_text() == (
+        f"skipped: design matrix is rank deficient; collinear columns: ['{column}']\n"
+    )
+    fitted = {r["spec"] for r in _read_csv(ana / "treatment_table.csv") if r["param"]}
+    assert ("5" in fitted) == spec5_fits
+    assert (ana / "arm_summary.csv").exists()
 
 
 def test_saturate_plain_curve_needs_no_seed(corpus_dir, tmp_path):

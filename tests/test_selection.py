@@ -84,6 +84,14 @@ def test_value_function_kinds():
         ValueFunction("cubic")
 
 
+@pytest.mark.parametrize("vf", [SQRT, LOG1P, UNIQUE])
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 4097])
+def test_value_table_is_g_bit_for_bit(vf, n):
+    table = vf.table(n)
+    assert all(type(v) is float for v in table)
+    assert [v.hex() for v in table] == [vf.g(m).hex() for m in range(n)]
+
+
 # --- select_greedy -----------------------------------------------------------
 
 
@@ -219,6 +227,26 @@ def test_greedy_bit_identical_to_loop_oracle(instance, vf, cost_benefit):
     fast = select_greedy(collection(docs), budget, vf, "src", cost_benefit=cost_benefit)
     loop = select_greedy_loop(docs, budget, vf, "src", cost_benefit=cost_benefit)
     assert _greedy_outcome(fast) == _greedy_outcome(loop)
+
+
+@given(
+    instance=_greedy_instances(),
+    vf=st.sampled_from([SQRT, LOG1P, UNIQUE]),
+    cost_benefit=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(instance=_DENSITY_TRAP, vf=SQRT, cost_benefit=True, seed=0)
+@example(instance=_TIED_TRAP, vf=LOG1P, cost_benefit=True, seed=0)
+def test_greedy_ignores_row_order(instance, vf, cost_benefit, seed):
+    """Ties break on (length, id) and ids are unique, so the rows' order
+    cannot change the selection: ``superset_sweep`` selects the full set once."""
+    docs, budget = instance
+    rows = collection(docs)
+    perm = np.random.default_rng(seed).permutation(len(docs))
+    before = select_greedy(rows, budget, vf, "src", cost_benefit=cost_benefit)
+    after = select_greedy(rows.take(perm), budget, vf, "src", cost_benefit=cost_benefit)
+    assert before == after
+    assert _greedy_outcome(before) == _greedy_outcome(after)
 
 
 def test_greedy_deterministic_tie_break():

@@ -26,7 +26,7 @@ from fecund.stats import (
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
-from reference import collection, f_upper_k2, t_two_sided_closed
+from reference import collection, f_upper_k2, superset_sweep_loop, t_two_sided_closed
 
 
 # --- ols -----------------------------------------------------------------
@@ -511,6 +511,25 @@ def test_sweep_larger_supersets_help():
     )
     assert points[1].normalized_pct > 100.0
     assert points[2].normalized_pct >= points[1].normalized_pct
+
+
+@pytest.mark.parametrize("replicates", [2, 3, 10])
+@pytest.mark.parametrize("n_budget_docs", [8, 60])
+def test_sweep_matches_the_loop_that_draws_every_replicate(replicates, n_budget_docs):
+    """The full set is selected and measured once, yet its mean is the
+    replicates' sum over their count, bit for bit, as if each were drawn."""
+    docs, _ = synth_corpus(60, seed=8, coder_source="ai", n_codes=40)
+    qmap = QuadraticMap(0.3, 1.7, -0.05)
+    args = (docs, "ai", qmap)
+    kwargs = dict(seed=3, sizes=(25, 60), replicates=replicates, n_budget_docs=n_budget_docs)
+    fast, loop = superset_sweep(*args, **kwargs), superset_sweep_loop(*args, **kwargs)
+    assert [p.size for p in fast] == [min(n_budget_docs, 60), 25, 60]
+    assert [tuple(map(repr, dataclasses.astuple(p))) for p in fast] == [
+        tuple(map(repr, dataclasses.astuple(p))) for p in loop
+    ]
+    if n_budget_docs == 8 and replicates > 2:  # here r·d/r != d: returning d would fail
+        once = superset_sweep(*args, **{**kwargs, "replicates": 1})
+        assert fast[-1].mean_ai_density != once[-1].mean_ai_density
 
 
 def test_sweep_refuses_a_nan_baseline_prediction():
