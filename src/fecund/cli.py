@@ -26,7 +26,7 @@ from .errors import (
     TransportError,
 )
 from .ingest import (
-    _csv_writer, _read_csv, load_articles, load_collection, split_passages, write_collection,
+    _read_csv, _write_csv, load_articles, load_collection, split_passages, write_collection,
 )
 
 # The other layers are imported only by the commands that run them: `_bind`
@@ -96,20 +96,6 @@ def _write_meta(out: Path, args) -> None:
     (out / "run_meta.json").write_text(
         json.dumps(meta, indent=2, default=str) + "\n", encoding="utf-8"
     )
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(value) -> str:
-    # repr keeps float round-trips exact and byte-stable across platforms
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _reprs(values: list[float]) -> list[str]:
@@ -243,22 +229,22 @@ def cmd_code(args) -> int:
     )
     by_key = {passage_key(p): p for p in passages}
     article_len = {a.id: len(a.full_text) for a in articles}
-    rows = []
+    ids, labels, positions = [], [], []
     for key, response in run:
         if response.theme is None:
             continue
         passage = by_key[key]
         midpoint = (passage.char_span[0] + passage.char_span[1]) / 2
-        position = midpoint / max(1, article_len[passage.article_id])
-        rows.append(
-            [passage.article_id, args.coder_source, response.theme, repr(min(1.0, position))]
-        )
-    _write_csv(out / "ai_codes.csv", ["doc_id", "coder_source", "code_label", "position"], rows)
+        ids.append(passage.article_id)
+        labels.append(response.theme)
+        positions.append(repr(min(1.0, midpoint / max(1, article_len[passage.article_id]))))
+    _write_csv(out / "ai_codes.csv", ["doc_id", "coder_source", "code_label", "position"],
+               [ids, [args.coder_source] * len(ids), labels, positions])
     if run.errors:
-        _write_csv(out / "coding_errors.csv", ["passage_id", "error"], [list(e) for e in run.errors])
+        _write_csv(out / "coding_errors.csv", ["passage_id", "error"], list(zip(*run.errors)))
         print(f"{len(run.errors)} passage(s) failed; see coding_errors.csv", file=sys.stderr)
     _write_meta(out, args)
-    print(f"coded {len(passages)} passages -> {len(rows)} codes ({out / 'ai_codes.csv'})")
+    print(f"coded {len(passages)} passages -> {len(ids)} codes ({out / 'ai_codes.csv'})")
     return EXIT_OK if not run.errors else EXIT_REMOTE
 
 
@@ -299,16 +285,10 @@ def cmd_select(args) -> int:
     (out / "selection.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
-    _write_csv(
-        out / "manifest.csv",
-        ["reading_index", "doc_id"],
-        [[i + 1, e.doc_id] for i, e in enumerate(reading_order)],
-    )
-    _write_csv(
-        out / "unblinding.csv",
-        ["doc_id", "arm"],
-        [[e.doc_id, e.arm] for e in reading_order],
-    )
+    ids = [e.doc_id for e in reading_order]
+    steps = list(map(str, range(1, len(ids) + 1)))
+    _write_csv(out / "manifest.csv", ["reading_index", "doc_id"], [steps, ids])
+    _write_csv(out / "unblinding.csv", ["doc_id", "arm"], [ids, [e.arm for e in reading_order]])
     _write_meta(out, args)
     print(
         f"selected {len(treatment.selected_ids)} docs "
@@ -342,7 +322,11 @@ def cmd_saturate(args) -> int:
     docs, codebook = _load(args)
     order = _manifest_order(docs, args.order) if args.order else docs
     regimes = [CountingRegime(kind, hf_threshold=args.threshold) for kind in args.regimes]
+    steps = list(map(str, range(1, len(order) + 1)))
     if args.bootstrap:
+        if len(order) < 2:
+            message = f"--bootstrap needs at least 2 documents, got {len(order)}"
+            raise CollectionFormatError(message, args.order or args.docs)
         bands = bootstrap_bands(
             order,
             regimes,
@@ -353,24 +337,22 @@ def cmd_saturate(args) -> int:
         )
         retained = len(bands[0].lo95)
         x = bands[0].mean_chars[:retained].tolist()  # every band holds this one array
-        lead = [f"{step},{chars}" for step, chars in zip(range(1, retained + 1), _reprs(x))]
+        lead = [steps[:retained], _reprs(x)]
     for i, regime in enumerate(regimes):
         kind = regime.kind
         path = out / f"curve_{kind}.csv"
         if args.bootstrap:
             band = bands[i]
             y, lo, hi = (c[:retained].tolist() for c in (band.mean_count, band.lo95, band.hi95))
-            # every cell is a number, so csv.writer would quote none of them
-            rows = map(",".join, zip(lead, _reprs(y), _reprs(lo), _reprs(hi)))
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(["step,mean_chars,mean_count,lo95,hi95", *rows, ""]))
+            header = ["step", "mean_chars", "mean_count", "lo95", "hi95"]
+            _write_csv(path, header, [*lead, *map(_reprs, (y, lo, hi))])
             shaded, title = (lo, hi), f"Cumulative {kind} (bootstrap mean, 95% band)"
         else:
             curve = cumulative_curve(order, regime, args.coder_source, codebook=codebook)
             x, y = curve.chars, curve.counts
             header = ["step", "doc_id", "cumulative_chars", "cumulative_count"]
-            rows = list(zip(range(1, len(order) + 1), curve.document_order, x, y))
-            _write_csv(path, header, rows)
+            counts = (list(map(str, c)) for c in (x, y))
+            _write_csv(path, header, [steps, curve.document_order, *counts])
             shaded, title = None, f"Cumulative {kind}"
         if args.plot:
             line_chart(
@@ -384,11 +366,9 @@ def cmd_saturate(args) -> int:
             )
     if args.positions:
         trend = position_trend(order, args.coder_source, window=args.positions_window)
-        _write_csv(
-            out / "positions.csv",
-            ["text_length", "median_position", "moving_average"],
-            [[t.text_length, _fmt(t.median_position), _fmt(t.moving_average)] for t in trend],
-        )
+        header = ["text_length", "median_position", "moving_average"]
+        columns = [[str(getattr(t, h)) for t in trend] for h in header]
+        _write_csv(out / "positions.csv", header, columns)
     _write_meta(out, args)
     print(f"wrote saturation curve(s) for {', '.join(args.regimes)} to {out}")
     return EXIT_OK
@@ -467,32 +447,25 @@ def cmd_analyze(args) -> int:
         "spec", "param", "coef", "se", "t", "p", "stars", "n_obs", "r2",
         "adj_r2", "resid_se", "df_resid", "f_stat", "skipped",
     ]
-    _write_csv(
-        out / "treatment_table.csv",
-        header,
-        [[_fmt(r.get(h, "")) for h in header] for r in rows],
-    )
+    columns = [[str(r.get(h, "")) for r in rows] for h in header]
+    _write_csv(out / "treatment_table.csv", header, columns)
 
     if with_density and 5 in feasible:
         text = _length_residuals(data, fits[5])
         (out / "length_residuals.txt").write_text(text, encoding="utf-8")
 
-    arm_rows = []
+    arm_names, variables, summaries = [], [], []
     for arm in ("control", "treatment", "overlap"):
         members = [i for i, a in enumerate(doc_arms) if a == arm]
         if not members:
             continue
         for var, column in (("fecundity", "fecundity"), ("text_length", "length")):
-            s = summary_stats([data[column][i] for i in members])
-            arm_rows.append(
-                [arm, var, _fmt(s.mean), s.n, _fmt(s.ci95_lower), _fmt(s.ci95_upper),
-                 _fmt(s.p25), _fmt(s.p75)]
-            )
-    _write_csv(
-        out / "arm_summary.csv",
-        ["arm", "variable", "mean", "n", "ci95_lower", "ci95_upper", "p25", "p75"],
-        arm_rows,
-    )
+            arm_names.append(arm)
+            variables.append(var)
+            summaries.append(summary_stats([data[column][i] for i in members]))
+    fields = ["mean", "n", "ci95_lower", "ci95_upper", "p25", "p75"]
+    _write_csv(out / "arm_summary.csv", ["arm", "variable", *fields],
+               [arm_names, variables, *([str(getattr(s, f)) for s in summaries] for f in fields)])
     _write_meta(out, args)
     print(table_text)
     return EXIT_OK
@@ -546,14 +519,8 @@ def cmd_sweep(args) -> int:
         n_budget_docs=args.budget_docs,
         value_function=ValueFunction(args.value_function),
     )
-    _write_csv(
-        out / "sweep.csv",
-        ["size", "mean_ai_density", "predicted_human_density", "normalized_pct"],
-        [
-            [p.size, _fmt(p.mean_ai_density), _fmt(p.predicted_human_density), _fmt(p.normalized_pct)]
-            for p in points
-        ],
-    )
+    header = ["size", "mean_ai_density", "predicted_human_density", "normalized_pct"]
+    _write_csv(out / "sweep.csv", header, [[str(getattr(p, h)) for p in points] for h in header])
     if args.plot:
         line_chart(
             out / "sweep.svg",

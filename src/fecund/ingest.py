@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
-import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,6 +30,7 @@ from .errors import (
 
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _WS_RUN = re.compile(r"\s+")
+_SPECIAL = re.compile(r'[,"\r\n]')  # a CSV cell holding one of these is quoted
 _CODE_COLUMNS = ("doc_id", "coder_source", "code_label")
 # Documents and codes smaller than this are parsed every time. Measured in
 # fresh processes (2-core x86-64, Python 3.11): a parse takes about 53 us per
@@ -225,9 +226,12 @@ def load_collection(
     """
     codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
     paths = [str(documents_path), *map(str, codes_paths)]
-    data = list(map(_read_bytes, paths))
+    try:
+        data = [Path(path).read_bytes() for path in paths]
+    except OSError:  # the parse opens each file in turn, so errors keep the files' order
+        data = [None] * len(paths)
     key = cached = None
-    if all(isinstance(d, bytes) for d in data) and sum(map(len, data)) >= _CACHE_FLOOR:
+    if None not in data and sum(map(len, data)) >= _CACHE_FLOOR:
         from . import _cache  # compiled only by the loads that can use it
 
         cache = Path(paths[0]).parent / ".fecund-cache"
@@ -260,11 +264,11 @@ def load_collection(
 
 def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[str, str]]:
     """The documents (``paths[0]``) and the codes of the other files, parsed
-    from their ``data``, plus the codebook entries: canonical id -> label."""
+    from their ``data`` (None: read the file), plus the codebook entries."""
     row_of: dict[str, int] = {}  # document id -> row, in file order
     lengths: list[int] = []
     source_labels: list[str | None] = []
-    for _, doc_id, length, source, _ in _read_documents(paths[0], _bytes(data[0])):
+    for _, doc_id, length, source, _ in _read_documents(paths[0], data[0]):
         row_of[doc_id] = len(lengths)
         lengths.append(length)
         source_labels.append(source)
@@ -276,7 +280,7 @@ def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[st
     parts = []  # per file: source index, document row, label id and position columns
     for path, content in zip(paths[1:], data[1:]):
         (doc_ids, sources, labels, raw_positions), line_of = _read_columns(
-            path, _CODE_COLUMNS, ("position",), _bytes(content)
+            path, _CODE_COLUMNS, ("position",), content
         )
         n = len(doc_ids)
         rows = list(map(row_of.get, doc_ids))
@@ -330,22 +334,6 @@ def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[st
         list(row_of), lengths, source_labels, list(source_of), columns, list(names)
     )
     return documents, entries
-
-
-def _read_bytes(path: str) -> bytes | OSError:
-    """The file's bytes, or the error met reading it, which the parse raises
-    when it reaches the file: errors keep the order of the files."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        return exc
-
-
-def _bytes(data: bytes | OSError) -> bytes:
-    """``data``, or the error met reading it (see ``_read_bytes``) raised."""
-    if isinstance(data, OSError):
-        raise data
-    return data
 
 
 def _first_blank(columns: Sequence[Sequence[str | None]]) -> int:
@@ -474,12 +462,25 @@ def _read_csv(
         yield line_of(k), values
 
 
-def _csv_writer(fh):
-    """A ``csv.writer`` whose rows end in \\n and which quotes a value holding
-    \\r as it quotes one holding \\n. With ``lineterminator="\\n"`` csv
-    quotes only \\n, and a bare \\r then cannot be read back."""
-    end = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
-    return csv.writer(end, lineterminator="\r\n")
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """Write a CSV file from columns of text cells: rows end in \\n, and a cell
+    holding a comma, a double quote, \\r or \\n is quoted with its quotes
+    doubled (RFC 4180, a bare \\r included), so every cell reads back.
+    Quoting is decided once per column; rows are joined 256 at a time, so a
+    large file adds little peak memory."""
+    rows = map(",".join, zip(*map(_quoted, columns)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_quoted(header)) + "\n")
+        while block := list(itertools.islice(rows, 256)):
+            fh.write("\n".join(block) + "\n")
+
+
+def _quoted(cells: Sequence[str]) -> Sequence[str]:
+    """``cells``, each quoted where ``_write_csv`` must quote it."""
+    joined = "\0".join(cells)  # NUL is not special; four `in` scans beat one regex scan
+    if not any(char in joined for char in ',"\r\n'):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _SPECIAL.search(c) else c for c in cells]
 
 
 def write_collection(
@@ -504,40 +505,23 @@ def write_collection(
     with open(documents_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("".join(lines))
     if codes_path is not None:
-        # writerow returns what its file's write returns: here, the row itself
-        row = _csv_writer(types.SimpleNamespace(write=str)).writerow
-
-        def field(value) -> str:  # quoted as csv.writer quotes it within a row
-            return row((value, ""))[:-2]  # less the empty second field and "\n"
-
-        rows, cells = [np.zeros(0, dtype=np.int64)], []
+        rows, sources, labels, positions = [np.zeros(0, dtype=np.int64)], [], [], []
         for source in sorted(documents.matrices):
             m = documents.matrices[source]
-            head = field(source) + ","
-            labels = [head + field(codebook.entries.get(label, label)) + "," for label in m.labels]
+            names = [codebook.entries.get(label, label) for label in m.labels]
             rows.append(m.doc_index())
-            cells += map(
-                str.__add__,
-                map(labels.__getitem__, m.codes.tolist()),
-                ["" if p != p else repr(p) for p in m.positions.tolist()],  # NaN: no position
-            )
+            sources += [source] * len(m.codes)
+            labels += map(names.__getitem__, m.codes.tolist())
+            positions += ["" if p != p else repr(p) for p in m.positions.tolist()]  # NaN: blank
         # by document, then by sorted source, then in instance order
         rows = np.concatenate(rows)
-        order = np.argsort(rows, kind="stable")
-        ids = [field(doc_id) + "," for doc_id in documents.ids]
-        body = map(str.__add__, map(ids.__getitem__, rows[order].tolist()),
-                   map(cells.__getitem__, order.tolist()))
-        with open(codes_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(["doc_id,coder_source,code_label,position", *body, ""]))
+        order = np.argsort(rows, kind="stable").tolist()
+        columns = [list(map(c.__getitem__, order)) for c in (sources, labels, positions)]
+        ids = list(map(documents.ids.__getitem__, rows[order].tolist()))
+        _write_csv(codes_path, (*_CODE_COLUMNS, "position"), [ids, *columns])
     if themes_path is not None and codebook.theme_map:
-        with open(themes_path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv_writer(fh)
-            writer.writerow(["code_label", "theme_label"])
-            for cid in sorted(codebook.theme_map):
-                tid = codebook.theme_map[cid]
-                writer.writerow(
-                    [
-                        codebook.entries.get(cid, cid),
-                        (codebook.themes or {}).get(tid, tid),
-                    ]
-                )
+        cids = sorted(codebook.theme_map)
+        tids = map(codebook.theme_map.__getitem__, cids)
+        themes = codebook.themes or {}
+        _write_csv(themes_path, ("code_label", "theme_label"),
+                   [[codebook.entries.get(c, c) for c in cids], [themes.get(t, t) for t in tids]])

@@ -10,7 +10,7 @@ _MARGIN = 55
 
 
 def _scale(values: Sequence[float], lo_px: float, hi_px: float):
-    vmin, vmax = min(values), max(values)
+    vmin, vmax = min(values, default=0.0), max(values, default=0.0)  # empty: empty axes
     if vmax == vmin:
         vmax = vmin + 1.0
     span = vmax - vmin

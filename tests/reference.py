@@ -36,23 +36,25 @@ iteration and the finite population correction applied step by step;
 freedom as the finite sums of Abramowitz & Stegun 26.7.3-26.7.4, and
 ``f_upper_k2`` the F tail at 2 numerator degrees of freedom;
 ``fecund.stats`` computes both through one regularized incomplete beta.
+``csv_writer`` is a ``csv.writer`` whose rows end in ``\\n``, a bare ``\\r``
+quoted as ``\\n`` is; ``fecund.ingest._write_csv``, which decides quoting
+once per column, must write the same bytes from the same cells.
 ``write_collection_rows`` writes a collection with one ``json.dumps`` per
-document and one ``csv.writer`` row per code row, a bare ``\\r`` quoted as
-``\\n`` is; ``fecund.ingest.write_collection``,
-which encodes each distinct value once and writes each file in one call,
-must write the same bytes. ``synth_corpus_choice`` draws each document's
+document and one ``csv_writer`` row per code row;
+``fecund.ingest.write_collection``, which writes columns, must write the
+same bytes. ``synth_corpus_choice`` draws each document's
 codes with ``Generator.choice(p=...)`` and ``synth_articles_loop`` picks
 words one ``int`` at a time; ``fecund.synthetic.synth_corpus`` and
 ``synth_articles`` must return equal columns and texts.
 ``read_jsonl_text`` reads a documents file as a text file, one line at a
 time; ``fecund.ingest._read_jsonl``, which reads bytes and decodes each line,
 must return the same objects on the same lines or raise the same error.
-``band_csv_rows`` writes a bootstrap curve with one ``csv.writer`` row of
+``band_csv_rows`` writes a bootstrap curve with one ``csv_writer`` row of
 ``repr`` strings per step; ``fecund.cli``'s ``saturate``, which formats each
-column in one call and writes the file as one string, must write the same
-bytes. ``superset_sweep_loop`` draws and selects every replicate at every
-size, the full set's too; ``fecund.stats.superset_sweep``, which measures a
-draw of the whole set once, must return the same floats.
+column in one call, must write the same bytes. ``superset_sweep_loop`` draws
+and selects every replicate at every size, the full set's too;
+``fecund.stats.superset_sweep``, which measures a draw of the whole set
+once, must return the same floats.
 ``experiment_corpus`` is a two-arm corpus with a planted fecundity effect,
 the one corpus whose effect is known in closed form; the regression tests
 must recover it.
@@ -63,9 +65,9 @@ from __future__ import annotations
 import ast
 import csv
 import heapq
-import io
 import json
 import math
+import types
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 from unittest import mock
@@ -711,17 +713,12 @@ def f_upper_k2(f, df):
     return (df / (df + 2 * f)) ** (df / 2)
 
 
-def _csv_row_writer(fh) -> Callable[[list], None]:
-    """Write one CSV row to ``fh`` per call, ending in "\\n", with a value that
-    holds a bare "\\r" quoted: a fresh ``csv.writer`` per row, ending rows in
-    "\\r\\n" (csv quotes only the terminator's characters), less the "\\r"."""
-
-    def writerow(values: list) -> None:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\r\n").writerow(values)
-        fh.write(buffer.getvalue()[:-2] + "\n")
-
-    return writerow
+def csv_writer(fh):
+    """A ``csv.writer`` whose rows end in \\n and which quotes a value holding
+    \\r as it quotes one holding \\n. With ``lineterminator="\\n"`` csv
+    quotes only \\n, and a bare \\r then cannot be read back."""
+    end = types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+    return csv.writer(end, lineterminator="\r\n")
 
 
 def write_collection_rows(
@@ -756,14 +753,14 @@ def write_collection_rows(
         rows = np.concatenate(rows)
         order = np.argsort(rows, kind="stable").tolist()
         with open(codes_path, "w", encoding="utf-8", newline="") as fh:
-            writerow = _csv_row_writer(fh)
+            writerow = csv_writer(fh).writerow
             writerow(["doc_id", "coder_source", "code_label", "position"])
             ids = documents.ids
             for r, i in zip(rows[order].tolist(), order):
                 writerow([ids[r], *cells[i]])
     if themes_path is not None and codebook.theme_map:
         with open(themes_path, "w", encoding="utf-8", newline="") as fh:
-            writerow = _csv_row_writer(fh)
+            writerow = csv_writer(fh).writerow
             writerow(["code_label", "theme_label"])
             for cid in sorted(codebook.theme_map):
                 tid = codebook.theme_map[cid]
@@ -781,7 +778,7 @@ def band_csv_rows(path, band: BootstrapBand) -> None:
     retained = len(band.lo95)
     columns = (band.mean_chars, band.mean_count, band.lo95, band.hi95)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writerow = _csv_row_writer(fh)
+        writerow = csv_writer(fh).writerow
         writerow(["step", "mean_chars", "mean_count", "lo95", "hi95"])
         for step, *cells in zip(range(1, retained + 1), *(c[:retained].tolist() for c in columns)):
             writerow([step, *map(repr, cells)])

@@ -570,6 +570,8 @@ _CASE_FILES = {
     "manifest-repeat.csv": "reading_index,doc_id\n1,doc-00\n2,doc-00\n",
     "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
     "manifest.csv": "reading_index,doc_id\n1,doc-00\n2,doc-01\n",
+    "manifest-empty.csv": "reading_index,doc_id\n",
+    "manifest-one.csv": "reading_index,doc_id\n1,doc-00\n",
     "experiment.csv": "doc_id,round,old_random\ndoc-00,1,false\ndoc-01,x,false\n",
     "experiment-old-random.csv": "doc_id,round,old_random\ndoc-00,1,TRUE\ndoc-01,1,\ndoc-02,1,1\n",
     "codes-long-label.csv": "doc_id,coder_source,code_label\ndoc-00,human," + "x" * 200_000 + "\n",
@@ -585,6 +587,7 @@ _CASE_FILES = {
         f'{{"id": "d{i}", "text_length": {2**62}}}\n' for i in range(3)
     ),
     "codes-d0.csv": "doc_id,coder_source,code_label\nd0,human,x\n",
+    "one-doc.jsonl": '{"id": "d0", "text_length": 100}\n',
     "seed-negative.toml": "seed = -3\n",
     # the id on line 2 escapes a lone surrogate, which no UTF-8 output can hold
     "docs-surrogate.jsonl": (
@@ -781,6 +784,24 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "--bootstrap requires --seed",
     ),
+    "bootstrap-empty-order": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--bootstrap", "--iterations", "5",
+         "--order", "{tmp}/manifest-empty.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-empty.csv: --bootstrap needs at least 2 documents, got 0",
+    ),
+    "bootstrap-one-document-order": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--bootstrap", "--iterations", "5",
+         "--order", "{tmp}/manifest-one.csv"],
+        EXIT_DATA,
+        "{tmp}/manifest-one.csv: --bootstrap needs at least 2 documents, got 1",
+    ),
+    "bootstrap-one-document": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--bootstrap", "--iterations", "5",
+         "--docs", "{tmp}/one-doc.jsonl", "--codes", "{tmp}/codes-d0.csv"],
+        EXIT_DATA,
+        "{tmp}/one-doc.jsonl: --bootstrap needs at least 2 documents, got 1",
+    ),
     "positions-window-zero": (
         ["saturate", "--coder-source", "human", "--seed", "1", "--positions",
          "--positions-window", "0"],
@@ -944,6 +965,22 @@ def test_a_carriage_return_in_an_id_survives_the_manifest(tmp_path):
     manifest = tmp_path / "sel" / "manifest.csv"
     assert "d0\rx" in [row["doc_id"] for row in _read_csv(manifest)]
     assert run("saturate", *data, "--order", manifest, "--out", tmp_path / "sat") == EXIT_OK
+
+
+def test_saturate_plots_an_empty_order(corpus_dir, tmp_path):
+    """A budget no document fits gives a header-only manifest; saturate on it
+    writes a header-only curve and draws empty axes."""
+    data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+            "--coder-source", "human"]
+    assert run("select", *data, "--seed", 1, "--budget-chars", 1, "--control-docs", 0,
+               "--out", tmp_path / "sel") == EXIT_OK
+    manifest = tmp_path / "sel" / "manifest.csv"
+    assert manifest.read_text(encoding="utf-8") == "reading_index,doc_id\n"
+    out = tmp_path / "sat"
+    assert run("saturate", *data, "--order", manifest, "--plot", "--out", out) == EXIT_OK
+    curve = (out / "curve_unique.csv").read_text(encoding="utf-8")
+    assert curve == "step,doc_id,cumulative_chars,cumulative_count\n"
+    assert '<polyline points=""' in (out / "curve_unique.svg").read_text(encoding="utf-8")
 
 
 # generator flag out of range -> the message argparse prints; each exits 2

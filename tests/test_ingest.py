@@ -20,6 +20,7 @@ from fecund.ingest import (
     _read_columns,
     _read_jsonl,
     _uniform_records,
+    _write_csv,
     canonicalize_code,
     load_articles,
     load_collection,
@@ -28,7 +29,7 @@ from fecund.ingest import (
 )
 from fecund.synthetic import synth_corpus
 
-from reference import collection, read_jsonl_text, write_collection_rows
+from reference import collection, csv_writer, read_jsonl_text, write_collection_rows
 
 
 # --- split_passages -------------------------------------------------------
@@ -676,6 +677,40 @@ def test_write_collection_matches_row_writer_byte_for_byte(tmp_path, written):
         assert got.exists() == want.exists()
         if want.exists():
             assert got.read_bytes() == want.read_bytes()
+
+
+# the characters that force quoting, NUL, CRLF as one piece, empty cells and
+# any other character outside the surrogates
+_CSV_CELLS = st.lists(
+    st.one_of(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\x00", "é", "x"]),
+              st.characters(exclude_categories=("Cs",))),
+    max_size=5,
+).map("".join)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A header of 2-5 distinct cells and as many columns of 0-30 cells each."""
+    width, height = draw(st.integers(2, 5)), draw(st.integers(0, 30))
+    header = draw(st.lists(_CSV_CELLS, min_size=width, max_size=width, unique=True))
+    column = st.lists(_CSV_CELLS, min_size=height, max_size=height)
+    return header, draw(st.lists(column, min_size=width, max_size=width))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_csv_tables())
+def test_write_csv_matches_the_csv_writer_and_reads_back(tmp_path, table):
+    """``_write_csv`` writes what a ``csv.writer`` with the same quoting rule
+    writes row by row, and ``_read_columns`` reads every cell back."""
+    header, columns = table
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_csv(got, header, columns)
+    with open(want, "w", encoding="utf-8", newline="") as fh:
+        writer = csv_writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+    assert got.read_bytes() == want.read_bytes()
+    assert _read_columns(got, tuple(header))[0] == columns
 
 
 def test_write_collection_of_an_empty_collection(tmp_path):
