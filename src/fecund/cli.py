@@ -98,12 +98,6 @@ def _write_meta(out: Path, args) -> None:
     )
 
 
-def _reprs(values: list[float]) -> list[str]:
-    """``list(map(repr, values))`` in one C call: a list's repr joins its
-    items' reprs with ", ", which no float's repr holds."""
-    return repr(values)[1:-1].split(", ") if values else []
-
-
 def _load(args):
     codes = [p for p in (args.codes or "").split(",") if p]
     return load_collection(args.docs, codes or None, getattr(args, "themes", None))
@@ -337,7 +331,7 @@ def cmd_saturate(args) -> int:
         )
         retained = len(bands[0].lo95)
         x = bands[0].mean_chars[:retained].tolist()  # every band holds this one array
-        lead = [steps[:retained], _reprs(x)]
+        lead = [steps[:retained], list(map(repr, x))]
     for i, regime in enumerate(regimes):
         kind = regime.kind
         path = out / f"curve_{kind}.csv"
@@ -345,7 +339,7 @@ def cmd_saturate(args) -> int:
             band = bands[i]
             y, lo, hi = (c[:retained].tolist() for c in (band.mean_count, band.lo95, band.hi95))
             header = ["step", "mean_chars", "mean_count", "lo95", "hi95"]
-            _write_csv(path, header, [*lead, *map(_reprs, (y, lo, hi))])
+            _write_csv(path, header, [*lead, *(list(map(repr, c)) for c in (y, lo, hi))])
             shaded, title = (lo, hi), f"Cumulative {kind} (bootstrap mean, 95% band)"
         else:
             curve = cumulative_curve(order, regime, args.coder_source, codebook=codebook)

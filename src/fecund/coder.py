@@ -14,13 +14,12 @@ and reproducibly.
 from __future__ import annotations
 
 import ast
-import copy
 import json
 import os
 import re
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, takewhile
 from string import Template
@@ -172,9 +171,9 @@ class PromptTemplate:
     text: str
 
     @cached_property
-    def _split(self) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
-        """The text, split once by ``Template.pattern``, as literal runs and the
-        placeholder names between them (one more literal than names); None
+    def _split(self) -> tuple[str, tuple[tuple[str, str], ...]] | None:
+        """The text, split once by ``Template.pattern``, as its leading literal
+        run and each placeholder name with the literal run after it; None
         when the text holds an invalid ``$``."""
         literals, names, literal, start = [], [], "", 0
         for match in Template.pattern.finditer(self.text):
@@ -190,22 +189,23 @@ class PromptTemplate:
             else:
                 return None
         literals.append(literal + self.text[start:])
-        return tuple(literals), tuple(names)
+        return literals[0], tuple(zip(names, literals[1:]))
 
     @cached_property
     def placeholders(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self._split[1] if self._split else ())))
+        return tuple(sorted({name for name, _ in self._split[1]} if self._split else ()))
 
-    def render(self, **bindings: str) -> str:
-        """Substitute placeholders verbatim (no escaping), as
-        ``Template.substitute`` does."""
+    def render(self, bindings) -> str:
+        """Substitute placeholders from a mapping verbatim (no escaping), as
+        ``Template.substitute`` does: one join of the split text, which copies
+        each literal run where a ``%`` format would scan it."""
         split = self._split
         try:
             if split is None:  # substitute raises the invalid placeholder's error
                 return Template(self.text).substitute(bindings)
-            literals, names = split
-            pieces = [literals[0]]
-            for name, literal in zip(names, literals[1:]):
+            first, pairs = split
+            pieces = [first]
+            for name, literal in pairs:
                 pieces.append(str(bindings[name]))
                 pieces.append(literal)
         except KeyError as exc:
@@ -229,9 +229,9 @@ ROUND1_CHAIN = ("round1",)
 CHAINS = {"socratic": SOCRATIC_CHAIN, "fewshot": FEWSHOT_CHAIN, "round1": ROUND1_CHAIN}
 
 
-def render_prompt(template: str | PromptTemplate, bindings: dict[str, str]) -> str:
+def render_prompt(template: str | PromptTemplate, bindings) -> str:
     tpl = TEMPLATES[template] if isinstance(template, str) else template
-    return tpl.render(**bindings)
+    return tpl.render(bindings)
 
 
 # --- responses ------------------------------------------------------------
@@ -269,16 +269,11 @@ _DICT_REGION = re.compile(r"\{.*\}", re.DOTALL)
 # a double-quoted string (kept as it is) or a bare Python name outside one
 _PYTHON_NAME = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")|\b(True|False|None)\b', re.DOTALL)
 _JSON_NAME = {"True": "true", "False": "false", "None": "null"}
+_decode = json.JSONDecoder().decode  # json.loads of a str, without its checks
 
 
 def _json_names(match: re.Match) -> str:
     return match.group(1) or _JSON_NAME[match.group(2)]
-
-
-def _loads_python_names(region: str):
-    """``region`` as JSON once its bare ``True``/``False``/``None`` are spelled
-    ``true``/``false``/``null``."""
-    return json.loads(_PYTHON_NAME.sub(_json_names, region))
 
 
 def _normalize_valence(value) -> str | None:
@@ -295,24 +290,27 @@ def _extract_dict(raw: str) -> list[tuple[str, object]]:
     """The first dictionary-shaped region of a reply, in JSON or Python literal
     syntax, as (lowercased key, value) pairs.
 
-    The region is read as JSON; failing that, as JSON with its bare Python
-    names (outside double-quoted strings) spelled as JSON's, which covers
-    the prompts' "python dictionary format" at JSON's cost; and only then as
-    a Python literal (single quotes, Python escapes, trailing commas). JSON
-    reads escapes as meant where Python would not (``\\/`` is ``/``, an
-    escaped surrogate pair is one character). Every reply of every chain
-    step is read here, so a reply that parses at one step parses at all of
-    them.
+    The region is decoded once as JSON, its bare Python names (outside
+    double-quoted strings) first spelled as JSON's when it holds any, which
+    covers the prompts' "python dictionary format" at JSON's cost; and only
+    if that fails it is read as a Python literal (single quotes, Python
+    escapes, trailing commas). A region JSON reads has no bare name to
+    spell. JSON reads escapes as meant where Python would not (``\\/`` is
+    ``/``, an escaped surrogate pair is one character). Every reply of every
+    chain step is read here, so a reply that parses at one step parses at
+    all of them.
     """
     match = _DICT_REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
     region = match.group(0)
-    for parser in (json.loads, _loads_python_names, ast.literal_eval):
+    named = "True" in region or "False" in region or "None" in region
+    try:
+        obj = _decode(_PYTHON_NAME.sub(_json_names, region) if named else region)
+    except (ValueError, RecursionError):
         try:
-            obj = parser(region)
-            break
-        except Exception:
+            obj = ast.literal_eval(region)
+        except Exception:  # SyntaxError, ValueError, RecursionError, MemoryError ...
             obj = None
     if not isinstance(obj, dict):
         raise ResponseParseError("dictionary-shaped region failed to parse", raw)
@@ -399,6 +397,7 @@ class MockCoder:
         self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
         self._plan: dict[Passage, tuple[list[str], list[str]]] = {}  # see plan
+        self._last: tuple[Passage | None, tuple] = (None, ())  # the passage last looked up
         self._replies: dict[str, str] = {}  # code -> its coding reply
 
     def _digest(self, passage: Passage) -> int:
@@ -428,12 +427,16 @@ class MockCoder:
             [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
         ))
         self._plan = {p: (self._flags(p), list(islice(codes, n))) for p, n in zip(passages, counts)}
+        self._last = (None, ())
 
     def _planned(self, passage: Passage) -> tuple[list[str], list[str]]:
-        """The passage's triage flags and slot codes; one not planned is planned alone."""
-        if passage not in self._plan:
-            self.plan([passage])
-        return self._plan[passage]
+        """The passage's triage flags and slot codes; one not planned is planned
+        alone. A repeat ask about the last passage is matched by identity."""
+        if passage is not self._last[0]:
+            if passage not in self._plan:
+                self.plan([passage])
+            self._last = (passage, self._plan[passage])
+        return self._last[1]
 
     def n_slots(self, passage: Passage) -> int:
         return len(self._planned(passage)[1])
@@ -589,14 +592,15 @@ def passage_key(passage: Passage) -> str:
 
 @dataclass
 class _ChainState:
-    """What one code slot carries from step to step; prompts bind its fields."""
+    """What one code slot carries from step to step; prompts bind its fields
+    (``vars`` of the state is each prompt's bindings), all immutable values."""
 
     excerpt: str
     summary: str
     relevant: str
     precode: str = "None"
     note: str = ""
-    flags: list[str] = field(default_factory=list)
+    flags: tuple[str, ...] = ()
     level: str = "Yes"
     reason: str = ""
     response: CodeResponse = CodeResponse()
@@ -609,17 +613,17 @@ def _verdict(value) -> str:
 def _read_caption(state: _ChainState, raw: str) -> None:
     reply = _extract_dict(raw)
     if _pick(reply, "disclaimer"):
-        state.flags.append(CRITERIA_DISCLAIMER)
+        state.flags += (CRITERIA_DISCLAIMER,)
     if _pick(reply, "caption"):
-        state.flags.append(CRITERIA_CAPTION)
+        state.flags += (CRITERIA_CAPTION,)
 
 
 def _read_topic(state: _ChainState, raw: str) -> None:
     reply = _extract_dict(raw)
     if _verdict(_pick(reply, "refugee")) == "No":
-        state.flags.append(CRITERIA_NOT_REFUGEES)
+        state.flags += (CRITERIA_NOT_REFUGEES,)
     if _verdict(_pick(reply, "malaysia")) == "No":
-        state.flags.append(CRITERIA_NOT_MALAYSIA)
+        state.flags += (CRITERIA_NOT_MALAYSIA,)
 
 
 def _read_confidence(state: _ChainState, raw: str) -> None:
@@ -656,17 +660,21 @@ _STEPS: dict[str, tuple[Callable | None, Callable[[_ChainState, str], None], boo
 }
 
 
-def _walk(
-    state: _ChainState, passage: Passage, backend, steps: Sequence[str], slot: int
-) -> None:
-    for step in steps:
-        if step not in _STEPS:
-            raise ValueError(f"unknown chain step {step!r}")
-        note, read, _ = _STEPS[step]
+def _chain_steps(chain: Sequence[str]) -> list[tuple]:
+    """Each step of ``chain`` with its note builder, template and reply reader."""
+    if unknown := [step for step in chain if step not in _STEPS]:
+        raise ValueError(f"unknown chain step {unknown[0]!r}")
+    return [(step, _STEPS[step][0], TEMPLATES[step], _STEPS[step][1]) for step in chain]
+
+
+def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple], slot: int) -> None:
+    """Walk ``steps`` (from ``_chain_steps``) for one slot. Prompts are
+    rendered and replies parsed through the module's names, so a wrapper set
+    on the module sees every call."""
+    for step, note, template, read in steps:
         if note is not None:
             state.note = note(state)
-        bindings = {name: getattr(state, name) for name in TEMPLATES[step].placeholders}
-        read(state, backend.respond(step, render_prompt(step, bindings), passage, slot))
+        read(state, backend.respond(step, render_prompt(template, vars(state)), passage, slot))
 
 
 # Passages a backend's ``plan`` hook draws for at once (``MockCoder.plan``):
@@ -698,8 +706,9 @@ def code_passages(
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
     ordered = sorted(passages, key=passage_key)
-    head = tuple(takewhile(lambda step: step in _STEPS and _STEPS[step][2], template_chain))
-    tail = template_chain[len(head):]
+    steps = _chain_steps(template_chain)
+    n_head = len(tuple(takewhile(lambda step: _STEPS[step][2], template_chain)))
+    head, tail = steps[:n_head], steps[n_head:]
 
     def work(passage: Passage) -> tuple[str, list[CodeResponse], str | None]:
         key = passage_key(passage)
@@ -714,8 +723,7 @@ def code_passages(
             if n_slots:
                 _walk(state, passage, backend, head, 0)
             for slot in range(n_slots):
-                branch = copy.copy(state)
-                branch.flags = list(state.flags)
+                branch = _ChainState(**vars(state))  # the slot's own copy
                 _walk(branch, passage, backend, tail, slot)
                 responses.append(branch.response)
         except TransportError as exc:

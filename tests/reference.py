@@ -23,7 +23,10 @@ the same prompts and return the same responses for every reply these accept.
 ``read_dict`` reads a reply's dictionary region in the library's three
 steps, with ``python_names_as_json`` respelling Python's bare names by a
 walk over the characters; ``fecund.coder._extract_dict`` must read the same
-pairs.
+pairs. ``extract_dict_three_parsers`` tries JSON, then JSON with the names
+respelled by a regex, then a Python literal, one after the other;
+``fecund.coder._extract_dict``, which decodes once and respells only a
+region holding a name, must read the same pairs and refuse the same replies.
 ``code_passages_per_slot`` codes a batch with every slot walking the whole
 chain, triage included; ``fecund.coder.code_passages``, which triages each
 passage once, must return an equal ``CodingRun``.
@@ -67,6 +70,7 @@ import csv
 import heapq
 import json
 import math
+import re
 import types
 from collections import Counter
 from typing import Callable, Iterable, Sequence
@@ -85,6 +89,7 @@ from fecund.coder import (
     CodingRun,
     MockCoder,
     _ChainState,
+    _chain_steps,
     _normalize_valence,
     _walk,
     flag_note,
@@ -495,6 +500,41 @@ def read_dict(region: str):
     return None
 
 
+_REGION = re.compile(r"\{.*\}", re.DOTALL)
+# a double-quoted string (kept as it is) or a bare Python name outside one
+_PYTHON_NAME = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")|\b(True|False|None)\b', re.DOTALL)
+_JSON_NAME = {"True": "true", "False": "false", "None": "null"}
+
+
+def _json_names(match: re.Match) -> str:
+    return match.group(1) or _JSON_NAME[match.group(2)]
+
+
+def _loads_python_names(region: str):
+    """``region`` as JSON once its bare ``True``/``False``/``None`` are spelled
+    ``true``/``false``/``null``."""
+    return json.loads(_PYTHON_NAME.sub(_json_names, region))
+
+
+def extract_dict_three_parsers(raw: str) -> list[tuple[str, object]]:
+    """The first dictionary-shaped region of a reply, read by each parser in
+    turn until one succeeds: JSON, JSON with its bare Python names spelled,
+    then a Python literal."""
+    match = _REGION.search(raw)
+    if not match:
+        raise ResponseParseError("no dictionary-shaped region in reply", raw)
+    region = match.group(0)
+    for parser in (json.loads, _loads_python_names, ast.literal_eval):
+        try:
+            obj = parser(region)
+            break
+        except Exception:
+            obj = None
+    if not isinstance(obj, dict):
+        raise ResponseParseError("dictionary-shaped region failed to parse", raw)
+    return [(str(key).lower(), value) for key, value in obj.items()]
+
+
 def parse_response_branches(raw: str) -> CodeResponse:
     match = _DICT_REGION.search(raw)
     if not match:
@@ -605,7 +645,7 @@ def run_chain(
 ) -> CodeResponse:
     """One slot's walk through the whole chain."""
     state = _ChainState(excerpt=passage.text, summary=summary, relevant=fewshot)
-    _walk(state, passage, backend, chain, slot)
+    _walk(state, passage, backend, _chain_steps(chain), slot)
     return state.response
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib
+import io
 import json
 import textwrap
 from collections import Counter
@@ -7,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import run_python
+from hypothesis import example, given, settings, strategies as st
 from reference import band_csv_rows
 
 from fecund import cli, coder, ingest, saturation
@@ -950,6 +953,72 @@ def test_bad_input_with_every_load_cached(corpus_dir, tmp_path, capsys, monkeypa
     _, expected, message = _BAD_INPUTS[case]
     if expected == EXIT_USAGE or message.startswith(("{tmp}/docs-", "{tmp}/codes-")):
         assert not list(tmp_path.rglob(".fecund-cache"))
+
+
+# documents.jsonl lines for `code`: objects with ids, texts and lengths of
+# any JSON type, lines that are not objects, and bytes that are not UTF-8
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**4), st.floats(allow_nan=False),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_texts = st.text(st.sampled_from("ab \n\r\u0000\ud800é難"), max_size=300)
+_documents = st.builds(
+    lambda doc_id, text, length, keys: {
+        k: v for k, v in {"id": doc_id, "text": text, "text_length": length}.items() if k in keys
+    },
+    st.one_of(st.text(st.sampled_from("d0\u0000\ud800\r"), max_size=4), _json_values),
+    st.one_of(_texts, _json_values),
+    st.one_of(st.integers(0, 400), _json_values, st.text(max_size=3)),
+    st.sets(st.sampled_from(["id", "text", "text_length"])),
+)
+_good_documents = st.builds(
+    lambda i, text: {"id": f"d{i}", "text": text, "text_length": len(text)},
+    st.integers(0, 9), _texts,
+)
+_bad_lines = st.one_of(
+    st.tuples(_documents, st.booleans()).map(
+        # with ensure_ascii a lone surrogate is an escape; without it, invalid UTF-8
+        lambda d: json.dumps(d[0], ensure_ascii=d[1]).encode("utf-8", "surrogatepass")
+    ),
+    st.sampled_from([b"", b"[1, 2]", b'"text"', b"42", b"null", b'{"id": "d0"', b"{}",
+                     b"\xff\xfe", b'{"id": "d\xe9"}', b"\x00"]),
+    st.binary(max_size=12),
+)
+
+
+def _documents_file(bom, good, bad, at, newline, last):
+    lines = [json.dumps(d).encode() for d in good]
+    return bom + newline.join(lines[:at] + bad + lines[at:]) + last
+
+
+# well-formed documents, now and then with one bad line among them
+_documents_files = st.builds(
+    _documents_file,
+    st.sampled_from([b"", b"", b"", b"\xef\xbb\xbf"]),
+    st.lists(_good_documents, max_size=4, unique_by=lambda d: d["id"]),
+    st.one_of(st.just([]), _bad_lines.map(lambda line: [line])),
+    st.integers(0, 4),
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.sampled_from([b"", b"\n", b"\r\n"]),
+)
+
+
+@given(data=_documents_files)
+@example(data=b'\xef\xbb\xbf{"id": "d0", "text": "a b", "text_length": 3}\r\n')
+@example(data=b'{"id": "d0", "text": "\\u0000 aid", "text_length": 5}\n')
+@example(data=b'{"id": "d0", "text": "\xff"}\n[1]\n')
+@settings(max_examples=200, deadline=None)
+def test_code_exits_with_a_documented_code_on_any_documents_file(tmp_path_factory, data):
+    """`code` reads any documents.jsonl bytes to a documented exit code,
+    never a traceback."""
+    root = tmp_path_factory.mktemp("code-fuzz")
+    (root / "documents.jsonl").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run("code", "--docs", root / "documents.jsonl", "--seed", "1",
+                   "--min-passage-len", "1", "--out", root / "out")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_DATA, EXIT_REMOTE)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_a_carriage_return_in_an_id_survives_the_manifest(tmp_path):

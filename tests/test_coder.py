@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import re
 from collections import Counter
@@ -34,7 +35,8 @@ from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError
 from fecund.ingest import Passage
 from fecund.synthetic import zipf_probabilities
 from reference import (
-    code_passages_per_slot, mock_draw_choice, read_dict, run_chain, run_chain_branches,
+    code_passages_per_slot, extract_dict_three_parsers, mock_draw_choice, read_dict, run_chain,
+    run_chain_branches,
 )
 
 
@@ -129,19 +131,19 @@ def test_render_matches_template_substitute(name, bindings):
 def test_split_render_matches_template_substitute(text, bindings, drop):
     bindings = {k: v for k, v in bindings.items() if k not in drop}
     tpl = PromptTemplate("custom", text)
-    assert substitute_outcome(lambda: tpl.render(**bindings)) == substitute_outcome(
+    assert substitute_outcome(lambda: tpl.render(bindings)) == substitute_outcome(
         lambda: Template(text).substitute(bindings)
     )
 
 
 def test_render_errors_match_substitute():
     with pytest.raises(PromptBindingError, match="'note' in template 'custom'"):
-        PromptTemplate("custom", "a ${note} b").render(excerpt="E")
+        PromptTemplate("custom", "a ${note} b").render({"excerpt": "E"})
     for text in ("cost: $5 for $excerpt", "trailing $", "${excerpt"):
         with pytest.raises(ValueError) as raised:
             Template(text).substitute(excerpt="E")
         with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
-            PromptTemplate("custom", text).render(excerpt="E")
+            PromptTemplate("custom", text).render({"excerpt": "E"})
     # an escaped dollar names no placeholder
     assert PromptTemplate("custom", "$$excerpt ${note}").placeholders == ("note",)
 
@@ -376,10 +378,16 @@ quoted = st.lists(
     max_size=5,
 ).map(lambda parts: '"' + "".join(parts) + '"')
 bare = st.sampled_from(["True", "False", "None", "null", "true", "1", "-2", "'s'", "Nones", "xNone"])
-region_soups = st.lists(
-    st.tuples(st.one_of(quoted, bare), st.one_of(quoted, bare), st.sampled_from([",", ", ", ",,"])),
-    max_size=4,
-).map(lambda items: "{" + "".join(f"{k}: {v}{sep}" for k, v, sep in items).rstrip(",") + "}")
+
+
+def soups(pieces):
+    """Dictionary regions of key: value pairs drawn from ``pieces``."""
+    return st.lists(
+        st.tuples(pieces, pieces, st.sampled_from([",", ", ", ",,"])), max_size=4
+    ).map(lambda items: "{" + "".join(f"{k}: {v}{sep}" for k, v, sep in items).rstrip(",") + "}")
+
+
+region_soups = soups(st.one_of(quoted, bare))
 
 
 @given(region_soups)
@@ -396,6 +404,47 @@ def test_extract_dict_matches_character_walk_oracle(region):
     assert _typed(_extract_dict(region)) == _typed(
         (str(key).lower(), value) for key, value in expected.items()
     )
+
+
+single_quoted = st.lists(
+    st.sampled_from(["None", "True", "False", " ", "x", '"', "\\'", "\\n"]), max_size=4
+).map(lambda parts: "'" + "".join(parts) + "'")
+# a value nested d deep; past about 1,000 JSON raises RecursionError and a
+# Python literal refuses it too
+nested = st.builds(
+    lambda depth, brackets, value: brackets[0] * depth + value + brackets[1] * depth,
+    st.sampled_from([1, 2, 50, 500, 1001, 1500, 4000]),
+    st.sampled_from([('{"a": ', "}"), ("[", "]"), ("{'a': [", "]}")]),
+    st.one_of(quoted, bare, single_quoted),
+)
+around = st.text(max_size=8)  # prose around the region, braces included
+
+
+@given(
+    before=around,
+    region=st.one_of(region_soups, soups(st.one_of(quoted, bare, single_quoted)),
+                     soups(st.one_of(quoted, nested))),
+    after=around,
+)
+@example(before="", region="{'a': 'None', 'b': None, \"c\": 'True'}", after="")
+@example(before="", region='{"a": "True", "b": "say \\"False\\""}', after="")
+@example(before="Sure! Here it is: ", region='{"1. Theme": None}', after=" Hope that helps.")
+@example(before="", region='{"a": ' * 1200 + "None" + "}" * 1200, after="")
+@example(before="", region="{'a': " + "[" * 1001 + "]" * 1001 + "}", after="")
+@settings(max_examples=400)
+@python_escape_warning
+def test_extract_dict_matches_three_parser_oracle(before, region, after):
+    """Decoding once reads every reply as trying JSON, then JSON with the
+    names respelled, then a Python literal, did; refusals included."""
+    raw = before + region + after
+    try:
+        expected = extract_dict_three_parsers(raw)
+    except ResponseParseError as exc:
+        with pytest.raises(ResponseParseError) as raised:
+            _extract_dict(raw)
+        assert (str(raised.value), raised.value.raw) == (str(exc), exc.raw)
+        return
+    assert repr(_extract_dict(raw)) == repr(expected)  # repr tells True from 1 at any depth
 
 
 # --- mock backend --------------------------------------------------------------
@@ -911,6 +960,36 @@ def test_passage_level_steps_are_asked_once_per_passage(monkeypatch):
     assert Counter(backend.asked) == +expected
     n_coded = sum(n > 0 for n in slots.values())
     assert len(backend.asked) == 3 * n_coded + 2 * sum(slots.values())
+
+
+def test_mock_batch_decodes_once_per_reply_and_renders_once_per_prompt(monkeypatch):
+    """Call counts, not time: each reply is decoded once, each prompt rendered
+    once, each coding reply parsed once, and no slot state is copied by
+    ``copy.copy``."""
+    markers = ["", "Photo: ", "The views expressed are the author's. "]
+    passages = [
+        passage(markers[i % 3] + "y" * n, article=f"p{n}")
+        for i, n in enumerate(range(1, 2400, 150))
+    ]
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((coder_module, "_decode"), (copy, "copy"),
+                         (coder_module, "render_prompt"), (coder_module, "parse_response")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    backend = RecordingBackend(MockCoder(seed=8), min_slots=0)
+    run = code_passages(passages, backend, SOCRATIC_CHAIN)
+    asked = Counter(step for step, _, _ in backend.asked)
+    assert run.results and not run.errors and asked["triage_caption"] and asked["socratic_code"]
+    assert calls["_decode"] == len(backend.asked)
+    assert calls["copy"] == 0
+    assert calls["render_prompt"] == len(backend.prompts)
+    assert calls["parse_response"] == asked["socratic_code"] + asked["summary_reassess"]
 
 
 # --- remote backend ---------------------------------------------------------------
