@@ -19,12 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import fecundity, summary_stats
-from .errors import (
-    CollectionFormatError,
-    FecundError,
-    RankDeficiencyError,
-    TransportError,
-)
+from .errors import CollectionFormatError, FecundError, TransportError
 from .ingest import (
     _read_csv, _write_csv, load_articles, load_collection, split_passages, write_collection,
 )
@@ -42,8 +37,9 @@ _LAZY = {
         "SelectionBudget", "ValueFunction", "interleave_blinded", "select_greedy", "select_random",
     ),
     "stats": (
-        "QuadraticMap", "fit_quadratic", "format_treatment_table", "length_residual_check",
-        "superset_sweep", "treatment_table", "treatment_table_rows",
+        "ROUND_CONSTANT", "QuadraticMap", "arm_data", "arm_summaries", "fit_quadratic",
+        "format_treatment_table", "length_residual_check", "superset_sweep", "treatment_table",
+        "treatment_table_rows",
     ),
     "svgplot": ("line_chart",),
     "synthetic": ("synth_articles", "synth_corpus"),
@@ -405,61 +401,19 @@ def cmd_analyze(args) -> int:
         message = f"no row for manifest document {unassigned!r}"
         raise CollectionFormatError(message, args.unblinding)
 
-    doc_arms = [arms[doc_id] for doc_id in ordered.ids]
-    given = [extra.get(doc_id, (0.0, False)) for doc_id in ordered.ids]
-    data: dict[str, list] = {
-        "fecundity": fecundity(ordered, args.outcome_source).tolist(),
-        "ai_selected": [1.0 if arm in ("treatment", "overlap") else 0.0 for arm in doc_arms],
-        "index": [float(i) for i in range(1, len(ordered) + 1)],
-        "length": ordered.lengths.astype(float).tolist(),
-        "overlap": [arm == "overlap" for arm in doc_arms],
-        "old_random": [old_random for _, old_random in given],
-        "round": [round_ for round_, _ in given],
-        "ai_density": [],
-    }
+    outcome = fecundity(ordered, args.outcome_source)
     with_density = bool(args.density_source) and args.density_source in ordered.matrices
-    if with_density:
-        data["ai_density"] = fecundity(ordered, args.density_source).tolist()
+    density = fecundity(ordered, args.density_source) if with_density else None
+    data = arm_data(ordered, arms, outcome, density, extra)
 
-    feasible = [1, 2, 3, 6]
-    fits: dict[int, object] = {}
-    if len(set(data["round"])) > 1:
-        feasible += [4, 5]
-    else:
-        fits[4] = "round has no variation in the provided data"
-        fits[5] = "round has no variation in the provided data"
-    for spec_no in feasible:
-        try:
-            fits.update(treatment_table(data, specs=(spec_no,)))
-        except (RankDeficiencyError, ValueError) as exc:
-            fits[spec_no] = str(exc)
-
+    fits = treatment_table(data)
     table_text = format_treatment_table(fits)
     (out / "treatment_table.txt").write_text(table_text, encoding="utf-8")
-    rows = treatment_table_rows(fits)
-    header = [
-        "spec", "param", "coef", "se", "t", "p", "stars", "n_obs", "r2",
-        "adj_r2", "resid_se", "df_resid", "f_stat", "skipped",
-    ]
-    columns = [[str(r.get(h, "")) for r in rows] for h in header]
-    _write_csv(out / "treatment_table.csv", header, columns)
-
-    if with_density and 5 in feasible:
+    _write_csv(out / "treatment_table.csv", *treatment_table_rows(fits))
+    if with_density and fits[5] != ROUND_CONSTANT:  # the check extends specification 5
         text = _length_residuals(data, fits[5])
         (out / "length_residuals.txt").write_text(text, encoding="utf-8")
-
-    arm_names, variables, summaries = [], [], []
-    for arm in ("control", "treatment", "overlap"):
-        members = [i for i, a in enumerate(doc_arms) if a == arm]
-        if not members:
-            continue
-        for var, column in (("fecundity", "fecundity"), ("text_length", "length")):
-            arm_names.append(arm)
-            variables.append(var)
-            summaries.append(summary_stats([data[column][i] for i in members]))
-    fields = ["mean", "n", "ci95_lower", "ci95_upper", "p25", "p75"]
-    _write_csv(out / "arm_summary.csv", ["arm", "variable", *fields],
-               [arm_names, variables, *([str(getattr(s, f)) for s in summaries] for f in fields)])
+    _write_csv(out / "arm_summary.csv", *arm_summaries(data))
     _write_meta(out, args)
     print(table_text)
     return EXIT_OK
@@ -471,7 +425,7 @@ def _length_residuals(data: dict[str, list], spec5) -> str:
         return f"skipped: {spec5}\n"
     try:
         check = length_residual_check(data)
-    except (RankDeficiencyError, ValueError) as exc:
+    except ValueError as exc:  # RankDeficiencyError among them
         return f"skipped: {exc}\n"
     lines = [
         f"stage-1 R2 (length on AI density): {check.stage1.r2:.3f}",

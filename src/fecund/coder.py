@@ -265,11 +265,12 @@ class CodeResponse:
         )
 
 
-_DICT_REGION = re.compile(r"\{.*\}", re.DOTALL)
 # a double-quoted string (kept as it is) or a bare Python name outside one
 _PYTHON_NAME = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")|\b(True|False|None)\b', re.DOTALL)
 _JSON_NAME = {"True": "true", "False": "false", "None": "null"}
-_decode = json.JSONDecoder().decode  # json.loads of a str, without its checks
+_decode = json.JSONDecoder().raw_decode  # the JSON value a str starts with, and its end
+# a Python string literal or comment, read whole, or a brace outside one
+_LITERAL_TOKEN = re.compile(r"""((['"])\2\2|['"])(?:\\.|(?!\1)[^\\])*\1|#[^\n]*|[{}]""", re.DOTALL)
 
 
 def _json_names(match: re.Match) -> str:
@@ -290,31 +291,44 @@ def _extract_dict(raw: str) -> list[tuple[str, object]]:
     """The first dictionary-shaped region of a reply, in JSON or Python literal
     syntax, as (lowercased key, value) pairs.
 
-    The region is decoded once as JSON, its bare Python names (outside
-    double-quoted strings) first spelled as JSON's when it holds any, which
-    covers the prompts' "python dictionary format" at JSON's cost; and only
-    if that fails it is read as a Python literal (single quotes, Python
-    escapes, trailing commas). A region JSON reads has no bare name to
-    spell. JSON reads escapes as meant where Python would not (``\\/`` is
-    ``/``, an escaped surrogate pair is one character). Every reply of every
-    chain step is read here, so a reply that parses at one step parses at
-    all of them.
+    The reply is decoded once as JSON from its first ``{``, its bare Python
+    names (outside double-quoted strings) first spelled as JSON's when it
+    holds any, which covers the prompts' "python dictionary format" at
+    JSON's cost; the decoder stops where the dictionary ends, so prose after
+    it may hold braces. Only if that fails is the region up to the brace
+    that closes the first ``{`` (braces in Python strings and comments do
+    not count) read as a Python literal (single quotes, Python escapes,
+    trailing commas). A dictionary JSON reads has no bare name to spell.
+    JSON reads escapes as meant where Python would not (``\\/`` is ``/``,
+    an escaped surrogate pair is one character). Every reply of every chain
+    step is read here, so a reply that parses at one step parses at all of
+    them.
     """
-    match = _DICT_REGION.search(raw)
-    if not match:
+    start = raw.find("{")
+    if start < 0 or raw.find("}", start) < 0:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
-    region = match.group(0)
-    named = "True" in region or "False" in region or "None" in region
+    tail = raw[start:]
+    named = "True" in tail or "False" in tail or "None" in tail
     try:
-        obj = _decode(_PYTHON_NAME.sub(_json_names, region) if named else region)
+        obj = _decode(_PYTHON_NAME.sub(_json_names, tail) if named else tail)[0]
     except (ValueError, RecursionError):
         try:
-            obj = ast.literal_eval(region)
+            obj = ast.literal_eval(_literal_region(tail))
         except Exception:  # SyntaxError, ValueError, RecursionError, MemoryError ...
             obj = None
     if not isinstance(obj, dict):
         raise ResponseParseError("dictionary-shaped region failed to parse", raw)
     return [(str(key).lower(), value) for key, value in obj.items()]
+
+
+def _literal_region(text: str) -> str:
+    """``text`` up to the brace that closes the ``{`` it starts with."""
+    depth = 0
+    for token in _LITERAL_TOKEN.finditer(text):
+        depth += {"{": 1, "}": -1}.get(token.group(), 0)
+        if not depth:
+            return text[: token.end()]
+    raise ValueError("unclosed dictionary")
 
 
 def _pick(reply: list[tuple[str, object]], needle: str, default=None):

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Collection
+from .corpus import Collection, summary_stats
 from .errors import MissingVariableError, RankDeficiencyError, SampleSizeError
 from .selection import SQRT, SelectionBudget, ValueFunction, select_greedy
 
@@ -237,11 +237,8 @@ TREATMENT_SPECS: dict[int, dict] = {
     2: {"regressors": ("ai_selected",), "sample": "with_overlap", "weights": None},
     3: {"regressors": ("ai_selected", "index", "index_sq"), "sample": "base", "weights": None},
     4: {"regressors": ("ai_selected", "round"), "sample": "all", "weights": None},
-    5: {
-        "regressors": ("ai_selected", "round", "index", "index_sq"),
-        "sample": "all",
-        "weights": None,
-    },
+    5: {"regressors": ("ai_selected", "round", "index", "index_sq"), "sample": "all",
+        "weights": None},
     6: {"regressors": ("ai_selected",), "sample": "base", "weights": "length"},
 }
 
@@ -280,18 +277,67 @@ def _design(
     return columns, RegressionSpec("fecundity", layout["regressors"], layout["weights"])
 
 
-def treatment_table(
-    data: Mapping[str, Sequence], specs: Sequence[int] = (1, 2, 3, 4, 5, 6)
-) -> dict[int, RegressionFit]:
-    """Fit the six treatment-effect specifications.
+ROUND_CONSTANT = "round has no variation in the provided data"
+
+
+def arm_data(
+    docs: Collection,
+    arms: Mapping[str, str],
+    outcome: Sequence[float],
+    density: Sequence[float] | None = None,
+    experiment: Mapping[str, tuple[float, bool]] | None = None,
+) -> dict[str, list]:
+    """The analysis table, one row per document of ``docs`` in reading order.
+
+    ``arms`` maps each id to treatment, control or overlap; ``outcome`` and
+    ``density`` give each row's fecundity and AI code density (no
+    ``ai_density`` column without it); ``experiment`` maps an id to its
+    (round, old_random), which is (0.0, False) for an id it lacks.
+    """
+    docs = Collection.of(docs)
+    arm = [arms[doc_id] for doc_id in docs.ids]
+    experiment = experiment or {}
+    given = [experiment.get(doc_id, (0.0, False)) for doc_id in docs.ids]
+    data = {
+        "fecundity": np.asarray(outcome, dtype=float).tolist(),
+        "ai_selected": [1.0 if a in ("treatment", "overlap") else 0.0 for a in arm],
+        "index": [float(i) for i in range(1, len(docs) + 1)],
+        "length": docs.lengths.astype(float).tolist(),
+        "overlap": [a == "overlap" for a in arm],
+        "old_random": [old_random for _, old_random in given],
+        "round": [round_ for round_, _ in given],
+        "arm": arm,
+    }
+    if density is not None:
+        data["ai_density"] = np.asarray(density, dtype=float).tolist()
+    return data
+
+
+def treatment_table(data: Mapping[str, Sequence]) -> dict[int, RegressionFit | str]:
+    """Fit the six treatment-effect specifications, each to a fit or to the
+    reason it was skipped.
 
     ``data`` is a column mapping with, per document: fecundity,
     ai_selected (0/1), index (reading order), round (0/1 dummy), length,
     overlap (in both arms' selections) and old_random (carried over from
     the earlier round). Uncentered index and index-squared are used for
-    the order controls.
+    the order controls. A specification with a round regressor is skipped
+    (``ROUND_CONSTANT``) when round does not vary, and one whose fit fails,
+    rank deficient or with too few observations, with the error's message;
+    a missing column raises ``MissingVariableError``.
     """
-    return {spec_no: ols(*_design(data, spec_no)) for spec_no in specs}
+    fits: dict[int, RegressionFit | str] = {}
+    for spec_no, layout in TREATMENT_SPECS.items():
+        needs_round = "round" in layout["regressors"]
+        if needs_round and len(set(_column(data, "round", spec_no).tolist())) < 2:
+            fits[spec_no] = ROUND_CONSTANT
+            continue
+        columns, spec = _design(data, spec_no)
+        try:
+            fits[spec_no] = ols(columns, spec)
+        except ValueError as exc:  # RankDeficiencyError among them
+            fits[spec_no] = str(exc)
+    return fits
 
 
 @dataclass(frozen=True)
@@ -355,105 +401,83 @@ def format_treatment_table(fits: Mapping[int, RegressionFit | str]) -> str:
     column with that reason.
     """
     spec_nos = sorted(fits)
+    fitted = {n: fit for n, fit in fits.items() if isinstance(fit, RegressionFit)}
     params = ["const", "ai_selected", "round", "index", "index_sq", "length_resid"]
-    used = [
-        p
-        for p in params
-        if any(
-            isinstance(f, RegressionFit) and p in f.param_names for f in fits.values()
-        )
-    ]
+    used = [p for p in params if any(p in fit.param_names for fit in fitted.values())]
     header = ["", *[f"({n})" for n in spec_nos]]
     rows: list[list[str]] = [header]
     for param in used:
-        top = [_PARAM_LABELS.get(param, param)]
-        bottom = [""]
+        top, bottom = [_PARAM_LABELS.get(param, param)], [""]
         for n in spec_nos:
-            fit = fits[n]
-            if isinstance(fit, RegressionFit) and param in fit.param_names:
-                top.append(f"{fit.coefficients[param]:.3f}{fit.stars(param)}")
-                bottom.append(f"({fit.standard_errors[param]:.3f})")
-            else:
-                top.append("")
-                bottom.append("")
-        rows.append(top)
-        rows.append(bottom)
-
-    def stat_row(label: str, fn) -> list[str]:
-        out = [label]
-        for n in spec_nos:
-            fit = fits[n]
-            out.append(fn(fit, n) if isinstance(fit, RegressionFit) else "skipped")
-        return out
-
-    rows.append(stat_row("Observations", lambda f, n: str(f.n_obs)))
-    rows.append(stat_row("R2", lambda f, n: f"{f.r2:.3f}"))
-    rows.append(stat_row("Adjusted R2", lambda f, n: f"{f.adj_r2:.3f}"))
-    rows.append(
-        stat_row(
-            "Residual Std. Error",
-            lambda f, n: f"{f.residual_std_error:.3f} (df={f.df_resid})",
-        )
+            fit = fitted.get(n)
+            shown = fit is not None and param in fit.param_names
+            top.append(f"{fit.coefficients[param]:.3f}{fit.stars(param)}" if shown else "")
+            bottom.append(f"({fit.standard_errors[param]:.3f})" if shown else "")
+        rows += [top, bottom]
+    statistics = (
+        ("Observations", lambda f: str(f.n_obs)),
+        ("R2", lambda f: f"{f.r2:.3f}"),
+        ("Adjusted R2", lambda f: f"{f.adj_r2:.3f}"),
+        ("Residual Std. Error", lambda f: f"{f.residual_std_error:.3f} (df={f.df_resid})"),
+        ("F Statistic", lambda f: f"{f.f_statistic:.3f}{_f_stars(f)} (df={f.f_df[0]}; {f.f_df[1]})"),
     )
-    rows.append(
-        stat_row(
-            "F Statistic",
-            lambda f, n: f"{f.f_statistic:.3f}{_f_stars(f)} (df={f.f_df[0]}; {f.f_df[1]})",
-        )
-    )
-    layouts = {
-        n: TREATMENT_SPECS[n] for n in spec_nos if n in TREATMENT_SPECS
-    }
-    flag_rows = (
+    for label, cell in statistics:
+        rows.append([label, *(cell(fitted[n]) if n in fitted else "skipped" for n in spec_nos)])
+    layouts = {n: TREATMENT_SPECS[n] for n in spec_nos if n in TREATMENT_SPECS}
+    flags = (
         ("Overlap selected Articles", lambda l: l["sample"] != "base"),
         ("Old random articles", lambda l: l["sample"] == "all"),
         ("Article order controls", lambda l: "index" in l["regressors"]),
         ("Weighted by article length", lambda l: l["weights"] is not None),
     )
-    for label, judge in flag_rows:
-        row = [label]
-        for n in spec_nos:
-            row.append(str(judge(layouts[n])) if n in layouts else "")
-        rows.append(row)
+    for label, judge in flags:
+        rows.append([label, *(str(judge(layouts[n])) if n in layouts else "" for n in spec_nos)])
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    lines.append("")
-    lines.append("Note: *p<0.1; **p<0.05; ***p<0.01")
-    skipped = [n for n in spec_nos if isinstance(fits[n], str)]
-    for n in skipped:
-        lines.append(f"Specification ({n}) skipped: {fits[n]}")
+    lines += ["", "Note: *p<0.1; **p<0.05; ***p<0.01"]
+    lines += [f"Specification ({n}) skipped: {fits[n]}" for n in spec_nos if n not in fitted]
     return "\n".join(lines) + "\n"
 
 
-def treatment_table_rows(fits: Mapping[int, RegressionFit | str]) -> list[dict]:
-    """Tidy per-parameter rows (for CSV export)."""
+_ROW_STATS = ("coef", "se", "t", "p", "stars", "n_obs", "r2", "adj_r2", "resid_se",
+              "df_resid", "f_stat")
+
+
+def treatment_table_rows(fits: Mapping[int, RegressionFit | str]) -> tuple[list[str], list[list[str]]]:
+    """``treatment_table.csv``'s header and text columns: a row per fitted
+    parameter, and one per skipped specification that holds its reason."""
     rows = []
     for n in sorted(fits):
         fit = fits[n]
         if isinstance(fit, str):
-            rows.append({"spec": n, "param": "", "skipped": fit})
+            rows.append([n, "", *[""] * len(_ROW_STATS), fit])
             continue
         for param in fit.param_names:
-            rows.append(
-                {
-                    "spec": n,
-                    "param": param,
-                    "coef": fit.coefficients[param],
-                    "se": fit.standard_errors[param],
-                    "t": fit.t_stats[param],
-                    "p": fit.p_values[param],
-                    "stars": fit.stars(param),
-                    "n_obs": fit.n_obs,
-                    "r2": fit.r2,
-                    "adj_r2": fit.adj_r2,
-                    "resid_se": fit.residual_std_error,
-                    "df_resid": fit.df_resid,
-                    "f_stat": fit.f_statistic,
-                    "skipped": "",
-                }
-            )
-    return rows
+            rows.append([
+                n, param, fit.coefficients[param], fit.standard_errors[param],
+                fit.t_stats[param], fit.p_values[param], fit.stars(param), fit.n_obs,
+                fit.r2, fit.adj_r2, fit.residual_std_error, fit.df_resid, fit.f_statistic, "",
+            ])
+    header = ["spec", "param", *_ROW_STATS, "skipped"]
+    return header, [[str(row[i]) for row in rows] for i in range(len(header))]
+
+
+def arm_summaries(data: Mapping[str, Sequence]) -> tuple[list[str], list[list[str]]]:
+    """``arm_summary.csv``'s header and text columns: the fecundity and text
+    length summaries of each arm present in ``arm_data``'s table."""
+    fields = ["mean", "n", "ci95_lower", "ci95_upper", "p25", "p75"]
+    arms, variables, summaries = [], [], []
+    for arm in ("control", "treatment", "overlap"):
+        members = [i for i, a in enumerate(data["arm"]) if a == arm]
+        if not members:
+            continue
+        for variable, column in (("fecundity", "fecundity"), ("text_length", "length")):
+            arms.append(arm)
+            variables.append(variable)
+            summaries.append(summary_stats([data[column][i] for i in members]))
+    columns = ([str(getattr(s, f)) for s in summaries] for f in fields)
+    return ["arm", "variable", *fields], [arms, variables, *columns]
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,6 @@ import numpy as np
 
 from fecund import selection
 from fecund.coder import (
-    _DICT_REGION,
     CRITERIA_CAPTION,
     CRITERIA_DISCLAIMER,
     CRITERIA_NOT_MALAYSIA,
@@ -536,7 +535,7 @@ def extract_dict_three_parsers(raw: str) -> list[tuple[str, object]]:
 
 
 def parse_response_branches(raw: str) -> CodeResponse:
-    match = _DICT_REGION.search(raw)
+    match = _REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in reply", raw)
     obj = read_dict(match.group(0))
@@ -682,7 +681,7 @@ def code_passages_per_slot(
 
 
 def parse_bool_dict(raw: str) -> dict[str, bool]:
-    match = _DICT_REGION.search(raw)
+    match = _REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in triage reply", raw)
     obj = ast.literal_eval(match.group(0))
@@ -697,7 +696,7 @@ def parse_bool_dict(raw: str) -> dict[str, bool]:
 
 
 def parse_yes_no_dict(raw: str) -> dict[str, str]:
-    match = _DICT_REGION.search(raw)
+    match = _REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in relevance reply", raw)
     obj = ast.literal_eval(match.group(0))
@@ -711,7 +710,7 @@ def parse_yes_no_dict(raw: str) -> dict[str, str]:
 
 
 def parse_relevance(raw: str) -> tuple[str, str]:
-    match = _DICT_REGION.search(raw)
+    match = _REGION.search(raw)
     if not match:
         raise ResponseParseError("no dictionary-shaped region in confidence reply", raw)
     obj = ast.literal_eval(match.group(0))

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import csv
 import filecmp
 import math
 import time
@@ -21,7 +22,10 @@ from fecund.selection import (
     objective,
     select_greedy,
 )
-from fecund.stats import IDENTITY_MAP, RegressionSpec, ols, superset_sweep, treatment_table
+from fecund.ingest import load_collection
+from fecund.stats import (
+    IDENTITY_MAP, RegressionSpec, arm_data, ols, superset_sweep, treatment_table,
+)
 from fecund.synthetic import synth_corpus
 
 from conftest import make_doc
@@ -302,7 +306,7 @@ def test_09_paper_mimicking_simulation():
             "overlap": [False] * n,
             "old_random": [False] * n,
         }
-        fit = treatment_table(data, specs=(1,))[1]
+        fit = treatment_table(data)[1]
         if fit.coefficients["ai_selected"] > 0 and fit.p_values["ai_selected"] < 0.05:
             significant += 1
         lo, hi = fit.ci95("ai_selected")
@@ -394,6 +398,37 @@ def test_11_end_to_end_determinism(tmp_path):
     assert differing == [], f"files differ between runs: {differing}"
     golden.check("test_11", tmp_path / "run_a")
     report(11, f"{len(rel_a)} pipeline output files byte-identical across two runs")
+
+
+def _csv_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def test_11_treatment_table_refits_in_process(tmp_path):
+    """``treatment_table(arm_data(...))`` on the pipeline's files gives every
+    coefficient, standard error and p-value cell of its ``treatment_table.csv``
+    (a cell is the float's repr), and the same skipped specifications."""
+    _run_pipeline(tmp_path)
+    corpus, coded, sel = (tmp_path / n for n in ("corpus", "coded", "sel"))
+    docs, _ = load_collection(corpus / "documents.jsonl",
+                              [corpus / "codes.csv", coded / "ai_codes.csv"])
+    row_of = {doc_id: i for i, doc_id in enumerate(docs.ids)}
+    ordered = docs.take([row_of[r["doc_id"]] for r in _csv_rows(sel / "manifest.csv")])
+    arms = {r["doc_id"]: r["arm"] for r in _csv_rows(sel / "unblinding.csv")}
+    data = arm_data(ordered, arms, fecundity(ordered, "human"), fecundity(ordered, "ai"))
+    fits = treatment_table(data)
+    rows = _csv_rows(tmp_path / "ana" / "treatment_table.csv")
+    assert sorted({int(r["spec"]) for r in rows}) == sorted(fits)
+    for row in rows:
+        fit = fits[int(row["spec"])]
+        if not row["param"]:
+            assert fit == row["skipped"]
+            continue
+        param = row["param"]
+        cells = (fit.coefficients[param], fit.standard_errors[param], fit.p_values[param])
+        assert (row["coef"], row["se"], row["p"]) == tuple(map(repr, cells))
+    assert sum(bool(r["param"]) for r in rows) > 0
 
 
 # 12 ---------------------------------------------------------------------------

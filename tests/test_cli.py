@@ -15,7 +15,6 @@ from reference import band_csv_rows
 from fecund import cli, coder, ingest, saturation
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
-from fecund.errors import RankDeficiencyError
 from fecund.ingest import load_collection
 from fecund.saturation import BootstrapBand, CountingRegime, cumulative_curve
 
@@ -443,20 +442,12 @@ def test_analyze_reads_blank_round_as_zero(corpus_dir, tmp_path):
 
 
 @pytest.mark.parametrize("spec5_fits", [True, False])
-def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, monkeypatch, spec5_fits):
+def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, spec5_fits):
     """AI density 0 in every manifest document leaves the residual check's
     first stage rank deficient, and the check extends specification 5, so
-    it is skipped when that is: either way the check is reported skipped,
-    and analyze still writes every file and exits 0."""
-    if not spec5_fits:
-        real = cli.treatment_table
-
-        def failing_spec5(data, specs):
-            if specs == (5,):
-                raise RankDeficiencyError(["round"])
-            return real(data, specs=specs)
-
-        monkeypatch.setattr(cli, "treatment_table", failing_spec5)
+    it is skipped when that is (a round equal to the reading index is
+    collinear with its order control): either way the check is reported
+    skipped, and analyze still writes every file and exits 0."""
     corpus = tmp_path / "corpus"
     assert run("synth", "--out", corpus, "--seed", 5, "--n-docs", 50, "--with-text") == EXIT_OK
     sel = tmp_path / "sel"
@@ -471,7 +462,7 @@ def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, monkeyp
     ai_codes = tmp_path / "ai_codes.csv"
     ai_codes.write_text(f"doc_id,coder_source,code_label,position\n{outside},ai,c1,0.5\n")
     experiment = tmp_path / "experiment.csv"
-    rows = [f"{doc_id},{i % 3},false" for i, doc_id in enumerate(ids)]
+    rows = [f"{doc_id},{i % 3 if spec5_fits else i + 1},false" for i, doc_id in enumerate(ids)]
     experiment.write_text("doc_id,round,old_random\n" + "\n".join(rows) + "\n")
     ana = tmp_path / "ana"
     assert run(
@@ -480,12 +471,12 @@ def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, monkeyp
         "--unblinding", sel / "unblinding.csv", "--outcome-source", "human",
         "--density-source", "ai", "--experiment", experiment, "--out", ana,
     ) == EXIT_OK
-    column = "ai_density" if spec5_fits else "round"
+    columns = ["ai_density"] if spec5_fits else ["round", "index"]
     assert (ana / "length_residuals.txt").read_text() == (
-        f"skipped: design matrix is rank deficient; collinear columns: ['{column}']\n"
+        f"skipped: design matrix is rank deficient; collinear columns: {columns}\n"
     )
     fitted = {r["spec"] for r in _read_csv(ana / "treatment_table.csv") if r["param"]}
-    assert ("5" in fitted) == spec5_fits
+    assert fitted == {"1", "2", "3", "4", "6"} | ({"5"} if spec5_fits else set())
     assert (ana / "arm_summary.csv").exists()
 
 
@@ -1335,15 +1326,17 @@ def test_command_loads_only_its_layers(corpus_dir, tmp_path, command):
         import fecund.cli
         print(json.dumps(loaded()))
         code = fecund.cli.main(sys.argv[1:])
-        print(json.dumps([code, loaded(), "concurrent.futures" in sys.modules]))
+        scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+        print(json.dumps([code, loaded(), "concurrent.futures" in sys.modules, scipy]))
         """
     )
     proc = run_python(script, *_every_command(corpus_dir, tmp_path)[command])
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()[:2]]
-    code, layers, threads = json.loads(proc.stdout.splitlines()[-1])
+    code, layers, threads, scipy = json.loads(proc.stdout.splitlines()[-1])
     assert lines == [[], []]
     assert (code, layers) == (EXIT_OK, _COMMAND_LAYERS[command])
+    assert scipy == []  # scipy is a test oracle, never a run-time import
     if command == "code":  # only a remote run with --max-in-flight > 1 uses threads
         assert not threads
 

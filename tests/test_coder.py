@@ -7,7 +7,7 @@ from string import Template
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fecund import coder as coder_module
 from fecund.coder import (
@@ -417,7 +417,11 @@ nested = st.builds(
     st.sampled_from([('{"a": ', "}"), ("[", "]"), ("{'a': [", "]}")]),
     st.one_of(quoted, bare, single_quoted),
 )
-around = st.text(max_size=8)  # prose around the region, braces included
+# prose around the region: the three parsers read from the first brace to
+# the last, so they agree with the first dictionary only with no brace after it
+around = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="{}"), max_size=8
+)
 
 
 @given(
@@ -445,6 +449,56 @@ def test_extract_dict_matches_three_parser_oracle(before, region, after):
         assert (str(raised.value), raised.value.raw) == (str(exc), exc.raw)
         return
     assert repr(_extract_dict(raw)) == repr(expected)  # repr tells True from 1 at any depth
+
+
+# strings holding braces, quotes, backslashes and comment signs
+tricky_text = st.text(st.sampled_from("{}'\"#\\\n xé"), max_size=6) | st.text(max_size=6)
+literal_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | tricky_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(tricky_text, inner, max_size=3),
+    max_leaves=6,
+)
+# (reply, the dictionary it renders, or None to take the parse of the reply)
+readable_replies = st.one_of(
+    st.builds(
+        lambda before, d, render: (before + render(d), d),
+        around,
+        st.dictionaries(tricky_text, literal_values, max_size=4),
+        st.sampled_from([repr, json.dumps]),
+    ),
+    st.builds(lambda before, region: (before + region, None), around, region_soups),
+)
+# prose after the dictionary, braces, quotes and comment signs included
+trailing_prose = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(["{", "}", "{key: value}", "'", '"', "'''", "#", "\\", "None", "\n"]),
+    ),
+    min_size=1,
+    max_size=6,
+).map("".join)
+
+
+@given(rendered=readable_replies, prose=trailing_prose)
+@example(rendered=('{"1. Theme": "Camp access"}', {"1. Theme": "Camp access"}),
+         prose=" (I used the format {key: value} as asked.)")
+@example(rendered=("{'a': 1, # it's }\n 'b': '}'}", {"a": 1, "b": "}"}), prose="'}")
+@example(rendered=("{'1. Theme': 'x',}", None), prose="}")  # unreadable while read to the last }
+@settings(max_examples=400)
+@python_escape_warning
+def test_prose_after_a_readable_reply_leaves_its_parse(rendered, prose):
+    """A rendered dictionary reads back as itself, and prose after a readable
+    reply, braces included, leaves its parse unchanged."""
+    reply, d = rendered
+    if d is None:
+        try:
+            expected = _extract_dict(reply)
+        except ResponseParseError:
+            assume(False)
+    else:
+        expected = [(str(key).lower(), value) for key, value in d.items()]
+        assert repr(_extract_dict(reply)) == repr(expected)
+    assert repr(_extract_dict(reply + prose)) == repr(expected)
 
 
 # --- mock backend --------------------------------------------------------------
@@ -897,7 +951,7 @@ class SlottedBackend(OneBadPassage):
         return self.slots[passage.index]
 
 
-UNREADABLE = ["no dictionary here", "{'1. Theme': 'x',}}", "{" + "z" * 250 + "}", '{"1. Theme": "\\ud800"}']
+UNREADABLE = ["no dictionary here", "{'1. Theme': 'x',,}", "{" + "z" * 250 + "}", '{"1. Theme": "\\ud800"}']
 
 
 @given(

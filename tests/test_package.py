@@ -28,7 +28,7 @@ EXPORTS = {
     ),
     "stats": (
         "IDENTITY_MAP", "QuadraticMap", "RegressionFit", "RegressionSpec", "SweepPoint",
-        "corpus_code_density", "fit_quadratic", "length_residual_check", "ols",
+        "arm_data", "corpus_code_density", "fit_quadratic", "length_residual_check", "ols",
         "superset_sweep", "treatment_table",
     ),
 }

@@ -10,11 +10,16 @@ from fecund.errors import MissingVariableError, RankDeficiencyError, SampleSizeE
 from fecund.stats import (
     IDENTITY_MAP,
     QuadraticMap,
+    ROUND_CONSTANT,
+    TREATMENT_SPECS,
+    RegressionFit,
     RegressionSpec,
     _beta_tail,
     _f_stars,
     _p_two_sided,
     _stars,
+    arm_data,
+    arm_summaries,
     corpus_code_density,
     fit_quadratic,
     format_treatment_table,
@@ -22,6 +27,7 @@ from fecund.stats import (
     ols,
     superset_sweep,
     treatment_table,
+    treatment_table_rows,
 )
 from fecund.synthetic import synth_corpus
 
@@ -317,7 +323,7 @@ def sim_table(
 
 def test_treatment_spec1_recovers_effect():
     data = sim_table(seed=2024)
-    fit = treatment_table(data, specs=(1,))[1]
+    fit = treatment_table(data)[1]
     lo, hi = fit.ci95("ai_selected")
     assert lo <= 1.3 <= hi
     assert fit.n_obs == 48
@@ -327,7 +333,7 @@ def test_treatment_zero_effect_size_check():
     hits = 0
     for seed in range(500):
         data = sim_table(seed=seed, effect=0.0)
-        fit = treatment_table(data, specs=(1,))[1]
+        fit = treatment_table(data)[1]
         if abs(fit.t_stats["ai_selected"]) < 1.96:
             hits += 1
     assert hits >= 450  # |t| < 1.96 in at least 90% of seeds
@@ -335,7 +341,7 @@ def test_treatment_zero_effect_size_check():
 
 def test_order_controls_leave_effect_stable():
     data = sim_table(seed=77)
-    fits = treatment_table(data, specs=(1, 3))
+    fits = treatment_table(data)
     delta = abs(fits[1].coefficients["ai_selected"] - fits[3].coefficients["ai_selected"])
     assert delta < 0.2
     assert fits[3].param_names == ("const", "ai_selected", "index", "index_sq")
@@ -371,7 +377,7 @@ def test_planted_effect_recovered_within_two_se():
             "overlap": [False] * n,
             "old_random": [False] * n,
         }
-        fit = treatment_table(data, specs=(1,))[1]
+        fit = treatment_table(data)[1]
         if abs(fit.coefficients["ai_selected"] - planted) <= 2 * fit.standard_errors["ai_selected"]:
             hits += 1
     assert hits >= 0.95 * n_seeds
@@ -381,9 +387,57 @@ def test_treatment_missing_variable_names_spec():
     data = sim_table(seed=1)
     del data["round"]
     with pytest.raises(MissingVariableError) as err:
-        treatment_table(data, specs=(4,))
+        treatment_table(data)
     assert err.value.variable == "round"
     assert err.value.spec == 4
+
+
+@pytest.mark.parametrize("n_old_random", [0, 4])
+def test_round_specifications_are_skipped_exactly_when_round_is_constant(n_old_random):
+    """Old random documents carry round 1, so with none round is constant."""
+    fits = treatment_table(sim_table(seed=3, n_old_random=n_old_random))
+    skipped = {n for n, fit in fits.items() if isinstance(fit, str)}
+    with_round = {n for n, layout in TREATMENT_SPECS.items() if "round" in layout["regressors"]}
+    assert skipped == (set() if n_old_random else with_round)
+    assert all(fits[n] == ROUND_CONSTANT for n in skipped)
+    assert sorted(fits) == sorted(TREATMENT_SPECS)
+
+
+def test_a_failing_fit_is_skipped_with_its_reason():
+    data = sim_table(seed=4, n_old_random=4)
+    data["round"] = data["index"]  # collinear with the order control of (5)
+    fits = treatment_table(data)
+    assert fits[5] == "design matrix is rank deficient; collinear columns: ['round', 'index']"
+    assert all(isinstance(fits[n], RegressionFit) for n in (1, 2, 3, 4, 6))
+    header, columns = treatment_table_rows(fits)
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    assert [r for r in rows if r["spec"] == "5"] == [
+        dict.fromkeys(header, "") | {"spec": "5", "skipped": fits[5]}
+    ]
+
+
+def test_arm_data_builds_the_table_in_reading_order():
+    docs = collection([make_doc(f"d{i}", ["a"], length=100 * (i + 1)) for i in range(4)])
+    arms = {"d0": "control", "d1": "treatment", "d2": "overlap", "d3": "control"}
+    data = arm_data(docs, arms, [0.5, 1.5, 2.5, 3.5], experiment={"d3": (1.0, True)})
+    assert data == {
+        "fecundity": [0.5, 1.5, 2.5, 3.5],
+        "ai_selected": [0.0, 1.0, 1.0, 0.0],
+        "index": [1.0, 2.0, 3.0, 4.0],
+        "length": [100.0, 200.0, 300.0, 400.0],
+        "overlap": [False, False, True, False],
+        "old_random": [False, False, False, True],
+        "round": [0.0, 0.0, 0.0, 1.0],
+        "arm": ["control", "treatment", "overlap", "control"],
+    }
+    assert arm_data(docs, arms, [0.0] * 4, density=[1, 2, 3, 4])["ai_density"] == [
+        1.0, 2.0, 3.0, 4.0
+    ]
+    header, (names, variables, means, counts, *_) = arm_summaries(data)
+    assert header == ["arm", "variable", "mean", "n", "ci95_lower", "ci95_upper", "p25", "p75"]
+    assert names == ["control", "control", "treatment", "treatment", "overlap", "overlap"]
+    assert variables == ["fecundity", "text_length"] * 3
+    assert (means, counts) == (["2.0", "250.0", "1.5", "200.0", "2.5", "300.0"], ["2", "2", "1", "1", "1", "1"])
 
 
 def test_format_table_renders_stars_note():
@@ -422,7 +476,7 @@ def test_length_residuals_orthogonal_density_matches_spec5():
     data = _with_density(data, rng.normal(3, 1, len(data["fecundity"])))
     result = length_residual_check(data)
     assert result.stage1.r2 < 0.15
-    spec5 = treatment_table(data, specs=(5,))[5]
+    spec5 = treatment_table(data)[5]
     assert result.fit.coefficients["ai_selected"] == pytest.approx(
         spec5.coefficients["ai_selected"], abs=0.25
     )
