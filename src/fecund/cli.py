@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import fecundity, summary_stats
-from .errors import CollectionFormatError, FecundError, TransportError
+from .errors import CodeCountError, CollectionFormatError, FecundError, TransportError
 from .ingest import (
     _read_csv, _write_csv, load_articles, load_collection, split_passages, write_collection,
 )
@@ -166,7 +166,7 @@ def _load_summaries(path: str | None) -> dict[str, str]:
 
 
 def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict[str, str]:
-    if not clusters_path or not exemplars_path:
+    if not clusters_path:  # cmd_code refuses one of the pair without the other
         return {}
     exemplars: dict[str, list[str]] = {}
     for _, (cluster_id, code_label) in _read_csv(exemplars_path, ("cluster_id", "code_label")):
@@ -179,6 +179,11 @@ def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict
 
 
 def cmd_code(args) -> int:
+    if bool(args.clusters) != bool(args.exemplars):  # the few-shot context needs both
+        missing = "--exemplars" if args.clusters else "--clusters"
+        print(f"error: --clusters and --exemplars go together; {missing} is missing",
+              file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(args)
     articles = load_articles(args.docs)
     passages = [
@@ -210,13 +215,12 @@ def cmd_code(args) -> int:
                 max_in_flight=args.max_in_flight,
             )
         )
-    run = code_passages(
-        passages,
-        backend,
-        CHAINS[args.chain],
-        summaries=summaries,
-        fewshot_context=_load_fewshot(args.clusters, args.exemplars),
-    )
+    context = _load_fewshot(args.clusters, args.exemplars)
+    try:
+        run = code_passages(passages, backend, CHAINS[args.chain], summaries, context)
+    except CodeCountError as exc:
+        print(f"error: --codes-per-kchar {args.codes_per_kchar:g}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     by_key = {passage_key(p): p for p in passages}
     article_len = {a.id: len(a.full_text) for a in articles}
     ids, labels, positions = [], [], []

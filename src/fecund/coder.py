@@ -25,8 +25,10 @@ from itertools import islice, takewhile
 from string import Template
 from typing import Callable, Iterator, Sequence
 
-from .corpus import _seeded_generators
-from .errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
+from .corpus import _first_draws
+from .errors import (
+    CodeCountError, PromptBindingError, RateLimitError, ResponseParseError, TransportError,
+)
 from .ingest import Passage, _encodable as _encodable_text
 from .synthetic import zipf_cdf
 
@@ -419,8 +421,7 @@ class MockCoder:
         return int.from_bytes(passage_id.encode("utf-8")[-4:], "big")
 
     def _codes(self, rows: list[tuple[int, int, int]]) -> list[str]:
-        streams = _seeded_generators(rows)
-        return [self.vocab[bisect_right(self._cdf, rng.random())] for rng in streams]
+        return [self.vocab[bisect_right(self._cdf, u)] for u in _first_draws(rows)]
 
     def plan(self, passages: Sequence[Passage]) -> None:
         """Draw the slot count and the codes of every passage at once, and
@@ -430,13 +431,20 @@ class MockCoder:
         A passage's slot count comes from the stream ``default_rng([seed,
         digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
         s + 1])``, where the digest is the last 4 bytes of "article:index".
-        All of them are seeded in bulk (``corpus._seeded_generators``).
+        Each takes only its first draws (``corpus._first_draws``).
         """
         digests = list(map(self._digest, passages))
-        counts = [
-            int(min(6, rng.poisson(self.mean_codes_per_kchar * len(p.text) / 1000.0)))
-            for p, rng in zip(passages, _seeded_generators([(self.seed, d, 0) for d in digests]))
-        ]
+        lams = [self.mean_codes_per_kchar * len(p.text) / 1000.0 for p in passages]
+        try:
+            counts = _first_draws([(self.seed, d, 0) for d in digests], lams)
+        except ValueError:
+            for p, lam in zip(passages, lams):  # numpy's refusal names no passage
+                try:
+                    _first_draws([()], [lam])
+                except ValueError as exc:
+                    raise CodeCountError(f"passage {passage_key(p)} expects {lam:g} codes, "
+                                         f"which numpy's Poisson sampler refuses: {exc}") from None
+            raise
         codes = iter(self._codes(
             [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
         ))

@@ -274,7 +274,7 @@ def summary_stats(values: Sequence[float]) -> SummaryStats:
 
 
 # numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -288,33 +288,84 @@ def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Gene
     One generator is yielded again for every row, its state set to the row's:
     take a row's draws before asking for the next.
     """
-    rows = iter(rows)
     generator = None
-    while chunk := list(islice(rows, _SEED_CHUNK)):
+    for state, inc in _pcg64_states(rows):
         if generator is None:
             generator = np.random.Generator(np.random.PCG64(0))
             setting = generator.bit_generator.state  # reused: only its "state" changes
+        setting["state"] = {"state": state, "inc": inc}
+        generator.bit_generator.state = setting
+        yield generator
+
+
+def _first_draws(rows: Sequence[Sequence[int]], lams: Sequence[float] | None = None) -> list:
+    """Each row's first ``random()`` from ``default_rng(list(row))`` or, where
+    ``lams`` gives the row a λ, its ``min(6, poisson(λ))``, bit for bit; each
+    uniform is one step of PCG64's 128-bit LCG (``_uniform``), no Generator.
+
+    For 0 < λ < 10 numpy's Poisson multiplies uniforms until the product is
+    at most e^-λ, and the cap ends that after 6; λ == 0 draws 0. Any other λ
+    (PTRS from 10 on, or one numpy refuses) is drawn by ``_seeded_generators``,
+    so results and errors stay numpy's.
+    """
+    states = _pcg64_states(rows)
+    if lams is None:
+        return [_uniform(state * _PCG64_MULT + inc & _MASK128) for state, inc in states]
+    draws, slow = [], []
+    for i, ((state, inc), lam) in enumerate(zip(states, lams)):
+        count = 0
+        if 0 < lam < 10:
+            floor, prod = math.exp(-lam), 1.0
+            while count < 6:
+                state = state * _PCG64_MULT + inc & _MASK128
+                prod *= _uniform(state)
+                if prod <= floor:
+                    break
+                count += 1
+        elif lam != 0:
+            slow.append(i)
+        draws.append(count)
+    for i, rng in zip(slow, _seeded_generators([rows[i] for i in slow])):
+        draws[i] = min(6, int(rng.poisson(lams[i])))
+    return draws
+
+
+def _uniform(state: int) -> float:
+    """PCG64's output for a stepped 128-bit state (XSL-RR), as ``random()``
+    reads it: the top 53 bits over 2**53."""
+    word, turn = state >> 64 ^ state & _MASK64, state >> 122
+    return ((word >> turn | word << (64 - turn) & _MASK64) >> 11) * 2.0**-53
+
+
+def _pcg64_states(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """PCG64's seeded (state, increment) for each row, as ``default_rng(list(row))``
+    sets them, a chunk of rows mixed at a time."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _SEED_CHUNK)):
         for s_hi, s_lo, i_hi, i_lo in _seed_words(chunk):
             # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            setting["state"] = {"state": state, "inc": inc}
-            generator.bit_generator.state = setting
-            yield generator
+            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def _seed_words(rows: list[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
     """``SeedSequence(list(row)).generate_state(4, np.uint64)`` for every row,
     mixed as uint32 array operations over all rows at once: the hash
     constants do not depend on the data."""
-    entropy = []
-    for row in rows:  # each int as little-endian 32-bit words, as SeedSequence splits it
-        if min(row, default=0) < 0:
-            raise ValueError("expected non-negative integer")
-        entropy.append([n >> s & _MASK32 for n in row for s in range(0, n.bit_length() or 1, 32)])
-    width = max(4, *map(len, entropy))
-    words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).T
-    sizes = np.array(list(map(len, entropy)))
+    # equal-length rows of ints below 2**32 are their own words, one per int
+    block = np.array(rows) if len(set(map(len, rows))) == 1 else np.array(())
+    if block.dtype.kind == "i" and block.size and 0 <= block.min() and block.max() <= _MASK32:
+        words = np.pad(block.T, ((0, max(0, 4 - block.shape[1])), (0, 0))).astype(np.uint32)
+        sizes = block.shape[1]
+    else:
+        entropy = []
+        for row in rows:  # each int as little-endian 32-bit words, as SeedSequence splits it
+            if min(row, default=0) < 0:
+                raise ValueError("expected non-negative integer")
+            entropy.append([n >> s & _MASK32 for n in row for s in range(0, n.bit_length() or 1, 32)])
+        width = max(4, *map(len, entropy))
+        words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).T
+        sizes = np.array(list(map(len, entropy)))
 
     def hasher(const: int, mult: int):
         def step(value: np.ndarray) -> np.ndarray:
@@ -335,7 +386,7 @@ def _seed_words(rows: list[Sequence[int]]) -> Iterator[tuple[int, int, int, int]
         for dst in range(4):
             if dst != src:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, width):  # a longer row's later words mix into every pool word
+    for src in range(4, len(words)):  # a longer row's later words mix into every pool word
         for dst in range(4):
             pool[dst] = np.where(sizes > src, mix(pool[dst], hashmix(words[src])), pool[dst])
     out = hasher(_INIT_B, _MULT_B)

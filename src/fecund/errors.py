@@ -55,6 +55,10 @@ class RankDeficiencyError(FecundError, ValueError):
         self.columns = columns
 
 
+class CodeCountError(FecundError, ValueError):
+    """A passage's expected mock code count is one numpy's Poisson sampler refuses."""
+
+
 class PromptBindingError(FecundError, ValueError):
     """A prompt template placeholder was left unbound."""
 

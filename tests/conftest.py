@@ -12,7 +12,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     print_blob=True,
 )
-settings.load_profile("default")
+# more examples for the bit-for-bit seeding oracles in CI: HYPOTHESIS_PROFILE=ci
+settings.register_profile(
+    "ci", parent=settings.get_profile("default"), max_examples=2000, deadline=None
+)
+settings.load_profile("ci" if os.environ.get("HYPOTHESIS_PROFILE") == "ci" else "default")
 
 
 from fecund.corpus import CodeInstance, Document

@@ -32,6 +32,9 @@ chain, triage included; ``fecund.coder.code_passages``, which triages each
 passage once, must return an equal ``CodingRun``.
 ``mock_draw_choice`` is the mock coder's code draw as ``Generator.choice``
 makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
+``first_draws`` takes each row's first draws from its own
+``np.random.default_rng``; ``fecund.corpus._first_draws``, which steps PCG64
+by hand, must return the same numbers bit for bit.
 ``reference_band`` is the bootstrap band with one loop-counted order per
 iteration and the finite population correction applied step by step;
 ``fecund.saturation.bootstrap_bands`` must return equal columns.
@@ -574,6 +577,16 @@ def mock_draw_choice(
     rng = np.random.default_rng([coder.seed, int.from_bytes(tail, "big") % 2**32, slot + 1])
     p = zipf_probabilities(len(coder.vocab), zipf_exponent)
     return coder.vocab[int(rng.choice(len(coder.vocab), p=p))]
+
+
+def first_draws(rows, lams=None) -> list:
+    """Each row's first ``random()`` from ``np.random.default_rng(list(row))``,
+    or ``min(6, poisson(λ))`` where ``lams`` gives the row a λ."""
+    if lams is None:
+        return [np.random.default_rng(list(row)).random() for row in rows]
+    return [
+        min(6, int(np.random.default_rng(list(row)).poisson(lam))) for row, lam in zip(rows, lams)
+    ]
 
 
 def run_chain_branches(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import run_python
 from hypothesis import example, given, settings, strategies as st
-from reference import band_csv_rows
+from reference import band_csv_rows, first_draws
 
 from fecund import cli, coder, ingest, saturation
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
@@ -235,8 +235,8 @@ class _Unplanned:
 
 def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monkeypatch):
     """``code`` writes the same ai_codes.csv for plan blocks of 1, 7 and 512,
-    through a wrapper that hides the plan hook, and with every stream built
-    by ``np.random.default_rng`` itself."""
+    through a wrapper that hides the plan hook, and with every stream's
+    draws taken from ``np.random.default_rng`` itself."""
 
     def ai_codes(name):
         out = tmp_path / name
@@ -253,10 +253,60 @@ def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monk
                         raising=False)
     assert ai_codes("unplanned") == want
     monkeypatch.undo()
-    monkeypatch.setattr(
-        coder, "_seeded_generators", lambda rows: (np.random.default_rng(list(r)) for r in rows)
-    )
+    monkeypatch.setattr(coder, "_first_draws", first_draws)
     assert ai_codes("default-rng") == want
+
+
+def _code_passages(corpus_dir):
+    """The passages ``code`` codes, in the order it codes them."""
+    articles = ingest.load_articles(corpus_dir / "documents.jsonl")
+    passages = [p for a in articles for p in ingest.split_passages(a, min_len=100)]
+    return sorted(passages, key=coder.passage_key)
+
+
+def _poisson_refuses(lam):
+    try:
+        np.random.default_rng(0).poisson(lam)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("longest_only", [False, True])
+def test_code_names_the_passage_an_oversized_codes_per_kchar_breaks(
+    corpus_dir, tmp_path, capsys, longest_only
+):
+    """An expected code count past numpy's Poisson limit exits 4, naming the
+    flag, its value and the first passage (in coding order) that passes it."""
+    passages = _code_passages(corpus_dir)
+    # just past the limit for the longest passage only, or for every passage
+    rate = 9.3e21 / max(len(p.text) for p in passages) if longest_only else 1e300
+    refused = [p for p in passages if _poisson_refuses(rate * len(p.text) / 1000.0)]
+    assert 0 < len(refused) < len(passages) if longest_only else refused == passages
+    capsys.readouterr()
+    assert run("code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5,
+               "--codes-per-kchar", repr(rate), "--out", tmp_path / "out") == EXIT_DATA
+    err = capsys.readouterr().err
+    first = refused[0]
+    assert err.startswith(
+        f"error: --codes-per-kchar {rate:g}: passage {coder.passage_key(first)} expects "
+        f"{rate * len(first.text) / 1000.0:g} codes, which numpy's Poisson sampler refuses: "
+        "lam value too large"
+    )
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("given,missing", [("--clusters", "--exemplars"),
+                                           ("--exemplars", "--clusters")])
+def test_code_refuses_half_of_the_few_shot_pair(corpus_dir, tmp_path, capsys, given, missing):
+    side = tmp_path / "side.csv"
+    side.write_text("passage_id,cluster_id,code_label\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5, "--chain",
+               "fewshot", given, side, "--out", tmp_path / "out") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{missing} is missing" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_saturate_themes_without_map_errors(corpus_dir, tmp_path):
@@ -1425,6 +1475,28 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
     assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False", "loaded: saturate 0 False"]
+
+
+def test_mock_code_leaves_numpy_random_unloaded(corpus_dir, tmp_path):
+    """With every slot count's λ below 10 the mock builds no generator, so
+    ``code`` imports no ``numpy.random`` beyond what ``import numpy`` loads
+    (numpy 2 loads it lazily), and the process is about 5 MB smaller."""
+    script = textwrap.dedent(
+        """\
+        import sys
+        import numpy
+        eager = "numpy.random" in sys.modules
+        import fecund.cli
+        code = fecund.cli.main(sys.argv[1:])
+        print("loaded:", code, "numpy.random" in sys.modules and not eager)
+        """
+    )
+    proc = run_python(script, "code", "--docs", corpus_dir / "documents.jsonl", "--seed", 3,
+                      "--out", tmp_path / "coded")
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded:")] == [
+        "loaded: 0 False"
+    ]
 
 
 def test_full_pipeline_and_analyze(corpus_dir, tmp_path):

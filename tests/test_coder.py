@@ -566,19 +566,24 @@ def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zi
 
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
 def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
+    """The mock draws from one stream per passage (its slot count) and one per
+    slot (its code), each handed to ``_first_draws`` once."""
     passages = [passage("x" * (150 + 120 * i), article=f"a{i}") for i in range(12)]
     built = []
-    real = coder_module._seeded_generators
+    real = coder_module._first_draws
 
-    def counting(rows):
-        rows = list(rows)
+    def counting(rows, lams=None):
         built.extend(rows)
-        return real(rows)
+        return real(rows, lams)
 
-    monkeypatch.setattr(coder_module, "_seeded_generators", counting)
-    run = code_passages(passages, MockCoder(seed=4), chain)
+    monkeypatch.setattr(coder_module, "_first_draws", counting)
+    mock = MockCoder(seed=4)
+    run = code_passages(passages, mock, chain)
     assert len(run.results) > len(passages)  # some passages have several slots
     assert len(built) == len(set(built)) == len(passages) + len(run.results)
+    assert set(built) == {
+        (4, mock._digest(p), slot) for p in passages for slot in range(mock.n_slots(p) + 1)
+    }
 
 
 def test_mock_formats_each_code_reply_once(monkeypatch):
