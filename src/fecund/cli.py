@@ -29,7 +29,7 @@ from .ingest import (
 # commands look them up. A name already set, such as a wrapper patched onto
 # this module, is kept.
 _LAZY = {
-    "coder": ("CHAINS", "MockCoder", "RemoteCoder", "RemoteConfig", "code_passages", "passage_key"),
+    "coder": ("CHAINS", "MockCoder", "RemoteCoder", "RemoteConfig", "code_passages"),
     "saturation": (
         "CountingRegime", "REGIME_KINDS", "bootstrap_bands", "cumulative_curve", "position_trend",
     ),
@@ -186,9 +186,8 @@ def cmd_code(args) -> int:
         return EXIT_USAGE
     out = _out_dir(args)
     articles = load_articles(args.docs)
-    passages = [
-        p for a in articles for p in split_passages(a, min_len=args.min_passage_len)
-    ]
+    by_article = {a.id: split_passages(a, min_len=args.min_passage_len) for a in articles}
+    passages = [p for split in by_article.values() for p in split]
     summaries = _load_summaries(args.summaries)
     for article in articles:
         # offline stand-in for model-written abstracts
@@ -216,18 +215,14 @@ def cmd_code(args) -> int:
             )
         )
     context = _load_fewshot(args.clusters, args.exemplars)
-    try:
-        run = code_passages(passages, backend, CHAINS[args.chain], summaries, context)
-    except CodeCountError as exc:
-        print(f"error: --codes-per-kchar {args.codes_per_kchar:g}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    by_key = {passage_key(p): p for p in passages}
+    run = code_passages(passages, backend, CHAINS[args.chain], summaries, context)
     article_len = {a.id: len(a.full_text) for a in articles}
     ids, labels, positions = [], [], []
     for key, response in run:
         if response.theme is None:
             continue
-        passage = by_key[key]
+        article_id, _, index = key.rpartition(":")  # passage_key's "article:index", read back
+        passage = by_article[article_id][int(index)]
         midpoint = (passage.char_span[0] + passage.char_span[1]) / 2
         ids.append(passage.article_id)
         labels.append(response.theme)
@@ -537,6 +532,14 @@ _non_negative_float = functools.partial(_finite_float, minimum=0.0)
 _positive_float = functools.partial(_finite_float, minimum=0.0, strict=True)
 
 
+def _mean_len(text: str) -> int:
+    """At least 1 and below 2**53, the cap on a collection's total length."""
+    value = _int_at_least(text)
+    if value >= 2**53:
+        raise argparse.ArgumentTypeError(f"must be below 2**53, got {value}")
+    return value
+
+
 def _positive_ints(text: str) -> list[int]:
     return [_int_at_least(part) for part in text.split(",")]
 
@@ -587,7 +590,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--n-docs", type=_int_at_least_zero, default=60)
     p.add_argument("--n-codes", type=_int_at_least, default=80)
     p.add_argument("--zipf", type=_finite_float, default=1.1)
-    p.add_argument("--mean-len", type=_int_at_least, default=2000)
+    p.add_argument("--mean-len", type=_mean_len, default=2000)
     p.add_argument("--codes-per-kchar", type=_non_negative_float, default=3.0)
     p.add_argument("--coder-source", default="human")
     p.add_argument("--themes-count", type=_int_at_least_zero, default=8)
@@ -751,6 +754,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"error: remote coder: {exc}", file=sys.stderr)
         return EXIT_REMOTE
+    except CodeCountError as exc:  # synth and code draw counts from --codes-per-kchar
+        print(f"error: --codes-per-kchar {args.codes_per_kchar:g}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (CollectionFormatError,) as exc:
         print(f"error: invalid collection: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -18,12 +18,14 @@ import json
 import os
 import re
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import accumulate, repeat, takewhile
+from operator import itemgetter
 from string import Template
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import _first_draws
 from .errors import (
@@ -412,8 +414,8 @@ class MockCoder:
         # Generator.choice(p=...) draws one uniform and bisects this same CDF
         self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
-        self._plan: dict[Passage, tuple[list[str], list[str]]] = {}  # see plan
-        self._last: tuple[Passage | None, tuple] = (None, ())  # the passage last looked up
+        self._plan: dict[int, tuple] = {}  # see plan
+        self._last: tuple = (None, [], None)  # the entry of the passage last looked up
         self._replies: dict[str, str] = {}  # code -> its coding reply
 
     def _digest(self, passage: Passage) -> int:
@@ -421,12 +423,14 @@ class MockCoder:
         return int.from_bytes(passage_id.encode("utf-8")[-4:], "big")
 
     def _codes(self, rows: list[tuple[int, int, int]]) -> list[str]:
-        return [self.vocab[bisect_right(self._cdf, u)] for u in _first_draws(rows)]
+        # side="right" is bisect_right, the index Generator.choice takes
+        drawn = np.searchsorted(self._cdf, _first_draws(rows), side="right")
+        return list(map(self.vocab.__getitem__, drawn.tolist()))
 
     def plan(self, passages: Sequence[Passage]) -> None:
         """Draw the slot count and the codes of every passage at once, and
-        note its triage flags, for ``respond`` to read; each plan replaces
-        the last.
+        note the triage flags of each passage with slots, for ``respond`` to
+        read; each plan replaces the last.
 
         A passage's slot count comes from the stream ``default_rng([seed,
         digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
@@ -436,7 +440,7 @@ class MockCoder:
         digests = list(map(self._digest, passages))
         lams = [self.mean_codes_per_kchar * len(p.text) / 1000.0 for p in passages]
         try:
-            counts = _first_draws([(self.seed, d, 0) for d in digests], lams)
+            counts = _first_draws(list(zip(repeat(self.seed), digests, repeat(0))), lams)
         except ValueError:
             for p, lam in zip(passages, lams):  # numpy's refusal names no passage
                 try:
@@ -445,20 +449,23 @@ class MockCoder:
                     raise CodeCountError(f"passage {passage_key(p)} expects {lam:g} codes, "
                                          f"which numpy's Poisson sampler refuses: {exc}") from None
             raise
-        codes = iter(self._codes(
+        codes = self._codes(
             [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
-        ))
-        self._plan = {p: (self._flags(p), list(islice(codes, n))) for p, n in zip(passages, counts)}
-        self._last = (None, ())
+        )
+        slots = [codes[end - n : end] for n, end in zip(counts, accumulate(counts))]
+        flags = [self._flags(p) if n else None for p, n in zip(passages, counts)]
+        # keyed by identity, which the entry's passage keeps unique while planned
+        self._plan = dict(zip(map(id, passages), zip(passages, slots, flags)))
+        self._last = (None, [], None)
 
-    def _planned(self, passage: Passage) -> tuple[list[str], list[str]]:
-        """The passage's triage flags and slot codes; one not planned is planned
-        alone. A repeat ask about the last passage is matched by identity."""
+    def _planned(self, passage: Passage) -> tuple[Passage, list[str], list[str] | None]:
+        """The passage, its slot codes and, if it has slots, its triage flags;
+        one not planned is planned alone."""
         if passage is not self._last[0]:
-            if passage not in self._plan:
+            if id(passage) not in self._plan:
                 self.plan([passage])
-            self._last = (passage, self._plan[passage])
-        return self._last[1]
+            self._last = self._plan[id(passage)]
+        return self._last
 
     def n_slots(self, passage: Passage) -> int:
         return len(self._planned(passage)[1])
@@ -473,7 +480,9 @@ class MockCoder:
         return flags
 
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
-        flags, codes = self._planned(passage)
+        _, codes, flags = self._planned(passage)
+        if flags is None:  # a passage without slots, which a batch never triages
+            flags = self._flags(passage)
         if step == "triage_caption":
             return (
                 '{"1. disclaimer?": %s, "2. caption?": %s, "Body?": %s }'
@@ -701,7 +710,7 @@ def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple],
 
 # Passages a backend's ``plan`` hook draws for at once (``MockCoder.plan``):
 # enough to seed in bulk, few enough that memory stays flat.
-_PLAN_BLOCK = 512
+_PLAN_BLOCK = 4096
 
 
 def code_passages(
@@ -727,13 +736,13 @@ def code_passages(
     """
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
-    ordered = sorted(passages, key=passage_key)
+    keyed = sorted(zip(map(passage_key, passages), passages), key=itemgetter(0))
     steps = _chain_steps(template_chain)
     n_head = len(tuple(takewhile(lambda step: _STEPS[step][2], template_chain)))
     head, tail = steps[:n_head], steps[n_head:]
 
-    def work(passage: Passage) -> tuple[str, list[CodeResponse], str | None]:
-        key = passage_key(passage)
+    def work(item: tuple[str, Passage]) -> tuple[str, list[CodeResponse], str | None]:
+        key, passage = item
         state = _ChainState(
             excerpt=passage.text,
             summary=summaries.get(passage.article_id, ""),
@@ -757,18 +766,18 @@ def code_passages(
         return key, responses, None
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)
-    if backend.kind == "remote" and cap > 1 and len(ordered) > 1:
+    if backend.kind == "remote" and cap > 1 and len(keyed) > 1:
         from concurrent.futures import ThreadPoolExecutor  # only this path uses threads
 
         with ThreadPoolExecutor(max_workers=cap) as pool:
-            outcomes = list(pool.map(work, ordered))
+            outcomes = list(pool.map(work, keyed))
     else:
         plan = getattr(backend, "plan", None)
         outcomes = []
-        for first in range(0, len(ordered), _PLAN_BLOCK):
-            block = ordered[first : first + _PLAN_BLOCK]
+        for first in range(0, len(keyed), _PLAN_BLOCK):
+            block = keyed[first : first + _PLAN_BLOCK]
             if plan is not None:
-                plan(block)
+                plan([passage for _, passage in block])
             outcomes += map(work, block)
 
     return CodingRun(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -273,12 +273,16 @@ def summary_stats(values: Sequence[float]) -> SummaryStats:
     )
 
 
-# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# numpy's SeedSequence hash constants (bit_generator.pyx), and PCG64's
+# multiplier as the uint64 words and 32-bit limbs the lanes multiply by
+_MASK32 = 2**32 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_SEED_CHUNK = 512  # rows mixed at once: enough to vectorise, few enough to keep memory flat
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO0, _MULT_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LIMB = np.uint64(_MASK32)
+_SEED_CHUNK = 4096  # rows seeded at once: enough to vectorise, few enough to keep memory flat
+_Lanes = tuple[np.ndarray, np.ndarray]  # 128-bit values, one per row, as (high, low) uint64 words
 
 
 def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
@@ -300,55 +304,85 @@ def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Gene
 
 def _first_draws(rows: Sequence[Sequence[int]], lams: Sequence[float] | None = None) -> list:
     """Each row's first ``random()`` from ``default_rng(list(row))`` or, where
-    ``lams`` gives the row a λ, its ``min(6, poisson(λ))``, bit for bit; each
-    uniform is one step of PCG64's 128-bit LCG (``_uniform``), no Generator.
+    ``lams`` gives the row a λ, its ``min(6, poisson(λ))``, bit for bit, with
+    no Generator: every row's PCG64 is stepped at once, on lanes (``_lanes``).
 
     For 0 < λ < 10 numpy's Poisson multiplies uniforms until the product is
-    at most e^-λ, and the cap ends that after 6; λ == 0 draws 0. Any other λ
-    (PTRS from 10 on, or one numpy refuses) is drawn by ``_seeded_generators``,
-    so results and errors stay numpy's.
+    at most e^-λ, and the cap ends that after 6 masked steps. The floor is
+    ``math.exp(-λ)``, libm's as in numpy's C code; ``np.exp`` may differ by
+    an ulp. λ == 0 draws 0. Any other λ (PTRS from 10 on, or one numpy
+    refuses) is drawn by ``_seeded_generators``, so results and errors stay
+    numpy's.
     """
-    states = _pcg64_states(rows)
-    if lams is None:
-        return [_uniform(state * _PCG64_MULT + inc & _MASK128) for state, inc in states]
-    draws, slow = [], []
-    for i, ((state, inc), lam) in enumerate(zip(states, lams)):
-        count = 0
-        if 0 < lam < 10:
-            floor, prod = math.exp(-lam), 1.0
-            while count < 6:
-                state = state * _PCG64_MULT + inc & _MASK128
-                prod *= _uniform(state)
-                if prod <= floor:
-                    break
-                count += 1
-        elif lam != 0:
-            slow.append(i)
-        draws.append(count)
+    draws: list = []
+    slow: list[int] = []
+    for first, (state, inc) in zip(count(0, _SEED_CHUNK), _lanes(rows)):
+        if lams is None:
+            draws += _uniforms(_step(state, inc)).tolist()
+            continue
+        lam = np.array(lams[first : first + len(inc[0])], dtype=np.float64)
+        live = (0 < lam) & (lam < 10)
+        floor = np.zeros(len(lam))
+        floor[live] = [math.exp(-x) for x in lam[live].tolist()]
+        slow += (first + np.flatnonzero(~live & (lam != 0))).tolist()
+        counts, prod = np.zeros(len(lam), dtype=np.int64), np.ones(len(lam))
+        for _ in range(6):
+            if not live.any():
+                break
+            state = _step(state, inc)
+            prod *= _uniforms(state)
+            live = live & (prod > floor)
+            counts += live
+        draws += counts.tolist()
     for i, rng in zip(slow, _seeded_generators([rows[i] for i in slow])):
         draws[i] = min(6, int(rng.poisson(lams[i])))
     return draws
 
 
-def _uniform(state: int) -> float:
-    """PCG64's output for a stepped 128-bit state (XSL-RR), as ``random()``
-    reads it: the top 53 bits over 2**53."""
-    word, turn = state >> 64 ^ state & _MASK64, state >> 122
-    return ((word >> turn | word << (64 - turn) & _MASK64) >> 11) * 2.0**-53
+def _lanes(rows: Iterable[Sequence[int]]) -> Iterator[tuple[_Lanes, _Lanes]]:
+    """PCG64's seeded (state, increment) for each row, as ``default_rng(list(row))``
+    sets them, a chunk of rows at a time: its srandom takes the words
+    ``_seed_words`` mixes to inc = 2 * initseq + 1 and state = (inc +
+    initstate) * mult + inc."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _SEED_CHUNK)):
+        s_hi, s_lo, i_hi, i_lo = _seed_words(chunk)
+        inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+        lo = inc[1] + s_lo
+        yield _step((inc[0] + s_hi + (lo < s_lo), lo), inc), inc
+
+
+def _step(state: _Lanes, inc: _Lanes) -> _Lanes:
+    """State * mult + inc mod 2**128, PCG64's LCG step, on lanes. The high
+    word of the low words' 128-bit product is summed from 32-bit limbs."""
+    hi, lo = state
+    a0, a1 = lo & _LIMB, lo >> 32
+    p01, p10 = a0 * _MULT_LO1, a1 * _MULT_LO0
+    middle = (a0 * _MULT_LO0 >> 32) + (p01 & _LIMB) + (p10 & _LIMB)
+    carried = a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+    low = lo * _MULT_LO
+    new_lo = low + inc[1]
+    return carried + hi * _MULT_LO + lo * _MULT_HI + inc[0] + (new_lo < low), new_lo
+
+
+def _uniforms(state: _Lanes) -> np.ndarray:
+    """PCG64's output for each stepped state (XSL-RR), as ``random()`` reads
+    it: the top 53 bits over 2**53."""
+    hi, lo = state
+    word, turn = hi ^ lo, hi >> 58
+    top = (word >> turn | word << ((64 - turn) & 63)) >> 11
+    return top.astype(np.float64) * 2.0**-53
 
 
 def _pcg64_states(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """PCG64's seeded (state, increment) for each row, as ``default_rng(list(row))``
-    sets them, a chunk of rows mixed at a time."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, _SEED_CHUNK)):
-        for s_hi, s_lo, i_hi, i_lo in _seed_words(chunk):
-            # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    """PCG64's seeded (state, increment) for each row as Python ints, read
+    from ``_lanes``."""
+    for (s_hi, s_lo), (i_hi, i_lo) in _lanes(rows):
+        for words in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+            yield words[0] << 64 | words[1], words[2] << 64 | words[3]
 
 
-def _seed_words(rows: list[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+def _seed_words(rows: list[Sequence[int]]) -> tuple[np.ndarray, ...]:
     """``SeedSequence(list(row)).generate_state(4, np.uint64)`` for every row,
     mixed as uint32 array operations over all rows at once: the hash
     constants do not depend on the data."""
@@ -391,4 +425,4 @@ def _seed_words(rows: list[Sequence[int]]) -> Iterator[tuple[int, int, int, int]
             pool[dst] = np.where(sizes > src, mix(pool[dst], hashmix(words[src])), pool[dst])
     out = hasher(_INIT_B, _MULT_B)
     state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return zip(*[(state[k] | state[k + 1] << 32).tolist() for k in range(0, 8, 2)])
+    return tuple(state[k] | state[k + 1] << 32 for k in range(0, 8, 2))

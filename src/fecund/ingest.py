@@ -28,7 +28,7 @@ from .errors import (
     DuplicateDocumentIdError,
 )
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_LINE_BREAK = re.compile(r"(\r\n|\r|\n)")  # grouped, so re.split keeps each break
 _WS_RUN = re.compile(r"\s+")
 _SPECIAL = re.compile(r'[,"\r\n]')  # a CSV cell holding one of these is quoted
 _CODE_COLUMNS = ("doc_id", "coder_source", "code_label")
@@ -71,22 +71,19 @@ def split_passages(article: RawArticle, min_len: int = 100) -> list[Passage]:
     """
     if min_len < 0:
         raise ValueError("min_len must be >= 0")
+    text, floor = article.full_text, max(min_len, 1)
+    if "\r" in text:  # segments and the breaks between them, alternating
+        pieces = _LINE_BREAK.split(text)
+        segments, gaps = pieces[::2], [len(b) for b in pieces[1::2]] + [0]
+    else:  # every break is one \n
+        segments, gaps = text.split("\n"), itertools.repeat(1)
     passages: list[Passage] = []
     pos = 0
-    text = article.full_text
-    for match in list(_LINE_BREAK.finditer(text)) + [None]:
-        end = match.start() if match is not None else len(text)
-        segment = text[pos:end]
-        if len(segment) >= max(min_len, 1):
-            passages.append(
-                Passage(
-                    article_id=article.id,
-                    index=len(passages),
-                    text=segment,
-                    char_span=(pos, end),
-                )
-            )
-        pos = match.end() if match is not None else end
+    for segment, gap in zip(segments, gaps):
+        end = pos + len(segment)
+        if len(segment) >= floor:
+            passages.append(Passage(article.id, len(passages), segment, (pos, end)))
+        pos = end + gap
     return passages
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Codebook, Collection
+from .errors import CodeCountError
 from .ingest import RawArticle
 
 _WORDS = (
@@ -60,6 +61,7 @@ def synth_corpus(
     each document draws a Poisson number of code instances proportional to
     its length from a Zipf-weighted vocabulary, with optional uniform
     positions. When ``n_themes`` > 0, codes map onto themes round-robin.
+    A count whose λ numpy refuses raises CodeCountError naming the document.
     """
     rng = np.random.default_rng(seed)
     cdf = zipf_cdf(n_codes, zipf_exponent)
@@ -72,7 +74,12 @@ def synth_corpus(
             length = lengths[d]
         else:
             length = max(100, int(rng.lognormal(log_mean, 0.5)))
-        k = int(rng.poisson(codes_per_kchar * length / 1000.0))
+        lam = codes_per_kchar * length / 1000.0
+        try:
+            k = int(rng.poisson(lam))
+        except ValueError as exc:  # numpy's refusal names no document
+            raise CodeCountError(f"document doc-{d:0{width}d} expects {lam:g} codes, "
+                                 f"which numpy's Poisson sampler refuses: {exc}") from None
         doc_lengths.append(length)
         sizes.append(k)
         if k:  # no draw for an empty document

@@ -34,7 +34,13 @@ passage once, must return an equal ``CodingRun``.
 makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
 ``first_draws`` takes each row's first draws from its own
 ``np.random.default_rng``; ``fecund.corpus._first_draws``, which steps PCG64
-by hand, must return the same numbers bit for bit.
+on uint64 lanes, must return the same numbers bit for bit. ``pcg64_seed``,
+``pcg64_step`` and ``_uniform`` are PCG64's seeding step, LCG step and
+XSL-RR output (O'Neill 2014) in Python ints; ``fecund.corpus._lanes``,
+``_step`` and ``_uniforms`` must compute the same values on their lanes.
+``split_passages_regex`` splits at every match of ``\r\n|\r|\n``;
+``fecund.ingest.split_passages``, which splits text without a ``\r`` by
+``str.split``, must return equal passages.
 ``reference_band`` is the bootstrap band with one loop-counted order per
 iteration and the finite population correction applied step by step;
 ``fecund.saturation.bootstrap_bands`` must return equal columns.
@@ -587,6 +593,44 @@ def first_draws(rows, lams=None) -> list:
     return [
         min(6, int(np.random.default_rng(list(row)).poisson(lam))) for row, lam in zip(rows, lams)
     ]
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+
+
+def pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
+    """PCG64's (state, inc) after its srandom, from the two 128-bit seed words."""
+    inc = (initseq << 1 | 1) & MASK128
+    return ((inc + initstate) * PCG64_MULT + inc) & MASK128, inc
+
+
+def pcg64_step(state: int, inc: int) -> int:
+    """One step of PCG64's 128-bit LCG."""
+    return (state * PCG64_MULT + inc) & MASK128
+
+
+def _uniform(state: int) -> float:
+    """PCG64's output for a stepped 128-bit state (XSL-RR), as ``random()``
+    reads it: the top 53 bits over 2**53."""
+    word, turn = state >> 64 ^ state & MASK64, state >> 122
+    return ((word >> turn | word << (64 - turn) & MASK64) >> 11) * 2.0**-53
+
+
+_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def split_passages_regex(article: RawArticle, min_len: int = 100) -> list[Passage]:
+    """One passage per segment between matches of ``\r\n|\r|\n``, at least
+    ``min_len`` (and 1) characters long, numbered in order."""
+    passages: list[Passage] = []
+    pos, text = 0, article.full_text
+    for match in list(_BREAK.finditer(text)) + [None]:
+        end = match.start() if match is not None else len(text)
+        if end - pos >= max(min_len, 1):
+            passages.append(Passage(article.id, len(passages), text[pos:end], (pos, end)))
+        pos = match.end() if match is not None else end
+    return passages
 
 
 def run_chain_branches(

@@ -12,7 +12,7 @@ from conftest import run_python
 from hypothesis import example, given, settings, strategies as st
 from reference import band_csv_rows, first_draws
 
-from fecund import cli, coder, ingest, saturation
+from fecund import cli, coder, ingest, saturation, synthetic
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
 from fecund.ingest import load_collection
@@ -262,6 +262,23 @@ def _code_passages(corpus_dir):
     articles = ingest.load_articles(corpus_dir / "documents.jsonl")
     passages = [p for a in articles for p in ingest.split_passages(a, min_len=100)]
     return sorted(passages, key=coder.passage_key)
+
+
+def test_code_formats_each_passage_key_once(corpus_dir, tmp_path, monkeypatch):
+    """The batch sorts by each passage's key, records it, and ``code`` reads it
+    back: one ``passage_key`` call per passage in all."""
+    passages = _code_passages(corpus_dir)
+    formatted = Counter()
+    real = coder.passage_key
+
+    def counting(passage):
+        formatted[passage] += 1
+        return real(passage)
+
+    monkeypatch.setattr(coder, "passage_key", counting)
+    assert run("code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5,
+               "--out", tmp_path / "out") == EXIT_OK
+    assert formatted == Counter(passages) and set(formatted.values()) == {1}
 
 
 def _poisson_refuses(lam):
@@ -1448,6 +1465,39 @@ def test_overflowing_zipf_exponent_exits_data(corpus_dir, tmp_path, capsys, comm
     message = "Zipf exponent -1000 gives no finite, positive weights"
     assert f"{message} over a vocabulary of {vocabulary} codes" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mean_len", [2**53, 9_000_000_000_000_000_000, 10**21])
+def test_synth_refuses_a_mean_len_past_the_length_cap(tmp_path, capsys, mean_len):
+    """A mean length of 2**53 or more exits 2 naming ``--mean-len``; with
+    ``--codes-per-kchar 0`` no code instance would have been drawn."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("synth", "--seed", 1, "--n-docs", 5, "--mean-len", mean_len,
+            "--codes-per-kchar", 0, "--out", tmp_path / "out")
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --mean-len: must be below 2**53, got {mean_len}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("with_text", [False, True])
+def test_synth_names_the_document_an_oversized_codes_per_kchar_breaks(tmp_path, capsys,
+                                                                      with_text):
+    """Every document's λ is past numpy's Poisson limit, so the first one
+    drawn, doc-0, is named, and no code instance is drawn."""
+    rng = np.random.default_rng(1)
+    length = (len(synthetic.synth_articles(5, 1)[0].full_text) if with_text
+              else max(100, int(rng.lognormal(np.log(2000), 0.5))))
+    capsys.readouterr()
+    argv = ["synth", "--seed", 1, "--n-docs", 5, "--codes-per-kchar", "1e300",
+            "--out", tmp_path / "out"] + ["--with-text"] * with_text
+    assert run(*argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: --codes-per-kchar 1e+300: document doc-0 expects {1e300 * length / 1000.0:g} "
+        "codes, which numpy's Poisson sampler refuses: lam value too large\n"
+    )
 
 
 def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):

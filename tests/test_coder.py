@@ -633,6 +633,21 @@ def test_caption_flag_threads_note_downstream():
     assert "Passage is a photo caption" in confidence_prompts[0]
 
 
+@pytest.mark.parametrize("planned", [False, True])
+def test_a_passage_without_slots_still_reports_its_flags(planned):
+    """A batch triages only passages with slots, so the mock notes no flags for
+    the rest; a direct triage question about one still sees its markers."""
+    p = passage("Photo caption: the views expressed are not those of the paper " + "x" * 160)
+    mock = MockCoder(seed=5, mean_codes_per_kchar=0.0)
+    if planned:
+        mock.plan([p])
+    assert mock.n_slots(p) == 0
+    assert mock.respond("triage_caption", "", p) == (
+        '{"1. disclaimer?": True, "2. caption?": True, "Body?": False }'
+    )
+    assert "boilerplate" in mock.respond("relevance_confidence", "", p)
+
+
 def test_clean_passage_has_empty_note():
     p = passage("y" * 300)
     backend = RecordingBackend(MockCoder(seed=5))

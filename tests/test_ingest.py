@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fecund.corpus import CodeInstance, Codebook, Collection, Document
 from fecund.errors import (
@@ -29,7 +29,9 @@ from fecund.ingest import (
 )
 from fecund.synthetic import synth_corpus
 
-from reference import collection, csv_writer, read_jsonl_text, write_collection_rows
+from reference import (
+    collection, csv_writer, read_jsonl_text, split_passages_regex, write_collection_rows,
+)
 
 
 # --- split_passages -------------------------------------------------------
@@ -65,6 +67,25 @@ def test_split_handles_crlf_and_cr():
 
 def test_split_empty_text():
     assert split_passages(RawArticle("a", "")) == []
+
+
+# breaks of every kind, runs of them (empty segments), and text outside the BMP
+_SPLIT_TEXT = st.lists(
+    st.sampled_from(["\n", "\r", "\r\n", "\n\r", "ab", " ", "\U0001F600", "é"])
+    | st.text(max_size=30),
+    max_size=20,
+).map("".join)
+
+
+@example("", 0)
+@example("\r\n\r\n", 0)
+@example("\U0001F600\r\n\U0001F600\n\rab\r", 1)
+@example("x" * 120 + "\n\n" + "y" * 120 + "\r\n", 100)
+@given(_SPLIT_TEXT, st.integers(0, 300))
+def test_split_passages_equals_the_regex_splitter(text, min_len):
+    """``min_len`` runs from 0 to past every segment's length."""
+    article = RawArticle("a:1", text)
+    assert split_passages(article, min_len=min_len) == split_passages_regex(article, min_len)
 
 
 @given(st.text(alphabet=st.sampled_from("ab \n\r"), max_size=200), st.integers(0, 5))

@@ -10,7 +10,9 @@ import numpy as np
 import numpy.random.bit_generator as bit_generator
 import pytest
 from hypothesis import example, given, strategies as st
-from reference import first_draws
+from reference import (
+    MASK64, MASK128, _uniform, first_draws, pcg64_seed, pcg64_step,
+)
 
 from fecund import coder as coder_module, corpus, saturation
 from fecund.coder import MockCoder, code_passages, passage_key
@@ -88,15 +90,98 @@ def test_first_random_equals_default_rng(rows):
     assert _bits(_first_draws(rows)) == _bits(first_draws(rows))
 
 
-@example([((1, 2, 0), lam) for lam in (0.0, 5e-324, math.nextafter(10.0, 0.0), 10.0, 37.0)])
-@given(_ROWS.flatmap(
+_PAIRS = _ROWS.flatmap(
     lambda rows: st.lists(_LAM, min_size=len(rows), max_size=len(rows)).map(
         lambda lams: list(zip(rows, lams))
     )
-))
+)
+
+
+@example([((1, 2, 0), lam) for lam in (0.0, 5e-324, math.nextafter(10.0, 0.0), 10.0, 37.0)])
+@given(_PAIRS)
 def test_first_capped_poisson_equals_default_rng(pairs):
     rows, lams = [row for row, _ in pairs], [lam for _, lam in pairs]
     assert _bits(_first_draws(rows, lams)) == _bits(first_draws(rows, lams))
+
+
+@given(_PAIRS, st.integers(1, 4))
+def test_first_draws_over_seed_chunks_equal_default_rng(pairs, chunk):
+    """Rows seeded a few at a time, so a batch spans several chunks."""
+    rows, lams = [row for row, _ in pairs], [lam for _, lam in pairs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_SEED_CHUNK", chunk)
+        uniforms, counts = _first_draws(rows), _first_draws(rows, lams)
+    assert _bits(uniforms) == _bits(first_draws(rows))
+    assert _bits(counts) == _bits(first_draws(rows, lams))
+
+
+def test_a_batch_longer_than_a_seed_chunk_equals_default_rng():
+    rows = [(17, 2**32 - 1 - d, d % 7) for d in range(corpus._SEED_CHUNK + 5)]
+    lams = [(d % 97) / 9.0 for d in range(len(rows))]
+    assert _bits(_first_draws(rows)) == _bits(first_draws(rows))
+    assert _bits(_first_draws(rows, lams)) == _bits(first_draws(rows, lams))
+
+
+# --- the lanes, against PCG64 in Python ints -------------------------------------
+
+_U64 = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, MASK64]) | st.integers(0, MASK64)
+# carry edges: every bit of the low word, of the high word, or of both set
+_U128 = (
+    st.sampled_from([MASK64, MASK64 << 64, MASK128])
+    | st.builds(lambda hi, lo: hi << 64 | lo, _U64, _U64)
+)
+_EDGES = [(MASK64, MASK64), (MASK64 << 64, 1), (MASK128, MASK128), (MASK128, 0), (0, MASK128)]
+
+
+def _as_lanes(values):
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+def _as_ints(lanes):
+    return [hi << 64 | lo for hi, lo in zip(lanes[0].tolist(), lanes[1].tolist())]
+
+
+@example(_EDGES)
+@given(st.lists(st.tuples(_U128, _U128), min_size=1, max_size=8))
+def test_lane_step_and_output_equal_big_ints(pairs):
+    states, incs = map(list, zip(*pairs))
+    stepped = corpus._step(_as_lanes(states), _as_lanes(incs))
+    assert _as_ints(stepped) == [pcg64_step(s, i) for s, i in pairs]
+    assert _bits(corpus._uniforms(stepped).tolist()) == _bits(map(_uniform, _as_ints(stepped)))
+    assert _bits(corpus._uniforms(_as_lanes(states)).tolist()) == _bits(map(_uniform, states))
+
+
+@example(_EDGES, 2)
+@given(st.lists(st.tuples(_U128, _U128), min_size=1, max_size=9), st.integers(1, 4))
+def test_lane_seeding_equals_big_ints(seeds, chunk):
+    """PCG64's seeding step on lanes, from any two seed words, chunk by chunk."""
+
+    def words(rows):  # row (i,) stands for seeds[i]: (initstate, initseq)
+        initstate, initseq = (_as_lanes([seeds[i][k] for (i,) in rows]) for k in (0, 1))
+        return (*initstate, *initseq)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_seed_words", words)
+        patch.setattr(corpus, "_SEED_CHUNK", chunk)
+        lanes = list(corpus._lanes([(i,) for i in range(len(seeds))]))
+    assert len(lanes) == math.ceil(len(seeds) / chunk)
+    seeded = [pair for state, inc in lanes for pair in zip(_as_ints(state), _as_ints(inc))]
+    assert seeded == [pcg64_seed(*seed) for seed in seeds]
+
+
+@given(st.lists(_ROW | st.just(()), min_size=1, max_size=9), st.integers(1, 4))
+def test_seeded_states_equal_big_ints(rows, chunk):
+    """Each row's (state, inc) from SeedSequence's own words and PCG64's seeding
+    step in Python ints, for rows of ints past 2**32 too, chunk by chunk."""
+    want = []
+    for row in rows:
+        w = np.random.SeedSequence(list(row)).generate_state(4, np.uint64).tolist()
+        want.append(pcg64_seed(w[0] << 64 | w[1], w[2] << 64 | w[3]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "_SEED_CHUNK", chunk)
+        assert list(corpus._pcg64_states(rows)) == want
+        assert _bits(_first_draws(rows)) == _bits(_uniform(pcg64_step(*sw)) for sw in want)
 
 
 def _lam_for_floor(target):
