@@ -76,12 +76,6 @@ EXIT_DATA = 4
 EXIT_REMOTE = 5
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_meta(out: Path, args) -> None:
     meta = {
         "command": args.command,
@@ -102,8 +96,7 @@ def _load(args):
 # --- synth -----------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
+def cmd_synth(args, out: Path) -> int:
     texts = None
     lengths = None
     if args.with_text:
@@ -129,7 +122,6 @@ def cmd_synth(args) -> int:
         (out / "themes.csv") if args.themes_count > 0 else None,
         texts=texts,
     )
-    _write_meta(out, args)
     print(f"wrote {len(docs)} documents to {out}")
     return EXIT_OK
 
@@ -137,9 +129,8 @@ def cmd_synth(args) -> int:
 # --- ingest ----------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, out: Path) -> int:
     docs, codebook = _load(args)
-    out = _out_dir(args)
     lengths = docs.lengths.tolist()
     summary = {
         "documents": len(docs),
@@ -151,7 +142,6 @@ def cmd_ingest(args) -> int:
     (out / "collection_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8"
     )
-    _write_meta(out, args)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -166,7 +156,7 @@ def _load_summaries(path: str | None) -> dict[str, str]:
 
 
 def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict[str, str]:
-    if not clusters_path:  # cmd_code refuses one of the pair without the other
+    if not clusters_path:  # main refuses one of the pair without the other
         return {}
     exemplars: dict[str, list[str]] = {}
     for _, (cluster_id, code_label) in _read_csv(exemplars_path, ("cluster_id", "code_label")):
@@ -178,13 +168,7 @@ def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict
     return context
 
 
-def cmd_code(args) -> int:
-    if bool(args.clusters) != bool(args.exemplars):  # the few-shot context needs both
-        missing = "--exemplars" if args.clusters else "--clusters"
-        print(f"error: --clusters and --exemplars go together; {missing} is missing",
-              file=sys.stderr)
-        return EXIT_USAGE
-    out = _out_dir(args)
+def cmd_code(args, out: Path) -> int:
     articles = load_articles(args.docs)
     by_article = {a.id: split_passages(a, min_len=args.min_passage_len) for a in articles}
     passages = [p for split in by_article.values() for p in split]
@@ -200,9 +184,6 @@ def cmd_code(args) -> int:
             mean_codes_per_kchar=args.codes_per_kchar,
         )
     else:
-        if not args.url or not args.model:
-            print("error: remote backend requires --url and --model", file=sys.stderr)
-            return EXIT_USAGE
         backend = RemoteCoder(
             RemoteConfig(
                 url=args.url,
@@ -232,7 +213,6 @@ def cmd_code(args) -> int:
     if run.errors:
         _write_csv(out / "coding_errors.csv", ["passage_id", "error"], list(zip(*run.errors)))
         print(f"{len(run.errors)} passage(s) failed; see coding_errors.csv", file=sys.stderr)
-    _write_meta(out, args)
     print(f"coded {len(passages)} passages -> {len(ids)} codes ({out / 'ai_codes.csv'})")
     return EXIT_OK if not run.errors else EXIT_REMOTE
 
@@ -240,8 +220,7 @@ def cmd_code(args) -> int:
 # --- select ----------------------------------------------------------------
 
 
-def cmd_select(args) -> int:
-    out = _out_dir(args)
+def cmd_select(args, out: Path) -> int:
     docs, _ = _load(args)
     vf = ValueFunction(args.value_function)
     if args.budget_chars is not None:
@@ -278,7 +257,6 @@ def cmd_select(args) -> int:
     steps = list(map(str, range(1, len(ids) + 1)))
     _write_csv(out / "manifest.csv", ["reading_index", "doc_id"], [steps, ids])
     _write_csv(out / "unblinding.csv", ["doc_id", "arm"], [ids, [e.arm for e in reading_order]])
-    _write_meta(out, args)
     print(
         f"selected {len(treatment.selected_ids)} docs "
         f"({treatment.total_chars} chars, objective {treatment.objective_value:.4f}); "
@@ -306,8 +284,7 @@ def _manifest_order(docs, manifest_path: str):
     return docs.take(list(rows.values()))
 
 
-def cmd_saturate(args) -> int:
-    out = _out_dir(args)
+def cmd_saturate(args, out: Path) -> int:
     docs, codebook = _load(args)
     order = _manifest_order(docs, args.order) if args.order else docs
     regimes = [CountingRegime(kind, hf_threshold=args.threshold) for kind in args.regimes]
@@ -358,7 +335,6 @@ def cmd_saturate(args) -> int:
         header = ["text_length", "median_position", "moving_average"]
         columns = [[str(getattr(t, h)) for t in trend] for h in header]
         _write_csv(out / "positions.csv", header, columns)
-    _write_meta(out, args)
     print(f"wrote saturation curve(s) for {', '.join(args.regimes)} to {out}")
     return EXIT_OK
 
@@ -366,8 +342,7 @@ def cmd_saturate(args) -> int:
 # --- analyze -----------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    out = _out_dir(args)
+def cmd_analyze(args, out: Path) -> int:
     docs, _ = _load(args)
     ordered = _manifest_order(docs, args.manifest)
     arms = {}
@@ -413,7 +388,6 @@ def cmd_analyze(args) -> int:
         text = _length_residuals(data, fits[5])
         (out / "length_residuals.txt").write_text(text, encoding="utf-8")
     _write_csv(out / "arm_summary.csv", *arm_summaries(data))
-    _write_meta(out, args)
     print(table_text)
     return EXIT_OK
 
@@ -438,12 +412,11 @@ def _length_residuals(data: dict[str, list], spec5) -> str:
 # --- sweep -------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
-    out = _out_dir(args)
+def cmd_sweep(args, out: Path) -> int:
     docs, _ = _load(args)
     if args.quadratic:
         qmap = QuadraticMap(*args.quadratic)
-    elif args.pairs:
+    else:  # argparse takes exactly one of the two maps
         pairs = []
         for lineno, (ai, human) in _read_csv(args.pairs, ("ai_density", "human_density")):
             try:
@@ -453,9 +426,6 @@ def cmd_sweep(args) -> int:
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.pairs, lineno) from None
         qmap = fit_quadratic(pairs)
-    else:
-        print("error: sweep requires --quadratic a,b,c or --pairs FILE", file=sys.stderr)
-        return EXIT_USAGE
     points = superset_sweep(
         docs,
         args.coder_source,
@@ -478,7 +448,6 @@ def cmd_sweep(args) -> int:
             y_label="normalized predicted density (%)",
             points=True,
         )
-    _write_meta(out, args)
     for p in points:
         print(f"size {p.size:>6}: density {p.mean_ai_density:.4f} -> {p.normalized_pct:.1f}%")
     return EXIT_OK
@@ -683,8 +652,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--replicates", type=_int_at_least, default=10)
     p.add_argument("--budget-docs", type=_int_at_least, default=20)
     p.add_argument("--value-function", choices=("sqrt", "log1p", "unique"), default="sqrt")
-    p.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")
-    p.add_argument("--pairs", help="csv: ai_density,human_density to fit the quadratic")
+    g = p.add_mutually_exclusive_group(required=True)  # exactly one map
+    g.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")
+    g.add_argument("--pairs", help="csv: ai_density,human_density to fit the quadratic")
     p.set_defaults(func=cmd_sweep)
     commands["sweep"] = p
 
@@ -705,7 +675,8 @@ def _config_argv(values: dict[str, str], parser: argparse.ArgumentParser) -> lis
     """The config entries ``parser`` knows, as flags (a valueless flag when "true").
 
     Placed before the user's arguments, they are checked like typed flags,
-    and a flag the user gives, parsed later, wins.
+    and a flag the user gives, parsed later, wins. A valueless flag's value
+    must be true or false, in any case; anything else raises ValueError.
     """
     tokens = []
     for action in parser._actions:
@@ -714,9 +685,23 @@ def _config_argv(values: dict[str, str], parser: argparse.ArgumentParser) -> lis
         flag, value = action.option_strings[-1], values[action.dest]
         if action.nargs != 0:
             tokens.append(f"{flag}={value}")
+        elif value.lower() not in ("true", "false"):
+            raise ValueError(f"config key {action.dest} must be true or false, got {value!r}")
         elif value.lower() == "true":
             tokens.append(flag)
     return tokens
+
+
+def _usage_error(args) -> str | None:
+    """The first rule tying one flag to another that ``args`` breaks, if any."""
+    if bool(getattr(args, "clusters", None)) != bool(getattr(args, "exemplars", None)):
+        missing = "--exemplars" if args.clusters else "--clusters"
+        return f"--clusters and --exemplars go together; {missing} is missing"
+    if getattr(args, "backend", None) == "remote" and not (args.url and args.model):
+        return "remote backend requires --url and --model"
+    if getattr(args, "bootstrap", False) and args.seed is None:
+        return "--bootstrap requires --seed"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -729,22 +714,28 @@ def main(argv: list[str] | None = None) -> int:
     if config is not None:
         try:
             values = _parse_flat_config(config)
+            at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
+            if at is not None:
+                argv[at:at] = _config_argv(values, commands[argv[at - 1]])
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
-        if at is not None:
-            argv[at:at] = _config_argv(values, commands[argv[at - 1]])
     args = parser.parse_args(argv)
-    if getattr(args, "bootstrap", False) and args.seed is None:
-        commands[args.command].error("--bootstrap requires --seed")
+    error = _usage_error(args)  # before any layer, output directory or input
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_USAGE
     for layer in _LAYERS[args.command]:
         _bind(layer)
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.func(args, out)
+        _write_meta(out, args)  # a code batch with failed passages (exit 5) is a run too
+        return code
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_IO

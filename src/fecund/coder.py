@@ -415,7 +415,6 @@ class MockCoder:
         self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
         self._plan: dict[int, tuple] = {}  # see plan
-        self._last: tuple = (None, [], None)  # the entry of the passage last looked up
         self._replies: dict[str, str] = {}  # code -> its coding reply
 
     def _digest(self, passage: Passage) -> int:
@@ -456,16 +455,13 @@ class MockCoder:
         flags = [self._flags(p) if n else None for p, n in zip(passages, counts)]
         # keyed by identity, which the entry's passage keeps unique while planned
         self._plan = dict(zip(map(id, passages), zip(passages, slots, flags)))
-        self._last = (None, [], None)
 
     def _planned(self, passage: Passage) -> tuple[Passage, list[str], list[str] | None]:
         """The passage, its slot codes and, if it has slots, its triage flags;
         one not planned is planned alone."""
-        if passage is not self._last[0]:
-            if id(passage) not in self._plan:
-                self.plan([passage])
-            self._last = self._plan[id(passage)]
-        return self._last
+        if id(passage) not in self._plan:
+            self.plan([passage])
+        return self._plan[id(passage)]
 
     def n_slots(self, passage: Passage) -> int:
         return len(self._planned(passage)[1])

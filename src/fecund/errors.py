@@ -56,7 +56,8 @@ class RankDeficiencyError(FecundError, ValueError):
 
 
 class CodeCountError(FecundError, ValueError):
-    """A passage's expected mock code count is one numpy's Poisson sampler refuses."""
+    """An expected code count past what can be drawn: a mock passage's that
+    numpy's Poisson sampler refuses, or a synthetic document's past the cap."""
 
 
 class PromptBindingError(FecundError, ValueError):

@@ -16,6 +16,10 @@ _WORDS = (
     "wage health vaccine census survey report editorial opinion letter"
 ).split()
 
+# the most code instances one synthetic document may expect: its draws hold
+# two float64 arrays of that size, so a million is some 16 MB
+MAX_EXPECTED_CODES = 10**6
+
 
 def zipf_probabilities(n: int, exponent: float = 1.1) -> np.ndarray:
     """Probability of each of ranks 1..n, proportional to rank**-exponent.
@@ -61,7 +65,8 @@ def synth_corpus(
     each document draws a Poisson number of code instances proportional to
     its length from a Zipf-weighted vocabulary, with optional uniform
     positions. When ``n_themes`` > 0, codes map onto themes round-robin.
-    A count whose λ numpy refuses raises CodeCountError naming the document.
+    A document expecting more than MAX_EXPECTED_CODES code instances raises
+    CodeCountError naming it, before its count is drawn.
     """
     rng = np.random.default_rng(seed)
     cdf = zipf_cdf(n_codes, zipf_exponent)
@@ -75,11 +80,10 @@ def synth_corpus(
         else:
             length = max(100, int(rng.lognormal(log_mean, 0.5)))
         lam = codes_per_kchar * length / 1000.0
-        try:
-            k = int(rng.poisson(lam))
-        except ValueError as exc:  # numpy's refusal names no document
+        if lam > MAX_EXPECTED_CODES:  # also keeps lam inside numpy's Poisson range
             raise CodeCountError(f"document doc-{d:0{width}d} expects {lam:g} codes, "
-                                 f"which numpy's Poisson sampler refuses: {exc}") from None
+                                 f"past the cap of {MAX_EXPECTED_CODES:,} per document")
+        k = int(rng.poisson(lam))
         doc_lengths.append(length)
         sizes.append(k)
         if k:  # no draw for an empty document

@@ -15,6 +15,7 @@ from reference import band_csv_rows, first_draws
 from fecund import cli, coder, ingest, saturation, synthetic
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
+from fecund.errors import CodeCountError
 from fecund.ingest import load_collection
 from fecund.saturation import BootstrapBand, CountingRegime, cumulative_curve
 
@@ -405,17 +406,29 @@ def test_config_equals_form_is_read(corpus_dir, tmp_path, capsys):
     assert "error: --config needs a path" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["true", "false"])
-def test_config_sets_a_valueless_flag_only_when_true(corpus_dir, tmp_path, value):
+@pytest.mark.parametrize("value", ["true", "false", "TRUE", "False", "yes", "1", "ture", "''"])
+def test_config_sets_a_valueless_flag_only_when_true(corpus_dir, tmp_path, capsys, value):
+    """``true`` sets the flag and ``false`` leaves it off, in any case; any
+    other value exits 2 naming the key, before any output."""
     config = tmp_path / "run.toml"
     config.write_text(f"plot = {value}\n", encoding="utf-8")
     out = tmp_path / "sw"
-    assert run(
+    capsys.readouterr()
+    code = run(
         "sweep", "--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
         "--coder-source", "human", "--seed", 1, "--quadratic", "0,1,0", "--config", config,
         "--out", out,
-    ) == EXIT_OK
-    assert (out / "sweep.svg").exists() == (value == "true")
+    )
+    if value.lower() in ("true", "false"):
+        assert code == EXIT_OK
+        assert (out / "sweep.svg").exists() == (value.lower() == "true")
+    else:
+        assert code == EXIT_USAGE
+        given = value.strip("'")
+        assert capsys.readouterr().err == (
+            f"error: config key plot must be true or false, got {given!r}\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest", "code", "select", "analyze"])
@@ -650,6 +663,7 @@ _CASE_FILES = {
     "codes-d0.csv": "doc_id,coder_source,code_label\nd0,human,x\n",
     "one-doc.jsonl": '{"id": "d0", "text_length": 100}\n',
     "seed-negative.toml": "seed = -3\n",
+    "bootstrap-yes.toml": "bootstrap = yes\nseed = 3\niterations = 5\n",
     # the id on line 2 escapes a lone surrogate, which no UTF-8 output can hold
     "docs-surrogate.jsonl": (
         '{"id": "d0", "text_length": 100}\n{"id": "d1\\ud800", "text_length": 100}\n'
@@ -969,6 +983,27 @@ _BAD_INPUTS = {
         EXIT_DATA,
         "{tmp}/docs-id-false.jsonl:1: document id False is not a string",
     ),
+    "sweep-no-map": (
+        ["sweep", "--coder-source", "human", "--seed", "1"],
+        EXIT_USAGE,
+        "one of the arguments --quadratic --pairs is required",
+    ),
+    "sweep-both-maps": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
+         "--pairs", "{tmp}/pairs.csv"],
+        EXIT_USAGE,
+        "argument --pairs: not allowed with argument --quadratic",
+    ),
+    "code-remote-no-url": (
+        ["code", "--seed", "1", "--backend", "remote", "--model", "m"],
+        EXIT_USAGE,
+        "error: remote backend requires --url and --model",
+    ),
+    "config-bootstrap-yes": (
+        ["saturate", "--coder-source", "human", "--config", "{tmp}/bootstrap-yes.toml"],
+        EXIT_USAGE,
+        "error: config key bootstrap must be true or false, got 'yes'",
+    ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
          "--budget-docs", "-2"],
@@ -999,6 +1034,16 @@ def test_bad_input_exits_with_documented_code(corpus_dir, tmp_path, capsys, case
     assert "Traceback" not in err
     if expected == EXIT_USAGE:  # rejected while parsing, before any output
         assert not (tmp_path / "out").exists()
+
+
+def test_a_usage_error_is_refused_before_any_input_is_read(tmp_path, capsys):
+    """The flag rules are checked before ``--docs`` is opened: a remote
+    backend without ``--url`` exits 2, not 3 for the missing file."""
+    capsys.readouterr()
+    assert run("code", "--docs", tmp_path / "missing.jsonl", "--seed", 1, "--backend", "remote",
+               "--out", tmp_path / "out") == EXIT_USAGE
+    assert capsys.readouterr().err == "error: remote backend requires --url and --model\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
@@ -1232,6 +1277,35 @@ def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeyp
     ]
     assert len(_read_csv(out / "ai_codes.csv")) > 1  # every other passage was coded
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case,expected", [("ok", EXIT_OK), ("failed-passages", EXIT_REMOTE),
+                                           ("missing", EXIT_IO), ("corrupt", EXIT_DATA)])
+def test_run_meta_is_written_once_the_command_returns(corpus_dir, tmp_path, monkeypatch,
+                                                      case, expected):
+    """A run that finishes, a code batch with failed passages among them,
+    gets its run_meta.json; one that fails on an input (exit 3 or 4) leaves
+    ``--out`` made but empty."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json}\n", encoding="utf-8")
+    unreadable = json.dumps({"choices": [{"message": {"content": "not a dictionary"}}]})
+    monkeypatch.setattr(cli, "RemoteCoder", lambda config: coder.RemoteCoder(
+        config, transport=lambda url, headers, body, timeout: (200, unreadable)))
+    out = tmp_path / "out"
+    argv = {
+        "ok": ["ingest", "--docs", corpus_dir / "documents.jsonl"],
+        "failed-passages": ["code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5,
+                            "--backend", "remote", "--url", "http://example.invalid/v1/chat",
+                            "--model", "m", "--max-in-flight", 1],
+        "missing": ["ingest", "--docs", tmp_path / "absent.jsonl"],
+        "corrupt": ["ingest", "--docs", bad],
+    }[case]
+    assert run(*argv, "--out", out) == expected
+    if expected in (EXIT_OK, EXIT_REMOTE):
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["command"] == argv[0] and meta["args"]["out"] == str(out)
+    else:
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1484,8 +1558,8 @@ def test_synth_refuses_a_mean_len_past_the_length_cap(tmp_path, capsys, mean_len
 @pytest.mark.parametrize("with_text", [False, True])
 def test_synth_names_the_document_an_oversized_codes_per_kchar_breaks(tmp_path, capsys,
                                                                       with_text):
-    """Every document's λ is past numpy's Poisson limit, so the first one
-    drawn, doc-0, is named, and no code instance is drawn."""
+    """Every document's λ is past the cap on expected codes, so the first
+    one drawn, doc-0, is named, and no code instance is drawn."""
     rng = np.random.default_rng(1)
     length = (len(synthetic.synth_articles(5, 1)[0].full_text) if with_text
               else max(100, int(rng.lognormal(np.log(2000), 0.5))))
@@ -1496,8 +1570,28 @@ def test_synth_names_the_document_an_oversized_codes_per_kchar_breaks(tmp_path, 
     err = capsys.readouterr().err
     assert err == (
         f"error: --codes-per-kchar 1e+300: document doc-0 expects {1e300 * length / 1000.0:g} "
-        "codes, which numpy's Poisson sampler refuses: lam value too large\n"
+        "codes, past the cap of 1,000,000 per document\n"
     )
+
+
+def test_synth_refuses_a_document_past_the_code_cap(tmp_path, capsys):
+    """A mean length below the length cap can still ask for more code
+    instances than one document may hold: exit 4 naming the document and
+    its expected count, with no array of that size allocated."""
+    capsys.readouterr()
+    assert run("synth", "--seed", 1, "--n-docs", 2, "--mean-len", 2**52,
+               "--out", tmp_path / "out") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: --codes-per-kchar 3: document doc-0 expects ")
+    assert err.endswith(" codes, past the cap of 1,000,000 per document\n")
+    assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
+def test_synth_corpus_names_the_first_document_past_the_code_cap():
+    """The cap is checked per document, before that document's draw."""
+    lengths = [1000, 2000 * synthetic.MAX_EXPECTED_CODES]  # λ = 1, then 2e6
+    with pytest.raises(CodeCountError, match="^document doc-1 expects 2e[+]06 codes, past the cap"):
+        synthetic.synth_corpus(2, seed=3, codes_per_kchar=1.0, lengths=lengths)
 
 
 def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
