@@ -714,6 +714,9 @@ def main(argv: list[str] | None = None) -> int:
     if config is not None:
         try:
             values = _parse_flat_config(config)
+            known = {action.dest for command in commands.values() for action in command._actions}
+            if unknown := [key for key in values if key not in known]:
+                raise ValueError(f"config key {unknown[0]} is no flag of any command")
             at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
             if at is not None:
                 argv[at:at] = _config_argv(values, commands[argv[at - 1]])
@@ -745,8 +748,11 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"error: remote coder: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except CodeCountError as exc:  # synth and code draw counts from --codes-per-kchar
-        print(f"error: --codes-per-kchar {args.codes_per_kchar:g}: {exc}", file=sys.stderr)
+    except CodeCountError as exc:  # λ is --codes-per-kchar times a length
+        flags = f"--codes-per-kchar {args.codes_per_kchar:g}"
+        if args.command == "synth" and not args.with_text:  # the lengths come from --mean-len
+            flags += f", --mean-len {args.mean_len}"
+        print(f"error: {flags}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (CollectionFormatError,) as exc:
         print(f"error: invalid collection: {exc}", file=sys.stderr)

@@ -400,12 +400,9 @@ class MockCoder:
     steps share that slot's one draw, and each code's reply is built once.
     Passages containing tell-tale boilerplate markers ("photo:", "photo
     caption", "disclaimer", "views expressed") are flagged at triage,
-    mirroring the screening behaviour of a real backend. ``code_passages``
-    hands it each block of passages through ``plan`` before asking about
-    them, so their slot counts and codes are drawn together.
+    mirroring the screening behaviour of a real backend. ``respond`` reads
+    the last ``plan``, so it answers only for the slots that plan gave.
     """
-
-    kind = "mock"
 
     def __init__(self, seed: int = 0, vocab_size: int = 200, zipf_exponent: float = 1.1,
                  mean_codes_per_kchar: float = 3.0):
@@ -421,15 +418,10 @@ class MockCoder:
         passage_id = passage.article_id + ":" + str(passage.index)
         return int.from_bytes(passage_id.encode("utf-8")[-4:], "big")
 
-    def _codes(self, rows: list[tuple[int, int, int]]) -> list[str]:
-        # side="right" is bisect_right, the index Generator.choice takes
-        drawn = np.searchsorted(self._cdf, _first_draws(rows), side="right")
-        return list(map(self.vocab.__getitem__, drawn.tolist()))
-
-    def plan(self, passages: Sequence[Passage]) -> None:
-        """Draw the slot count and the codes of every passage at once, and
-        note the triage flags of each passage with slots, for ``respond`` to
-        read; each plan replaces the last.
+    def plan(self, passages: Sequence[Passage]) -> list[int]:
+        """Draw the slot count and the codes of every passage at once, note
+        the triage flags of each passage with slots, for ``respond`` to read,
+        and return the slot counts; each plan replaces the last.
 
         A passage's slot count comes from the stream ``default_rng([seed,
         digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
@@ -448,23 +440,15 @@ class MockCoder:
                     raise CodeCountError(f"passage {passage_key(p)} expects {lam:g} codes, "
                                          f"which numpy's Poisson sampler refuses: {exc}") from None
             raise
-        codes = self._codes(
-            [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
-        )
+        rows = [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
+        # side="right" is bisect_right, the index Generator.choice takes
+        drawn = np.searchsorted(self._cdf, _first_draws(rows), side="right")
+        codes = list(map(self.vocab.__getitem__, drawn.tolist()))
         slots = [codes[end - n : end] for n, end in zip(counts, accumulate(counts))]
         flags = [self._flags(p) if n else None for p, n in zip(passages, counts)]
         # keyed by identity, which the entry's passage keeps unique while planned
         self._plan = dict(zip(map(id, passages), zip(passages, slots, flags)))
-
-    def _planned(self, passage: Passage) -> tuple[Passage, list[str], list[str] | None]:
-        """The passage, its slot codes and, if it has slots, its triage flags;
-        one not planned is planned alone."""
-        if id(passage) not in self._plan:
-            self.plan([passage])
-        return self._plan[id(passage)]
-
-    def n_slots(self, passage: Passage) -> int:
-        return len(self._planned(passage)[1])
+        return counts
 
     def _flags(self, passage: Passage) -> list[str]:
         text = passage.text.lower()
@@ -476,9 +460,7 @@ class MockCoder:
         return flags
 
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
-        _, codes, flags = self._planned(passage)
-        if flags is None:  # a passage without slots, which a batch never triages
-            flags = self._flags(passage)
+        _, codes, flags = self._plan[id(passage)]
         if step == "triage_caption":
             return (
                 '{"1. disclaimer?": %s, "2. caption?": %s, "Body?": %s }'
@@ -498,10 +480,7 @@ class MockCoder:
                 )
             return '{"1. Relevant?": "Yes.", "2. Why Not?": None}'
         # every coding step shares the slot's one draw, so precode == final theme
-        if slot < len(codes):
-            code = codes[slot]
-        else:  # a wrapper may ask past the slot count
-            code = self._codes([(self.seed, self._digest(passage), slot + 1)])[0]
+        code = codes[slot]
         if step == "round1":
             return code
         if code not in self._replies:
@@ -548,16 +527,15 @@ class RemoteCoder:
     rate-limit error distinctly.
     """
 
-    kind = "remote"
-
     def __init__(self, config: RemoteConfig, transport: Callable = _urllib_transport,
                  sleep: Callable[[float], None] = time.sleep):
         self.config = config
         self.transport = transport
         self.sleep = sleep
 
-    def n_slots(self, passage: Passage) -> int:
-        return 1
+    def plan(self, passages: Sequence[Passage]) -> list[int]:
+        """One slot per passage: the model codes each passage once."""
+        return [1] * len(passages)
 
     def respond(self, step: str, prompt: str, passage: Passage, slot: int = 0) -> str:
         token = os.environ.get(self.config.token_env, "")
@@ -704,8 +682,8 @@ def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple],
         read(state, backend.respond(step, render_prompt(template, vars(state)), passage, slot))
 
 
-# Passages a backend's ``plan`` hook draws for at once (``MockCoder.plan``):
-# enough to seed in bulk, few enough that memory stays flat.
+# Passages a backend plans at once: enough for the mock to seed in bulk, few
+# enough that memory stays flat.
 _PLAN_BLOCK = 4096
 
 
@@ -718,7 +696,13 @@ def code_passages(
 ) -> CodingRun:
     """Run the template chain over every passage.
 
-    The chain's leading passage-level steps (triage, relevance, confidence)
+    A backend answers two calls: ``plan(passages)`` returns each passage's
+    code-slot count, in order, and ``respond(step, prompt, passage, slot)``
+    the reply to one prompt about a passage of the last plan, for a slot
+    below its count. Passages, sorted by key, are planned in blocks of
+    ``_PLAN_BLOCK``, or all at once when the backend's ``config`` sets a
+    ``max_in_flight`` above 1, which walks them on that many threads. The
+    chain's leading passage-level steps (triage, relevance, confidence)
     are asked once per passage that has at least one code slot, as slot 0;
     each slot then walks the remaining steps from its own copy of that
     state. A passage with no slots makes no call. ``summaries`` maps article
@@ -727,8 +711,7 @@ def code_passages(
     exemplar-coding overview bound as the few-shot reference. A transport
     failure or an unreadable reply costs only its passage, which is
     recorded in ``errors``; the mock backend never fails. Results are
-    ordered by passage key; remote batches honour the configured in-flight
-    cap.
+    ordered by passage key.
     """
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
@@ -737,7 +720,7 @@ def code_passages(
     n_head = len(tuple(takewhile(lambda step: _STEPS[step][2], template_chain)))
     head, tail = steps[:n_head], steps[n_head:]
 
-    def work(item: tuple[str, Passage]) -> tuple[str, list[CodeResponse], str | None]:
+    def work(item: tuple[str, Passage], count: int) -> tuple[str, list[CodeResponse], str | None]:
         key, passage = item
         state = _ChainState(
             excerpt=passage.text,
@@ -746,10 +729,9 @@ def code_passages(
         )
         responses = []
         try:
-            n_slots = backend.n_slots(passage)
-            if n_slots:
+            if count:
                 _walk(state, passage, backend, head, 0)
-            for slot in range(n_slots):
+            for slot in range(count):
                 branch = _ChainState(**vars(state))  # the slot's own copy
                 _walk(branch, passage, backend, tail, slot)
                 responses.append(branch.response)
@@ -762,19 +744,17 @@ def code_passages(
         return key, responses, None
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)
-    if backend.kind == "remote" and cap > 1 and len(keyed) > 1:
+    if cap > 1 and len(keyed) > 1:
         from concurrent.futures import ThreadPoolExecutor  # only this path uses threads
 
+        counts = backend.plan([passage for _, passage in keyed])
         with ThreadPoolExecutor(max_workers=cap) as pool:
-            outcomes = list(pool.map(work, keyed))
+            outcomes = list(pool.map(work, keyed, counts))
     else:
-        plan = getattr(backend, "plan", None)
         outcomes = []
         for first in range(0, len(keyed), _PLAN_BLOCK):
             block = keyed[first : first + _PLAN_BLOCK]
-            if plan is not None:
-                plan([passage for _, passage in block])
-            outcomes += map(work, block)
+            outcomes += map(work, block, backend.plan([passage for _, passage in block]))
 
     return CodingRun(
         results=tuple((key, r) for key, responses, _ in outcomes for r in responses),

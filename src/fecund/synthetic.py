@@ -56,15 +56,14 @@ def synth_corpus(
     codes_per_kchar: float = 3.0,
     coder_source: str = "human",
     n_themes: int = 0,
-    with_positions: bool = True,
     lengths: list[int] | None = None,
 ) -> tuple[Collection, Codebook]:
     """Corpus with Zipf-skewed code frequencies and length-scaled code counts.
 
     Lengths are lognormal around ``mean_length`` unless given explicitly;
     each document draws a Poisson number of code instances proportional to
-    its length from a Zipf-weighted vocabulary, with optional uniform
-    positions. When ``n_themes`` > 0, codes map onto themes round-robin.
+    its length from a Zipf-weighted vocabulary, each at a uniform
+    position. When ``n_themes`` > 0, codes map onto themes round-robin.
     A document expecting more than MAX_EXPECTED_CODES code instances raises
     CodeCountError naming it, before its count is drawn.
     """
@@ -89,7 +88,7 @@ def synth_corpus(
         if k:  # no draw for an empty document
             uniforms.append(rng.random(k))  # what Generator.choice(p=...) draws
             # rng.random(k) is rng.uniform(size=k), 0 + 1 * u, with less argument checking
-            positions.append(rng.random(k) if with_positions else np.full(k, np.nan))
+            positions.append(rng.random(k))
     label_ids = cdf.searchsorted(np.concatenate(uniforms or [np.zeros(0)]), side="right")
     rows = np.repeat(np.arange(n_docs), sizes)
     instances = (np.zeros(len(rows)), rows, label_ids, np.concatenate(positions or [np.zeros(0)]))

@@ -717,14 +717,15 @@ def code_passages_per_slot(
     the whole chain; the first unreadable reply or transport failure costs
     the passage."""
     results, errors = [], []
-    for passage in sorted(passages, key=lambda p: f"{p.article_id}:{p.index:04d}"):
+    passages = sorted(passages, key=lambda p: f"{p.article_id}:{p.index:04d}")
+    for passage, n_slots in zip(passages, backend.plan(passages)):
         key = f"{passage.article_id}:{passage.index:04d}"
         summary = summaries.get(passage.article_id, "")
         fewshot = fewshot_context.get(key, "[]")
         try:
             responses = [
                 run_chain(passage, backend, chain, summary, fewshot, slot)
-                for slot in range(backend.n_slots(passage))
+                for slot in range(n_slots)
             ]
         except TransportError as exc:
             errors.append((key, f"{type(exc).__name__}: {exc}"))
@@ -927,7 +928,6 @@ def synth_corpus_choice(
     codes_per_kchar: float = 3.0,
     coder_source: str = "human",
     n_themes: int = 0,
-    with_positions: bool = True,
     lengths: list[int] | None = None,
 ) -> tuple[Collection, Codebook]:
     """The synthetic corpus with each document's codes drawn by
@@ -947,7 +947,7 @@ def synth_corpus_choice(
         sizes.append(k)
         if k:  # no draw for an empty document
             picks.append(rng.choice(n_codes, size=k, p=probs))
-            positions.append(rng.uniform(size=k) if with_positions else np.full(k, np.nan))
+            positions.append(rng.uniform(size=k))
     label_ids = np.concatenate(picks or [np.zeros(0, dtype=np.int64)])
     rows = np.repeat(np.arange(n_docs), sizes)
     instances = (np.zeros(len(rows)), rows, label_ids, np.concatenate(positions or [np.zeros(0)]))

@@ -221,23 +221,9 @@ def test_saturate_bootstrap_draws_each_order_once(corpus_dir, tmp_path, monkeypa
     ]
 
 
-class _Unplanned:
-    """Forwards a backend's ``n_slots`` and ``respond`` but not its ``plan`` hook."""
-
-    def __init__(self, inner):
-        self.inner, self.kind = inner, inner.kind
-
-    def n_slots(self, passage):
-        return self.inner.n_slots(passage)
-
-    def respond(self, step, prompt, passage, slot=0):
-        return self.inner.respond(step, prompt, passage, slot)
-
-
 def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monkeypatch):
     """``code`` writes the same ai_codes.csv for plan blocks of 1, 7 and 512,
-    through a wrapper that hides the plan hook, and with every stream's
-    draws taken from ``np.random.default_rng`` itself."""
+    and with every stream's draws taken from ``np.random.default_rng`` itself."""
 
     def ai_codes(name):
         out = tmp_path / name
@@ -250,9 +236,6 @@ def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monk
     for block in (1, 7, 512):
         monkeypatch.setattr(coder, "_PLAN_BLOCK", block)
         assert ai_codes(f"block-{block}") == want
-    monkeypatch.setattr(cli, "MockCoder", lambda **kw: _Unplanned(coder.MockCoder(**kw)),
-                        raising=False)
-    assert ai_codes("unplanned") == want
     monkeypatch.undo()
     monkeypatch.setattr(coder, "_first_draws", first_draws)
     assert ai_codes("default-rng") == want
@@ -664,6 +647,7 @@ _CASE_FILES = {
     "one-doc.jsonl": '{"id": "d0", "text_length": 100}\n',
     "seed-negative.toml": "seed = -3\n",
     "bootstrap-yes.toml": "bootstrap = yes\nseed = 3\niterations = 5\n",
+    "bootstap.toml": "bootstap = true\nseed = 3\niterations = 5\n",
     # the id on line 2 escapes a lone surrogate, which no UTF-8 output can hold
     "docs-surrogate.jsonl": (
         '{"id": "d0", "text_length": 100}\n{"id": "d1\\ud800", "text_length": 100}\n'
@@ -1004,6 +988,11 @@ _BAD_INPUTS = {
         EXIT_USAGE,
         "error: config key bootstrap must be true or false, got 'yes'",
     ),
+    "config-unknown-key": (
+        ["saturate", "--coder-source", "human", "--config", "{tmp}/bootstap.toml"],
+        EXIT_USAGE,
+        "error: config key bootstap is no flag of any command",
+    ),
     "sweep-budget-docs-negative": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "0,1,0",
          "--budget-docs", "-2"],
@@ -1276,6 +1265,92 @@ def test_code_records_unreadable_reply_per_passage(corpus_dir, tmp_path, monkeyp
         "doc-00:0000,ResponseParseError: no dictionary-shaped region in reply: not a dictionary"
     ]
     assert len(_read_csv(out / "ai_codes.csv")) > 1  # every other passage was coded
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# every key the chain reads, so this one reply serves every step
+_EVERY_KEY = json.dumps({
+    "1. disclaimer?": False, "2. caption?": False, "Body?": True,
+    "1. Refugees?": "Yes.", "2. Malaysia?": "Yes.", "1. Relevant?": "Yes.", "2. Why Not?": None,
+    "1. Theme": "Camp access", "2. Whose Attitude?": "NGOs", "3. Target": "UNHCR",
+    "4. Valence": "N/A",
+})
+# a passage whose text holds the marker gets this status and body at every step
+_HTTP_MARKS = {
+    "mark429": (429, "slow down"),
+    "mark500": (500, "server down"),
+    "mark400": (400, "bad request body"),
+    "markjunk": (200, "<html>not json</html>"),
+}
+
+
+def test_code_over_http_records_each_refused_passage(tmp_path, monkeypatch, capsys):
+    """``code --backend remote`` through the real urllib transport, against a
+    loopback chat-completion server: a 429, a 500, a 400 with a body and a
+    200 that is not JSON each cost only their passage, and every request
+    carries the bearer token."""
+    import http.server
+    import threading
+
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            prompt = request["messages"][0]["content"]
+            seen.append((self.headers["Authorization"], request["model"]))
+            mark = next((m for m in _HTTP_MARKS if m in prompt), None)
+            status, body = _HTTP_MARKS[mark] if mark else (
+                200, json.dumps({"choices": [{"message": {"content": _EVERY_KEY}}]}))
+            data = body.encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("FECUND_TEST_TOKEN", "s3cret")
+    names = ["plain-a", *_HTTP_MARKS, "plain-b", "plain-c"]
+    docs = tmp_path / "documents.jsonl"
+    docs.write_text("".join(
+        json.dumps({"id": name, "text": f"A passage about {name} and aid. " + "x" * 150}) + "\n"
+        for name in names
+    ), encoding="utf-8")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        out = tmp_path / "coded"
+        code = run(
+            "code", "--docs", docs, "--backend", "remote",
+            "--url", f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+            "--model", "m", "--token-env", "FECUND_TEST_TOKEN", "--retries", 1,
+            "--max-in-flight", 2, "--seed", 1, "--out", out,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and code == EXIT_REMOTE
+    rows = _read_csv(out / "ai_codes.csv")
+    assert [row["doc_id"] for row in rows] == ["plain-a", "plain-b", "plain-c"]
+    assert {row["code_label"] for row in rows} == {"Camp access"}
+    errors = {row["passage_id"]: row["error"] for row in _read_csv(out / "coding_errors.csv")}
+    assert errors == {
+        "mark429:0000": "RateLimitError: rate/budget limit (HTTP 429)",
+        "mark500:0000": "TransportError: server error (HTTP 500)",
+        "mark400:0000": "TransportError: HTTP 400: bad request body",
+        "markjunk:0000": "TransportError: malformed completion payload: <html>not json</html>",
+    }
+    # five socratic steps per coded passage, one refused call per marked one
+    assert len(seen) == 5 * 3 + len(_HTTP_MARKS)
+    assert set(seen) == {("Bearer s3cret", "m")}
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -1568,8 +1643,9 @@ def test_synth_names_the_document_an_oversized_codes_per_kchar_breaks(tmp_path, 
             "--out", tmp_path / "out"] + ["--with-text"] * with_text
     assert run(*argv) == EXIT_DATA
     err = capsys.readouterr().err
+    flags = "--codes-per-kchar 1e+300" + ("" if with_text else ", --mean-len 2000")
     assert err == (
-        f"error: --codes-per-kchar 1e+300: document doc-0 expects {1e300 * length / 1000.0:g} "
+        f"error: {flags}: document doc-0 expects {1e300 * length / 1000.0:g} "
         "codes, past the cap of 1,000,000 per document\n"
     )
 
@@ -1582,9 +1658,29 @@ def test_synth_refuses_a_document_past_the_code_cap(tmp_path, capsys):
     assert run("synth", "--seed", 1, "--n-docs", 2, "--mean-len", 2**52,
                "--out", tmp_path / "out") == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("error: --codes-per-kchar 3: document doc-0 expects ")
+    assert err.startswith("error: --codes-per-kchar 3, --mean-len 4503599627370496: "
+                          "document doc-0 expects ")
     assert err.endswith(" codes, past the cap of 1,000,000 per document\n")
     assert not (tmp_path / "out" / "run_meta.json").exists()
+
+
+@pytest.mark.parametrize("with_text", [False, True])
+def test_synth_blames_mean_len_only_when_it_sets_the_lengths(tmp_path, capsys, with_text):
+    """The default --codes-per-kchar times a huge --mean-len is past the cap, so
+    the refusal names --mean-len; with --with-text the articles set the
+    lengths, --mean-len is not read, and the run succeeds."""
+    capsys.readouterr()
+    argv = ["synth", "--seed", 1, "--n-docs", 2, "--mean-len", 2**52,
+            "--out", tmp_path / "out"] + ["--with-text"] * with_text
+    code = run(*argv)
+    err = capsys.readouterr().err
+    if with_text:
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_DATA
+        lam = 3.0 * int(np.random.default_rng(1).lognormal(np.log(2**52), 0.5)) / 1000.0
+        assert err == (f"error: --codes-per-kchar 3, --mean-len {2**52}: document doc-0 "
+                       f"expects {lam:g} codes, past the cap of 1,000,000 per document\n")
 
 
 def test_synth_corpus_names_the_first_document_past_the_code_cap():

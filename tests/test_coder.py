@@ -553,15 +553,18 @@ def test_mock_rejects_zipf_weights_that_do_not_normalise(vocab_size, exponent):
     seed=st.integers(0, 2**63),
     article=st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
     index=st.integers(0, 9999),
-    slot=st.integers(0, 5),
     vocab_size=st.integers(1, 400),
     zipf_exponent=st.floats(0.0, 8.0),
 )
-def test_mock_cdf_draw_matches_choice(seed, article, index, slot, vocab_size, zipf_exponent):
-    backend = MockCoder(seed=seed, vocab_size=vocab_size, zipf_exponent=zipf_exponent)
-    p = passage("x", article=article, index=index)
-    drawn = mock_draw_choice(backend, p, slot, zipf_exponent)
-    assert backend.respond("round1", "", p, slot) == drawn
+def test_mock_cdf_draw_matches_choice(seed, article, index, vocab_size, zipf_exponent):
+    # λ = 50, so every passage gets the cap of 6 slots
+    backend = MockCoder(seed=seed, vocab_size=vocab_size, zipf_exponent=zipf_exponent,
+                        mean_codes_per_kchar=1000.0)
+    p = passage("x" * 50, article=article, index=index)
+    assert backend.plan([p]) == [6]
+    for slot in range(6):
+        drawn = mock_draw_choice(backend, p, slot, zipf_exponent)
+        assert backend.respond("round1", "", p, slot) == drawn
 
 
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
@@ -577,12 +580,13 @@ def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
         return real(rows, lams)
 
     monkeypatch.setattr(coder_module, "_first_draws", counting)
-    mock = MockCoder(seed=4)
-    run = code_passages(passages, mock, chain)
+    backend = RecordingBackend(MockCoder(seed=4))
+    run = code_passages(passages, backend, chain)
     assert len(run.results) > len(passages)  # some passages have several slots
     assert len(built) == len(set(built)) == len(passages) + len(run.results)
     assert set(built) == {
-        (4, mock._digest(p), slot) for p in passages for slot in range(mock.n_slots(p) + 1)
+        (4, backend.inner._digest(p), slot)
+        for p in passages for slot in range(backend.counts[passage_key(p)] + 1)
     }
 
 
@@ -604,28 +608,52 @@ def test_mock_formats_each_code_reply_once(monkeypatch):
 
 
 class RecordingBackend:
-    """Wraps a backend and records every prompt it is asked to answer."""
+    """Wraps a backend, forwarding ``plan``, and records every prompt it is
+    asked to answer and every slot count planned, by passage key. Each
+    question must be about a passage of the last plan, for a slot below the
+    count that plan gave it."""
 
-    def __init__(self, inner, min_slots=1):
+    def __init__(self, inner):
         self.inner = inner
-        self.kind = inner.kind
-        self.min_slots = min_slots
         self.prompts = []
         self.asked = []
+        self.counts = {}
+        self._planned = {}
 
-    def n_slots(self, passage):
-        return max(self.min_slots, self.inner.n_slots(passage))
+    def plan(self, passages):
+        counts = self.inner.plan(passages)
+        assert len(counts) == len(passages)
+        self.counts.update(zip(map(passage_key, passages), counts))
+        self._planned = dict(zip(map(id, passages), counts))
+        return counts
 
     def respond(self, step, prompt, passage, slot=0):
+        assert 0 <= slot < self._planned[id(passage)], (step, passage_key(passage), slot)
         self.prompts.append((step, prompt))
         self.asked.append((step, passage_key(passage), slot))
         return self.inner.respond(step, prompt, passage, slot)
+
+
+@pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
+@pytest.mark.parametrize("block, in_flight", [(7, 1), (4096, 1), (4096, 3)])
+def test_code_passages_asks_only_about_planned_slots(monkeypatch, chain, block, in_flight):
+    """Every question is about a passage of the current plan, for a slot below
+    its count, whether passages are planned in blocks or, on the threaded
+    path, all at once."""
+    monkeypatch.setattr(coder_module, "_PLAN_BLOCK", block)
+    passages = [passage("x" * (40 * i + 1), article=f"a{i % 5}", index=i) for i in range(40)]
+    backend = RecordingBackend(MockCoder(seed=9))
+    backend.config = RemoteConfig(url="", model="", max_in_flight=in_flight)
+    run = code_passages(passages, backend, chain)
+    assert 0 in backend.counts.values() and len(run.results) == sum(backend.counts.values())
+    assert len(backend.counts) == len(passages) and backend.asked
 
 
 def test_caption_flag_threads_note_downstream():
     p = passage("photo caption: refugees at the border fence " + "x" * 160)
     backend = RecordingBackend(MockCoder(seed=5))
     code_passages([p], backend, SOCRATIC_CHAIN)
+    assert backend.counts == {"a1:0000": 1}
     relevance_prompts = [pr for step, pr in backend.prompts if step == "triage_relevance"]
     assert relevance_prompts, "chain never reached the relevance step"
     assert "Passage is a photo caption" in relevance_prompts[0]
@@ -633,50 +661,36 @@ def test_caption_flag_threads_note_downstream():
     assert "Passage is a photo caption" in confidence_prompts[0]
 
 
-@pytest.mark.parametrize("planned", [False, True])
-def test_a_passage_without_slots_still_reports_its_flags(planned):
-    """A batch triages only passages with slots, so the mock notes no flags for
-    the rest; a direct triage question about one still sees its markers."""
-    p = passage("Photo caption: the views expressed are not those of the paper " + "x" * 160)
-    mock = MockCoder(seed=5, mean_codes_per_kchar=0.0)
-    if planned:
-        mock.plan([p])
-    assert mock.n_slots(p) == 0
-    assert mock.respond("triage_caption", "", p) == (
-        '{"1. disclaimer?": True, "2. caption?": True, "Body?": False }'
-    )
-    assert "boilerplate" in mock.respond("relevance_confidence", "", p)
-
-
 def test_clean_passage_has_empty_note():
     p = passage("y" * 300)
     backend = RecordingBackend(MockCoder(seed=5))
     code_passages([p], backend, SOCRATIC_CHAIN)
+    assert backend.counts == {"a1:0000": 1}
     for step, prompt in backend.prompts:
         assert "flagged" not in prompt
 
 
 def test_reassess_receives_precode_and_summary():
     p = passage("z" * 400, article="art9")
-    backend = RecordingBackend(MockCoder(seed=11))
+    backend = RecordingBackend(MockCoder(seed=2))
     run = code_passages([p], backend, SOCRATIC_CHAIN, summaries={"art9": "THE SUMMARY"})
     reassess = [pr for step, pr in backend.prompts if step == "summary_reassess"]
-    assert reassess and "THE SUMMARY" in reassess[0]
-    if run.results:
-        theme = run.results[0][1].theme
-        assert f"coded as ### {theme} ###" in reassess[0]
+    assert len(reassess) == len(run.results) == 3 and "THE SUMMARY" in reassess[0]
+    theme = run.results[0][1].theme
+    assert f"coded as ### {theme} ###" in reassess[0]
 
 
 def test_round1_chain():
     p = passage("w" * 400)
-    run = code_passages([p], MockCoder(seed=2), ROUND1_CHAIN, summaries={"a1": "S"})
+    run = code_passages([p], MockCoder(seed=5), ROUND1_CHAIN, summaries={"a1": "S"})
+    assert len(run.results) == 2
     for _, response in run:
         assert response.theme is not None
 
 
 def test_fewshot_chain_binds_context():
     p = passage("v" * 400, article="artX")
-    backend = RecordingBackend(MockCoder(seed=2))
+    backend = RecordingBackend(MockCoder(seed=1))
     code_passages(
         [p],
         backend,
@@ -701,14 +715,12 @@ def test_results_ordered_by_passage_key():
 class ScriptedBackend:
     """Answers every chain step with a fixed reply and records each prompt."""
 
-    kind = "scripted"
-
     def __init__(self, replies):
         self.replies = replies
         self.prompts = []
 
-    def n_slots(self, passage):
-        return 1
+    def plan(self, passages):
+        return [1] * len(passages)
 
     def respond(self, step, prompt, passage, slot=0):
         self.prompts.append((step, prompt))
@@ -847,7 +859,10 @@ def test_chain_loop_matches_branch_oracle(chain, text, summary, fewshot, replies
 def test_chain_loop_matches_branch_oracle_on_mock(chain, text):
     p = passage(text)
     for slot in range(4):
-        new, old = RecordingBackend(MockCoder(seed=3)), RecordingBackend(MockCoder(seed=3))
+        # λ is 60 or more, so the passage gets the cap of 6 slots
+        new, old = (RecordingBackend(MockCoder(seed=3, mean_codes_per_kchar=1000.0))
+                    for _ in range(2))
+        assert new.plan([p]) == old.plan([p]) == [6]
         response = run_chain(p, new, chain, "S", '["x"]', slot)
         assert response == run_chain_branches(p, old, chain, "S", '["x"]', slot)
         assert new.prompts == old.prompts
@@ -953,7 +968,7 @@ mock_passages = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_triage_once_matches_per_slot_walk_on_mock(passages, seed, chain):
     summaries, fewshot = {"a": "SUM"}, {"b:0001": '["exemplar"]'}
-    new, old = (RecordingBackend(MockCoder(seed=seed), min_slots=0) for _ in range(2))
+    new, old = (RecordingBackend(MockCoder(seed=seed)) for _ in range(2))
     run = code_passages(passages, new, chain, summaries, fewshot)
     assert run == code_passages_per_slot(passages, old, chain, summaries, fewshot)
     assert set(new.prompts) == set(old.prompts)
@@ -967,8 +982,8 @@ class SlottedBackend(OneBadPassage):
         self.replies = replies
         self.slots = slots
 
-    def n_slots(self, passage):
-        return self.slots[passage.index]
+    def plan(self, passages):
+        return [self.slots[p.index] for p in passages]
 
 
 UNREADABLE = ["no dictionary here", "{'1. Theme': 'x',,}", "{" + "z" * 250 + "}", '{"1. Theme": "\\ud800"}']
@@ -1013,8 +1028,7 @@ def test_passage_level_steps_are_asked_once_per_passage(monkeypatch):
         passage(markers[i % 3] + "y" * n, article=f"p{n}")
         for i, n in enumerate(range(1, 2400, 150))
     ]
-    mock = MockCoder(seed=8)
-    backend = RecordingBackend(mock, min_slots=0)
+    backend = RecordingBackend(MockCoder(seed=8))
     literals = []
     real = ast.literal_eval
     monkeypatch.setattr(ast, "literal_eval", lambda text: literals.append(text) or real(text))
@@ -1022,7 +1036,7 @@ def test_passage_level_steps_are_asked_once_per_passage(monkeypatch):
     assert literals == [] and not run.errors
     parse_response("{'1. Theme': 'single quotes'}")  # a Python-only reply is counted
     assert len(literals) == 1
-    slots = {passage_key(p): mock.n_slots(p) for p in passages}
+    slots = backend.counts
     assert 0 in slots.values() and max(slots.values()) >= 2
     assert any(slots[passage_key(p)] and markers[i % 3] for i, p in enumerate(passages))
     expected = Counter()
@@ -1056,7 +1070,7 @@ def test_mock_batch_decodes_once_per_reply_and_renders_once_per_prompt(monkeypat
     for module, name in ((coder_module, "_decode"), (copy, "copy"),
                          (coder_module, "render_prompt"), (coder_module, "parse_response")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    backend = RecordingBackend(MockCoder(seed=8), min_slots=0)
+    backend = RecordingBackend(MockCoder(seed=8))
     run = code_passages(passages, backend, SOCRATIC_CHAIN)
     asked = Counter(step for step, _, _ in backend.asked)
     assert run.results and not run.errors and asked["triage_caption"] and asked["socratic_code"]
@@ -1084,6 +1098,11 @@ def remote(transport, retries=3):
         transport=transport,
         sleep=lambda s: None,
     )
+
+
+def test_remote_plans_one_slot_per_passage():
+    passages = [passage("x" * n, article=f"a{n}") for n in (1, 100, 5000)]
+    assert remote(lambda *a: (200, "")).plan(passages) == [1] * len(passages)
 
 
 def test_remote_success():

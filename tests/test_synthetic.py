@@ -50,7 +50,7 @@ def test_synth_corpus_matches_choice_draws(generators, seed, codes_per_kchar, n_
     "kwargs",
     [
         dict(lengths=[100, 5000, 1, 30_000, 2500], n_codes=60),
-        dict(with_positions=False, n_codes=1000, zipf_exponent=0.0),
+        dict(n_codes=1000, zipf_exponent=0.0),  # flat; the id predates positions always drawn
         dict(mean_length=50, zipf_exponent=3.5, coder_source="ai"),
     ],
     ids=["lengths", "no-positions", "short-steep"],
