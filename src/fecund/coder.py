@@ -18,18 +18,18 @@ import json
 import os
 import re
 import time
+from _blake2 import blake2b  # hashlib's, without the OpenSSL bindings hashlib loads (~4 MB)
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, takewhile
 from operator import itemgetter
 from string import Template
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import _first_draws
 from .errors import (
-    CodeCountError, PromptBindingError, RateLimitError, ResponseParseError, TransportError,
+    PromptBindingError, RateLimitError, ResponseParseError, TransportError,
 )
 from .ingest import Passage, _encodable as _encodable_text
 from .synthetic import zipf_cdf
@@ -389,6 +389,18 @@ def parse_round1_response(raw: str) -> CodeResponse:
 # --- backends ---------------------------------------------------------------
 
 
+# SplitMix64's golden-ratio increment γ and finaliser multipliers (Steele, Lea
+# & Flood 2014), for the mock's counter-based streams (Salmon et al. 2011)
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _uniforms(counters: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser of each uint64 counter: its top 53 bits over 2**53."""
+    z = (counters ^ counters >> 30) * _MIX1
+    z = (z ^ z >> 27) * _MIX2
+    return ((z ^ z >> 31) >> 11) * 2.0**-53
+
+
 class MockCoder:
     """Offline coder with a seeded Zipf vocabulary.
 
@@ -414,35 +426,33 @@ class MockCoder:
         self._plan: dict[int, tuple] = {}  # see plan
         self._replies: dict[str, str] = {}  # code -> its coding reply
 
-    def _digest(self, passage: Passage) -> int:
-        passage_id = passage.article_id + ":" + str(passage.index)
-        return int.from_bytes(passage_id.encode("utf-8")[-4:], "big")
-
     def plan(self, passages: Sequence[Passage]) -> list[int]:
         """Draw the slot count and the codes of every passage at once, note
         the triage flags of each passage with slots, for ``respond`` to read,
         and return the slot counts; each plan replaces the last.
 
-        A passage's slot count comes from the stream ``default_rng([seed,
-        digest, 0])`` and slot ``s``'s code from ``default_rng([seed, digest,
-        s + 1])``, where the digest is the last 4 bytes of "article:index".
-        Each takes only its first draws (``corpus._first_draws``).
+        A passage's stream is keyed by the first 8 bytes of blake2b over
+        "seed:article:index", read as a little-endian uint64. Its ``c``-th
+        uniform is the SplitMix64 finaliser of key + c·γ, top 53 bits over
+        2**53: counter 0 draws the slot count, counter ``s + 1`` slot ``s``'s
+        code. The count is min(6, Poisson(λ)) by inverse CDF: the number of
+        k ≤ 5 whose F(k) is at most the uniform.
         """
-        digests = list(map(self._digest, passages))
-        lams = [self.mean_codes_per_kchar * len(p.text) / 1000.0 for p in passages]
-        try:
-            counts = _first_draws(list(zip(repeat(self.seed), digests, repeat(0))), lams)
-        except ValueError:
-            for p, lam in zip(passages, lams):  # numpy's refusal names no passage
-                try:
-                    _first_draws([()], [lam])
-                except ValueError as exc:
-                    raise CodeCountError(f"passage {passage_key(p)} expects {lam:g} codes, "
-                                         f"which numpy's Poisson sampler refuses: {exc}") from None
-            raise
-        rows = [(self.seed, d, slot + 1) for d, n in zip(digests, counts) for slot in range(n)]
+        keys = np.frombuffer(b"".join(
+            blake2b(f"{self.seed}:{p.article_id}:{p.index}".encode(), digest_size=8).digest()
+            for p in passages
+        ), dtype="<u8")
+        u = _uniforms(keys[:, None] + _GAMMA * np.arange(7, dtype=np.uint64))
+        # e^-λ is 0 from about λ = 745, so capping λ keeps an infinite one from a NaN
+        lam = np.minimum([self.mean_codes_per_kchar * len(p.text) / 1000.0 for p in passages],
+                         1e3)
+        # P(k) for k ≤ 5 as e^-λ times λ/1 ... λ/k; the count is how many
+        # of their running sums F(k) are at most the uniform
+        terms = np.cumprod(np.column_stack([np.exp(-lam), lam[:, None] / np.arange(1, 6)]), axis=1)
+        counts = (terms.cumsum(axis=1) <= u[:, :1]).sum(axis=1)
         # side="right" is bisect_right, the index Generator.choice takes
-        drawn = np.searchsorted(self._cdf, _first_draws(rows), side="right")
+        drawn = np.searchsorted(self._cdf, u[:, 1:][np.arange(6) < counts[:, None]], side="right")
+        counts = counts.tolist()
         codes = list(map(self.vocab.__getitem__, drawn.tolist()))
         slots = [codes[end - n : end] for n, end in zip(counts, accumulate(counts))]
         flags = [self._flags(p) if n else None for p, n in zip(passages, counts)]

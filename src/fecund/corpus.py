@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 
@@ -287,56 +287,21 @@ _Lanes = tuple[np.ndarray, np.ndarray]  # 128-bit values, one per row, as (high,
 
 def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
     """For each row of non-negative ints, the generator ``default_rng(list(row))``
-    gives, bit for bit, seeded in bulk.
+    gives, bit for bit, seeded in bulk: PCG64's (state, increment) is read
+    from ``_lanes``.
 
     One generator is yielded again for every row, its state set to the row's:
     take a row's draws before asking for the next.
     """
     generator = None
-    for state, inc in _pcg64_states(rows):
+    for (s_hi, s_lo), (i_hi, i_lo) in _lanes(rows):
         if generator is None:
             generator = np.random.Generator(np.random.PCG64(0))
             setting = generator.bit_generator.state  # reused: only its "state" changes
-        setting["state"] = {"state": state, "inc": inc}
-        generator.bit_generator.state = setting
-        yield generator
-
-
-def _first_draws(rows: Sequence[Sequence[int]], lams: Sequence[float] | None = None) -> list:
-    """Each row's first ``random()`` from ``default_rng(list(row))`` or, where
-    ``lams`` gives the row a λ, its ``min(6, poisson(λ))``, bit for bit, with
-    no Generator: every row's PCG64 is stepped at once, on lanes (``_lanes``).
-
-    For 0 < λ < 10 numpy's Poisson multiplies uniforms until the product is
-    at most e^-λ, and the cap ends that after 6 masked steps. The floor is
-    ``math.exp(-λ)``, libm's as in numpy's C code; ``np.exp`` may differ by
-    an ulp. λ == 0 draws 0. Any other λ (PTRS from 10 on, or one numpy
-    refuses) is drawn by ``_seeded_generators``, so results and errors stay
-    numpy's.
-    """
-    draws: list = []
-    slow: list[int] = []
-    for first, (state, inc) in zip(count(0, _SEED_CHUNK), _lanes(rows)):
-        if lams is None:
-            draws += _uniforms(_step(state, inc)).tolist()
-            continue
-        lam = np.array(lams[first : first + len(inc[0])], dtype=np.float64)
-        live = (0 < lam) & (lam < 10)
-        floor = np.zeros(len(lam))
-        floor[live] = [math.exp(-x) for x in lam[live].tolist()]
-        slow += (first + np.flatnonzero(~live & (lam != 0))).tolist()
-        counts, prod = np.zeros(len(lam), dtype=np.int64), np.ones(len(lam))
-        for _ in range(6):
-            if not live.any():
-                break
-            state = _step(state, inc)
-            prod *= _uniforms(state)
-            live = live & (prod > floor)
-            counts += live
-        draws += counts.tolist()
-    for i, rng in zip(slow, _seeded_generators([rows[i] for i in slow])):
-        draws[i] = min(6, int(rng.poisson(lams[i])))
-    return draws
+        for hi, lo, inc_hi, inc_lo in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+            setting["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+            generator.bit_generator.state = setting
+            yield generator
 
 
 def _lanes(rows: Iterable[Sequence[int]]) -> Iterator[tuple[_Lanes, _Lanes]]:
@@ -363,23 +328,6 @@ def _step(state: _Lanes, inc: _Lanes) -> _Lanes:
     low = lo * _MULT_LO
     new_lo = low + inc[1]
     return carried + hi * _MULT_LO + lo * _MULT_HI + inc[0] + (new_lo < low), new_lo
-
-
-def _uniforms(state: _Lanes) -> np.ndarray:
-    """PCG64's output for each stepped state (XSL-RR), as ``random()`` reads
-    it: the top 53 bits over 2**53."""
-    hi, lo = state
-    word, turn = hi ^ lo, hi >> 58
-    top = (word >> turn | word << ((64 - turn) & 63)) >> 11
-    return top.astype(np.float64) * 2.0**-53
-
-
-def _pcg64_states(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """PCG64's seeded (state, increment) for each row as Python ints, read
-    from ``_lanes``."""
-    for (s_hi, s_lo), (i_hi, i_lo) in _lanes(rows):
-        for words in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-            yield words[0] << 64 | words[1], words[2] << 64 | words[3]
 
 
 def _seed_words(rows: list[Sequence[int]]) -> tuple[np.ndarray, ...]:
