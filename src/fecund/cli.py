@@ -678,6 +678,8 @@ def _config_argv(values: dict[str, str], parser: argparse.ArgumentParser) -> lis
     and a flag the user gives, parsed later, wins. A valueless flag's value
     must be true or false, in any case; anything else raises ValueError.
     """
+    if refused := [key for key in ("help", "config") if key in values]:
+        raise ValueError(f"config key {refused[0]} cannot be set in a config file")
     tokens = []
     for action in parser._actions:
         if action.dest not in values:
@@ -748,9 +750,9 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"error: remote coder: {exc}", file=sys.stderr)
         return EXIT_REMOTE
-    except CodeCountError as exc:  # λ is --codes-per-kchar times a length
+    except CodeCountError as exc:  # synth's cap: λ is --codes-per-kchar times a length
         flags = f"--codes-per-kchar {args.codes_per_kchar:g}"
-        if args.command == "synth" and not args.with_text:  # the lengths come from --mean-len
+        if not args.with_text:  # the lengths come from --mean-len
             flags += f", --mean-len {args.mean_len}"
         print(f"error: {flags}: {exc}", file=sys.stderr)
         return EXIT_DATA

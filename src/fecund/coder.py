@@ -692,7 +692,7 @@ def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple],
         read(state, backend.respond(step, render_prompt(template, vars(state)), passage, slot))
 
 
-# Passages a backend plans at once: enough for the mock to seed in bulk, few
+# Passages a backend plans at once: enough for the mock to draw in bulk, few
 # enough that memory stays flat.
 _PLAN_BLOCK = 4096
 

@@ -298,8 +298,8 @@ def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Gene
         if generator is None:
             generator = np.random.Generator(np.random.PCG64(0))
             setting = generator.bit_generator.state  # reused: only its "state" changes
-        for hi, lo, inc_hi, inc_lo in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-            setting["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+        for hi, lo, i_h, i_l in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+            setting["state"] = {"state": hi << 64 | lo, "inc": i_h << 64 | i_l}
             generator.bit_generator.state = setting
             yield generator
 

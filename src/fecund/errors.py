@@ -56,8 +56,7 @@ class RankDeficiencyError(FecundError, ValueError):
 
 
 class CodeCountError(FecundError, ValueError):
-    """An expected code count past what can be drawn: a mock passage's that
-    numpy's Poisson sampler refuses, or a synthetic document's past the cap."""
+    """A synthetic document's expected code count past the cap."""
 
 
 class PromptBindingError(FecundError, ValueError):

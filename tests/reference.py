@@ -30,14 +30,16 @@ region holding a name, must read the same pairs and refuse the same replies.
 ``code_passages_per_slot`` codes a batch with every slot walking the whole
 chain, triage included; ``fecund.coder.code_passages``, which triages each
 passage once, must return an equal ``CodingRun``.
-``mock_draw_choice`` is the mock coder's code draw as ``Generator.choice``
-makes it; ``fecund.coder.MockCoder`` must draw the same code from its CDF.
-``first_draws`` takes each row's first draws from its own
-``np.random.default_rng``; ``fecund.corpus._first_draws``, which steps PCG64
-on uint64 lanes, must return the same numbers bit for bit. ``pcg64_seed``,
-``pcg64_step`` and ``_uniform`` are PCG64's seeding step, LCG step and
-XSL-RR output (O'Neill 2014) in Python ints; ``fecund.corpus._lanes``,
-``_step`` and ``_uniforms`` must compute the same values on their lanes.
+``mock_stream`` is the mock coder's stream as a loop over Python ints:
+blake2b from ``hashlib`` keys each passage and SplitMix64 (Steele, Lea &
+Flood 2014) finalises each counter. ``mock_slot_count`` walks the capped
+Poisson's CDF term by term, and ``mock_draw_choice`` bisects a Zipf CDF
+accumulated one float at a time, as ``Generator.choice(p=...)`` builds it;
+``mock_plan_loop`` plans a batch with them, so ``fecund.coder.MockCoder.plan``,
+which works on uint64 arrays, must plan the same slots and codes.
+``pcg64_seed`` and ``pcg64_step`` are PCG64's seeding step and LCG step
+(O'Neill 2014) in Python ints; ``fecund.corpus._lanes`` and ``_step`` must
+compute the same values on their lanes.
 ``split_passages_regex`` splits at every match of ``\r\n|\r|\n``;
 ``fecund.ingest.split_passages``, which splits text without a ``\r`` by
 ``str.split``, must return equal passages.
@@ -75,8 +77,11 @@ must recover it.
 from __future__ import annotations
 
 import ast
+import bisect
 import csv
+import hashlib
 import heapq
+import itertools
 import json
 import math
 import re
@@ -572,31 +577,64 @@ def parse_response_branches(raw: str) -> CodeResponse:
     )
 
 
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the golden ratio times 2**64
+
+
+def mock_stream(seed: int, passage: Passage, counter: int) -> float:
+    """The ``counter``-th uniform of a passage's mock stream: the SplitMix64
+    finaliser of key + counter·γ, its top 53 bits over 2**53, where the key
+    is blake2b's 8-byte digest of "seed:article:index", little-endian."""
+    name = f"{seed}:{passage.article_id}:{passage.index}".encode()
+    z = int.from_bytes(hashlib.blake2b(name, digest_size=8).digest(), "little")
+    z = (z + counter * GAMMA) & MASK64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return ((z ^ z >> 31) >> 11) * 2.0**-53
+
+
+def mock_slot_count(coder: MockCoder, passage: Passage) -> int:
+    """min(6, Poisson(λ)) by inverse CDF from the stream's counter 0: one
+    more slot for each k ≤ 5 whose F(k) is at most the uniform, each term
+    P(k) = e^-λ · λ/1 · ... · λ/k."""
+    lam = min(coder.mean_codes_per_kchar * len(passage.text) / 1000.0, 1e3)
+    u = mock_stream(coder.seed, passage, 0)
+    term = total = math.exp(-lam)
+    count = 0
+    for k in range(1, 7):
+        count += total <= u
+        term *= lam / k
+        total += term
+    return count
+
+
 def mock_draw_choice(
     coder: MockCoder, passage: Passage, slot: int, zipf_exponent: float
 ) -> str:
-    """The code of one mock slot, drawn with ``Generator.choice`` over the
-    coder's Zipf weights from a fresh ``default_rng`` on the slot's seed: the
-    last 8 bytes of "article:index", zero-padded and read as a big-endian
-    int, modulo 2**32, and ``slot + 1``."""
-    tail = f"{passage.article_id}:{passage.index}".encode("utf-8")[-8:].rjust(8, b"\0")
-    rng = np.random.default_rng([coder.seed, int.from_bytes(tail, "big") % 2**32, slot + 1])
-    p = zipf_probabilities(len(coder.vocab), zipf_exponent)
-    return coder.vocab[int(rng.choice(len(coder.vocab), p=p))]
+    """The code of one mock slot: the stream's uniform at counter ``slot + 1``,
+    bisected (to the right) into the coder's Zipf weights accumulated one
+    float at a time and divided by their total, as ``Generator.choice``
+    builds its CDF."""
+    p = zipf_probabilities(len(coder.vocab), zipf_exponent).tolist()
+    cdf = list(itertools.accumulate(p))
+    cdf = [c / cdf[-1] for c in cdf]
+    return coder.vocab[bisect.bisect_right(cdf, mock_stream(coder.seed, passage, slot + 1))]
 
 
-def first_draws(rows, lams=None) -> list:
-    """Each row's first ``random()`` from ``np.random.default_rng(list(row))``,
-    or ``min(6, poisson(λ))`` where ``lams`` gives the row a λ."""
-    if lams is None:
-        return [np.random.default_rng(list(row)).random() for row in rows]
-    return [
-        min(6, int(np.random.default_rng(list(row)).poisson(lam))) for row, lam in zip(rows, lams)
-    ]
+def mock_plan_loop(coder: MockCoder, passages: Sequence[Passage],
+                   zipf_exponent: float) -> list[int]:
+    """``MockCoder.plan`` one passage and one slot at a time: the same slot
+    counts, codes and triage flags, recorded where ``respond`` reads them."""
+    counts = [mock_slot_count(coder, p) for p in passages]
+    coder._plan = {
+        id(p): (p, [mock_draw_choice(coder, p, s, zipf_exponent) for s in range(n)],
+                coder._flags(p) if n else None)
+        for p, n in zip(passages, counts)
+    }
+    return counts
 
 
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-MASK64, MASK128 = 2**64 - 1, 2**128 - 1
 
 
 def pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
@@ -608,13 +646,6 @@ def pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
 def pcg64_step(state: int, inc: int) -> int:
     """One step of PCG64's 128-bit LCG."""
     return (state * PCG64_MULT + inc) & MASK128
-
-
-def _uniform(state: int) -> float:
-    """PCG64's output for a stepped 128-bit state (XSL-RR), as ``random()``
-    reads it: the top 53 bits over 2**53."""
-    word, turn = state >> 64 ^ state & MASK64, state >> 122
-    return ((word >> turn | word << (64 - turn) & MASK64) >> 11) * 2.0**-53
 
 
 _BREAK = re.compile(r"\r\n|\r|\n")

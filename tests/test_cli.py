@@ -3,6 +3,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import textwrap
 from collections import Counter
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import run_python
 from hypothesis import example, given, settings, strategies as st
-from reference import band_csv_rows, first_draws
+from reference import band_csv_rows, mock_plan_loop
 
 from fecund import cli, coder, ingest, saturation, synthetic
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
@@ -222,8 +223,9 @@ def test_saturate_bootstrap_draws_each_order_once(corpus_dir, tmp_path, monkeypa
 
 
 def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monkeypatch):
-    """``code`` writes the same ai_codes.csv for plan blocks of 1, 7 and 512,
-    and with every stream's draws taken from ``np.random.default_rng`` itself."""
+    """``code`` writes the same ai_codes.csv for plan blocks of 1, 7, 512 and
+    the default 4,096, on the threaded path that plans the whole batch at
+    once, and with every passage planned by the loop oracle."""
 
     def ai_codes(name):
         out = tmp_path / name
@@ -237,8 +239,12 @@ def test_ai_codes_do_not_depend_on_how_the_mock_plans(corpus_dir, tmp_path, monk
         monkeypatch.setattr(coder, "_PLAN_BLOCK", block)
         assert ai_codes(f"block-{block}") == want
     monkeypatch.undo()
-    monkeypatch.setattr(coder, "_first_draws", first_draws)
-    assert ai_codes("default-rng") == want
+    config = coder.RemoteConfig(url="", model="", max_in_flight=3)
+    monkeypatch.setattr(coder.MockCoder, "config", config, raising=False)
+    assert ai_codes("threaded") == want
+    monkeypatch.undo()
+    monkeypatch.setattr(coder.MockCoder, "plan", lambda self, ps: mock_plan_loop(self, ps, 1.1))
+    assert ai_codes("loop-oracle") == want
 
 
 def _code_passages(corpus_dir):
@@ -265,36 +271,20 @@ def test_code_formats_each_passage_key_once(corpus_dir, tmp_path, monkeypatch):
     assert formatted == Counter(passages) and set(formatted.values()) == {1}
 
 
-def _poisson_refuses(lam):
-    try:
-        np.random.default_rng(0).poisson(lam)
-    except ValueError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("longest_only", [False, True])
-def test_code_names_the_passage_an_oversized_codes_per_kchar_breaks(
-    corpus_dir, tmp_path, capsys, longest_only
-):
-    """An expected code count past numpy's Poisson limit exits 4, naming the
-    flag, its value and the first passage (in coding order) that passes it."""
+@pytest.mark.parametrize("rate", ["1e300", "1.7e308"], ids=["huge", "infinite-lambda"])
+def test_code_gives_six_slots_where_codes_per_kchar_is_huge(corpus_dir, tmp_path, capsys, rate):
+    """A λ whose e^-λ underflows, or whose product overflows to inf, is past
+    every F(k): each passage gets the cap of 6 slots, with no warning."""
     passages = _code_passages(corpus_dir)
-    # just past the limit for the longest passage only, or for every passage
-    rate = 9.3e21 / max(len(p.text) for p in passages) if longest_only else 1e300
-    refused = [p for p in passages if _poisson_refuses(rate * len(p.text) / 1000.0)]
-    assert 0 < len(refused) < len(passages) if longest_only else refused == passages
+    if rate == "1.7e308":
+        assert math.isinf(float(rate) * max(len(p.text) for p in passages) / 1000.0)
     capsys.readouterr()
     assert run("code", "--docs", corpus_dir / "documents.jsonl", "--seed", 5,
-               "--codes-per-kchar", repr(rate), "--out", tmp_path / "out") == EXIT_DATA
-    err = capsys.readouterr().err
-    first = refused[0]
-    assert err.startswith(
-        f"error: --codes-per-kchar {rate:g}: passage {coder.passage_key(first)} expects "
-        f"{rate * len(first.text) / 1000.0:g} codes, which numpy's Poisson sampler refuses: "
-        "lam value too large"
-    )
-    assert "Traceback" not in err
+               "--codes-per-kchar", rate, "--out", tmp_path / "out") == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(tmp_path / "out" / "ai_codes.csv")
+    want = Counter(p.article_id for p in passages for _ in range(6))
+    assert Counter(r["doc_id"] for r in rows) == want
 
 
 @pytest.mark.parametrize("given,missing", [("--clusters", "--exemplars"),
@@ -412,6 +402,20 @@ def test_config_sets_a_valueless_flag_only_when_true(corpus_dir, tmp_path, capsy
             f"error: config key plot must be true or false, got {given!r}\n"
         )
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("help", "true"), ("config", "other.toml")])
+def test_config_refuses_help_and_config_keys(tmp_path, capsys, key, value):
+    """``help = true`` would print the usage and exit 0 having run nothing,
+    and a config file cannot name another: each exits 2 naming the key,
+    before any output."""
+    config = tmp_path / "h.toml"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run("synth", "--seed", 1, "--n-docs", 2, "--out", out, "--config", config) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config key {key} cannot be set in a config file\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest", "code", "select", "analyze"])
@@ -1718,9 +1722,9 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
 
 
 def test_mock_code_leaves_numpy_random_unloaded(corpus_dir, tmp_path):
-    """With every slot count's λ below 10 the mock builds no generator, so
-    ``code`` imports no ``numpy.random`` beyond what ``import numpy`` loads
-    (numpy 2 loads it lazily), and the process is about 5 MB smaller."""
+    """The mock builds no generator, so ``code`` imports no ``numpy.random``
+    beyond what ``import numpy`` loads (numpy 2 loads it lazily), and the
+    process is about 5 MB smaller."""
     script = textwrap.dedent(
         """\
         import sys

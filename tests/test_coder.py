@@ -32,11 +32,11 @@ from fecund.coder import (
     _extract_dict,
 )
 from fecund.errors import PromptBindingError, RateLimitError, ResponseParseError, TransportError
-from fecund.ingest import Passage
-from fecund.synthetic import zipf_probabilities
+from fecund.ingest import Passage, split_passages
+from fecund.synthetic import synth_articles, zipf_probabilities
 from reference import (
-    code_passages_per_slot, extract_dict_three_parsers, mock_draw_choice, read_dict, run_chain,
-    run_chain_branches,
+    code_passages_per_slot, extract_dict_three_parsers, mock_draw_choice, mock_plan_loop,
+    read_dict, run_chain, run_chain_branches,
 )
 
 
@@ -567,27 +567,107 @@ def test_mock_cdf_draw_matches_choice(seed, article, index, vocab_size, zipf_exp
         assert backend.respond("round1", "", p, slot) == drawn
 
 
+_RATE = (
+    st.sampled_from([0.0, 3.0, 1e300, 1.7e308])  # 1.7e308 times a length overflows to inf
+    | st.floats(0.0, 1e4)
+)
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    shapes=st.lists(st.tuples(st.sampled_from(["a1", "doc-0123", "é"]), st.integers(0, 9999),
+                              st.integers(1, 3000)), max_size=8),
+    rate=_RATE,
+)
+def test_mock_plan_equals_the_loop_oracle(seed, shapes, rate):
+    """Slot counts and codes, for any λ, match the oracle's one passage and
+    one slot at a time."""
+    passages = [passage("x" * n, article=a, index=i) for a, i, n in shapes]
+    backend = MockCoder(seed=seed, mean_codes_per_kchar=rate)
+    counts = backend.plan(passages)
+    codes = [[backend.respond("round1", "", p, s) for s in range(n)]
+             for p, n in zip(passages, counts)]
+    oracle = MockCoder(seed=seed, mean_codes_per_kchar=rate)
+    assert mock_plan_loop(oracle, passages, 1.1) == counts
+    assert [oracle._plan[id(p)][1] for p in passages] == codes
+
+
+def test_the_mock_stream_finalises_counters_as_splitmix64_does():
+    """SplitMix64 seeded with 0 first outputs 0xE220A8397B1DCDAF, then
+    0x6E789E6AA1B965F4: a key of 0 at counters 1 and 2."""
+    u = coder_module._uniforms(coder_module._GAMMA * np.arange(1, 3, dtype=np.uint64))
+    outputs = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4)
+    assert u.tolist() == [(out >> 11) * 2.0**-53 for out in outputs]
+
+
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])
-def test_mock_builds_one_generator_per_passage_and_slot(monkeypatch, chain):
-    """The mock draws from one stream per passage (its slot count) and one per
-    slot (its code), each handed to ``_first_draws`` once."""
+def test_mock_keys_each_passage_once(monkeypatch, chain):
+    """The mock hashes each passage's "seed:article:index" once, its slot
+    count and every slot's code coming from that one key."""
     passages = [passage("x" * (150 + 120 * i), article=f"a{i}") for i in range(12)]
-    built = []
-    real = coder_module._first_draws
+    hashed = []
+    real = coder_module.blake2b
 
-    def counting(rows, lams=None):
-        built.extend(rows)
-        return real(rows, lams)
+    def counting(data, **kwargs):
+        hashed.append(data)
+        return real(data, **kwargs)
 
-    monkeypatch.setattr(coder_module, "_first_draws", counting)
-    backend = RecordingBackend(MockCoder(seed=4))
-    run = code_passages(passages, backend, chain)
+    monkeypatch.setattr(coder_module, "blake2b", counting)
+    run = code_passages(passages, MockCoder(seed=4), chain)
     assert len(run.results) > len(passages)  # some passages have several slots
-    assert len(built) == len(set(built)) == len(passages) + len(run.results)
-    assert set(built) == {
-        (4, backend.inner._digest(p), slot)
-        for p in passages for slot in range(backend.counts[passage_key(p)] + 1)
-    }
+    assert sorted(hashed) == sorted(f"4:a{i}:0".encode() for i in range(12))
+
+
+def test_mock_keys_every_passage_of_a_large_batch_apart(monkeypatch):
+    """The seed-17 ``synth --with-text`` corpus of 1,000 articles splits into
+    5,853 passages, and each gets its own key. (The last 4 bytes of
+    "article:index", the key before blake2b, gave them 952.)"""
+    passages = [p for a in synth_articles(1000, 17) for p in split_passages(a, min_len=100)]
+    keys = []
+    real = coder_module.blake2b
+
+    def recording(data, **kwargs):
+        keys.append(real(data, **kwargs).digest())
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(coder_module, "blake2b", recording)
+    MockCoder(seed=17).plan(passages)
+    assert len(set(keys)) == len(keys) == len(passages) == 5853
+
+
+def _pooled(observed, expected, floor=5.0):
+    """Observed and expected counts with the last bins merged until each
+    expected count is at least ``floor``, as the chi-square test needs."""
+    observed, expected = list(observed), list(expected)
+    while len(expected) > 1 and expected[-1] < floor:
+        observed[-2:] = [sum(observed[-2:])]
+        expected[-2:] = [sum(expected[-2:])]
+    return observed, expected
+
+
+@pytest.mark.parametrize("vocab_size, exponent", [(30, 1.1), (200, 1.1), (12, 0.0)])
+def test_mock_codes_pass_a_chi_square_test_against_the_zipf_weights(vocab_size, exponent):
+    stats = pytest.importorskip("scipy.stats")
+    backend = MockCoder(seed=11, vocab_size=vocab_size, zipf_exponent=exponent,
+                        mean_codes_per_kchar=1000.0)
+    passages = [passage("x" * 50, article=f"a{i}", index=i % 7) for i in range(6000)]
+    assert set(backend.plan(passages)) == {6}
+    drawn = Counter(backend.respond("round1", "", p, s) for p in passages for s in range(6))
+    observed = [drawn[code] for code in backend.vocab]
+    expected = zipf_probabilities(vocab_size, exponent) * sum(observed)
+    assert stats.chisquare(*_pooled(observed, expected)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 5.5, 9.0])
+def test_mock_slot_counts_pass_a_chi_square_test_against_the_capped_poisson(lam):
+    stats = pytest.importorskip("scipy.stats")
+    backend = MockCoder(seed=12, mean_codes_per_kchar=lam * 10)  # λ of a 100-character text
+    text = "x" * 100
+    counts = Counter(backend.plan([passage(text, article=f"a{i}") for i in range(20000)]))
+    pmf = [*stats.poisson.pmf(range(6), lam), stats.poisson.sf(5, lam)]  # P(k), k < 6; P(≥ 6)
+    observed = [counts[k] for k in range(7)]
+    assert sum(observed) == 20000
+    assert stats.chisquare(*_pooled(observed, np.array(pmf) * 20000)).pvalue > 1e-3
 
 
 def test_mock_formats_each_code_reply_once(monkeypatch):
@@ -653,7 +733,7 @@ def test_caption_flag_threads_note_downstream():
     p = passage("photo caption: refugees at the border fence " + "x" * 160)
     backend = RecordingBackend(MockCoder(seed=5))
     code_passages([p], backend, SOCRATIC_CHAIN)
-    assert backend.counts == {"a1:0000": 1}
+    assert backend.counts == {"a1:0000": 3}
     relevance_prompts = [pr for step, pr in backend.prompts if step == "triage_relevance"]
     assert relevance_prompts, "chain never reached the relevance step"
     assert "Passage is a photo caption" in relevance_prompts[0]
@@ -665,7 +745,7 @@ def test_clean_passage_has_empty_note():
     p = passage("y" * 300)
     backend = RecordingBackend(MockCoder(seed=5))
     code_passages([p], backend, SOCRATIC_CHAIN)
-    assert backend.counts == {"a1:0000": 1}
+    assert backend.counts == {"a1:0000": 4}
     for step, prompt in backend.prompts:
         assert "flagged" not in prompt
 
@@ -675,7 +755,7 @@ def test_reassess_receives_precode_and_summary():
     backend = RecordingBackend(MockCoder(seed=2))
     run = code_passages([p], backend, SOCRATIC_CHAIN, summaries={"art9": "THE SUMMARY"})
     reassess = [pr for step, pr in backend.prompts if step == "summary_reassess"]
-    assert len(reassess) == len(run.results) == 3 and "THE SUMMARY" in reassess[0]
+    assert len(reassess) == len(run.results) == 1 and "THE SUMMARY" in reassess[0]
     theme = run.results[0][1].theme
     assert f"coded as ### {theme} ###" in reassess[0]
 
@@ -683,7 +763,7 @@ def test_reassess_receives_precode_and_summary():
 def test_round1_chain():
     p = passage("w" * 400)
     run = code_passages([p], MockCoder(seed=5), ROUND1_CHAIN, summaries={"a1": "S"})
-    assert len(run.results) == 2
+    assert len(run.results) == 4
     for _, response in run:
         assert response.theme is not None
 

@@ -1,8 +1,6 @@
 """Bulk seeding: ``corpus._seeded_generators`` gives each row the generator
 ``np.random.default_rng(list(row))`` gives, and the bootstrap seeds its
-streams through it, a batch at a time. ``corpus._first_draws`` gives each
-row's first draws from that generator without building it, and the mock
-coder takes its streams' draws from it."""
+streams through it, a batch at a time."""
 
 import math
 
@@ -10,32 +8,21 @@ import numpy as np
 import numpy.random.bit_generator as bit_generator
 import pytest
 from hypothesis import example, given, strategies as st
-from reference import (
-    MASK64, MASK128, _uniform, first_draws, pcg64_seed, pcg64_step,
-)
+from reference import MASK64, MASK128, pcg64_seed, pcg64_step
 
-from fecund import coder as coder_module, corpus, saturation
-from fecund.coder import MockCoder, code_passages, passage_key
-from fecund.corpus import _first_draws, _seeded_generators
-from fecund.ingest import Passage
+from fecund import corpus, saturation
+from fecund.corpus import _seeded_generators
 from fecund.saturation import CountingRegime, bootstrap_bands
 from fecund.synthetic import synth_corpus
 
 # zero words, 32-bit words, words past 2**32 and past 2**64 (several words each)
 _WORD = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 7]) | st.integers(0, 2**100)
 _ROW = st.lists(_WORD, min_size=1, max_size=7).map(tuple)
-# a batch of equal-length rows of 32-bit ints, the mock's and the bootstrap's shape
+# a batch of equal-length rows of 32-bit ints, the bootstrap's shape
 _WORD32 = st.sampled_from([0, 1, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)
 _BLOCK = st.integers(0, 6).flatmap(
     lambda k: st.lists(st.lists(_WORD32, min_size=k, max_size=k).map(tuple), max_size=6)
 )
-# below, at and past numpy's switch from multiplication to PTRS at 10
-_LAM = (
-    st.sampled_from([0.0, 5e-324, math.nextafter(10.0, 0.0), 10.0, 37.0])
-    | st.floats(0.0, 10.0, exclude_min=True, exclude_max=True)
-    | st.floats(10.0, 1e4)
-)
-_ROWS = st.lists(_ROW | st.just(()), max_size=6) | _BLOCK  # empty rows too
 
 
 @example([(0,), (), (2**64, 0, 3), (1, 2, 3, 4, 5, 6, 7)])
@@ -62,7 +49,6 @@ def test_draws_equal_default_rng(rows, n):
 
 def test_an_empty_batch_yields_nothing():
     assert list(_seeded_generators([])) == []
-    assert _first_draws([]) == _first_draws([], []) == []
 
 
 def test_a_negative_word_raises_as_seed_sequence_does():
@@ -70,56 +56,12 @@ def test_a_negative_word_raises_as_seed_sequence_does():
         np.random.default_rng([1, -2])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         list(_seeded_generators([(1, 2), (1, -2)]))
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        _first_draws([(1, 2), (1, -2)])
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        _first_draws([(1, -2, 0)], [2.5])
-
-
-# --- first draws, without a generator --------------------------------------------
-
-
-def _bits(draws):
-    return [d.hex() if isinstance(d, float) else (type(d), d) for d in draws]
-
-
-@example([(0,), (), (), (2**32,), (2**64, 0, 3), (1, 2, 3, 4, 5, 6, 7)])
-@example([(17, 2**32 - 1, 0), (17, 0, 6)])
-@given(_ROWS)
-def test_first_random_equals_default_rng(rows):
-    assert _bits(_first_draws(rows)) == _bits(first_draws(rows))
-
-
-_PAIRS = _ROWS.flatmap(
-    lambda rows: st.lists(_LAM, min_size=len(rows), max_size=len(rows)).map(
-        lambda lams: list(zip(rows, lams))
-    )
-)
-
-
-@example([((1, 2, 0), lam) for lam in (0.0, 5e-324, math.nextafter(10.0, 0.0), 10.0, 37.0)])
-@given(_PAIRS)
-def test_first_capped_poisson_equals_default_rng(pairs):
-    rows, lams = [row for row, _ in pairs], [lam for _, lam in pairs]
-    assert _bits(_first_draws(rows, lams)) == _bits(first_draws(rows, lams))
-
-
-@given(_PAIRS, st.integers(1, 4))
-def test_first_draws_over_seed_chunks_equal_default_rng(pairs, chunk):
-    """Rows seeded a few at a time, so a batch spans several chunks."""
-    rows, lams = [row for row, _ in pairs], [lam for _, lam in pairs]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_SEED_CHUNK", chunk)
-        uniforms, counts = _first_draws(rows), _first_draws(rows, lams)
-    assert _bits(uniforms) == _bits(first_draws(rows))
-    assert _bits(counts) == _bits(first_draws(rows, lams))
 
 
 def test_a_batch_longer_than_a_seed_chunk_equals_default_rng():
     rows = [(17, 2**32 - 1 - d, d % 7) for d in range(corpus._SEED_CHUNK + 5)]
-    lams = [(d % 97) / 9.0 for d in range(len(rows))]
-    assert _bits(_first_draws(rows)) == _bits(first_draws(rows))
-    assert _bits(_first_draws(rows, lams)) == _bits(first_draws(rows, lams))
+    states = [rng.bit_generator.state for rng in _seeded_generators(rows)]
+    assert states == [np.random.default_rng(list(row)).bit_generator.state for row in rows]
 
 
 # --- the lanes, against PCG64 in Python ints -------------------------------------
@@ -144,12 +86,10 @@ def _as_ints(lanes):
 
 @example(_EDGES)
 @given(st.lists(st.tuples(_U128, _U128), min_size=1, max_size=8))
-def test_lane_step_and_output_equal_big_ints(pairs):
+def test_lane_step_equals_big_ints(pairs):
     states, incs = map(list, zip(*pairs))
     stepped = corpus._step(_as_lanes(states), _as_lanes(incs))
     assert _as_ints(stepped) == [pcg64_step(s, i) for s, i in pairs]
-    assert _bits(corpus._uniforms(stepped).tolist()) == _bits(map(_uniform, _as_ints(stepped)))
-    assert _bits(corpus._uniforms(_as_lanes(states)).tolist()) == _bits(map(_uniform, states))
 
 
 @example(_EDGES, 2)
@@ -180,45 +120,8 @@ def test_seeded_states_equal_big_ints(rows, chunk):
         want.append(pcg64_seed(w[0] << 64 | w[1], w[2] << 64 | w[3]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(corpus, "_SEED_CHUNK", chunk)
-        assert list(corpus._pcg64_states(rows)) == want
-        assert _bits(_first_draws(rows)) == _bits(_uniform(pcg64_step(*sw)) for sw in want)
-
-
-def _lam_for_floor(target):
-    """A λ whose ``math.exp(-λ)`` is exactly ``target``, or None."""
-    lam = -math.log(target)
-    for _ in range(8):
-        floor = math.exp(-lam)
-        if floor == target:
-            return lam
-        lam = math.nextafter(lam, math.inf if floor > target else -math.inf)
-    return None
-
-
-@pytest.mark.parametrize("ulps_below", [0, 1])
-def test_a_product_at_e_minus_lam_ends_the_poisson_draw(ulps_below):
-    """numpy stops once the product is at most e^-λ: a first uniform equal to
-    e^-λ draws 0, one a single ulp above it draws on."""
-    rows = [(7, digest, 0) for digest in range(40)]
-    cases = []
-    for row, u in zip(rows, first_draws(rows)):
-        lam = _lam_for_floor(u if not ulps_below else math.nextafter(u, 0.0))
-        if lam is not None and 0 < lam < 10:
-            cases.append((row, lam))
-    assert len(cases) > 10
-    rows, lams = map(list, zip(*cases))
-    draws = _first_draws(rows, lams)
-    assert _bits(draws) == _bits(first_draws(rows, lams))
-    assert (min(draws) > 0) if ulps_below else (max(draws) == 0)
-
-
-@pytest.mark.parametrize("lam", [-1.0, -5e-324, math.nan, 1e300, math.inf])
-def test_a_refused_lam_raises_as_numpy_does(lam):
-    with pytest.raises(ValueError) as numpy_error:
-        np.random.default_rng([1, 2, 0]).poisson(lam)
-    with pytest.raises(ValueError) as ours:
-        _first_draws([(1, 2, 0), (1, 3, 0)], [2.5, lam])
-    assert str(ours.value) == str(numpy_error.value)
+        states = [rng.bit_generator.state["state"] for rng in _seeded_generators(rows)]
+    assert [(s["state"], s["inc"]) for s in states] == want
 
 
 # --- SeedSequence constructions are O(blocks) -----------------------------------
@@ -241,53 +144,6 @@ def seed_sequences(monkeypatch):
     assert count == [2], "numpy no longer coerces the spawn key through this name"
     count[0] = 0
     return count
-
-
-@pytest.fixture()
-def generator_rows(monkeypatch):
-    """The rows ``_first_draws`` hands to ``_seeded_generators``."""
-    rows = []
-    real = corpus._seeded_generators
-
-    def recording(batch):
-        rows.extend(batch)
-        return real(batch)
-
-    monkeypatch.setattr(corpus, "_seeded_generators", recording)
-    return rows
-
-
-@pytest.mark.parametrize("block", [50, 512])
-def test_the_mock_seeds_per_block_not_per_passage(seed_sequences, generator_rows, monkeypatch,
-                                                  block):
-    """Every λ is below 10 here, so no stream builds a generator."""
-    monkeypatch.setattr(coder_module, "_PLAN_BLOCK", block)
-    passages = [
-        Passage(f"a{i}", i % 3, "x" * (150 + 7 * i), (0, 150 + 7 * i)) for i in range(200)
-    ]
-    run = code_passages(passages, MockCoder(seed=6))
-    assert len(run.results) > len(passages)  # streams: one per passage and one per slot
-    assert seed_sequences[0] == 0
-    assert generator_rows == []
-
-
-@pytest.mark.parametrize("block", [50, 512])
-def test_the_mock_seeds_only_counts_past_the_multiplication_method(
-    seed_sequences, generator_rows, monkeypatch, block
-):
-    """A slot count whose λ is 10 or more is drawn by a generator (numpy's
-    PTRS), at most one seeding per plan block; every other stream is not."""
-    monkeypatch.setattr(coder_module, "_PLAN_BLOCK", block)
-    passages = [
-        Passage(f"a{i}", i % 3, "x" * (150 + 41 * i), (0, 150 + 41 * i)) for i in range(200)
-    ]
-    mock = MockCoder(seed=6)
-    run = code_passages(passages, mock)
-    lam = {p: 3.0 * len(p.text) / 1000.0 for p in passages}
-    past = [p for p in sorted(passages, key=passage_key) if lam[p] >= 10]
-    assert 0 < len(past) < len(passages) and len(run.results) > len(passages)
-    assert generator_rows == [(6, mock._digest(p), 0) for p in past]
-    assert 0 < seed_sequences[0] <= math.ceil(len(passages) / block)
 
 
 def test_the_bootstrap_seeds_per_block_not_per_iteration(seed_sequences):
