@@ -431,7 +431,7 @@ class MockCoder:
         the triage flags of each passage with slots, for ``respond`` to read,
         and return the slot counts; each plan replaces the last.
 
-        A passage's stream is keyed by the first 8 bytes of blake2b over
+        A passage's stream is keyed by blake2b's 8-byte digest of
         "seed:article:index", read as a little-endian uint64. Its ``c``-th
         uniform is the SplitMix64 finaliser of key + c·γ, top 53 bits over
         2**53: counter 0 draws the slot count, counter ``s + 1`` slot ``s``'s
