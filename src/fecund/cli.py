@@ -21,7 +21,8 @@ from . import __version__
 from .corpus import fecundity, summary_stats
 from .errors import CodeCountError, CollectionFormatError, FecundError, TransportError
 from .ingest import (
-    _read_csv, _write_csv, load_articles, load_collection, split_passages, write_collection,
+    _decode, _read_csv, _write_csv, load_articles, load_collection, split_passages,
+    write_collection,
 )
 
 # The other layers are imported only by the commands that run them: `_bind`
@@ -425,7 +426,10 @@ def cmd_sweep(args, out: Path) -> int:
                     raise ValueError(f"densities must be finite numbers, got {ai!r}, {human!r}")
             except ValueError as exc:
                 raise CollectionFormatError(str(exc), args.pairs, lineno) from None
-        qmap = fit_quadratic(pairs)
+        try:
+            qmap = fit_quadratic(pairs)
+        except ValueError as exc:  # too few rows, or too few distinct ai_density values
+            raise CollectionFormatError(str(exc), args.pairs) from None
     points = superset_sweep(
         docs,
         args.coder_source,
@@ -459,7 +463,7 @@ def cmd_sweep(args, out: Path) -> int:
 def _parse_flat_config(path: str) -> dict[str, str]:
     """Each key's value, unquoted; argparse checks it as the flag's value."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_decode(Path(path).read_bytes(), path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -703,6 +707,8 @@ def _usage_error(args) -> str | None:
         return "remote backend requires --url and --model"
     if getattr(args, "bootstrap", False) and args.seed is None:
         return "--bootstrap requires --seed"
+    if "themes" in getattr(args, "regimes", ()) and not args.themes:
+        return "--regimes themes requires --themes"
     return None
 
 
@@ -725,7 +731,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
-        except ValueError as exc:
+        except (ValueError, CollectionFormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     args = parser.parse_args(argv)

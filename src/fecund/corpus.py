@@ -11,9 +11,8 @@ being compared; callers pass the scope that matches their comparison.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -271,106 +270,3 @@ def summary_stats(values: Sequence[float]) -> SummaryStats:
         p25=_quantile(ordered, 0.25),
         p75=_quantile(ordered, 0.75),
     )
-
-
-# numpy's SeedSequence hash constants (bit_generator.pyx), and PCG64's
-# multiplier as the uint64 words and 32-bit limbs the lanes multiply by
-_MASK32 = 2**32 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_MULT_LO0, _MULT_LO1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
-_LIMB = np.uint64(_MASK32)
-_SEED_CHUNK = 4096  # rows seeded at once: enough to vectorise, few enough to keep memory flat
-_Lanes = tuple[np.ndarray, np.ndarray]  # 128-bit values, one per row, as (high, low) uint64 words
-
-
-def _seeded_generators(rows: Iterable[Sequence[int]]) -> Iterator[np.random.Generator]:
-    """For each row of non-negative ints, the generator ``default_rng(list(row))``
-    gives, bit for bit, seeded in bulk: PCG64's (state, increment) is read
-    from ``_lanes``.
-
-    One generator is yielded again for every row, its state set to the row's:
-    take a row's draws before asking for the next.
-    """
-    generator = None
-    for (s_hi, s_lo), (i_hi, i_lo) in _lanes(rows):
-        if generator is None:
-            generator = np.random.Generator(np.random.PCG64(0))
-            setting = generator.bit_generator.state  # reused: only its "state" changes
-        for hi, lo, i_h, i_l in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-            setting["state"] = {"state": hi << 64 | lo, "inc": i_h << 64 | i_l}
-            generator.bit_generator.state = setting
-            yield generator
-
-
-def _lanes(rows: Iterable[Sequence[int]]) -> Iterator[tuple[_Lanes, _Lanes]]:
-    """PCG64's seeded (state, increment) for each row, as ``default_rng(list(row))``
-    sets them, a chunk of rows at a time: its srandom takes the words
-    ``_seed_words`` mixes to inc = 2 * initseq + 1 and state = (inc +
-    initstate) * mult + inc."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, _SEED_CHUNK)):
-        s_hi, s_lo, i_hi, i_lo = _seed_words(chunk)
-        inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
-        lo = inc[1] + s_lo
-        yield _step((inc[0] + s_hi + (lo < s_lo), lo), inc), inc
-
-
-def _step(state: _Lanes, inc: _Lanes) -> _Lanes:
-    """State * mult + inc mod 2**128, PCG64's LCG step, on lanes. The high
-    word of the low words' 128-bit product is summed from 32-bit limbs."""
-    hi, lo = state
-    a0, a1 = lo & _LIMB, lo >> 32
-    p01, p10 = a0 * _MULT_LO1, a1 * _MULT_LO0
-    middle = (a0 * _MULT_LO0 >> 32) + (p01 & _LIMB) + (p10 & _LIMB)
-    carried = a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
-    low = lo * _MULT_LO
-    new_lo = low + inc[1]
-    return carried + hi * _MULT_LO + lo * _MULT_HI + inc[0] + (new_lo < low), new_lo
-
-
-def _seed_words(rows: list[Sequence[int]]) -> tuple[np.ndarray, ...]:
-    """``SeedSequence(list(row)).generate_state(4, np.uint64)`` for every row,
-    mixed as uint32 array operations over all rows at once: the hash
-    constants do not depend on the data."""
-    # equal-length rows of ints below 2**32 are their own words, one per int
-    block = np.array(rows) if len(set(map(len, rows))) == 1 else np.array(())
-    if block.dtype.kind == "i" and block.size and 0 <= block.min() and block.max() <= _MASK32:
-        words = np.pad(block.T, ((0, max(0, 4 - block.shape[1])), (0, 0))).astype(np.uint32)
-        sizes = block.shape[1]
-    else:
-        entropy = []
-        for row in rows:  # each int as little-endian 32-bit words, as SeedSequence splits it
-            if min(row, default=0) < 0:
-                raise ValueError("expected non-negative integer")
-            entropy.append([n >> s & _MASK32 for n in row for s in range(0, n.bit_length() or 1, 32)])
-        width = max(4, *map(len, entropy))
-        words = np.array([w + [0] * (width - len(w)) for w in entropy], dtype=np.uint32).T
-        sizes = np.array(list(map(len, entropy)))
-
-    def hasher(const: int, mult: int):
-        def step(value: np.ndarray) -> np.ndarray:
-            nonlocal const
-            value = value ^ const
-            const = const * mult & _MASK32
-            value = value * const
-            return value ^ value >> 16
-        return step
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = _MIX_L * x - _MIX_R * y
-        return out ^ out >> 16
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in words[:4]]  # a zero word pads a short row
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(words)):  # a longer row's later words mix into every pool word
-        for dst in range(4):
-            pool[dst] = np.where(sizes > src, mix(pool[dst], hashmix(words[src])), pool[dst])
-    out = hasher(_INIT_B, _MULT_B)
-    state = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    return tuple(state[k] | state[k + 1] << 32 for k in range(0, 8, 2))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Codebook, CodeMatrix, Collection, _seeded_generators
+from .corpus import Codebook, CodeMatrix, Collection
 
 
 REGIME_KINDS = ("unique", "hf_retrospective", "hf_iterative", "themes")
@@ -235,11 +235,11 @@ def bootstrap_bands(
     each step index across iterations.
 
     Iteration ``it``'s order is ``default_rng([seed, it]).permutation(N)``,
-    its generator seeded in bulk with the others of its block, so iterations
-    can be evaluated in any order or in parallel with identical results. The
-    orders are drawn once into an int32 position matrix; the regimes are
-    counted in turn into one int32 count matrix, which each regime's
-    percentiles partition in place and the next regime overwrites.
+    drawn from its own generator, so iterations can be evaluated in any
+    order or in parallel with identical results. The orders are drawn once
+    into an int32 position matrix; the regimes are counted in turn into one
+    int32 count matrix, which each regime's percentiles partition in place
+    and the next regime overwrites.
     """
     if n_iterations < 1:
         raise ValueError("bootstrap_bands requires n_iterations >= 1")
@@ -260,8 +260,9 @@ def bootstrap_bands(
     block = max(1, _BLOCK_ELEMENTS // N)
     for first in range(0, n_iterations, block):
         stop = min(first + block, n_iterations)
-        streams = _seeded_generators((seed, it) for it in range(first, stop))
-        perms = np.stack([rng.permutation(N) for rng in streams])
+        perms = np.stack(
+            [np.random.default_rng([seed, it]).permutation(N) for it in range(first, stop)]
+        )
         chars_total += np.cumsum(docs.lengths[perms], axis=1).sum(axis=0)
         np.put_along_axis(positions[first:stop], perms, places, axis=1)
     mean_chars = chars_total / n_iterations

@@ -12,7 +12,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     print_blob=True,
 )
-# more examples for the bit-for-bit seeding oracles in CI: HYPOTHESIS_PROFILE=ci
+# more examples for the passage splitting oracle in CI: HYPOTHESIS_PROFILE=ci
 settings.register_profile(
     "ci", parent=settings.get_profile("default"), max_examples=2000, deadline=None
 )

@@ -37,9 +37,6 @@ Poisson's CDF term by term, and ``mock_draw_choice`` bisects a Zipf CDF
 accumulated one float at a time, as ``Generator.choice(p=...)`` builds it;
 ``mock_plan_loop`` plans a batch with them, so ``fecund.coder.MockCoder.plan``,
 which works on uint64 arrays, must plan the same slots and codes.
-``pcg64_seed`` and ``pcg64_step`` are PCG64's seeding step and LCG step
-(O'Neill 2014) in Python ints; ``fecund.corpus._lanes`` and ``_step`` must
-compute the same values on their lanes.
 ``split_passages_regex`` splits at every match of ``\r\n|\r|\n``;
 ``fecund.ingest.split_passages``, which splits text without a ``\r`` by
 ``str.split``, must return equal passages.
@@ -577,7 +574,7 @@ def parse_response_branches(raw: str) -> CodeResponse:
     )
 
 
-MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+MASK64 = 2**64 - 1
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, the golden ratio times 2**64
 
 
@@ -632,20 +629,6 @@ def mock_plan_loop(coder: MockCoder, passages: Sequence[Passage],
         for p, n in zip(passages, counts)
     }
     return counts
-
-
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
-    """PCG64's (state, inc) after its srandom, from the two 128-bit seed words."""
-    inc = (initseq << 1 | 1) & MASK128
-    return ((inc + initstate) * PCG64_MULT + inc) & MASK128, inc
-
-
-def pcg64_step(state: int, inc: int) -> int:
-    """One step of PCG64's 128-bit LCG."""
-    return (state * PCG64_MULT + inc) & MASK128
 
 
 _BREAK = re.compile(r"\r\n|\r|\n")

@@ -13,7 +13,7 @@ from conftest import run_python
 from hypothesis import example, given, settings, strategies as st
 from reference import band_csv_rows, mock_plan_loop
 
-from fecund import cli, coder, ingest, saturation, synthetic
+from fecund import cli, coder, ingest, synthetic
 from fecund.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
 from fecund.corpus import CodeInstance, Document
 from fecund.errors import CodeCountError
@@ -199,23 +199,23 @@ def test_saturate_rejects_bad_iterations(corpus_dir, tmp_path, capsys, iteration
 
 
 def test_saturate_bootstrap_draws_each_order_once(corpus_dir, tmp_path, monkeypatch):
-    """Every regime counts the same orders: one stream per iteration."""
-    built = []
-    real = saturation._seeded_generators
+    """Every regime counts the same orders: one generator per iteration,
+    seeded with ``[seed, it]``."""
+    seeds = []
+    real = np.random.default_rng
 
-    def counting(rows):
-        rows = list(rows)
-        built.extend(rows)
-        return real(rows)
+    def recording(seed=None):
+        seeds.append(seed)
+        return real(seed)
 
-    monkeypatch.setattr(saturation, "_seeded_generators", counting)
+    monkeypatch.setattr(np.random, "default_rng", recording)
     assert run(
         "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
         corpus_dir / "codes.csv", "--themes", corpus_dir / "themes.csv",
         "--coder-source", "human", "--seed", 1, "--bootstrap", "--iterations", 37,
         "--regimes", "unique,hf_retrospective,hf_iterative,themes", "--out", tmp_path / "sb",
     ) == EXIT_OK
-    assert built == [(1, it) for it in range(37)]
+    assert seeds == [[1, it] for it in range(37)]
     assert sorted(p.name for p in (tmp_path / "sb").glob("curve_*.csv")) == [
         "curve_hf_iterative.csv", "curve_hf_retrospective.csv",
         "curve_themes.csv", "curve_unique.csv",
@@ -300,13 +300,18 @@ def test_code_refuses_half_of_the_few_shot_pair(corpus_dir, tmp_path, capsys, gi
     assert not (tmp_path / "out").exists()
 
 
-def test_saturate_themes_without_map_errors(corpus_dir, tmp_path):
+def test_saturate_themes_without_map_errors(corpus_dir, tmp_path, capsys):
+    """A themes file with no rows maps no code: the themes regime has nothing
+    to count. (Leaving out ``--themes`` is a usage error, in ``_BAD_INPUTS``.)"""
+    themes = tmp_path / "themes.csv"
+    themes.write_text("code_label,theme_label\n", encoding="utf-8")
     code = run(
         "saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
-        corpus_dir / "codes.csv", "--coder-source", "human", "--seed", 1,
+        corpus_dir / "codes.csv", "--themes", themes, "--coder-source", "human", "--seed", 1,
         "--regimes", "themes", "--out", tmp_path / "st",
     )
     assert code == EXIT_DATA
+    assert "themes regime requires a codebook with a theme map" in capsys.readouterr().err
 
 
 def test_sweep_oversized_errors(corpus_dir, tmp_path):
@@ -351,6 +356,22 @@ def test_config_line_without_equals_exits_usage(corpus_dir, tmp_path, capsys, li
     err = capsys.readouterr().err
     assert f"error: {config}:3: expected key = value" in err
     assert "Traceback" not in err
+
+
+def test_config_not_utf8_names_its_file_and_line(corpus_dir, tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_bytes(b"# comment\nseed = 9\nbudget_docs = \xff6\n")
+    code = run(
+        "select", "--docs", corpus_dir / "documents.jsonl", "--codes",
+        corpus_dir / "codes.csv", "--config", config, "--out", tmp_path / "cfg",
+    )
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {config}:3: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+    )
+    assert "Traceback" not in err
+    assert not (tmp_path / "cfg").exists()
 
 
 def test_trailing_config_without_path_exits_usage(corpus_dir, tmp_path, capsys):
@@ -627,6 +648,8 @@ _CASE_FILES = {
     "pairs.csv": "ai_density,human_density\n1.0,2.0\nx,3\n",
     "pairs-nan.csv": "ai_density,human_density\n1.0,2.0\nnan,3\n",
     "pairs-inf.csv": "ai_density,human_density\n1.0,2.0\n2.0,3\n3.0,inf\n",
+    "pairs-two-rows.csv": "ai_density,human_density\n1.0,2.0\n2.0,3.0\n",
+    "pairs-equal-ai.csv": "ai_density,human_density\n1.0,2.0\n1.0,3.0\n1.0,4.0\n",
     "manifest-no-doc-id.csv": "reading_index,id\n1,doc-00\n",
     "manifest-repeat.csv": "reading_index,doc_id\n1,doc-00\n2,doc-00\n",
     "unblinding.csv": "doc_id,arm\ndoc-00,treatment\n",
@@ -703,6 +726,17 @@ _BAD_INPUTS = {
         ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs-inf.csv"],
         EXIT_DATA,
         "{tmp}/pairs-inf.csv:4: densities must be finite numbers, got '3.0', 'inf'",
+    ),
+    "pairs-two-rows": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs-two-rows.csv"],
+        EXIT_DATA,
+        "error: invalid collection: {tmp}/pairs-two-rows.csv: "
+        "need at least 3 points to fit a quadratic",
+    ),
+    "pairs-equal-ai": (
+        ["sweep", "--coder-source", "human", "--seed", "1", "--pairs", "{tmp}/pairs-equal-ai.csv"],
+        EXIT_DATA,
+        "error: invalid collection: {tmp}/pairs-equal-ai.csv: design matrix is rank deficient",
     ),
     "quadratic-nan": (
         ["sweep", "--coder-source", "human", "--seed", "1", "--quadratic", "nan,1,0"],
@@ -846,6 +880,11 @@ _BAD_INPUTS = {
         ["saturate", "--coder-source", "human", "--bootstrap", "--iterations", "5"],
         EXIT_USAGE,
         "--bootstrap requires --seed",
+    ),
+    "themes-regime-without-themes": (
+        ["saturate", "--coder-source", "human", "--seed", "1", "--regimes", "unique,themes"],
+        EXIT_USAGE,
+        "error: --regimes themes requires --themes",
     ),
     "bootstrap-empty-order": (
         ["saturate", "--coder-source", "human", "--seed", "1", "--bootstrap", "--iterations", "5",
