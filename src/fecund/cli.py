@@ -21,8 +21,8 @@ from . import __version__
 from .corpus import fecundity, summary_stats
 from .errors import CodeCountError, CollectionFormatError, FecundError, TransportError
 from .ingest import (
-    _decode, _read_csv, _write_csv, load_articles, load_collection, split_passages,
-    write_collection,
+    _CODES_HEADER, _decode, _read_csv, _write_csv, load_articles, load_collection,
+    split_passages, write_collection,
 )
 
 # The other layers are imported only by the commands that run them: `_bind`
@@ -77,16 +77,18 @@ EXIT_DATA = 4
 EXIT_REMOTE = 5
 
 
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON; a value JSON cannot hold, such as a path, as its str."""
+    path.write_text(json.dumps(obj, indent=2, default=str) + "\n", encoding="utf-8")
+
+
 def _write_meta(out: Path, args) -> None:
-    meta = {
+    _write_json(out / "run_meta.json", {
         "command": args.command,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "args": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-    }
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, indent=2, default=str) + "\n", encoding="utf-8"
-    )
+    })
 
 
 def _load(args):
@@ -140,9 +142,7 @@ def cmd_ingest(args, out: Path) -> int:
         "coder_sources": sorted(docs.matrices),
         "length": vars(summary_stats(lengths)) if lengths else None,
     }
-    (out / "collection_summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "collection_summary.json", summary)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -171,8 +171,7 @@ def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict
 
 def cmd_code(args, out: Path) -> int:
     articles = load_articles(args.docs)
-    by_article = {a.id: split_passages(a, min_len=args.min_passage_len) for a in articles}
-    passages = [p for split in by_article.values() for p in split]
+    passages = [p for a in articles for p in split_passages(a, min_len=args.min_passage_len)]
     summaries = _load_summaries(args.summaries)
     for article in articles:
         # offline stand-in for model-written abstracts
@@ -200,16 +199,14 @@ def cmd_code(args, out: Path) -> int:
     run = code_passages(passages, backend, CHAINS[args.chain], summaries, context)
     article_len = {a.id: len(a.full_text) for a in articles}
     ids, labels, positions = [], [], []
-    for key, response in run:
+    for passage, response in run:
         if response.theme is None:
             continue
-        article_id, _, index = key.rpartition(":")  # passage_key's "article:index", read back
-        passage = by_article[article_id][int(index)]
         midpoint = (passage.char_span[0] + passage.char_span[1]) / 2
         ids.append(passage.article_id)
         labels.append(response.theme)
         positions.append(repr(min(1.0, midpoint / max(1, article_len[passage.article_id]))))
-    _write_csv(out / "ai_codes.csv", ["doc_id", "coder_source", "code_label", "position"],
+    _write_csv(out / "ai_codes.csv", _CODES_HEADER,
                [ids, [args.coder_source] * len(ids), labels, positions])
     if run.errors:
         _write_csv(out / "coding_errors.csv", ["passage_id", "error"], list(zip(*run.errors)))
@@ -251,9 +248,7 @@ def cmd_select(args, out: Path) -> int:
         },
         "n_overlap": sum(1 for e in reading_order if e.arm == "overlap"),
     }
-    (out / "selection.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "selection.json", payload)
     ids = [e.doc_id for e in reading_order]
     steps = list(map(str, range(1, len(ids) + 1)))
     _write_csv(out / "manifest.csv", ["reading_index", "doc_id"], [steps, ids])
@@ -287,6 +282,9 @@ def _manifest_order(docs, manifest_path: str):
 
 def cmd_saturate(args, out: Path) -> int:
     docs, codebook = _load(args)
+    if "themes" in args.regimes and not codebook.theme_map:
+        message = "maps no code to a theme, so the themes regime has nothing to count"
+        raise CollectionFormatError(message, args.themes)
     order = _manifest_order(docs, args.order) if args.order else docs
     regimes = [CountingRegime(kind, hf_threshold=args.threshold) for kind in args.regimes]
     steps = list(map(str, range(1, len(order) + 1)))
@@ -506,7 +504,8 @@ _positive_float = functools.partial(_finite_float, minimum=0.0, strict=True)
 
 
 def _mean_len(text: str) -> int:
-    """At least 1 and below 2**53, the cap on a collection's total length."""
+    """At least 1 and below 2**53, the cap on a collection's total length,
+    which ``synth_corpus`` checks on the lengths drawn around this mean."""
     value = _int_at_least(text)
     if value >= 2**53:
         raise argparse.ArgumentTypeError(f"must be below 2**53, got {value}")
@@ -556,7 +555,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     # no flag prefixes: main() finds --config in argv by its exact spelling
     exact = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("synth", help="generate a synthetic coded corpus")
     _add_common(p)
@@ -569,7 +567,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--themes-count", type=_int_at_least_zero, default=8)
     p.add_argument("--with-text", action="store_true")
     p.set_defaults(func=cmd_synth)
-    commands["synth"] = p
 
     p = sub.add_parser("ingest", help="validate a collection and summarize it")
     _add_common(p, seed=False)
@@ -577,7 +574,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--codes")
     p.add_argument("--themes")
     p.set_defaults(func=cmd_ingest)
-    commands["ingest"] = p
 
     p = sub.add_parser("code", help="produce AI codes for article passages")
     _add_common(p)
@@ -601,7 +597,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--temperature", type=_non_negative_float, default=0.0)
     p.add_argument("--max-in-flight", type=_int_at_least, default=4)
     p.set_defaults(func=cmd_code)
-    commands["code"] = p
 
     p = sub.add_parser("select", help="select a reading corpus and a blinded order")
     _add_common(p)
@@ -614,7 +609,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--control-docs", type=_int_at_least_zero, default=20)
     p.add_argument("--plain-gain", action="store_true", help="rank by raw gain, not gain/char")
     p.set_defaults(func=cmd_select)
-    commands["select"] = p
 
     p = sub.add_parser("saturate", help="cumulative code/theme curves, optional bootstrap")
     _add_common(p, seed=False, plot=True)
@@ -633,7 +627,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--positions", action="store_true", help="also write positions.csv")
     p.add_argument("--positions-window", type=_int_at_least, default=5)
     p.set_defaults(func=cmd_saturate)
-    commands["saturate"] = p
 
     p = sub.add_parser("analyze", help="treatment-effect regression tables")
     _add_common(p, seed=False)
@@ -645,7 +638,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--outcome-source", default="human")
     p.add_argument("--density-source", default="ai")
     p.set_defaults(func=cmd_analyze)
-    commands["analyze"] = p
 
     p = sub.add_parser("sweep", help="predicted benefit vs. superset size")
     _add_common(p, plot=True)
@@ -660,9 +652,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     g.add_argument("--quadratic", type=_quadratic, help="a,b,c mapping AI density to human density")
     g.add_argument("--pairs", help="csv: ai_density,human_density to fit the quadratic")
     p.set_defaults(func=cmd_sweep)
-    commands["sweep"] = p
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _config_path(argv: list[str]) -> str | None:

@@ -591,12 +591,12 @@ class RemoteCoder:
 
 @dataclass(frozen=True)
 class CodingRun:
-    """Outcome of coding a batch: per-passage responses plus recorded errors."""
+    """Outcome of coding a batch: (passage, response) pairs, and each failure's key and error."""
 
-    results: tuple[tuple[str, CodeResponse], ...]
+    results: tuple[tuple[Passage, CodeResponse], ...]
     errors: tuple[tuple[str, str], ...] = ()
 
-    def __iter__(self) -> Iterator[tuple[str, CodeResponse]]:
+    def __iter__(self) -> Iterator[tuple[Passage, CodeResponse]]:
         return iter(self.results)
 
 
@@ -720,8 +720,8 @@ def code_passages(
     ``fewshot_context`` maps passage keys ("article:index") to the
     exemplar-coding overview bound as the few-shot reference. A transport
     failure or an unreadable reply costs only its passage, which is
-    recorded in ``errors``; the mock backend never fails. Results are
-    ordered by passage key.
+    recorded in ``errors`` under its key; the mock backend never fails.
+    Results pair each response with its passage, ordered by passage key.
     """
     summaries = summaries or {}
     fewshot_context = fewshot_context or {}
@@ -730,7 +730,7 @@ def code_passages(
     n_head = len(tuple(takewhile(lambda step: _STEPS[step][2], template_chain)))
     head, tail = steps[:n_head], steps[n_head:]
 
-    def work(item: tuple[str, Passage], count: int) -> tuple[str, list[CodeResponse], str | None]:
+    def work(item: tuple[str, Passage], count: int) -> tuple[list[CodeResponse], str | None]:
         key, passage = item
         state = _ChainState(
             excerpt=passage.text,
@@ -746,12 +746,12 @@ def code_passages(
                 _walk(branch, passage, backend, tail, slot)
                 responses.append(branch.response)
         except TransportError as exc:
-            return key, [], f"{type(exc).__name__}: {exc}"
+            return [], f"{type(exc).__name__}: {exc}"
         except ResponseParseError as exc:
             # escaped, so a reply holding a lone surrogate can still be recorded
             raw = exc.raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
-            return key, [], f"{type(exc).__name__}: {exc}: {raw}"
-        return key, responses, None
+            return [], f"{type(exc).__name__}: {exc}: {raw}"
+        return responses, None
 
     cap = getattr(getattr(backend, "config", None), "max_in_flight", 1)
     if cap > 1 and len(keyed) > 1:
@@ -767,6 +767,6 @@ def code_passages(
             outcomes += map(work, block, backend.plan([passage for _, passage in block]))
 
     return CodingRun(
-        results=tuple((key, r) for key, responses, _ in outcomes for r in responses),
-        errors=tuple((key, error) for key, _, error in outcomes if error is not None),
+        results=tuple((p, r) for (_, p), (responses, _) in zip(keyed, outcomes) for r in responses),
+        errors=tuple((key, e) for (key, _), (_, e) in zip(keyed, outcomes) if e is not None),
     )

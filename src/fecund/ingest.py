@@ -32,6 +32,7 @@ _LINE_BREAK = re.compile(r"(\r\n|\r|\n)")  # grouped, so re.split keeps each bre
 _WS_RUN = re.compile(r"\s+")
 _SPECIAL = re.compile(r'[,"\r\n]')  # a CSV cell holding one of these is quoted
 _CODE_COLUMNS = ("doc_id", "coder_source", "code_label")
+_CODES_HEADER = (*_CODE_COLUMNS, "position")  # codes.csv as written
 # Documents and codes smaller than this are parsed every time. Measured in
 # fresh processes (2-core x86-64, Python 3.11): a parse takes about 53 us per
 # KiB, a hit 4-7 ms (3 ms of it importing hashlib) and a miss its parse plus
@@ -515,7 +516,7 @@ def write_collection(
         order = np.argsort(rows, kind="stable").tolist()
         columns = [list(map(c.__getitem__, order)) for c in (sources, labels, positions)]
         ids = list(map(documents.ids.__getitem__, rows[order].tolist()))
-        _write_csv(codes_path, (*_CODE_COLUMNS, "position"), [ids, *columns])
+        _write_csv(codes_path, _CODES_HEADER, [ids, *columns])
     if themes_path is not None and codebook.theme_map:
         cids = sorted(codebook.theme_map)
         tids = map(codebook.theme_map.__getitem__, cids)

@@ -17,7 +17,6 @@ so both high-frequency regimes are provided.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -316,6 +315,8 @@ def _percentile_bounds(counts: np.ndarray) -> list[np.ndarray]:
 
 def _median_positions(matrix: CodeMatrix) -> list[float | None]:
     """Each row's median over its positioned instances; None where it has none."""
+    import statistics  # with fractions and decimal: only --positions pays for them
+
     positions, offsets = matrix.positions.tolist(), matrix.offsets.tolist()
     # NaN marks an instance without a position
     known = [[p for p in positions[s:e] if p == p] for s, e in zip(offsets, offsets[1:])]

@@ -65,7 +65,8 @@ def synth_corpus(
     its length from a Zipf-weighted vocabulary, each at a uniform
     position. When ``n_themes`` > 0, codes map onto themes round-robin.
     A document expecting more than MAX_EXPECTED_CODES code instances raises
-    CodeCountError naming it, before its count is drawn.
+    CodeCountError naming it, before its count is drawn; one that takes the
+    total length to 2**53, which ingest refuses, raises ValueError naming it.
     """
     rng = np.random.default_rng(seed)
     cdf = zipf_cdf(n_codes, zipf_exponent)
@@ -73,6 +74,7 @@ def synth_corpus(
     vocab = [f"code {i:03d}" for i in range(1, n_codes + 1)]
     width = len(str(n_docs))
     doc_lengths, sizes, uniforms, positions = [], [], [], []
+    total = 0
     for d in range(n_docs):
         if lengths is not None:
             length = lengths[d]
@@ -82,6 +84,10 @@ def synth_corpus(
         if lam > MAX_EXPECTED_CODES:  # also keeps lam inside numpy's Poisson range
             raise CodeCountError(f"document doc-{d:0{width}d} expects {lam:g} codes, "
                                  f"past the cap of {MAX_EXPECTED_CODES:,} per document")
+        total += length
+        if total >= 2**53:
+            raise ValueError(f"document doc-{d:0{width}d}: the total length reaches 2**53, the "
+                             "cap below which every length and sum is exact in float64")
         k = int(rng.poisson(lam))
         doc_lengths.append(length)
         sizes.append(k)

@@ -748,7 +748,7 @@ def code_passages_per_slot(
             raw = exc.raw[:200].encode("utf-8", "backslashreplace").decode("utf-8")
             errors.append((key, f"{type(exc).__name__}: {exc}: {raw}"))
             continue
-        results.extend((key, response) for response in responses)
+        results.extend((passage, response) for response in responses)
     return CodingRun(tuple(results), tuple(errors))
 
 

@@ -255,8 +255,8 @@ def _code_passages(corpus_dir):
 
 
 def test_code_formats_each_passage_key_once(corpus_dir, tmp_path, monkeypatch):
-    """The batch sorts by each passage's key, records it, and ``code`` reads it
-    back: one ``passage_key`` call per passage in all."""
+    """The batch sorts by each passage's key and records it, and ``code`` reads
+    each result's passage, not its key: one ``passage_key`` call per passage."""
     passages = _code_passages(corpus_dir)
     formatted = Counter()
     real = coder.passage_key
@@ -311,7 +311,8 @@ def test_saturate_themes_without_map_errors(corpus_dir, tmp_path, capsys):
         "--regimes", "themes", "--out", tmp_path / "st",
     )
     assert code == EXIT_DATA
-    assert "themes regime requires a codebook with a theme map" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: invalid collection: {themes}: maps no code to a "
+                                       "theme, so the themes regime has nothing to count\n")
 
 
 def test_sweep_oversized_errors(corpus_dir, tmp_path):
@@ -1726,6 +1727,20 @@ def test_synth_blames_mean_len_only_when_it_sets_the_lengths(tmp_path, capsys, w
                        f"expects {lam:g} codes, past the cap of 1,000,000 per document\n")
 
 
+def test_synth_refuses_a_total_length_that_ingest_would_refuse(tmp_path, capsys):
+    """--mean-len is below 2**53, but the lengths drawn around it sum past it:
+    the document at which the total reaches that cap is named and no file is
+    written. With no codes per kchar, no Poisson count is drawn."""
+    capsys.readouterr()
+    assert run("synth", "--seed", 1, "--n-docs", 3, "--mean-len", 2**52,
+               "--codes-per-kchar", 0, "--out", tmp_path / "out") == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: document doc-1: the total length reaches 2**53, the cap below which every "
+        "length and sum is exact in float64\n"
+    )
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_synth_corpus_names_the_first_document_past_the_code_cap():
     """The cap is checked per document, before that document's draw."""
     lengths = [1000, 2000 * synthetic.MAX_EXPECTED_CODES]  # λ = 1, then 2e6
@@ -1736,7 +1751,8 @@ def test_synth_corpus_names_the_first_document_past_the_code_cap():
 def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
     """Start-up cost guard: ``np.unique`` without ``return_counts`` imports
     ``numpy.ma``, and so does ``np.percentile``; neither ``select``, ``sweep``
-    nor a plotted bootstrap ``saturate`` may pay for it."""
+    nor a plotted bootstrap ``saturate`` may pay for it, nor for
+    ``statistics``, which only ``saturate --positions`` needs."""
     data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
             "--coder-source", "human", "--seed", 3]
     script = textwrap.dedent(
@@ -1745,7 +1761,7 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
         import fecund.cli
         for argv in json.loads(sys.argv[1]):
             code = fecund.cli.main(argv)
-            print("loaded:", argv[0], code, "numpy.ma" in sys.modules)
+            print("loaded:", argv[0], code, "numpy.ma" in sys.modules, "statistics" in sys.modules)
         """
     )
     commands = [
@@ -1757,7 +1773,8 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
     proc = run_python(script, json.dumps([[str(a) for a in c] for c in commands]))
     assert proc.returncode == 0, proc.stderr
     loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
-    assert loaded == ["loaded: select 0 False", "loaded: sweep 0 False", "loaded: saturate 0 False"]
+    assert loaded == ["loaded: select 0 False False", "loaded: sweep 0 False False",
+                      "loaded: saturate 0 False False"]
 
 
 def test_mock_code_leaves_numpy_random_unloaded(corpus_dir, tmp_path):

@@ -785,7 +785,7 @@ def test_fewshot_chain_binds_context():
 def test_results_ordered_by_passage_key():
     passages = [passage("x" * 300, article="b"), passage("x" * 300, article="a")]
     run = code_passages(passages, MockCoder(seed=1))
-    keys = [k for k, _ in run]
+    keys = [passage_key(p) for p, _ in run]
     assert keys == sorted(keys)
 
 
@@ -1010,7 +1010,7 @@ class OneBadPassage(ScriptedBackend):
 def test_unreadable_reply_costs_one_passage(step, bad_reply, message):
     passages = [passage("x" * 200, article=a) for a in ("a", "bad", "c")]
     run = code_passages(passages, OneBadPassage(step, bad_reply))
-    assert [key for key, _ in run] == ["a:0000", "c:0000"]
+    assert [passage_key(p) for p, _ in run] == ["a:0000", "c:0000"]
     assert run.errors == (("bad:0000", f"ResponseParseError: {message}: {bad_reply[:200]}"),)
 
 
@@ -1018,10 +1018,23 @@ def test_unreadable_reply_is_recorded_as_utf8():
     bad_reply = '{"1. Theme": "bad \ud83d"}'
     passages = [passage("x" * 200, article=a) for a in ("a", "bad")]
     run = code_passages(passages, OneBadPassage("final_fewshot", bad_reply), FEWSHOT_CHAIN)
-    assert [key for key, _ in run] == ["a:0000"]
+    assert [passage_key(p) for p, _ in run] == ["a:0000"]
     assert run.errors == (
         ("bad:0000", 'ResponseParseError: reply holds a lone surrogate: {"1. Theme": "bad \\ud83d"}'),
     )
+
+
+def test_results_carry_the_passages_they_answer():
+    """Each response comes paired with the very passage object it answers,
+    in passage-key order whatever order the batch was given in."""
+    given = [passage("x" * 200, article=a, index=i) for a, i in
+             (("b", 1), ("a", 0), ("b", 0), ("a", 1))]
+    run = code_passages(given, ScriptedBackend({s: GOOD_REPLY for s in STEPS}))
+    want = sorted(given, key=passage_key)
+    assert [passage_key(p) for p, _ in run] == ["a:0000", "a:0001", "b:0000", "b:0001"]
+    assert len(run.results) == len(want)
+    assert all(p is q for (p, _), q in zip(run, want))
+    assert {r.theme for _, r in run} == {"Remote theme"}
 
 
 # --- passage-level steps asked once, against the per-slot oracle ----------------
