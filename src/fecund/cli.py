@@ -3,12 +3,14 @@
 Every stochastic command takes a mandatory --seed and writes byte-stable
 outputs; timestamps live only in the run_meta.json sidecar. Config files
 are flat key = value pairs (TOML-compatible) keyed by flag names with
-underscores; command-line flags win over config values.
+underscores; command-line flags win over config values, also over one for
+the other flag of an exclusive pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import json
@@ -666,18 +668,27 @@ def _config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _config_argv(values: dict[str, str], parser: argparse.ArgumentParser) -> list[str]:
+def _config_argv(
+    values: dict[str, str], parser: argparse.ArgumentParser, argv: list[str]
+) -> list[str]:
     """The config entries ``parser`` knows, as flags (a valueless flag when "true").
 
-    Placed before the user's arguments, they are checked like typed flags,
-    and a flag the user gives, parsed later, wins. A valueless flag's value
-    must be true or false, in any case; anything else raises ValueError.
+    Placed before the user's arguments ``argv``, they are checked like typed
+    flags, and a flag the user gives, parsed later, wins. An entry whose
+    mutually exclusive group has a flag in ``argv`` is left out, so that
+    flag wins over the other flags of its group too. A valueless flag's
+    value must be true or false, in any case; anything else raises ValueError.
     """
     if refused := [key for key in ("help", "config") if key in values]:
         raise ValueError(f"config key {refused[0]} cannot be set in a config file")
+    given = {token.partition("=")[0] for token in argv}
     tokens = []
     for action in parser._actions:
-        if action.dest not in values:
+        if action.dest not in values or any(
+            given.intersection(other.option_strings)
+            for group in parser._mutually_exclusive_groups if action in group._group_actions
+            for other in group._group_actions
+        ):
             continue
         flag, value = action.option_strings[-1], values[action.dest]
         if action.nargs != 0:
@@ -718,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"config key {unknown[0]} is no flag of any command")
             at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
             if at is not None:
-                argv[at:at] = _config_argv(values, commands[argv[at - 1]])
+                argv[at:at] = _config_argv(values, commands[argv[at - 1]], argv[at:])
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -732,8 +743,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     for layer in _LAYERS[args.command]:
         _bind(layer)
+    out = Path(args.out)
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
+    code = _run(args, out)
+    if code not in (EXIT_OK, EXIT_REMOTE):  # a failed run leaves no directory it made
+        for path in made:  # rmdir refuses one that is not empty, and so each above it
+            with contextlib.suppress(OSError):
+                path.rmdir()
+    return code
+
+
+def _run(args: argparse.Namespace, out: Path) -> int:
+    """Run the parsed command into ``out``, made first, and its exit code."""
     try:
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         code = args.func(args, out)
         _write_meta(out, args)  # a code batch with failed passages (exit 5) is a run too

@@ -20,7 +20,6 @@ import re
 import time
 from _blake2 import blake2b  # hashlib's, without the OpenSSL bindings hashlib loads (~4 MB)
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, takewhile
 from operator import itemgetter
 from string import Template
@@ -169,57 +168,25 @@ def reassess_note(level: str, reason: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    text: str
-
-    @cached_property
-    def _split(self) -> tuple[str, tuple[tuple[str, str], ...]] | None:
-        """The text, split once by ``Template.pattern``, as its leading literal
-        run and each placeholder name with the literal run after it; None
-        when the text holds an invalid ``$``."""
-        literals, names, literal, start = [], [], "", 0
-        for match in Template.pattern.finditer(self.text):
-            literal += self.text[start:match.start()]
-            start = match.end()
-            name = match.group("named") or match.group("braced")
-            if name is not None:
-                literals.append(literal)
-                names.append(name)
-                literal = ""
-            elif match.group("escaped") is not None:
-                literal += Template.delimiter
-            else:
-                return None
-        literals.append(literal + self.text[start:])
-        return literals[0], tuple(zip(names, literals[1:]))
-
-    @cached_property
-    def placeholders(self) -> tuple[str, ...]:
-        return tuple(sorted({name for name, _ in self._split[1]} if self._split else ()))
-
-    def render(self, bindings) -> str:
-        """Substitute placeholders from a mapping verbatim (no escaping), as
-        ``Template.substitute`` does: one join of the split text, which copies
-        each literal run where a ``%`` format would scan it."""
-        split = self._split
-        try:
-            if split is None:  # substitute raises the invalid placeholder's error
-                return Template(self.text).substitute(bindings)
-            first, pairs = split
-            pieces = [first]
-            for name, literal in pairs:
-                pieces.append(str(bindings[name]))
-                pieces.append(literal)
-        except KeyError as exc:
-            raise PromptBindingError(exc.args[0], template=self.name)
-        return "".join(pieces)
+def _split(text: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """``text`` split by ``Template.pattern`` into its leading literal run and
+    each placeholder name with the literal run after it, ``$$`` read as ``$``.
+    The templates hold no invalid ``$``; a test checks."""
+    runs, names, start = [""], [], 0
+    for match in Template.pattern.finditer(text):
+        runs[-1] += text[start:match.start()]
+        start = match.end()
+        if name := match.group("named") or match.group("braced"):
+            names.append(name)
+            runs.append("")
+        else:
+            runs[-1] += Template.delimiter
+    runs[-1] += text[start:]
+    return runs[0], tuple(zip(names, runs[1:]))
 
 
-TEMPLATES: dict[str, PromptTemplate] = {
-    name: PromptTemplate(name, text) for name, text in _TEMPLATE_TEXTS.items()
-}
+# step -> its template, split once
+TEMPLATES = {name: _split(text) for name, text in _TEMPLATE_TEXTS.items()}
 
 SOCRATIC_CHAIN = (
     "triage_caption",
@@ -233,9 +200,20 @@ ROUND1_CHAIN = ("round1",)
 CHAINS = {"socratic": SOCRATIC_CHAIN, "fewshot": FEWSHOT_CHAIN, "round1": ROUND1_CHAIN}
 
 
-def render_prompt(template: str | PromptTemplate, bindings) -> str:
-    tpl = TEMPLATES[template] if isinstance(template, str) else template
-    return tpl.render(bindings)
+def render_prompt(step: str, bindings) -> str:
+    """``step``'s template with each placeholder replaced by ``str()`` of its
+    binding, verbatim, as ``string.Template``'s ``substitute`` does: one join
+    of the split text, which copies each literal run where a ``%`` format
+    would scan it."""
+    first, pairs = TEMPLATES[step]
+    pieces = [first]
+    try:
+        for name, literal in pairs:
+            pieces.append(str(bindings[name]))
+            pieces.append(literal)
+    except KeyError as exc:
+        raise PromptBindingError(exc.args[0], template=step)
+    return "".join(pieces)
 
 
 # --- responses ------------------------------------------------------------
@@ -420,7 +398,7 @@ class MockCoder:
                  mean_codes_per_kchar: float = 3.0):
         self.seed = seed
         self.vocab = [f"mock code {i:03d}" for i in range(1, vocab_size + 1)]
-        # Generator.choice(p=...) draws one uniform and bisects this same CDF
+        # a code is drawn by bisecting this CDF with one uniform, as synth_corpus draws
         self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
         self.mean_codes_per_kchar = mean_codes_per_kchar
         self._plan: dict[int, tuple] = {}  # see plan
@@ -450,7 +428,7 @@ class MockCoder:
         # of their running sums F(k) are at most the uniform
         terms = np.cumprod(np.column_stack([np.exp(-lam), lam[:, None] / np.arange(1, 6)]), axis=1)
         counts = (terms.cumsum(axis=1) <= u[:, :1]).sum(axis=1)
-        # side="right" is bisect_right, the index Generator.choice takes
+        # side="right" is bisect_right: the first code whose F exceeds u, as in synth_corpus
         drawn = np.searchsorted(self._cdf, u[:, 1:][np.arange(6) < counts[:, None]], side="right")
         counts = counts.tolist()
         codes = list(map(self.vocab.__getitem__, drawn.tolist()))
@@ -648,14 +626,11 @@ def _read_confidence(state: _ChainState, raw: str) -> None:
     state.reason = "" if why is None else str(why)
 
 
-def _read_precode(state: _ChainState, raw: str) -> None:
+def _read_code(state: _ChainState, raw: str) -> None:
+    """A coding reply; its theme is the precode a later reassessment binds."""
     state.response = parse_response(raw)
     theme = state.response.theme
     state.precode = "None" if theme is None else theme
-
-
-def _read_code(state: _ChainState, raw: str) -> None:
-    state.response = parse_response(raw)
 
 
 def _read_round1(state: _ChainState, raw: str) -> None:
@@ -669,27 +644,27 @@ _STEPS: dict[str, tuple[Callable | None, Callable[[_ChainState, str], None], boo
     "triage_caption": (None, _read_caption, True),
     "triage_relevance": (lambda s: flag_note(s.flags), _read_topic, True),
     "relevance_confidence": (lambda s: flag_note(s.flags), _read_confidence, True),
-    "socratic_code": (lambda s: relevance_note(s.level, s.reason), _read_precode, False),
+    "socratic_code": (lambda s: relevance_note(s.level, s.reason), _read_code, False),
     "summary_reassess": (lambda s: reassess_note(s.level, s.reason), _read_code, False),
     "final_fewshot": (None, _read_code, False),
 }
 
 
 def _chain_steps(chain: Sequence[str]) -> list[tuple]:
-    """Each step of ``chain`` with its note builder, template and reply reader."""
+    """Each step of ``chain`` with its note builder and reply reader."""
     if unknown := [step for step in chain if step not in _STEPS]:
         raise ValueError(f"unknown chain step {unknown[0]!r}")
-    return [(step, _STEPS[step][0], TEMPLATES[step], _STEPS[step][1]) for step in chain]
+    return [(step, _STEPS[step][0], _STEPS[step][1]) for step in chain]
 
 
 def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple], slot: int) -> None:
     """Walk ``steps`` (from ``_chain_steps``) for one slot. Prompts are
     rendered and replies parsed through the module's names, so a wrapper set
     on the module sees every call."""
-    for step, note, template, read in steps:
+    for step, note, read in steps:
         if note is not None:
             state.note = note(state)
-        read(state, backend.respond(step, render_prompt(template, vars(state)), passage, slot))
+        read(state, backend.respond(step, render_prompt(step, vars(state)), passage, slot))
 
 
 # Passages a backend plans at once: enough for the mock to draw in bulk, few

@@ -699,12 +699,14 @@ def run_chain_branches(
             bindings["note"] = reassess_note(level, reason)
             raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
             response = parse_response_branches(raw)
+            precode = response.theme  # every coding reply is a later step's precode
             continue
         if step == "final_fewshot":
             bindings["summary"] = summary
             bindings["relevant"] = fewshot
             raw = backend.respond(step, render_prompt(step, bindings), passage, slot)
             response = parse_response_branches(raw)
+            precode = response.theme
             continue
         raise ValueError(f"unknown chain step {step!r}")
     return response

@@ -440,6 +440,32 @@ def test_config_refuses_help_and_config_keys(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_key, given", [
+    ("quadratic = \"0,1,0\"", ["--pairs", "{pairs}"]),
+    ("pairs = \"{pairs}\"", ["--quadratic", "0,1,0"]),
+], ids=["config-quadratic-flag-pairs", "config-pairs-flag-quadratic"])
+def test_an_explicit_map_wins_over_a_config_value_for_the_other(corpus_dir, tmp_path,
+                                                                config_key, given):
+    """A flag on the command line wins over a config value for the other
+    flag of its exclusive pair: the run writes what the flag alone writes.
+    A config file holding both maps still exits 2."""
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("ai_density,human_density\n0,0.5\n1,1.5\n2,3\n3,5\n", encoding="utf-8")
+    given = [arg.format(pairs=pairs) for arg in given]
+    config = tmp_path / "map.toml"
+    config.write_text(config_key.format(pairs=pairs) + "\n", encoding="utf-8")
+    sweep = ["sweep", "--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
+             "--coder-source", "human", "--seed", 1, "--sizes", "10,30", "--replicates", 2,
+             "--budget-docs", 5, *given]
+    assert run(*sweep, "--out", tmp_path / "alone") == EXIT_OK
+    assert run(*sweep, "--config", config, "--out", tmp_path / "both") == EXIT_OK
+    assert (tmp_path / "both/sweep.csv").read_bytes() == (tmp_path / "alone/sweep.csv").read_bytes()
+    config.write_text(f"quadratic = \"0,1,0\"\npairs = \"{pairs}\"\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as raised:
+        run(*sweep[:-2], "--config", config, "--out", tmp_path / "two")
+    assert raised.value.code == EXIT_USAGE
+
+
 @pytest.mark.parametrize("command", ["synth", "ingest", "code", "select", "analyze"])
 def test_plot_is_only_a_flag_of_the_commands_that_draw(corpus_dir, tmp_path, capsys, command):
     argv = {
@@ -1404,7 +1430,7 @@ def test_run_meta_is_written_once_the_command_returns(corpus_dir, tmp_path, monk
                                                       case, expected):
     """A run that finishes, a code batch with failed passages among them,
     gets its run_meta.json; one that fails on an input (exit 3 or 4) leaves
-    ``--out`` made but empty."""
+    no ``--out`` that it made."""
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json}\n", encoding="utf-8")
     unreadable = json.dumps({"choices": [{"message": {"content": "not a dictionary"}}]})
@@ -1424,7 +1450,45 @@ def test_run_meta_is_written_once_the_command_returns(corpus_dir, tmp_path, monk
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["command"] == argv[0] and meta["args"]["out"] == str(out)
     else:
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+
+def test_a_failed_synth_leaves_no_out_it_made(tmp_path, capsys):
+    """``main`` removes each directory of ``--out`` that it made, from the
+    deepest up, when the command fails."""
+    capsys.readouterr()
+    assert run("synth", "--seed", 1, "--n-docs", 3, "--mean-len", 4503599627370496,
+               "--codes-per-kchar", 0, "--out", tmp_path / "od/a/b") == EXIT_DATA
+    assert "the total length reaches 2**53" in capsys.readouterr().err
+    assert not (tmp_path / "od").exists()
+
+
+def _saturate_without_theme_map(corpus_dir, tmp_path):
+    themes = tmp_path / "themes.csv"
+    themes.write_text("code_label,theme_label\n", encoding="utf-8")  # the header alone
+    return ["saturate", "--docs", corpus_dir / "documents.jsonl", "--codes",
+            corpus_dir / "codes.csv", "--themes", themes, "--coder-source", "human",
+            "--regimes", "themes"]
+
+
+def test_a_failed_saturate_leaves_no_out_it_made(corpus_dir, tmp_path):
+    assert run(*_saturate_without_theme_map(corpus_dir, tmp_path),
+               "--out", tmp_path / "st") == EXIT_DATA
+    assert not (tmp_path / "st").exists()
+
+
+def test_a_failed_command_keeps_what_was_there(corpus_dir, tmp_path):
+    """A directory that existed before the run stays, empty or not, and so
+    does every file; only the directories the run made go."""
+    saturate = _saturate_without_theme_map(corpus_dir, tmp_path)
+    kept = tmp_path / "kept"
+    (kept / "empty").mkdir(parents=True)
+    (kept / "note.txt").write_text("mine\n", encoding="utf-8")
+    assert run(*saturate, "--out", kept / "empty") == EXIT_DATA
+    assert run(*saturate, "--out", kept / "new/deeper") == EXIT_DATA
+    assert run(*saturate, "--out", kept) == EXIT_DATA
+    assert sorted(p.name for p in kept.rglob("*")) == ["empty", "note.txt"]
+    assert (kept / "note.txt").read_text(encoding="utf-8") == "mine\n"
 
 
 @pytest.mark.parametrize(

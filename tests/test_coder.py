@@ -1,9 +1,10 @@
 import ast
 import copy
 import json
-import re
 from collections import Counter
+from dataclasses import fields
 from string import Template
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fecund.coder import (
     TEMPLATES,
     CodeResponse,
     MockCoder,
-    PromptTemplate,
     RemoteCoder,
     RemoteConfig,
     code_passages,
@@ -67,14 +67,13 @@ def test_missing_binding_names_placeholder():
         render_prompt("round1", {"summary": "S"})
 
 
+def placeholders(name):
+    return sorted({placeholder for placeholder, _ in TEMPLATES[name][1]})
+
+
 def test_placeholders_discovered():
-    assert TEMPLATES["final_fewshot"].placeholders == ("excerpt", "relevant", "summary")
-    assert TEMPLATES["summary_reassess"].placeholders == (
-        "excerpt",
-        "note",
-        "precode",
-        "summary",
-    )
+    assert placeholders("final_fewshot") == ["excerpt", "relevant", "summary"]
+    assert placeholders("summary_reassess") == ["excerpt", "note", "precode", "summary"]
 
 
 def test_every_template_is_a_chain_step_and_every_step_has_a_handler():
@@ -84,7 +83,18 @@ def test_every_template_is_a_chain_step_and_every_step_has_a_handler():
     assert steps <= handled, f"chain steps without a handler: {steps - handled}"
 
 
-PLACEHOLDERS = sorted({name for tpl in TEMPLATES.values() for name in tpl.placeholders})
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_templates_hold_no_invalid_dollar_and_bind_from_the_chain_state(name):
+    """No ``$`` of a template is invalid, which the renderer does not check,
+    and each placeholder is a ``_ChainState`` field, so ``vars`` of a slot's
+    state binds it."""
+    text = coder_module._TEMPLATE_TEXTS[name]
+    invalid = [m.start() for m in Template.pattern.finditer(text) if m.group("invalid") is not None]
+    assert invalid == []
+    assert set(placeholders(name)) <= {field.name for field in fields(coder_module._ChainState)}
+
+
+PLACEHOLDERS = sorted({name for tpl in TEMPLATES for name in placeholders(tpl)})
 binding_values = st.one_of(
     st.text(max_size=30),
     st.sampled_from(["$", "$$", "${x}", "$excerpt", "{note}", "{}", "{{", "naïve — 難民 ✓"]),
@@ -93,13 +103,13 @@ binding_values = st.one_of(
 )
 all_bindings = st.fixed_dictionaries({name: binding_values for name in PLACEHOLDERS})
 # template texts: literal runs (braces and non-ASCII included) between
-# plain, braced and escaped placeholders, and now and then a bare "$"
+# plain, braced and escaped placeholders; no "$" stands alone
 template_texts = st.lists(
     st.one_of(
         st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="$"),
                 max_size=6),
         st.sampled_from(
-            ["$$", "$excerpt", "${note}", "${summary}x", "$note.", "{", "}", "{$precode}", "$",
+            ["$$", "$excerpt", "${note}", "${summary}x", "$note.", "{", "}", "{$precode}",
              "é ✓ 日本"]
         ),
     ),
@@ -108,44 +118,33 @@ template_texts = st.lists(
 
 
 def substitute_outcome(render):
-    """What a render returns, or the error it raises, in comparable form."""
+    """What a render returns, or the placeholder it misses, in comparable form."""
     try:
         return render()
     except PromptBindingError as exc:
         return ("missing", exc.placeholder)
     except KeyError as exc:
         return ("missing", exc.args[0])
-    except ValueError as exc:
-        return ("invalid", str(exc))
 
 
 @given(name=st.sampled_from(sorted(TEMPLATES)), bindings=all_bindings)
 def test_render_matches_template_substitute(name, bindings):
-    expected = Template(TEMPLATES[name].text).substitute(bindings)
+    expected = Template(coder_module._TEMPLATE_TEXTS[name]).substitute(bindings)
     assert render_prompt(name, bindings) == expected
 
 
 @given(text=template_texts, bindings=all_bindings, drop=st.sets(st.sampled_from(PLACEHOLDERS)))
 @example(text="$$excerpt ${excerpt}$$$note{}", bindings=dict.fromkeys(PLACEHOLDERS, "$"), drop=set())
-@example(text="a $ b $excerpt", bindings={}, drop=set())
 def test_split_render_matches_template_substitute(text, bindings, drop):
     bindings = {k: v for k, v in bindings.items() if k not in drop}
-    tpl = PromptTemplate("custom", text)
-    assert substitute_outcome(lambda: tpl.render(bindings)) == substitute_outcome(
-        lambda: Template(text).substitute(bindings)
-    )
+    with mock.patch.dict(TEMPLATES, custom=coder_module._split(text)):
+        rendered = substitute_outcome(lambda: render_prompt("custom", bindings))
+    assert rendered == substitute_outcome(lambda: Template(text).substitute(bindings))
 
 
 def test_render_errors_match_substitute():
-    with pytest.raises(PromptBindingError, match="'note' in template 'custom'"):
-        PromptTemplate("custom", "a ${note} b").render({"excerpt": "E"})
-    for text in ("cost: $5 for $excerpt", "trailing $", "${excerpt"):
-        with pytest.raises(ValueError) as raised:
-            Template(text).substitute(excerpt="E")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
-            PromptTemplate("custom", text).render({"excerpt": "E"})
-    # an escaped dollar names no placeholder
-    assert PromptTemplate("custom", "$$excerpt ${note}").placeholders == ("note",)
+    with pytest.raises(PromptBindingError, match="'note' in template 'triage_relevance'"):
+        render_prompt("triage_relevance", {"excerpt": "E"})
 
 
 ROUND1_FRAGMENTS = [
