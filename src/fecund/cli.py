@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .corpus import fecundity, summary_stats
 from .errors import CodeCountError, CollectionFormatError, FecundError, TransportError
 from .ingest import (
     _CODES_HEADER, _decode, _read_csv, _write_csv, load_articles, load_collection,
@@ -33,6 +32,7 @@ from .ingest import (
 # this module, is kept.
 _LAZY = {
     "coder": ("CHAINS", "MockCoder", "RemoteCoder", "RemoteConfig", "code_passages"),
+    "corpus": ("fecundity", "summary_stats"),
     "saturation": (
         "CountingRegime", "REGIME_KINDS", "bootstrap_bands", "cumulative_curve", "position_trend",
     ),
@@ -50,11 +50,11 @@ _LAZY = {
 _LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
 _LAYERS = {  # command -> the layers it runs
     "synth": ("synthetic",),
-    "ingest": (),
+    "ingest": ("corpus",),
     "code": ("coder",),
     "select": ("selection",),
     "saturate": ("saturation", "svgplot"),
-    "analyze": ("stats",),
+    "analyze": ("stats", "corpus"),
     "sweep": ("selection", "stats", "svgplot"),
 }
 
@@ -152,10 +152,18 @@ def cmd_ingest(args, out: Path) -> int:
 # --- code ------------------------------------------------------------------
 
 
+def _unique_rows(path: str, columns: tuple[str, str], what: str) -> dict[str, str]:
+    """The CSV's second column keyed by its first; a repeated key raises with file:line."""
+    values: dict[str, str] = {}
+    for lineno, (key, value) in _read_csv(path, columns):
+        if key in values:
+            raise CollectionFormatError(f"{what} {key!r}", path, lineno)
+        values[key] = value
+    return values
+
+
 def _load_summaries(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    return {doc_id: summary for _, (doc_id, summary) in _read_csv(path, ("doc_id", "summary"))}
+    return _unique_rows(path, ("doc_id", "summary"), "summaries repeat document") if path else {}
 
 
 def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict[str, str]:
@@ -164,11 +172,9 @@ def _load_fewshot(clusters_path: str | None, exemplars_path: str | None) -> dict
     exemplars: dict[str, list[str]] = {}
     for _, (cluster_id, code_label) in _read_csv(exemplars_path, ("cluster_id", "code_label")):
         exemplars.setdefault(cluster_id, []).append(code_label)
-    context = {}
-    for _, (passage_id, cluster_id) in _read_csv(clusters_path, ("passage_id", "cluster_id")):
-        labels = exemplars.get(cluster_id, [])
-        context[passage_id] = json.dumps(labels, ensure_ascii=False)
-    return context
+    clusters = _unique_rows(clusters_path, ("passage_id", "cluster_id"), "clusters repeat passage")
+    return {passage_id: json.dumps(exemplars.get(cluster_id, []), ensure_ascii=False)
+            for passage_id, cluster_id in clusters.items()}
 
 
 def cmd_code(args, out: Path) -> int:
@@ -385,8 +391,9 @@ def cmd_analyze(args, out: Path) -> int:
     table_text = format_treatment_table(fits)
     (out / "treatment_table.txt").write_text(table_text, encoding="utf-8")
     _write_csv(out / "treatment_table.csv", *treatment_table_rows(fits))
-    if with_density and fits[5] != ROUND_CONSTANT:  # the check extends specification 5
-        text = _length_residuals(data, fits[5])
+    if args.density_source and fits[5] != ROUND_CONSTANT:  # the check extends specification 5
+        text = (_length_residuals(data, fits[5]) if with_density else
+                f"skipped: no --codes file gives density source {args.density_source!r}\n")
         (out / "length_residuals.txt").write_text(text, encoding="utf-8")
     _write_csv(out / "arm_summary.csv", *arm_summaries(data))
     print(table_text)

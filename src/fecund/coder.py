@@ -15,23 +15,22 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import re
 import time
 from _blake2 import blake2b  # hashlib's, without the OpenSSL bindings hashlib loads (~4 MB)
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from operator import itemgetter
 from string import Template
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import (
     PromptBindingError, RateLimitError, ResponseParseError, TransportError,
 )
 from .ingest import Passage, _encodable as _encodable_text
-from .synthetic import zipf_cdf
 
 # --- templates ------------------------------------------------------------
 
@@ -369,14 +368,32 @@ def parse_round1_response(raw: str) -> CodeResponse:
 
 # SplitMix64's golden-ratio increment γ and finaliser multipliers (Steele, Lea
 # & Flood 2014), for the mock's counter-based streams (Salmon et al. 2011)
-_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_MASK64 = 2**64 - 1
 
 
-def _uniforms(counters: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finaliser of each uint64 counter: its top 53 bits over 2**53."""
-    z = (counters ^ counters >> 30) * _MIX1
-    z = (z ^ z >> 27) * _MIX2
+def _uniform(key: int, counter: int) -> float:
+    """The SplitMix64 finaliser of key + counter·γ mod 2**64: its top 53 bits over 2**53."""
+    z = (key + counter * _GAMMA) & _MASK64
+    z = (z ^ z >> 30) * _MIX1 & _MASK64
+    z = (z ^ z >> 27) * _MIX2 & _MASK64
     return ((z ^ z >> 31) >> 11) * 2.0**-53
+
+
+def _zipf_cdf(n: int, exponent: float) -> list[float]:
+    """The running sums of k**-exponent over ranks 1..n, each divided by the
+    last, so the CDF ends at exactly 1.0. Raises ValueError when a weight
+    overflows or the total is not finite and positive (as for n = 0)."""
+    try:
+        sums = list(accumulate(float(k) ** -exponent for k in range(1, n + 1)))
+    except OverflowError:
+        sums = [math.inf]
+    if not (sums and math.isfinite(sums[-1]) and sums[-1] > 0):
+        raise ValueError(
+            f"Zipf exponent {exponent:g} gives no finite, positive weights "
+            f"over a vocabulary of {n} codes"
+        )
+    return [c / sums[-1] for c in sums]
 
 
 class MockCoder:
@@ -398,44 +415,45 @@ class MockCoder:
                  mean_codes_per_kchar: float = 3.0):
         self.seed = seed
         self.vocab = [f"mock code {i:03d}" for i in range(1, vocab_size + 1)]
-        # a code is drawn by bisecting this CDF with one uniform, as synth_corpus draws
-        self._cdf = zipf_cdf(vocab_size, zipf_exponent).tolist()
+        # a code is drawn by bisecting this CDF with one uniform
+        self._cdf = _zipf_cdf(vocab_size, zipf_exponent)
         self.mean_codes_per_kchar = mean_codes_per_kchar
         self._plan: dict[int, tuple] = {}  # see plan
         self._replies: dict[str, str] = {}  # code -> its coding reply
 
     def plan(self, passages: Sequence[Passage]) -> list[int]:
-        """Draw the slot count and the codes of every passage at once, note
-        the triage flags of each passage with slots, for ``respond`` to read,
+        """Draw the slot count and the codes of every passage, note the
+        triage flags of each passage with slots, for ``respond`` to read,
         and return the slot counts; each plan replaces the last.
 
         A passage's stream is keyed by blake2b's 8-byte digest of
-        "seed:article:index", read as a little-endian uint64. Its ``c``-th
-        uniform is the SplitMix64 finaliser of key + c·γ, top 53 bits over
-        2**53: counter 0 draws the slot count, counter ``s + 1`` slot ``s``'s
-        code. The count is min(6, Poisson(λ)) by inverse CDF: the number of
-        k ≤ 5 whose F(k) is at most the uniform.
+        "seed:article:index", read as a little-endian integer. Its ``c``-th
+        uniform is ``_uniform(key, c)``: counter 0 draws the slot count,
+        counter ``s + 1`` slot ``s``'s code. The count is min(6, Poisson(λ))
+        by inverse CDF: the first k ≤ 5 whose F(k) exceeds the uniform (6
+        when none does), exact because F never decreases.
         """
-        keys = np.frombuffer(b"".join(
-            blake2b(f"{self.seed}:{p.article_id}:{p.index}".encode(), digest_size=8).digest()
-            for p in passages
-        ), dtype="<u8")
-        u = _uniforms(keys[:, None] + _GAMMA * np.arange(7, dtype=np.uint64))
-        # e^-λ is 0 from about λ = 745, so capping λ keeps an infinite one from a NaN
-        lam = np.minimum([self.mean_codes_per_kchar * len(p.text) / 1000.0 for p in passages],
-                         1e3)
-        # P(k) for k ≤ 5 as e^-λ times λ/1 ... λ/k; the count is how many
-        # of their running sums F(k) are at most the uniform
-        terms = np.cumprod(np.column_stack([np.exp(-lam), lam[:, None] / np.arange(1, 6)]), axis=1)
-        counts = (terms.cumsum(axis=1) <= u[:, :1]).sum(axis=1)
-        # side="right" is bisect_right: the first code whose F exceeds u, as in synth_corpus
-        drawn = np.searchsorted(self._cdf, u[:, 1:][np.arange(6) < counts[:, None]], side="right")
-        counts = counts.tolist()
-        codes = list(map(self.vocab.__getitem__, drawn.tolist()))
-        slots = [codes[end - n : end] for n, end in zip(counts, accumulate(counts))]
-        flags = [self._flags(p) if n else None for p, n in zip(passages, counts)]
-        # keyed by identity, which the entry's passage keeps unique while planned
-        self._plan = dict(zip(map(id, passages), zip(passages, slots, flags)))
+        cdf, vocab = self._cdf, self.vocab
+        counts, plan = [], {}
+        for p in passages:
+            key = blake2b(f"{self.seed}:{p.article_id}:{p.index}".encode(), digest_size=8).digest()
+            key = int.from_bytes(key, "little")
+            # e^-λ is 0 from about λ = 745, so capping λ keeps an infinite one from a NaN
+            lam = min(self.mean_codes_per_kchar * len(p.text) / 1000.0, 1e3)
+            u = _uniform(key, 0)
+            # F(k) as running sums of P(k) = e^-λ times λ/1 ... λ/k
+            term = total = math.exp(-lam)
+            n = 0
+            while n < 6 and total <= u:
+                n += 1
+                term *= lam / n
+                total += term
+            counts.append(n)
+            # bisect_right: the first code whose F exceeds the uniform
+            codes = [vocab[bisect_right(cdf, _uniform(key, s))] for s in range(1, n + 1)]
+            # keyed by identity, which the entry's passage keeps unique while planned
+            plan[id(p)] = (p, codes, self._flags(p) if n else None)
+        self._plan = plan
         return counts
 
     def _flags(self, passage: Passage) -> list[str]:
@@ -667,8 +685,8 @@ def _walk(state: _ChainState, passage: Passage, backend, steps: Sequence[tuple],
         read(state, backend.respond(step, render_prompt(step, vars(state)), passage, slot))
 
 
-# Passages a backend plans at once: enough for the mock to draw in bulk, few
-# enough that memory stays flat.
+# Passages a backend plans at once: the mock keeps one block's plan, so memory
+# stays flat.
 _PLAN_BLOCK = 4096
 
 

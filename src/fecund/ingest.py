@@ -16,17 +16,19 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .corpus import Codebook, Collection
 from .errors import (
     BlankCodeError,
     CollectionFormatError,
     DanglingReferenceError,
     DuplicateDocumentIdError,
 )
+
+if TYPE_CHECKING:  # numpy and corpus load only where a collection is built or written
+    import numpy as np
+
+    from .corpus import Codebook, Collection
 
 _LINE_BREAK = re.compile(r"(\r\n|\r|\n)")  # grouped, so re.split keeps each break
 _WS_RUN = re.compile(r"\s+")
@@ -222,6 +224,8 @@ def load_collection(
     ``_CACHE_FLOOR`` bytes on, their parse is kept in ``.fecund-cache/``
     beside the documents, keyed by content (README, "The collection cache").
     """
+    from .corpus import Codebook
+
     codes_paths = [codes_path] if isinstance(codes_path, (str, Path)) else list(codes_path or ())
     paths = [str(documents_path), *map(str, codes_paths)]
     try:
@@ -263,6 +267,10 @@ def load_collection(
 def _parse_collection(paths: list[str], data: list) -> tuple[Collection, dict[str, str]]:
     """The documents (``paths[0]``) and the codes of the other files, parsed
     from their ``data`` (None: read the file), plus the codebook entries."""
+    import numpy as np
+
+    from .corpus import Collection
+
     row_of: dict[str, int] = {}  # document id -> row, in file order
     lengths: list[int] = []
     source_labels: list[str | None] = []
@@ -352,6 +360,8 @@ def _parse_positions(column: Sequence[str | None]) -> tuple[np.ndarray, int, int
     """The ``position`` column as floats (NaN where blank), the first record
     whose position is not a number and the first whose number lies outside
     [0, 1] (each the record count when there is none)."""
+    import numpy as np
+
     n = len(column)
     try:  # every record gives a position, as synth and code write them
         values = np.fromiter(map(float, column), np.float64, n)
@@ -435,6 +445,8 @@ def _uniform_records(data: bytes) -> int | None:
     longer than ``csv.field_size_limit()``. None for any other file."""
     if not data or b'"' in data or b"\r" in data:
         return None
+    import numpy as np
+
     octets = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(octets == ord("\n"))
     if not data.endswith(b"\n"):
@@ -490,6 +502,10 @@ def write_collection(
     texts: dict[str, str] | None = None,
 ) -> None:
     """Write a collection back out in the ingest formats (lossless round trip)."""
+    import numpy as np
+
+    from .corpus import Collection
+
     documents = Collection.of(documents)
     encode = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps(..., ensure_ascii=False)
     texts = texts or {}

@@ -34,9 +34,8 @@ passage once, must return an equal ``CodingRun``.
 blake2b from ``hashlib`` keys each passage and SplitMix64 (Steele, Lea &
 Flood 2014) finalises each counter. ``mock_slot_count`` walks the capped
 Poisson's CDF term by term, and ``mock_draw_choice`` bisects a Zipf CDF
-accumulated one float at a time, as ``Generator.choice(p=...)`` builds it;
-``mock_plan_loop`` plans a batch with them, so ``fecund.coder.MockCoder.plan``,
-which works on uint64 arrays, must plan the same slots and codes.
+accumulated one rank at a time; ``mock_plan_loop`` plans a batch with them,
+so ``fecund.coder.MockCoder.plan`` must plan the same slots and codes.
 ``split_passages_regex`` splits at every match of ``\r\n|\r|\n``;
 ``fecund.ingest.split_passages``, which splits text without a ``\r`` by
 ``str.split``, must return equal passages.
@@ -609,12 +608,13 @@ def mock_draw_choice(
     coder: MockCoder, passage: Passage, slot: int, zipf_exponent: float
 ) -> str:
     """The code of one mock slot: the stream's uniform at counter ``slot + 1``,
-    bisected (to the right) into the coder's Zipf weights accumulated one
-    float at a time and divided by their total, as ``Generator.choice``
-    builds its CDF."""
-    p = zipf_probabilities(len(coder.vocab), zipf_exponent).tolist()
-    cdf = list(itertools.accumulate(p))
-    cdf = [c / cdf[-1] for c in cdf]
+    bisected (to the right) into the running sums of the weights
+    rank**-exponent, added one rank at a time, each divided by the total."""
+    sums, total = [], 0.0
+    for rank in range(1, len(coder.vocab) + 1):
+        total += rank**-zipf_exponent
+        sums.append(total)
+    cdf = [s / total for s in sums]
     return coder.vocab[bisect.bisect_right(cdf, mock_stream(coder.seed, passage, slot + 1))]
 
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import math
+import socket
 import textwrap
 from collections import Counter
 
@@ -595,6 +596,35 @@ def test_analyze_reports_a_skipped_residual_check_and_finishes(tmp_path, spec5_f
     assert (ana / "arm_summary.csv").exists()
 
 
+def test_analyze_names_a_density_source_no_codes_file_gives(corpus_dir, tmp_path):
+    """With round varying, specification 5 is fitted, so a density source
+    that no --codes file holds leaves a reason in length_residuals.txt; with
+    round constant there is no check and no file."""
+    sel = tmp_path / "sel"
+    _select_human(corpus_dir, sel)
+    ids = [r["doc_id"] for r in _read_csv(sel / "manifest.csv")]
+    experiment = tmp_path / "experiment.csv"
+    experiment.write_text("doc_id,round,old_random\n" + "".join(
+        f"{d},{i % 2},false\n" for i, d in enumerate(ids)))
+    for out, rounds in (("varying", ["--experiment", experiment]), ("constant", [])):
+        argv = _analyze_argv(corpus_dir, sel, tmp_path / out)
+        assert run(*argv, "--density-source", "aii", *rounds) == EXIT_OK
+    assert (tmp_path / "varying" / "length_residuals.txt").read_text() == (
+        "skipped: no --codes file gives density source 'aii'\n"
+    )
+    assert not (tmp_path / "constant" / "length_residuals.txt").exists()
+
+
+def test_fewshot_exemplars_may_repeat_a_cluster(tmp_path):
+    """A cluster holds every exemplar code listed for it, in file order."""
+    clusters, exemplars = tmp_path / "clusters.csv", tmp_path / "exemplars.csv"
+    clusters.write_text("passage_id,cluster_id\nd0:0000,c1\nd0:0001,c2\n", encoding="utf-8")
+    exemplars.write_text("cluster_id,code_label\nc1,x\nc1,y\n", encoding="utf-8")
+    assert cli._load_fewshot(str(clusters), str(exemplars)) == {
+        "d0:0000": '["x", "y"]', "d0:0001": "[]"
+    }
+
+
 def test_saturate_plain_curve_needs_no_seed(corpus_dir, tmp_path):
     """Plain curves make no random draw, so ``--seed`` is optional and changes nothing."""
     data = ["--docs", corpus_dir / "documents.jsonl", "--codes", corpus_dir / "codes.csv",
@@ -717,6 +747,10 @@ _CASE_FILES = {
     "docs-latin1.jsonl": '{"id": "d0", "text": "abc"}\n{"id": "caf\xe9", "text": "abc"}\n'.encode(
         "latin-1"
     ),
+    "summaries-repeat.csv": "doc_id,summary\ndoc-00,first\ndoc-00,second\n",
+    "clusters-repeat.csv": "passage_id,cluster_id\ndoc-00:0000,c1\ndoc-00:0000,c2\n",
+    # a cluster may hold several exemplar codes, so cluster_id repeats here
+    "exemplars.csv": "cluster_id,code_label\nc1,x\nc1,y\nc2,z\n",
 }
 
 _NEGATIVE_SEED = "argument --seed: must be >= 0, got -3"
@@ -1068,6 +1102,17 @@ _BAD_INPUTS = {
          "--budget-docs", "-2"],
         EXIT_USAGE,
         "argument --budget-docs: must be >= 1, got -2",
+    ),
+    "code-summaries-repeated-document": (
+        ["code", "--seed", "1", "--summaries", "{tmp}/summaries-repeat.csv"],
+        EXIT_DATA,
+        "{tmp}/summaries-repeat.csv:3: summaries repeat document 'doc-00'",
+    ),
+    "code-clusters-repeated-passage": (
+        ["code", "--seed", "1", "--chain", "fewshot", "--clusters", "{tmp}/clusters-repeat.csv",
+         "--exemplars", "{tmp}/exemplars.csv"],
+        EXIT_DATA,
+        "{tmp}/clusters-repeat.csv:3: clusters repeat passage 'doc-00:0000'",
     ),
 }
 
@@ -1622,12 +1667,12 @@ def _every_command(corpus_dir, tmp_path):
     return {c: [str(a) for a in (*argv, "--out", tmp_path / c)] for c, argv in argvs.items()}
 
 
-# The layers beyond corpus, errors and ingest that each command loads. The
-# mock coder draws from synthetic's Zipf weights, and stats imports selection.
+# The layers beyond corpus, errors and ingest that each command loads; stats
+# imports selection.
 _COMMAND_LAYERS = {
     "synth": ["synthetic"],
     "ingest": [],
-    "code": ["coder", "synthetic"],
+    "code": ["coder"],
     "select": ["selection"],
     "saturate": ["saturation", "svgplot"],
     "analyze": ["selection", "stats"],
@@ -1841,25 +1886,33 @@ def test_select_and_sweep_leave_numpy_ma_unloaded(corpus_dir, tmp_path):
                       "loaded: saturate 0 False False"]
 
 
-def test_mock_code_leaves_numpy_random_unloaded(corpus_dir, tmp_path):
-    """The mock builds no generator, so ``code`` imports no ``numpy.random``
-    beyond what ``import numpy`` loads (numpy 2 loads it lazily), and the
-    process is about 5 MB smaller."""
+def test_code_imports_no_numpy(corpus_dir, tmp_path):
+    """Start-up cost guard: ``import fecund.cli`` imports no numpy, and
+    neither does ``code`` with the mock backend or with a remote one whose
+    every passage fails (exit 5). numpy costs about 90 ms of start-up."""
     script = textwrap.dedent(
         """\
-        import sys
-        import numpy
-        eager = "numpy.random" in sys.modules
+        import json, sys
         import fecund.cli
-        code = fecund.cli.main(sys.argv[1:])
-        print("loaded:", code, "numpy.random" in sys.modules and not eager)
+        print("loaded:", "numpy" in sys.modules)
+        for argv in json.loads(sys.argv[1]):
+            code = fecund.cli.main(argv)
+            print("loaded:", code, "numpy" in sys.modules)
         """
     )
-    proc = run_python(script, "code", "--docs", corpus_dir / "documents.jsonl", "--seed", 3,
-                      "--out", tmp_path / "coded")
+    with socket.socket() as sock:  # a local port that nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    docs = ["code", "--docs", str(corpus_dir / "documents.jsonl"), "--seed", "3"]
+    commands = [
+        [*docs, "--out", str(tmp_path / "mock")],
+        [*docs, "--backend", "remote", "--url", f"http://127.0.0.1:{port}/", "--model", "m",
+         "--retries", "1", "--out", str(tmp_path / "remote")],
+    ]
+    proc = run_python(script, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     assert [line for line in proc.stdout.splitlines() if line.startswith("loaded:")] == [
-        "loaded: 0 False"
+        "loaded: False", "loaded: 0 False", "loaded: 5 False"
     ]
 
 

@@ -533,15 +533,15 @@ def test_mock_zipf_vocabulary_skews():
 
 @pytest.mark.parametrize("vocab_size, exponent", [(200, 1.1), (50, 0.0), (7, 3.5), (200, -2.0)])
 def test_mock_probabilities_are_the_normalised_zipf_weights(vocab_size, exponent):
-    """The mock's weights, synthetic.zipf_probabilities (whose CDF it bisects,
-    see test_mock_cdf_draw_matches_choice), are bit for bit what its own
-    rank**-exponent / sum gave, so ai_codes.csv is unchanged."""
+    """synthetic.zipf_probabilities, whose weights the mock's own CDF
+    accumulates (see test_zipf_cdf_is_the_cdf_choice_bisects), are bit for
+    bit rank**-exponent / sum."""
     weights = np.arange(1, vocab_size + 1, dtype=float) ** -exponent
     probabilities = zipf_probabilities(vocab_size, exponent)
     assert probabilities.tobytes() == (weights / weights.sum()).tobytes()
 
 
-@pytest.mark.filterwarnings("error")  # numpy's overflow warning fails the test
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
 @pytest.mark.parametrize("vocab_size, exponent", [(200, -1000.0), (2, -2000.0), (0, 1.1)])
 def test_mock_rejects_zipf_weights_that_do_not_normalise(vocab_size, exponent):
     with pytest.raises(ValueError, match=f"exponent {exponent:g} .* vocabulary of {vocab_size}"):
@@ -594,9 +594,9 @@ def test_mock_plan_equals_the_loop_oracle(seed, shapes, rate):
 def test_the_mock_stream_finalises_counters_as_splitmix64_does():
     """SplitMix64 seeded with 0 first outputs 0xE220A8397B1DCDAF, then
     0x6E789E6AA1B965F4: a key of 0 at counters 1 and 2."""
-    u = coder_module._uniforms(coder_module._GAMMA * np.arange(1, 3, dtype=np.uint64))
+    u = [coder_module._uniform(0, counter) for counter in (1, 2)]
     outputs = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4)
-    assert u.tolist() == [(out >> 11) * 2.0**-53 for out in outputs]
+    assert u == [(out >> 11) * 2.0**-53 for out in outputs]
 
 
 @pytest.mark.parametrize("chain", [SOCRATIC_CHAIN, FEWSHOT_CHAIN, ROUND1_CHAIN])

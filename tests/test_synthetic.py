@@ -77,10 +77,19 @@ def test_synth_articles_match_word_loop(generators, seed, words):
     assert synth_articles(0, seed) == []
 
 
-@pytest.mark.parametrize("n, exponent", [(1, 1.1), (60, 1.1), (1000, 1.1), (7, 3.5), (50, 0.0)])
+@pytest.mark.parametrize(
+    "n, exponent", [(1, 1.1), (60, 1.1), (200, 1.1), (1000, 1.1), (7, 3.5), (50, 0.0)]
+)
 def test_zipf_cdf_is_the_cdf_choice_bisects(n, exponent):
-    """The normalised cumulative weights, shared by synth_corpus and the mock coder."""
+    """synth_corpus bisects the normalised cumulative weights. The mock coder
+    accumulates the weights on Python floats and divides by their total: a
+    non-decreasing CDF that ends at exactly 1.0, within max(8, n) ulps of
+    zipf_cdf: two running sums of n terms, each rounded n times, can drift
+    that far apart (measured: 3 ulps at n = 60, 12 at 200, 22 at 1,000;
+    over exponents 0-4, up to 100 at 400)."""
     cdf = zipf_probabilities(n, exponent).cumsum()
     cdf /= cdf[-1]
     assert zipf_cdf(n, exponent).tobytes() == cdf.tobytes()
-    assert MockCoder(vocab_size=n, zipf_exponent=exponent)._cdf == cdf.tolist()
+    mock = MockCoder(vocab_size=n, zipf_exponent=exponent)._cdf
+    assert all(a <= b for a, b in zip(mock, mock[1:])) and mock[-1] == 1.0
+    np.testing.assert_array_max_ulp(np.array(mock), cdf, maxulp=max(8, n))
